@@ -12,6 +12,7 @@ from .incentives import (
     cumulative_scores,
     consistency_adjusted_reward,
     shapley_exact,
+    shapley_alignment,
     coalition_value_alignment,
 )
 from .flclients import SyntheticDataset, ClientBehavior, local_train, act
@@ -40,6 +41,7 @@ __all__ = [
     "cumulative_scores",
     "consistency_adjusted_reward",
     "shapley_exact",
+    "shapley_alignment",
     "coalition_value_alignment",
     "SyntheticDataset",
     "ClientBehavior",

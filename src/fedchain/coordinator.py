@@ -31,6 +31,7 @@ from .errors import (
     WrongPhase,
     WrongRound,
 )
+from .ledger import SYSTEM_SENDER
 from .numerics import (
     ZERO,
     Fixed,
@@ -41,8 +42,6 @@ from .numerics import (
     SCALE,
 )
 from .offchain import vector_commit
-
-SYSTEM_SENDER = b"\x00" * 20
 
 VERDICT_ACCEPTED = "accepted"
 VERDICT_REJECTED_NORM = "rejected_norm"
@@ -79,6 +78,7 @@ class RoundState:
     payouts: dict[bytes, int] = field(default_factory=dict)
     aggregate: Optional[GradientVector] = None
     validated: bool = False
+    phi: Optional[dict[bytes, Fixed]] = None  # Shapley values, under reward_basis "shapley"
 
 
 class Coordinator:
@@ -311,26 +311,16 @@ class Coordinator:
         return dict(payouts)
 
     def _payout_basis(self, state: RoundState, scores: dict[bytes, Fixed]) -> dict[bytes, Fixed]:
-        """Positive payout weights: alignment scores (or Shapley values),
-        consistency-adjusted in the rounds following a fairness checkpoint."""
+        """Positive payout weights: alignment scores (or Shapley values, kept
+        on the round as ``phi``), consistency-adjusted in the rounds
+        following a fairness checkpoint."""
         if self.reward_basis == "shapley" and scores:
-            submissions = {cid: state.submissions[cid] for cid in state.accepted}
-            n_map = {cid: self.clients[cid].n_samples for cid in state.accepted}
-            attribution = incentives.shapley_exact(
-                list(submissions),
-                incentives.make_alignment_characteristic(submissions, n_map),
-                characteristic="alignment",
-            )
-            raw_basis = attribution.values
+            state.phi = self.shapley_values(state)
+            raw_basis = state.phi
         else:
             raw_basis = scores
 
-        multiplier_on = (
-            self.last_checkpoint_round is not None
-            and self.last_checkpoint_round
-            < state.round
-            <= self.last_checkpoint_round + self.fairness_interval
-        )
+        multiplier_on = self.multiplier_on(state.round)
         basis: dict[bytes, Fixed] = {}
         for cid, value in raw_basis.items():
             if multiplier_on:
@@ -339,6 +329,23 @@ class Coordinator:
                 )
             basis[cid] = value
         return basis
+
+    def shapley_values(self, state: RoundState) -> dict[bytes, Fixed]:
+        """Exact alignment Shapley values over the round's accepted updates."""
+        return incentives.shapley_alignment(
+            {cid: state.submissions[cid] for cid in state.accepted},
+            {cid: self.clients[cid].n_samples for cid in state.accepted},
+        ).values
+
+    def multiplier_on(self, round_index: int) -> bool:
+        """Whether consistency multipliers apply in ``round_index``: the
+        ``fairness_interval`` rounds after the last fairness checkpoint."""
+        return (
+            self.last_checkpoint_round is not None
+            and self.last_checkpoint_round
+            < round_index
+            <= self.last_checkpoint_round + self.fairness_interval
+        )
 
     def _apply_negative_score_policy(self, round_index: int, scores: dict[bytes, Fixed]) -> None:
         """Streak bookkeeping: consistently negative scorers are slashed and
@@ -420,24 +427,6 @@ class Coordinator:
 
     def state_dict(self) -> dict:
         """Canonical JSON-ready snapshot; hashed into every block's state root."""
-        rounds = {}
-        for r, state in self.rounds.items():
-            rounds[str(r)] = {
-                "phase": state.phase.name.lower(),
-                "submissions": {
-                    "0x" + cid.hex(): vector_commit(vec)
-                    for cid, vec in sorted(state.submissions.items())
-                },
-                "pending_batches": {
-                    "0x" + cid.hex(): len(buf["parts"]) for cid, buf in sorted(state.partial.items())
-                },
-                "verdicts": {
-                    "0x" + cid.hex(): verdict for cid, verdict in sorted(state.verdicts.items())
-                },
-                "scores": {"0x" + cid.hex(): s.raw for cid, s in sorted(state.scores.items())},
-                "payouts": {"0x" + cid.hex(): p for cid, p in sorted(state.payouts.items())},
-                "aggregate": vector_commit(state.aggregate) if state.aggregate else None,
-            }
         return {
             "current_round": self.current_round,
             "global_model": {

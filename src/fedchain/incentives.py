@@ -9,6 +9,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add, mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import BadParticipation, BadWeights, MissingRounds, TooManyClients
@@ -18,6 +20,8 @@ from .numerics import (
     ZERO,
     Fixed,
     GradientVector,
+    _check_acc,
+    _check_raw,
     div_toward_zero,
     dot,
     sample_weighted_mean,
@@ -99,42 +103,111 @@ def shapley_exact(
     phi_i = sum over T not containing i of
             |T|! (n-|T|-1)! / n! * (v(T+i) - v(T)).
 
-    Marginals are accumulated with integer coalition weights and divided by
-    n! once at the end, so each phi carries a single truncation.
+    Each of the 2^n coalitions is evaluated once. Marginals are accumulated
+    with integer coalition weights and divided by n! once at the end, so
+    each phi carries a single truncation.
     """
+    ids = _players(clients)
+    values = [
+        coalition_value(frozenset(ids[k] for k in range(len(ids)) if mask >> k & 1)).raw
+        for mask in range(1 << len(ids))
+    ]
+    return ShapleyAttribution(values=_shapley_phi(ids, values), characteristic=characteristic)
+
+
+def shapley_alignment(
+    submissions: Mapping[bytes, GradientVector], n_map: Mapping[bytes, int]
+) -> ShapleyAttribution:
+    """Exact Shapley values under the alignment characteristic, in one pass.
+
+    Bit-identical to ``shapley_exact(ids, make_alignment_characteristic(...))``,
+    including which inputs raise ``OverflowError``, but the coalition values
+    come from ``alignment_coalition_values`` instead of one FedAvg per coalition.
+    """
+    ids = _players(submissions)
+    values = alignment_coalition_values(submissions, n_map)
+    return ShapleyAttribution(values=_shapley_phi(ids, values), characteristic="alignment")
+
+
+def _players(clients: Iterable[bytes]) -> list[bytes]:
     ids = sorted(clients)
-    n = len(ids)
-    if n > SHAPLEY_MAX_CLIENTS:
-        raise TooManyClients(f"{n} clients exceeds the {SHAPLEY_MAX_CLIENTS}-player cap")
-    if len(set(ids)) != n:
+    if len(ids) > SHAPLEY_MAX_CLIENTS:
+        raise TooManyClients(f"{len(ids)} clients exceeds the {SHAPLEY_MAX_CLIENTS}-player cap")
+    if len(set(ids)) != len(ids):
         raise BadWeights("client ids must be distinct")
+    return ids
 
-    # one evaluation per subset, memoized by bitmask
-    values: dict[int, int] = {}
 
-    def v_raw(mask: int) -> int:
-        cached = values.get(mask)
-        if cached is None:
-            subset = frozenset(ids[k] for k in range(n) if mask >> k & 1)
-            cached = coalition_value(subset).raw
-            values[mask] = cached
-        return cached
-
+def _shapley_phi(ids: Sequence[bytes], values: Sequence[int]) -> dict[bytes, Fixed]:
+    """Shapley values from raw coalition values indexed by bitmask over ``ids``."""
+    n = len(ids)
     factorial = [math.factorial(k) for k in range(n + 1)]
+    weight = [factorial[size] * factorial[n - size - 1] for size in range(n)]
     phi: dict[bytes, Fixed] = {}
     for k, client_id in enumerate(ids):
-        others = [j for j in range(n) if j != k]
+        bit = 1 << k
         acc = 0
-        for sub_mask in range(1 << (n - 1)):
-            mask = 0
-            for bit, j in enumerate(others):
-                if sub_mask >> bit & 1:
-                    mask |= 1 << j
-            size = sub_mask.bit_count()
-            weight = factorial[size] * factorial[n - size - 1]
-            acc += weight * (v_raw(mask | 1 << k) - v_raw(mask))
+        for mask in range(1 << n):
+            if not mask & bit:
+                acc += weight[mask.bit_count()] * (values[mask | bit] - values[mask])
         phi[client_id] = Fixed(div_toward_zero(acc, factorial[n]))
-    return ShapleyAttribution(values=phi, characteristic=characteristic)
+    return phi
+
+
+def alignment_coalition_values(
+    submissions: Mapping[bytes, GradientVector], n_map: Mapping[bytes, int]
+) -> list[int]:
+    """Raw ``coalition_value_alignment`` of every coalition, indexed by bitmask
+    over the sorted client ids (bit k set means the k-th id is a member).
+
+    The full-cohort FedAvg is computed once. Coalitions are walked depth
+    first, adding members in sorted-id order, so each coalition's integer
+    numerator sum(n_i * raw_i) is its parent's plus one member's term, and
+    the parent's numerators are exactly the partial sums that
+    ``sample_weighted_mean`` bounds-checks. The walk keeps each member's
+    term and at most one numerator vector per depth, O(n * dim) integers,
+    never one vector per coalition.
+    """
+    ids = sorted(submissions)
+    values = [0] * (1 << len(ids))
+    if not ids:
+        return values
+    vectors = [submissions[i] for i in ids]
+    counts = [n_map[i] for i in ids]
+    full = sample_weighted_mean(vectors, counts).raws()
+    terms = [[n * raw for raw in v.raws()] for n, v in zip(counts, vectors)]
+
+    def visit(mask: int, numerators: list[int], total: int, first: int) -> None:
+        for j in range(first, len(ids)):
+            child = mask | 1 << j
+            child_numerators = list(map(add, numerators, terms[j]))
+            _check_range(child_numerators, _check_acc)
+            values[child] = _aligned_mean_value(child_numerators, total + counts[j], full)
+            visit(child, child_numerators, total + counts[j], j + 1)
+
+    visit(0, [0] * len(full), 0, 0)
+    return values
+
+
+def _aligned_mean_value(numerators: list[int], total: int, full: list[int]) -> int:
+    """Raw dot(numerators / total, full), truncating and bounds-checking like
+    ``sample_weighted_mean`` followed by ``dot``.
+
+    A function of its own so the coalition's mean and partial sums are freed
+    before the walk descends, rather than held once per depth.
+    """
+    mean = [div_toward_zero(a, total) for a in numerators]
+    _check_range(mean, _check_raw)
+    partial_sums = list(accumulate(map(mul, mean, full)))
+    _check_range(partial_sums, _check_acc)
+    return _check_raw(div_toward_zero(partial_sums[-1], SCALE))
+
+
+def _check_range(raws: list[int], check: Callable[[int], int]) -> None:
+    """Apply a numerics bound check to every element (it bounds an interval,
+    so checking the extremes is enough)."""
+    check(min(raws))
+    check(max(raws))
 
 
 def coalition_value_alignment(
@@ -147,6 +220,8 @@ def coalition_value_alignment(
     An inner-product proxy that needs no validation dataset: for a singleton
     it reduces to the client's alignment with the full aggregate, and for
     the grand coalition it is the squared norm of the aggregate. v({}) = 0.
+    This is the per-coalition definition; ``alignment_coalition_values``
+    computes it for every coalition at once.
     """
     members = sorted(subset)
     if not members:

@@ -447,22 +447,12 @@ def _attribution_for_round(
     coordinator: Coordinator, round_state, cumulative: dict[bytes, Fixed]
 ) -> list[dict]:
     """Attribution-log records for one scored round; updates running sums."""
-    phi_values: dict[bytes, Fixed] = {}
-    if round_state.accepted and len(round_state.accepted) <= incentives.SHAPLEY_MAX_CLIENTS:
-        submissions = {cid: round_state.submissions[cid] for cid in round_state.accepted}
-        n_map = {cid: coordinator.clients[cid].n_samples for cid in round_state.accepted}
-        phi_values = incentives.shapley_exact(
-            list(submissions),
-            incentives.make_alignment_characteristic(submissions, n_map),
-            characteristic="alignment",
-        ).values
+    # under reward_basis "shapley" the coordinator already computed phi for the payout
+    phi_values = round_state.phi or {}
+    if round_state.phi is None and 0 < len(round_state.accepted) <= incentives.SHAPLEY_MAX_CLIENTS:
+        phi_values = coordinator.shapley_values(round_state)
 
-    multiplier_on = (
-        coordinator.last_checkpoint_round is not None
-        and coordinator.last_checkpoint_round
-        < round_state.round
-        <= coordinator.last_checkpoint_round + coordinator.fairness_interval
-    )
+    multiplier_on = coordinator.multiplier_on(round_state.round)
     records = []
     for cid in sorted(round_state.scores):
         score = round_state.scores[cid]

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+from fedchain import incentives
 
 from fedchain.errors import (
     BadParticipation,
@@ -12,16 +14,20 @@ from fedchain.errors import (
     MissingRounds,
     TooManyClients,
 )
+from fedchain.coordinator import _largest_remainder_split
 from fedchain.incentives import (
+    alignment_coalition_values,
     alignment_score,
     coalition_value_alignment,
     consistency_adjusted_reward,
     consistency_multiplier,
     cumulative_scores,
     make_alignment_characteristic,
+    shapley_alignment,
     shapley_exact,
 )
-from fedchain.numerics import Fixed, GradientVector, SCALE, dot
+from fedchain.numerics import RAW_LIMIT, Fixed, GradientVector, SCALE, dot
+from fedchain.scenario import parse_config, run_scenario
 
 IDS = [bytes([i]) * 20 for i in range(1, 13)]
 
@@ -285,3 +291,127 @@ class TestCoalitionValue:
         expected = dot(g, g).raw / 3
         for value in attribution.values.values():
             assert abs(value.raw - expected) <= 4
+
+
+def _per_coalition(submissions, n_map):
+    """Outcome of the per-coalition definition: phi, or the exception type."""
+    try:
+        return shapley_exact(
+            list(submissions), make_alignment_characteristic(submissions, n_map), "alignment"
+        )
+    except OverflowError as err:
+        return type(err)
+
+
+def _one_pass(submissions, n_map):
+    try:
+        return shapley_alignment(submissions, n_map)
+    except OverflowError as err:
+        return type(err)
+
+
+def _games(max_clients: int, raws, counts):
+    """(submissions, n_map) over distinct random ids and a shared dimension."""
+
+    @st.composite
+    def game(draw):
+        ids = draw(st.lists(st.binary(min_size=20, max_size=20), min_size=1,
+                            max_size=max_clients, unique=True))
+        dim = draw(st.integers(1, 8))
+        submissions = {
+            cid: GradientVector.from_raw(draw(st.lists(raws, min_size=dim, max_size=dim)))
+            for cid in ids
+        }
+        return submissions, {cid: draw(counts) for cid in ids}
+
+    return game()
+
+
+class TestShapleyAlignment:
+    @settings(deadline=None)
+    @given(_games(7, st.integers(-(10**12), 10**12), st.integers(1, 10**6)))
+    def test_matches_per_coalition_definition(self, game):
+        submissions, n_map = game
+        ids = sorted(submissions)
+        characteristic = make_alignment_characteristic(submissions, n_map)
+        values = alignment_coalition_values(submissions, n_map)
+        assert len(values) == 1 << len(ids)
+        for mask, value in enumerate(values):
+            subset = frozenset(ids[k] for k in range(len(ids)) if mask >> k & 1)
+            assert value == characteristic(subset).raw
+        assert shapley_alignment(submissions, n_map) == _per_coalition(submissions, n_map)
+
+    @settings(deadline=None)
+    @given(_games(4, st.integers(-RAW_LIMIT + 1, RAW_LIMIT - 1), st.integers(1, 2**130)))
+    def test_overflow_agrees_near_raw_limit(self, game):
+        submissions, n_map = game
+        assert _one_pass(submissions, n_map) == _per_coalition(submissions, n_map)
+
+    @pytest.mark.parametrize(
+        "raws, count, message",
+        [
+            # full-cohort FedAvg numerator: 2^129 * (2^127 - 1) > ACC_LIMIT
+            ([[RAW_LIMIT - 1]], 2**129, "wide accumulator"),
+            # dot partial sum: 3 * (2^127 - 1)^2 > ACC_LIMIT
+            ([[RAW_LIMIT - 1] * 3], 1, "wide accumulator"),
+            # dot result: 2^200 / SCALE > RAW_LIMIT
+            ([[2**100]], 1, "fixed-point value out of range"),
+            # only the numerator of coalition {1, 2}, which is no prefix of the
+            # sorted cohort, exceeds ACC_LIMIT; the full aggregate is zero
+            ([[-(2**126)], [2**126], [2**126], [-(2**126)]], 5 * 2**126, "wide accumulator"),
+        ],
+    )
+    def test_overflow_raises_on_both_paths(self, raws, count, message):
+        submissions = {IDS[k]: GradientVector.from_raw(r) for k, r in enumerate(raws)}
+        n_map = {cid: count for cid in submissions}
+        with pytest.raises(OverflowError, match=message):
+            shapley_exact(list(submissions), make_alignment_characteristic(submissions, n_map))
+        with pytest.raises(OverflowError, match=message):
+            shapley_alignment(submissions, n_map)
+
+    def test_no_clients(self):
+        assert alignment_coalition_values({}, {}) == [0]
+        assert shapley_alignment({}, {}).values == {}
+
+    def test_too_many_clients(self):
+        ids = [bytes([i]) * 20 for i in range(13)]
+        with pytest.raises(TooManyClients):
+            shapley_alignment({cid: vec("1") for cid in ids}, {cid: 1 for cid in ids})
+
+
+def test_scenario_computes_shapley_once_per_round(monkeypatch):
+    calls = []
+    one_pass = incentives.shapley_alignment
+
+    def counted(submissions, n_map):
+        calls.append(sorted(submissions))
+        return one_pass(submissions, n_map)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the scenario runs the per-coalition Shapley path")
+
+    monkeypatch.setattr(incentives, "shapley_alignment", counted)
+    monkeypatch.setattr(incentives, "shapley_exact", forbidden)
+    doc = {
+        "seed": 42, "rounds": 4, "fairness_interval": 2, "reward_basis": "shapley",
+        "dataset": {
+            "n_clients": 4, "samples_per_client": [10, 20, 10, 30], "dim": 4, "noise": 0.05,
+            "behaviors": ["honest", "honest", "honest", "negator"],
+        },
+    }
+    config = parse_config(doc)
+    result = run_scenario(config)
+    monkeypatch.undo()
+
+    rounds = result.coordinator.rounds
+    scored = [r for r in range(1, config.rounds + 1) if rounds[r].accepted]
+    assert len(calls) == len(scored) == config.rounds
+    for r in scored:
+        state = rounds[r]
+        submissions = {cid: state.submissions[cid] for cid in state.accepted}
+        n_map = {cid: result.coordinator.clients[cid].n_samples for cid in state.accepted}
+        assert state.phi == _per_coalition(submissions, n_map).values
+        logged = {rec["client"]: rec["phi"] for rec in result.attribution if rec["round"] == r}
+        assert logged == {"0x" + cid.hex(): phi.to_decimal() for cid, phi in state.phi.items()}
+        if all(rec["multiplier"] == "1" for rec in result.attribution if rec["round"] == r):
+            assert state.payouts == _largest_remainder_split(config.reward_pool_per_round, state.phi)
