@@ -4,11 +4,23 @@ This is the original Keccak sponge (multi-rate padding, domain byte 0x01),
 not NIST SHA3-256 (domain byte 0x06): rate 1088 bits, capacity 512, 24
 rounds, 256-bit digest. State is kept as a flat list of 25 lanes indexed
 x + 5*y.
+
+The permutation writes one round of Keccak-f[1600] out in full and loops it
+over the 24 round constants, with the 25 lanes and the theta and rho-pi
+temporaries in local variables, after the Keccak team's *Keccak
+implementation overview*: a local is much cheaper to read and write than a
+list slot, and the rho rotation offsets and pi positions become constants in
+the source. It is pure Python because ``hashlib.sha3_256`` pads with the NIST
+domain byte, so it cannot compute this digest.
 """
 from __future__ import annotations
 
+import struct
+
 _MASK = (1 << 64) - 1
 _RATE = 136  # bytes
+_BLOCK = struct.Struct("<17Q")  # one rate-sized block as 17 little-endian lanes
+_DIGEST = struct.Struct("<4Q")
 
 _ROUND_CONSTANTS = (
     0x0000000000000001, 0x0000000000008082, 0x800000000000808A, 0x8000000080008000,
@@ -19,56 +31,118 @@ _ROUND_CONSTANTS = (
     0x8000000080008081, 0x8000000000008080, 0x0000000080000001, 0x8000000080008008,
 )
 
-# rho rotation offset for flat lane index x + 5*y
-_ROTATION = (
-    0, 1, 62, 28, 27,
-    36, 44, 6, 55, 20,
-    3, 10, 43, 25, 39,
-    41, 45, 15, 21, 8,
-    18, 2, 61, 56, 14,
-)
-
-# rho+pi as a gather: lane j of the permuted state comes from _PI_SOURCE[j]
-# rotated left by _PI_ROT[j].  dst(x, y) = y + 5*((2x + 3y) mod 5).
-_PI_SOURCE = [0] * 25
-_PI_ROT = [0] * 25
-for _x in range(5):
-    for _y in range(5):
-        _src = _x + 5 * _y
-        _dst = _y + 5 * ((2 * _x + 3 * _y) % 5)
-        _PI_SOURCE[_dst] = _src
-        _PI_ROT[_dst] = _ROTATION[_src]
-_PI_SOURCE = tuple(_PI_SOURCE)
-_PI_ROT = tuple(_PI_ROT)
-
-_CHI_1 = tuple(((i % 5) + 1) % 5 + 5 * (i // 5) for i in range(25))
-_CHI_2 = tuple(((i % 5) + 2) % 5 + 5 * (i // 5) for i in range(25))
-_GATHER = tuple(zip(_PI_SOURCE, _PI_ROT))
-_CHI = tuple(zip(range(25), _CHI_1, _CHI_2))
-
 
 def _permute(lanes: list[int]) -> list[int]:
+    """Keccak-f[1600] on 25 lanes indexed x + 5*y.
+
+    Lane (x, y) is the local ``a<x><y>``; ``c<x>`` and ``d<x>`` are theta's
+    column parities and their mix, and ``b<x><y>`` is the state after rho and pi.
+    """
+    mask = _MASK
+    (
+        a00, a10, a20, a30, a40,
+        a01, a11, a21, a31, a41,
+        a02, a12, a22, a32, a42,
+        a03, a13, a23, a33, a43,
+        a04, a14, a24, a34, a44,
+    ) = lanes
     for rc in _ROUND_CONSTANTS:
         # theta
-        c = [
-            lanes[x] ^ lanes[x + 5] ^ lanes[x + 10] ^ lanes[x + 15] ^ lanes[x + 20]
-            for x in range(5)
-        ]
-        d = [
-            c[(x + 4) % 5] ^ (((c[(x + 1) % 5] << 1) | (c[(x + 1) % 5] >> 63)) & _MASK)
-            for x in range(5)
-        ]
-        lanes = [lanes[i] ^ d[i % 5] for i in range(25)]
-        # rho + pi
-        b = [
-            ((lanes[s] << r) | (lanes[s] >> (64 - r))) & _MASK if r else lanes[s]
-            for s, r in _GATHER
-        ]
+        c0 = a00 ^ a01 ^ a02 ^ a03 ^ a04
+        c1 = a10 ^ a11 ^ a12 ^ a13 ^ a14
+        c2 = a20 ^ a21 ^ a22 ^ a23 ^ a24
+        c3 = a30 ^ a31 ^ a32 ^ a33 ^ a34
+        c4 = a40 ^ a41 ^ a42 ^ a43 ^ a44
+        d0 = c4 ^ ((c1 << 1 | c1 >> 63) & mask)
+        d1 = c0 ^ ((c2 << 1 | c2 >> 63) & mask)
+        d2 = c1 ^ ((c3 << 1 | c3 >> 63) & mask)
+        d3 = c2 ^ ((c4 << 1 | c4 >> 63) & mask)
+        d4 = c3 ^ ((c0 << 1 | c0 >> 63) & mask)
+        # rho and pi: b(y, 2x + 3y) = a(x, y) rotated left by its rho offset
+        b00 = a00 ^ d0
+        a10 ^= d1
+        b02 = (a10 << 1 | a10 >> 63) & mask
+        a20 ^= d2
+        b04 = (a20 << 62 | a20 >> 2) & mask
+        a30 ^= d3
+        b01 = (a30 << 28 | a30 >> 36) & mask
+        a40 ^= d4
+        b03 = (a40 << 27 | a40 >> 37) & mask
+        a01 ^= d0
+        b13 = (a01 << 36 | a01 >> 28) & mask
+        a11 ^= d1
+        b10 = (a11 << 44 | a11 >> 20) & mask
+        a21 ^= d2
+        b12 = (a21 << 6 | a21 >> 58) & mask
+        a31 ^= d3
+        b14 = (a31 << 55 | a31 >> 9) & mask
+        a41 ^= d4
+        b11 = (a41 << 20 | a41 >> 44) & mask
+        a02 ^= d0
+        b21 = (a02 << 3 | a02 >> 61) & mask
+        a12 ^= d1
+        b23 = (a12 << 10 | a12 >> 54) & mask
+        a22 ^= d2
+        b20 = (a22 << 43 | a22 >> 21) & mask
+        a32 ^= d3
+        b22 = (a32 << 25 | a32 >> 39) & mask
+        a42 ^= d4
+        b24 = (a42 << 39 | a42 >> 25) & mask
+        a03 ^= d0
+        b34 = (a03 << 41 | a03 >> 23) & mask
+        a13 ^= d1
+        b31 = (a13 << 45 | a13 >> 19) & mask
+        a23 ^= d2
+        b33 = (a23 << 15 | a23 >> 49) & mask
+        a33 ^= d3
+        b30 = (a33 << 21 | a33 >> 43) & mask
+        a43 ^= d4
+        b32 = (a43 << 8 | a43 >> 56) & mask
+        a04 ^= d0
+        b42 = (a04 << 18 | a04 >> 46) & mask
+        a14 ^= d1
+        b44 = (a14 << 2 | a14 >> 62) & mask
+        a24 ^= d2
+        b41 = (a24 << 61 | a24 >> 3) & mask
+        a34 ^= d3
+        b43 = (a34 << 56 | a34 >> 8) & mask
+        a44 ^= d4
+        b40 = (a44 << 14 | a44 >> 50) & mask
         # chi
-        lanes = [b[i] ^ (~b[j] & b[k] & _MASK) for i, j, k in _CHI]
+        a00 = b00 ^ (~b10 & b20)
+        a10 = b10 ^ (~b20 & b30)
+        a20 = b20 ^ (~b30 & b40)
+        a30 = b30 ^ (~b40 & b00)
+        a40 = b40 ^ (~b00 & b10)
+        a01 = b01 ^ (~b11 & b21)
+        a11 = b11 ^ (~b21 & b31)
+        a21 = b21 ^ (~b31 & b41)
+        a31 = b31 ^ (~b41 & b01)
+        a41 = b41 ^ (~b01 & b11)
+        a02 = b02 ^ (~b12 & b22)
+        a12 = b12 ^ (~b22 & b32)
+        a22 = b22 ^ (~b32 & b42)
+        a32 = b32 ^ (~b42 & b02)
+        a42 = b42 ^ (~b02 & b12)
+        a03 = b03 ^ (~b13 & b23)
+        a13 = b13 ^ (~b23 & b33)
+        a23 = b23 ^ (~b33 & b43)
+        a33 = b33 ^ (~b43 & b03)
+        a43 = b43 ^ (~b03 & b13)
+        a04 = b04 ^ (~b14 & b24)
+        a14 = b14 ^ (~b24 & b34)
+        a24 = b24 ^ (~b34 & b44)
+        a34 = b34 ^ (~b44 & b04)
+        a44 = b44 ^ (~b04 & b14)
         # iota
-        lanes[0] ^= rc
-    return lanes
+        a00 ^= rc
+    return [
+        a00, a10, a20, a30, a40,
+        a01, a11, a21, a31, a41,
+        a02, a12, a22, a32, a42,
+        a03, a13, a23, a33, a43,
+        a04, a14, a24, a34, a44,
+    ]
 
 
 def keccak256(data: bytes) -> bytes:
@@ -80,12 +154,7 @@ def keccak256(data: bytes) -> bytes:
         padded = data + b"\x01" + b"\x00" * (padlen - 2) + b"\x80"
     lanes = [0] * 25
     for offset in range(0, len(padded), _RATE):
-        block = padded[offset : offset + _RATE]
-        for i in range(17):
-            lanes[i] ^= int.from_bytes(block[8 * i : 8 * i + 8], "little")
+        for i, word in enumerate(_BLOCK.unpack_from(padded, offset)):
+            lanes[i] ^= word
         lanes = _permute(lanes)
-    return b"".join(lanes[i].to_bytes(8, "little") for i in range(4))
-
-
-def keccak256_hex(data: bytes) -> str:
-    return keccak256(data).hex()
+    return _DIGEST.pack(*lanes[:4])

@@ -83,7 +83,7 @@ class Transaction:
     args: dict
     nonce: int
 
-    _hash_cache: Optional[bytes] = field(default=None, repr=False, compare=False)
+    _hash_cache: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
     def digest_args(self) -> dict:
         """Args with bulk payloads replaced by their commitment digests."""
@@ -152,25 +152,24 @@ class Block:
     receipts_root: bytes
     state_root: bytes
 
-    def block_hash(self) -> bytes:
-        doc = {
-            "height": self.height,
-            "parent_hash": self.parent_hash.hex(),
-            "tx_hashes": [h.hex() for h in self.tx_hashes],
-            "receipts_root": self.receipts_root.hex(),
-            "state_root": self.state_root.hex(),
-        }
-        return keccak256(canonical_json_bytes(doc))
+    _hash_cache: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
-    def to_dict(self) -> dict:
+    def _header(self) -> dict:
         return {
             "height": self.height,
             "parent_hash": self.parent_hash.hex(),
             "tx_hashes": [h.hex() for h in self.tx_hashes],
             "receipts_root": self.receipts_root.hex(),
             "state_root": self.state_root.hex(),
-            "hash": self.block_hash().hex(),
         }
+
+    def block_hash(self) -> bytes:
+        if self._hash_cache is None:
+            object.__setattr__(self, "_hash_cache", keccak256(canonical_json_bytes(self._header())))
+        return self._hash_cache
+
+    def to_dict(self) -> dict:
+        return {**self._header(), "hash": self.block_hash().hex()}
 
 
 def receipts_root(receipts: list[Receipt]) -> bytes:

@@ -124,13 +124,12 @@ def publish_checkpoint(
         )
     entries = sorted(cumulative.items()) if isinstance(cumulative, Mapping) else sorted(cumulative)
     blob = canonical_serialize(entries)
-    cid = store.put(blob)
-    integrity_hash = keccak256(blob)
+    cid = store.put(blob)  # the CID is keccak256(blob), which is also the integrity hash
     return FairnessCheckpoint(
         through_round=through_round,
         cumulative=tuple(entries),
         cid=cid,
-        integrity_hash=integrity_hash,
+        integrity_hash=cid,
     )
 
 
@@ -143,9 +142,10 @@ def verify_checkpoint(
     blob = store.get(checkpoint.cid)
     if blob is None:
         return CheckpointVerdict(False, "NotFound")
-    if keccak256(blob) != checkpoint.cid:
+    digest = keccak256(blob)
+    if digest != checkpoint.cid:
         return CheckpointVerdict(False, "CidMismatch")
-    if keccak256(blob) != checkpoint.integrity_hash:
+    if digest != checkpoint.integrity_hash:
         return CheckpointVerdict(False, "HashMismatch")
     if onchain_hash is not None and onchain_hash != checkpoint.integrity_hash:
         return CheckpointVerdict(False, "HashMismatch")

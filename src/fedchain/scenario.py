@@ -615,9 +615,10 @@ def _verify_checkpoint_payload(payload: dict, history: dict, store: ContentStore
     blob = store.get(cid)
     if blob is None:
         return "NotFound"
-    if keccak256(blob) != cid:
+    digest = keccak256(blob)
+    if digest != cid:
         return "CidMismatch"
-    if keccak256(blob) != onchain_hash:
+    if digest != onchain_hash:
         return "HashMismatch"
     try:
         recorded = dict(deserialize_cumulative(blob))

@@ -1,4 +1,6 @@
 """Gas model calibration, transaction execution, and chain integrity."""
+from dataclasses import replace
+
 import pytest
 
 from fedchain.coordinator import Coordinator
@@ -6,6 +8,7 @@ from fedchain.errors import NonceError, UnknownSender
 from fedchain.flclients import make_client_id
 from fedchain.ledger import (
     GENESIS_PARENT,
+    Block,
     GasModel,
     Ledger,
     Transaction,
@@ -134,6 +137,12 @@ class TestExecution:
         assert tx.payload_size() == same.payload_size() > 0
         assert tx.tx_hash() == same.tx_hash()
 
+    def test_replace_does_not_carry_cached_tx_hash(self):
+        tx = Transaction(make_client_id(0), "register", {"stake": 100, "n_samples": 10}, nonce=0)
+        tx.tx_hash()
+        fresh = Transaction(make_client_id(0), "register", {"stake": 100, "n_samples": 10}, nonce=7)
+        assert replace(tx, nonce=7).tx_hash() == fresh.tx_hash() != tx.tx_hash()
+
 
 class TestChain:
     def run_small_chain(self) -> Ledger:
@@ -149,6 +158,19 @@ class TestChain:
         for prev, block in zip(ledger.blocks, ledger.blocks[1:]):
             assert block.parent_hash == prev.block_hash()
         ledger.verify_chain()
+
+    def test_replace_does_not_carry_cached_block_hash(self):
+        block = self.run_small_chain().blocks[1]
+        block.block_hash()
+        fresh = Block(
+            height=block.height,
+            parent_hash=block.parent_hash,
+            tx_hashes=block.tx_hashes,
+            receipts_root=block.receipts_root,
+            state_root=b"\x01" * 32,
+        )
+        assert replace(block, state_root=b"\x01" * 32).block_hash() == fresh.block_hash()
+        assert fresh.block_hash() != block.block_hash()
 
     def test_empty_block(self):
         ledger = self.run_small_chain()

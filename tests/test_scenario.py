@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from fedchain import ledger as ledger_module
 from fedchain.errors import ConfigError, MissingRun
 from fedchain.flclients import make_client_id
+from fedchain.offchain import canonical_json_bytes
 from fedchain.scenario import (
     audit,
     build_report,
@@ -189,6 +191,26 @@ class TestArtifacts:
         hashes_a = [b.block_hash() for b in run_scenario(config).ledger.blocks]
         hashes_b = [b.block_hash() for b in run_scenario(config).ledger.blocks]
         assert hashes_a == hashes_b
+
+    def test_run_and_write_hash_each_block_header_once(self, tmp_path, monkeypatch):
+        hashed = []
+        keccak256 = ledger_module.keccak256
+
+        def recording(data):
+            hashed.append(data)
+            return keccak256(data)
+
+        monkeypatch.setattr(ledger_module, "keccak256", recording)
+        result = run_scenario(parse_config(base_doc()))
+        write_run(result, tmp_path)
+        monkeypatch.undo()
+        headers = []
+        for block in result.ledger.blocks:
+            header = block.to_dict()
+            del header["hash"]
+            headers.append(canonical_json_bytes(header))
+        assert len(set(headers)) == len(headers) > 1
+        assert [message for message in hashed if message in headers] == headers
 
     def test_report_rebuilds_byte_identically_from_ledger(self, run_dir):
         path, _ = run_dir
