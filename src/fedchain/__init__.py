@@ -2,7 +2,7 @@
 federated learning with alignment-based rewards, periodic fairness checkpoints,
 and consistency multipliers."""
 
-from .numerics import Fixed, GradientVector, dot, weighted_sum, sample_weighted_mean
+from .numerics import Fixed, GradientVector, dot, sample_weighted_mean
 from .keccak import keccak256
 from .offchain import ContentStore, FairnessCheckpoint, publish_checkpoint, verify_checkpoint
 from .ledger import GasModel, Ledger, Transaction, Receipt, Block
@@ -24,7 +24,6 @@ __all__ = [
     "Fixed",
     "GradientVector",
     "dot",
-    "weighted_sum",
     "sample_weighted_mean",
     "keccak256",
     "ContentStore",

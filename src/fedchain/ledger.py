@@ -20,16 +20,34 @@ from .offchain import canonical_json_bytes
 SYSTEM_SENDER = b"\x00" * 20  # reserved id for coordinator-initiated calls
 GENESIS_PARENT = b"\x00" * 32
 
+# gas classes in table order: the gas report's table row and gas.csv columns
 OP_CLASSES = ("register", "submit", "aggregate", "validate", "distribute")
 
-# contract call -> gas class; calls absent here charge the flat system cost
+# contract call -> gas class; calls absent here are flat `system` bookkeeping
 CALL_GAS_CLASS = {
+    "deploy": "deploy",
     "register": "register",
     "submit_update": "submit",
     "validate_round": "validate",
     "score_and_reward_round": "distribute",
     "aggregate_round": "aggregate",
 }
+
+# gas class -> GasModel fields of its (intercept, slope); no slope field means 0
+_COEFFICIENT_FIELDS = {
+    "register": ("register_base", None),
+    "submit": ("submit_base", "submit_per_param"),
+    "aggregate": ("aggregate_base", "aggregate_per_param"),
+    "validate": ("validate_base", "validate_per_param"),
+    "distribute": ("distribute_base", None),
+    "deploy": ("deploy_cost", None),
+    "system": ("system_cost", None),
+}
+
+
+def gas_class(op: str) -> str:
+    """Gas class of a contract call: one of OP_CLASSES, `deploy` or `system`."""
+    return CALL_GAS_CLASS.get(op, "system")
 
 
 @dataclass(frozen=True)
@@ -53,17 +71,10 @@ class GasModel:
                 raise ValueError(f"gas coefficient {name} must be a non-negative int")
 
     def coefficients(self, op_class: str) -> tuple[int, int]:
-        if op_class == "register":
-            return self.register_base, 0
-        if op_class == "submit":
-            return self.submit_base, self.submit_per_param
-        if op_class == "aggregate":
-            return self.aggregate_base, self.aggregate_per_param
-        if op_class == "validate":
-            return self.validate_base, self.validate_per_param
-        if op_class == "distribute":
-            return self.distribute_base, 0
-        raise ValueError(f"unknown op class {op_class!r}")
+        if op_class not in _COEFFICIENT_FIELDS:
+            raise ValueError(f"unknown op class {op_class!r}")
+        base, per_param = _COEFFICIENT_FIELDS[op_class]
+        return getattr(self, base), getattr(self, per_param) if per_param else 0
 
     def charge(self, op_class: str, param_count: int) -> int:
         """Gas for one call of the given class touching param_count parameters."""
@@ -71,6 +82,10 @@ class GasModel:
             raise ValueError("param_count must be >= 0")
         base, per_param = self.coefficients(op_class)
         return base + per_param * param_count
+
+    def row(self, param_count: int) -> dict[str, int]:
+        """Gas of one call of each class in OP_CLASSES at param_count parameters."""
+        return {op_class: self.charge(op_class, param_count) for op_class in OP_CLASSES}
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
@@ -98,14 +113,21 @@ class Transaction:
             return slim
         return self.args
 
+    def to_dict(self) -> dict:
+        return {
+            "sender": "0x" + self.sender.hex(),
+            "op": self.op,
+            "args": self.args,
+            "nonce": self.nonce,
+        }
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "Transaction":
+        return cls(bytes.fromhex(doc["sender"][2:]), doc["op"], doc["args"], doc["nonce"])
+
     def tx_hash(self) -> bytes:
         if self._hash_cache is None:
-            doc = {
-                "sender": "0x" + self.sender.hex(),
-                "op": self.op,
-                "args": self.digest_args(),
-                "nonce": self.nonce,
-            }
+            doc = {**self.to_dict(), "args": self.digest_args()}
             object.__setattr__(self, "_hash_cache", keccak256(canonical_json_bytes(doc)))
         return self._hash_cache
 
@@ -172,19 +194,19 @@ class Block:
         return {**self._header(), "hash": self.block_hash().hex()}
 
 
-def receipts_root(receipts: list[Receipt]) -> bytes:
-    return keccak256(canonical_json_bytes([r.to_dict() for r in receipts]))
+def receipts_root(receipt_docs: list[dict]) -> bytes:
+    """Keccak-256 of a block's receipts in their ``Receipt.to_dict`` form."""
+    return keccak256(canonical_json_bytes(receipt_docs))
 
 
 class Ledger:
     """Single-writer chain: executes calls against the coordinator in strict
-    submission order, charges gas, and seals one block per protocol round
-    (or every ``txs_per_block`` transactions when configured)."""
+    submission order, charges gas, and seals a block when asked: genesis,
+    registration, then one block per protocol round."""
 
-    def __init__(self, gas_model: GasModel, coordinator, txs_per_block: Optional[int] = None):
+    def __init__(self, gas_model: GasModel, coordinator):
         self.gas_model = gas_model
         self.coordinator = coordinator
-        self.txs_per_block = txs_per_block
         self.blocks: list[Block] = []
         self.block_receipts: list[list[Receipt]] = []   # sealed, parallel to blocks
         self.block_txs: list[list[Transaction]] = []
@@ -203,7 +225,7 @@ class Ledger:
         receipt = Receipt(
             tx_hash=tx.tx_hash(),
             block_height=0,
-            gas_used=self.gas_model.deploy_cost,
+            gas_used=self._gas_for(tx),
             events=[("ContractDeployed", {"size_bytes": 10_667})],
             status="success",
         )
@@ -243,16 +265,11 @@ class Ledger:
             self.coordinator.drain_events()  # discard anything emitted pre-revert
             receipt = Receipt(tx.tx_hash(), height, gas, [], "reverted", err.reason)
         self._pending.append((tx, receipt))
-        if self.txs_per_block is not None and len(self._pending) >= self.txs_per_block:
-            self.seal_block()
         return receipt
 
     def _gas_for(self, tx: Transaction) -> int:
-        op_class = CALL_GAS_CLASS.get(tx.op)
-        if op_class is None:
-            return self.gas_model.system_cost
         param_count = self.coordinator.gas_param_count(tx.op, tx.args)
-        return self.gas_model.charge(op_class, param_count)
+        return self.gas_model.charge(gas_class(tx.op), param_count)
 
     # -- blocks ------------------------------------------------------------
 
@@ -265,7 +282,7 @@ class Ledger:
             height=len(self.blocks),
             parent_hash=parent,
             tx_hashes=tuple(tx.tx_hash() for tx in txs),
-            receipts_root=receipts_root(receipts),
+            receipts_root=receipts_root([r.to_dict() for r in receipts]),
             state_root=self.state_root(),
         )
         self.blocks.append(block)
@@ -278,21 +295,15 @@ class Ledger:
         """Keccak-256 of the canonical coordinator-state serialization."""
         return keccak256(canonical_json_bytes(self.coordinator.state_dict()))
 
-    def verify_chain(self) -> None:
-        """Recompute hash links and roots; raises SimulationError on tamper."""
-        for i, block in enumerate(self.blocks):
-            expected_parent = self.blocks[i - 1].block_hash() if i > 0 else GENESIS_PARENT
-            if block.parent_hash != expected_parent:
-                raise SimulationError(f"block {i}: broken parent link")
-            if block.height != i:
-                raise SimulationError(f"block {i}: bad height {block.height}")
-            recomputed = tuple(tx.tx_hash() for tx in self.block_txs[i])
-            if block.tx_hashes != recomputed:
-                raise SimulationError(f"block {i}: tx hashes do not match transactions")
-            if block.receipts_root != receipts_root(self.block_receipts[i]):
-                raise SimulationError(f"block {i}: receipts root mismatch")
-
     # -- queries -----------------------------------------------------------
+
+    def chain_document(self) -> dict:
+        """The sealed chain in its persisted form: headers, txs and receipts."""
+        return {
+            "blocks": [b.to_dict() for b in self.blocks],
+            "txs": [[tx.to_dict() for tx in sealed] for sealed in self.block_txs],
+            "receipts": [[r.to_dict() for r in sealed] for sealed in self.block_receipts],
+        }
 
     def all_receipts(self) -> list[Receipt]:
         return [r for sealed in self.block_receipts for r in sealed] + [
@@ -309,14 +320,45 @@ class Ledger:
         return out
 
 
-def gas_csv_text(rows: dict[int, dict[str, int]]) -> str:
-    """Gas report CSV, one row per parameter size, columns in the canonical
-    class order: register, submit, aggregate, validate, distribute."""
-    lines = ["param_size,register,submit,aggregate,validate,distribute"]
-    for size in sorted(rows):
-        cells = rows[size]
-        lines.append(
-            f"{size},{cells['register']},{cells['submit']},{cells['aggregate']},"
-            f"{cells['validate']},{cells['distribute']}"
+def verify_chain(chain: dict, rounds: int) -> Optional[str]:
+    """Re-derive a persisted chain (``Ledger.chain_document``); None when intact.
+
+    The chain must hold genesis, the registration block, then one block per
+    round, each with one tx list and one receipt list. Every height, parent
+    link, header hash, tx hash and receipts root is recomputed; the first
+    fault found is returned as a message.
+    """
+    blocks, txs, receipts = chain["blocks"], chain["txs"], chain["receipts"]
+    if not len(blocks) == len(txs) == len(receipts):
+        return f"{len(blocks)} blocks, {len(txs)} tx lists, {len(receipts)} receipt lists"
+    if len(blocks) != rounds + 2:
+        return f"{len(blocks)} blocks for {rounds} rounds, expected {rounds + 2}"
+    parent = GENESIS_PARENT.hex()
+    for i, (header, block_txs, block_receipts) in enumerate(zip(blocks, txs, receipts)):
+        if header["height"] != i:
+            return f"block {i}: bad height {header['height']}"
+        if header["parent_hash"] != parent:
+            return f"block {i}: broken parent link"
+        rebuilt = Block(
+            height=i,
+            parent_hash=bytes.fromhex(header["parent_hash"]),
+            tx_hashes=tuple(bytes.fromhex(h) for h in header["tx_hashes"]),
+            receipts_root=bytes.fromhex(header["receipts_root"]),
+            state_root=bytes.fromhex(header["state_root"]),
         )
+        if rebuilt.block_hash().hex() != header["hash"]:
+            return f"block {i}: header hash mismatch"
+        if [Transaction.from_dict(t).tx_hash().hex() for t in block_txs] != header["tx_hashes"]:
+            return f"block {i}: tx hashes do not match transactions"
+        if receipts_root(block_receipts).hex() != header["receipts_root"]:
+            return f"block {i}: receipts root mismatch"
+        parent = header["hash"]
+    return None
+
+
+def gas_csv_text(rows: dict[int, dict[str, int]]) -> str:
+    """Gas report CSV, one row per parameter size, columns in OP_CLASSES order."""
+    lines = [",".join(("param_size",) + OP_CLASSES)]
+    for size in sorted(rows):
+        lines.append(",".join([str(size)] + [str(rows[size][c]) for c in OP_CLASSES]))
     return "\n".join(lines) + "\n"

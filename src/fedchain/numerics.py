@@ -208,29 +208,6 @@ def norm_sq(v: GradientVector) -> Fixed:
     return dot(v, v)
 
 
-def weighted_sum(vectors: Sequence[GradientVector], weights: Sequence[Fixed]) -> GradientVector:
-    """Component-wise sum of w_i * v_i, one terminal rescale per component.
-
-    Accumulation is left-to-right in the given order, so the result is
-    deterministic for any input ordering the caller fixes.
-    """
-    if len(vectors) == 0:
-        raise EmptyInput("weighted_sum needs at least one vector")
-    if len(weights) != len(vectors):
-        raise DimMismatch(f"{len(vectors)} vectors but {len(weights)} weights")
-    dim = vectors[0].dim
-    for v in vectors[1:]:
-        if v.dim != dim:
-            raise DimMismatch(f"dim {v.dim} != dim {dim}")
-    out = []
-    for k in range(dim):
-        acc = 0
-        for w, v in zip(weights, vectors):
-            acc = _check_acc(acc + w.raw * v.components[k].raw)
-        out.append(Fixed(_check_raw(div_toward_zero(acc, SCALE))))
-    return GradientVector(tuple(out))
-
-
 def sample_weighted_mean(vectors: Sequence[GradientVector], counts: Sequence[int]) -> GradientVector:
     """Average of vectors weighted by integer sample counts, exactly.
 

@@ -93,7 +93,7 @@ class FairnessCheckpoint:
     """Periodic off-chain record of cumulative scores, anchored on-chain."""
 
     through_round: int
-    cumulative: tuple[tuple[bytes, Fixed], ...]
+    cumulative: Optional[tuple[tuple[bytes, Fixed], ...]]  # None: unknown, matches no blob
     cid: bytes
     integrity_hash: bytes
 
@@ -149,6 +149,6 @@ def verify_checkpoint(
         return CheckpointVerdict(False, "HashMismatch")
     if onchain_hash is not None and onchain_hash != checkpoint.integrity_hash:
         return CheckpointVerdict(False, "HashMismatch")
-    if blob != canonical_serialize(list(checkpoint.cumulative)):
+    if checkpoint.cumulative is None or blob != canonical_serialize(list(checkpoint.cumulative)):
         return CheckpointVerdict(False, "ContentMismatch")
     return CheckpointVerdict(True)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import incentives
 from .coordinator import Coordinator, Phase
-from .errors import ConfigError, MissingRun, SimulationError
+from .errors import ConfigError, MissingRounds, MissingRun, SimulationError
 from .flclients import (
     STREAM_DROPOUT,
     ClientBehavior,
@@ -31,22 +31,23 @@ from .flclients import (
 )
 from .keccak import keccak256
 from .ledger import (
-    Block,
-    CALL_GAS_CLASS,
-    GENESIS_PARENT,
+    OP_CLASSES,
+    SYSTEM_SENDER,
     GasModel,
     Ledger,
     Receipt,
-    SYSTEM_SENDER,
     Transaction,
+    gas_class,
     gas_csv_text,
+    verify_chain,
 )
 from .numerics import Fixed, GradientVector
 from .offchain import (
     ContentStore,
+    FairnessCheckpoint,
     canonical_json_bytes,
-    deserialize_cumulative,
     publish_checkpoint,
+    verify_checkpoint,
 )
 
 logger = logging.getLogger("fedchain")
@@ -294,6 +295,7 @@ class RunResult:
     ledger: Ledger
     coordinator: Coordinator
     store: ContentStore
+    ledger_doc: dict  # the persisted chain, as ledger_document builds it
     report: dict
     attribution: list[dict]
     model_history: list[GradientVector]
@@ -406,12 +408,9 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         attribution.extend(_attribution_for_round(coordinator, round_state, cumulative))
 
         if round_index % config.fairness_interval == 0:
-            history = scores_from_ledger(ledger)
+            # the running sums already hold rounds 1..round_index
             checkpoint = publish_checkpoint(
-                store,
-                round_index,
-                incentives.cumulative_scores(history, round_index),
-                config.fairness_interval,
+                store, round_index, cumulative, config.fairness_interval
             )
             system_tx(
                 "record_checkpoint",
@@ -429,14 +428,14 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         model_history.append(model)
 
     ledger_doc = ledger_document(config, ledger)
-    report = build_report(ledger_doc, store)
     return RunResult(
         config=config,
-        run_id=config.run_id(),
+        run_id=ledger_doc["run_id"],
         ledger=ledger,
         coordinator=coordinator,
         store=store,
-        report=report,
+        ledger_doc=ledger_doc,
+        report=build_report(ledger_doc, store),
         attribution=attribution,
         model_history=model_history,
         true_weights=true_weights,
@@ -471,16 +470,6 @@ def _attribution_for_round(
     return records
 
 
-def scores_from_ledger(ledger: Ledger) -> dict[int, dict[bytes, Fixed]]:
-    """Per-round alignment scores recovered from the on-chain event log."""
-    history: dict[int, dict[bytes, Fixed]] = {}
-    for _, _, payload in ledger.events("AlignmentScoresUpdated"):
-        history[payload["round"]] = {
-            bytes.fromhex(cid_hex[2:]): Fixed(raw) for cid_hex, raw in payload["scores"]
-        }
-    return history
-
-
 # --- persistence and reporting -----------------------------------------------------
 
 def ledger_document(config: ScenarioConfig, ledger: Ledger) -> dict:
@@ -488,20 +477,7 @@ def ledger_document(config: ScenarioConfig, ledger: Ledger) -> dict:
     return {
         "config": config.to_canonical_dict(),
         "run_id": config.run_id(),
-        "blocks": [b.to_dict() for b in ledger.blocks],
-        "txs": [
-            [
-                {
-                    "sender": "0x" + tx.sender.hex(),
-                    "op": tx.op,
-                    "args": tx.args,
-                    "nonce": tx.nonce,
-                }
-                for tx in sealed
-            ]
-            for sealed in ledger.block_txs
-        ],
-        "receipts": [[r.to_dict() for r in sealed] for sealed in ledger.block_receipts],
+        **ledger.chain_document(),
     }
 
 
@@ -511,6 +487,14 @@ def _doc_events(ledger_doc: dict, name: Optional[str] = None):
             for event_name, payload in receipt["events"]:
                 if name is None or event_name == name:
                     yield receipt["block_height"], event_name, payload
+
+
+def scores_from_ledger(ledger_doc: dict) -> dict[int, dict[bytes, Fixed]]:
+    """Per-round alignment scores recovered from the persisted event log."""
+    return {
+        payload["round"]: {bytes.fromhex(cid[2:]): Fixed(raw) for cid, raw in payload["scores"]}
+        for _, _, payload in _doc_events(ledger_doc, "AlignmentScoresUpdated")
+    }
 
 
 def build_report(ledger_doc: dict, store: ContentStore) -> dict:
@@ -540,8 +524,6 @@ def build_report(ledger_doc: dict, store: ContentStore) -> dict:
         if name == "UpdateSubmitted":
             if payload["id"] not in record["submitted"]:
                 record["submitted"].append(payload["id"])
-        elif name == "AlignmentScoresUpdated":
-            record["scores"] = {cid: Fixed(raw).to_decimal() for cid, raw in payload["scores"]}
         elif name == "RewardsDistributed":
             record["payouts"] = {cid: amount for cid, amount in payload["payouts"]}
         elif name == "ClientBanned":
@@ -554,32 +536,30 @@ def build_report(ledger_doc: dict, store: ContentStore) -> dict:
     for block_receipts, block_txs in zip(ledger_doc["receipts"], ledger_doc["txs"]):
         for receipt, tx in zip(block_receipts, block_txs):
             total_gas += receipt["gas_used"]
-            op_class = CALL_GAS_CLASS.get(tx["op"], "system" if tx["op"] != "deploy" else "deploy")
+            op_class = gas_class(tx["op"])
             gas_by_class[op_class] = gas_by_class.get(op_class, 0) + receipt["gas_used"]
         height = block_receipts[0]["block_height"] if block_receipts else None
         if height is not None and height >= 2 and height - 1 in per_round:
             per_round[height - 1]["gas_used"] = sum(r["gas_used"] for r in block_receipts)
 
-    history = {}
-    for _, _, payload in _doc_events(ledger_doc, "AlignmentScoresUpdated"):
-        history[payload["round"]] = {
-            bytes.fromhex(cid[2:]): Fixed(raw) for cid, raw in payload["scores"]
-        }
-    final_cumulative = (
-        incentives.cumulative_scores(history, rounds_count) if history else {}
-    )
+    history = scores_from_ledger(ledger_doc)
+    for r, scores in history.items():
+        if r in per_round:
+            per_round[r]["scores"] = {"0x" + cid.hex(): s.to_decimal() for cid, s in scores.items()}
+    try:
+        final_cumulative = incentives.cumulative_scores(history, rounds_count)
+    except MissingRounds:  # a history with a missing round has no final sums
+        final_cumulative = {}
 
-    checkpoints = []
-    for _, _, payload in _doc_events(ledger_doc, "FairnessCheckpoint"):
-        verdict = _verify_checkpoint_payload(payload, history, store)
-        checkpoints.append(
-            {
-                "round": payload["round"],
-                "cid": payload["cid"],
-                "hash": payload["hash"],
-                "verdict": verdict,
-            }
-        )
+    checkpoints = [
+        {
+            "round": payload["round"],
+            "cid": payload["cid"],
+            "hash": payload["hash"],
+            "verdict": _checkpoint_verdict(payload, history, store),
+        }
+        for _, _, payload in _doc_events(ledger_doc, "FairnessCheckpoint")
+    ]
 
     total_payout = sum(sum(rec["payouts"].values()) for rec in per_round.values())
     banned = sorted({cid for rec in per_round.values() for cid in rec["banned"]})
@@ -590,8 +570,7 @@ def build_report(ledger_doc: dict, store: ContentStore) -> dict:
         "gas": {
             "total": total_gas,
             "by_class": dict(sorted(gas_by_class.items())),
-            "table": {str(dim): {c: gas_model.charge(c, dim) for c in
-                                 ("register", "submit", "aggregate", "validate", "distribute")}},
+            "table": {str(dim): gas_model.row(dim)},
         },
         "final_cumulative": {
             "0x" + cid.hex(): value.to_decimal() for cid, value in sorted(final_cumulative.items())
@@ -608,26 +587,24 @@ def build_report(ledger_doc: dict, store: ContentStore) -> dict:
     }
 
 
-def _verify_checkpoint_payload(payload: dict, history: dict, store: ContentStore) -> str:
-    """Full checkpoint audit: resolve, hash-check, and recompute cumulative."""
-    cid = bytes.fromhex(payload["cid"])
-    onchain_hash = bytes.fromhex(payload["hash"])
-    blob = store.get(cid)
-    if blob is None:
-        return "NotFound"
-    digest = keccak256(blob)
-    if digest != cid:
-        return "CidMismatch"
-    if digest != onchain_hash:
-        return "HashMismatch"
+def _checkpoint_verdict(payload: dict, history: dict, store: ContentStore) -> str:
+    """One anchored checkpoint against its blob and the recomputed cumulative."""
     try:
-        recorded = dict(deserialize_cumulative(blob))
-        recomputed = incentives.cumulative_scores(history, payload["round"])
-    except (SimulationError, ValueError):
-        return "CumulativeMismatch"
-    if recorded != recomputed:
-        return "CumulativeMismatch"
-    return "ok"
+        cumulative = tuple(incentives.cumulative_scores(history, payload["round"]).items())
+    except MissingRounds:
+        cumulative = None  # a history that cannot be summed matches no blob
+    expected = FairnessCheckpoint(
+        through_round=payload["round"],
+        cumulative=cumulative,
+        cid=bytes.fromhex(payload["cid"]),
+        integrity_hash=bytes.fromhex(payload["hash"]),
+    )
+    verdict = verify_checkpoint(expected, store)
+    return "ok" if verdict else verdict.reason
+
+
+def _report_bytes(report: dict) -> bytes:
+    return json.dumps(report, sort_keys=True, indent=2).encode() + b"\n"
 
 
 def rewards_csv_text(ledger_doc: dict) -> str:
@@ -636,11 +613,11 @@ def rewards_csv_text(ledger_doc: dict) -> str:
     for _, _, payload in _doc_events(ledger_doc, "RewardsDistributed"):
         payouts_by_round[payload["round"]] = dict(payload["payouts"])
     lines = ["round,client,score,payout"]
-    for _, _, payload in _doc_events(ledger_doc, "AlignmentScoresUpdated"):
-        r = payload["round"]
-        for cid_hex, raw in payload["scores"]:
+    for r, scores in scores_from_ledger(ledger_doc).items():
+        for cid, score in scores.items():
+            cid_hex = "0x" + cid.hex()
             payout = payouts_by_round.get(r, {}).get(cid_hex, 0)
-            lines.append(f"{r},{cid_hex},{Fixed(raw).to_decimal()},{payout}")
+            lines.append(f"{r},{cid_hex},{score.to_decimal()},{payout}")
     return "\n".join(lines) + "\n"
 
 
@@ -648,22 +625,15 @@ def write_run(result: RunResult, out_dir) -> Path:
     """Write all artifacts for a completed run under out/<run-id>/."""
     run_dir = Path(out_dir) / result.run_id
     run_dir.mkdir(parents=True, exist_ok=True)
-    ledger_doc = ledger_document(result.config, result.ledger)
 
-    payload = canonical_json_bytes(ledger_doc)
+    payload = canonical_json_bytes(result.ledger_doc)
     with open(run_dir / LEDGER_FILE, "wb") as fh:
         fh.write(gzip.compress(payload, mtime=0))
 
-    report_bytes = json.dumps(result.report, sort_keys=True, indent=2).encode() + b"\n"
-    (run_dir / REPORT_FILE).write_bytes(report_bytes)
-
+    (run_dir / REPORT_FILE).write_bytes(_report_bytes(result.report))
     dim = result.config.dataset.dim
-    rows = {
-        dim: {c: result.config.gas.charge(c, dim)
-              for c in ("register", "submit", "aggregate", "validate", "distribute")}
-    }
-    (run_dir / GAS_FILE).write_text(gas_csv_text(rows))
-    (run_dir / REWARDS_FILE).write_text(rewards_csv_text(ledger_doc))
+    (run_dir / GAS_FILE).write_text(gas_csv_text({dim: result.config.gas.row(dim)}))
+    (run_dir / REWARDS_FILE).write_text(rewards_csv_text(result.ledger_doc))
     incentives.write_attribution_log(run_dir / ATTRIBUTION_FILE, result.attribution)
 
     blob_dir = run_dir / BLOBS_DIR
@@ -697,68 +667,28 @@ def load_run_dir(run_dir) -> tuple[dict, ContentStore]:
     return ledger_doc, store
 
 
-def _verify_chain_doc(ledger_doc: dict) -> Optional[str]:
-    """Structural chain check over the persisted form; None when intact."""
-    parent = GENESIS_PARENT.hex()
-    for i, (block_doc, txs, receipts) in enumerate(
-        zip(ledger_doc["blocks"], ledger_doc["txs"], ledger_doc["receipts"])
-    ):
-        if block_doc["parent_hash"] != parent:
-            return f"block {i}: broken parent link"
-        rebuilt = Block(
-            height=block_doc["height"],
-            parent_hash=bytes.fromhex(block_doc["parent_hash"]),
-            tx_hashes=tuple(bytes.fromhex(h) for h in block_doc["tx_hashes"]),
-            receipts_root=bytes.fromhex(block_doc["receipts_root"]),
-            state_root=bytes.fromhex(block_doc["state_root"]),
-        )
-        if rebuilt.block_hash().hex() != block_doc["hash"]:
-            return f"block {i}: header hash mismatch"
-        recomputed_txs = [
-            Transaction(
-                sender=bytes.fromhex(t["sender"][2:]),
-                op=t["op"],
-                args=t["args"],
-                nonce=t["nonce"],
-            ).tx_hash().hex()
-            for t in txs
-        ]
-        if recomputed_txs != list(block_doc["tx_hashes"]):
-            return f"block {i}: tx hashes do not match transactions"
-        reencoded = keccak256(canonical_json_bytes(receipts))
-        if reencoded.hex() != block_doc["receipts_root"]:
-            return f"block {i}: receipts root mismatch"
-        parent = block_doc["hash"]
-    return None
-
-
 def audit_run(run_dir) -> dict:
     """Re-verify a completed run from its persisted artifacts alone."""
     ledger_doc, store = load_run_dir(run_dir)
-    chain_error = _verify_chain_doc(ledger_doc)
-
-    history = {}
-    for _, _, payload in _doc_events(ledger_doc, "AlignmentScoresUpdated"):
-        history[payload["round"]] = {
-            bytes.fromhex(cid[2:]): Fixed(raw) for cid, raw in payload["scores"]
-        }
-    checkpoints = []
-    for _, _, payload in _doc_events(ledger_doc, "FairnessCheckpoint"):
-        checkpoints.append(
-            {"round": payload["round"], "verdict": _verify_checkpoint_payload(payload, history, store)}
-        )
+    chain_error = verify_chain(ledger_doc, ledger_doc["config"]["rounds"])
+    try:
+        report = build_report(ledger_doc, store)
+    except (SimulationError, ValueError, LookupError):
+        report = None
+    checkpoints = [] if report is None else [
+        {"round": c["round"], "verdict": c["verdict"]} for c in report["checkpoints"]
+    ]
 
     report_path = Path(run_dir) / REPORT_FILE
     report_match = None
     if report_path.exists():
-        try:
-            rebuilt = json.dumps(build_report(ledger_doc, store), sort_keys=True, indent=2) + "\n"
-            report_match = rebuilt.encode() == report_path.read_bytes()
-        except (SimulationError, ValueError, KeyError):
-            report_match = False
+        report_match = report is not None and _report_bytes(report) == report_path.read_bytes()
 
-    ok = chain_error is None and all(c["verdict"] == "ok" for c in checkpoints) and (
-        report_match is not False
+    ok = (
+        chain_error is None
+        and report is not None
+        and all(c["verdict"] == "ok" for c in checkpoints)
+        and report_match is not False
     )
     return {
         "run_id": ledger_doc.get("run_id"),
@@ -782,16 +712,6 @@ def audit(out_dir) -> list[dict]:
 
 
 # --- gas sweep -----------------------------------------------------------------------
-
-GAS_SWEEP_CLASSES = ("register", "submit", "aggregate", "validate", "distribute")
-
-_SWEEP_OPS = {
-    "register": "register",
-    "submit_update": "submit",
-    "aggregate_round": "aggregate",
-    "validate_round": "validate",
-    "score_and_reward_round": "distribute",
-}
 
 
 def sweep_config(config: ScenarioConfig, size: int) -> ScenarioConfig:
@@ -841,10 +761,10 @@ def gas_sweep(config: ScenarioConfig, sizes: list[int]) -> dict[int, dict[str, i
             result.ledger.block_txs, result.ledger.block_receipts
         ):
             for tx, receipt in zip(sealed_txs, sealed_receipts):
-                op_class = _SWEEP_OPS.get(tx.op)
-                if op_class is not None and receipt.success:
+                op_class = gas_class(tx.op)
+                if op_class in OP_CLASSES and receipt.success:
                     cells[op_class] = receipt.gas_used
-        missing = [c for c in GAS_SWEEP_CLASSES if c not in cells]
+        missing = [c for c in OP_CLASSES if c not in cells]
         if missing:
             raise SimulationError(f"sweep at size {size} missed classes {missing}")
         rows[size] = cells

@@ -8,11 +8,14 @@ from fedchain.errors import NonceError, UnknownSender
 from fedchain.flclients import make_client_id
 from fedchain.ledger import (
     GENESIS_PARENT,
+    OP_CLASSES,
     Block,
     GasModel,
     Ledger,
     Transaction,
+    gas_class,
     gas_csv_text,
+    verify_chain,
 )
 
 # Reference gas measurements by parameter size (register and distribute are
@@ -70,6 +73,23 @@ class TestGasModel:
     def test_param_count_must_be_nonnegative(self):
         with pytest.raises(ValueError):
             GasModel().charge("submit", -1)
+
+    def test_unknown_class_rejected(self):
+        with pytest.raises(ValueError, match="unknown op class"):
+            GasModel().coefficients("transfer")
+
+    def test_row_in_class_order(self):
+        model = GasModel()
+        row = model.row(10)
+        assert tuple(row) == OP_CLASSES
+        assert all(row[c] == model.charge(c, 10) for c in OP_CLASSES)
+
+    def test_deploy_and_system_are_flat_classes(self):
+        model = GasModel()
+        assert gas_class("deploy") == "deploy"
+        assert gas_class("close_round") == gas_class("record_checkpoint") == "system"
+        assert model.charge("deploy", 7) == model.deploy_cost
+        assert model.charge("system", 7) == model.system_cost
 
 
 def make_ledger(dim=2, **kwargs) -> tuple[Ledger, Coordinator]:
@@ -151,13 +171,18 @@ class TestChain:
             ledger.submit_tx(register_tx(ledger, make_client_id(i)))
         ledger.seal_block()
         ledger.seal_block()  # empty block allowed
-        return ledger
+        return ledger  # genesis, registration, one (empty) round
+
+    def test_intact_chain_verifies(self):
+        assert verify_chain(self.run_small_chain().chain_document(), rounds=1) is None
 
     def test_parent_links(self):
         ledger = self.run_small_chain()
         for prev, block in zip(ledger.blocks, ledger.blocks[1:]):
             assert block.parent_hash == prev.block_hash()
-        ledger.verify_chain()
+        chain = ledger.chain_document()
+        chain["blocks"][2]["parent_hash"] = "00" * 32
+        assert verify_chain(chain, rounds=1) == "block 2: broken parent link"
 
     def test_replace_does_not_carry_cached_block_hash(self):
         block = self.run_small_chain().blocks[1]
@@ -179,8 +204,19 @@ class TestChain:
     def test_receipt_tamper_detected(self):
         ledger = self.run_small_chain()
         ledger.block_receipts[1][0].gas_used += 1
-        with pytest.raises(Exception, match="receipts root"):
-            ledger.verify_chain()
+        assert verify_chain(ledger.chain_document(), rounds=1) == "block 1: receipts root mismatch"
+
+    def test_block_count_must_match_rounds(self):
+        chain = self.run_small_chain().chain_document()
+        assert verify_chain(chain, rounds=2) == "3 blocks for 2 rounds, expected 4"
+        for part in ("blocks", "txs", "receipts"):
+            chain[part].pop()
+        assert verify_chain(chain, rounds=1) == "2 blocks for 1 rounds, expected 3"
+
+    def test_height_must_equal_index(self):
+        chain = self.run_small_chain().chain_document()
+        chain["blocks"][1]["height"] = 2
+        assert verify_chain(chain, rounds=1) == "block 1: bad height 2"
 
     def test_replay_is_bit_identical(self):
         hashes_a = [b.block_hash() for b in self.run_small_chain().blocks]
@@ -193,14 +229,12 @@ class TestChain:
         ledger.submit_tx(register_tx(ledger, make_client_id(0)))
         assert ledger.state_root() != root_before
 
-    def test_configurable_txs_per_block(self):
-        coordinator = Coordinator(dim=2)
-        ledger = Ledger(GasModel(), coordinator, txs_per_block=2)
-        ledger.deploy()
-        blocks_before = len(ledger.blocks)
+    def test_seals_only_when_asked(self):
+        ledger, _ = make_ledger()
         for i in range(4):
             ledger.submit_tx(register_tx(ledger, make_client_id(i)))
-        assert len(ledger.blocks) == blocks_before + 2  # sealed every 2 txs
+        assert len(ledger.blocks) == 1  # genesis only: pending txs wait for seal_block
+        assert len(ledger.seal_block().tx_hashes) == 4
 
 
 class TestGasCsv:

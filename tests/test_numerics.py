@@ -12,7 +12,6 @@ from fedchain.numerics import (
     dot,
     norm_sq,
     sample_weighted_mean,
-    weighted_sum,
 )
 
 
@@ -130,43 +129,38 @@ class TestDot:
 
 
 class TestWeightedSum:
+    """sample_weighted_mean as the one weighted sum: integer sample counts as
+    weights, one terminal truncation per component."""
+
     def test_identity(self):
         v = vec("0.5", "-2", "3.25")
-        out = weighted_sum([v], [Fixed.from_int(1)])
-        assert out == v
+        assert sample_weighted_mean([v], [1]) == v
 
     def test_symmetry_cancels(self):
         v = vec("1.5", "-0.25")
-        half = Fixed.from_decimal("0.5")
-        out = weighted_sum([v, v.negate()], [half, half])
+        out = sample_weighted_mean([v, v.negate()], [2, 2])
         assert out.raws() == [0, 0]
 
     def test_weighted_mean_arithmetic(self):
-        out = weighted_sum(
-            [vec("1", "0"), vec("0", "1")],
-            [Fixed.from_decimal("0.25"), Fixed.from_decimal("0.75")],
-        )
-        assert [c.to_decimal() for c in out.components] == ["0.25", "0.75"]
+        out = sample_weighted_mean([vec("2", "-1"), vec("-2", "3")], [3, 1])
+        assert [c.to_decimal() for c in out.components] == ["1", "0"]
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
-            weighted_sum([], [])
+            sample_weighted_mean([], [])
 
     def test_length_mismatch(self):
         with pytest.raises(DimMismatch):
-            weighted_sum([vec("1")], [Fixed(1), Fixed(2)])
+            sample_weighted_mean([vec("1")], [1, 2])
 
     @given(
         st.lists(st.integers(-(10**12), 10**12), min_size=1, max_size=8),
-        st.integers(min_value=1, max_value=5),
+        st.lists(st.integers(min_value=1, max_value=50), min_size=1, max_size=5),
     )
-    def test_unit_weights_reproduce_vector(self, raws, parts):
-        # any weights summing to exactly 1 reproduce an identical-vector stack
+    def test_unit_weights_reproduce_vector(self, raws, counts):
+        # the weights n_i / N sum to exactly 1, so a stack of one vector reproduces it
         v = GradientVector.from_raw(raws)
-        weights = [Fixed(SCALE // parts)] * parts
-        weights[0] = Fixed(SCALE - (parts - 1) * (SCALE // parts))
-        out = weighted_sum([v] * parts, weights)
-        assert out == v
+        assert sample_weighted_mean([v] * len(counts), counts) == v
 
 
 class TestSampleWeightedMean:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from fedchain import ledger as ledger_module
+from fedchain import scenario as scenario_module
 from fedchain.errors import ConfigError, MissingRun
 from fedchain.flclients import make_client_id
 from fedchain.offchain import canonical_json_bytes
@@ -212,6 +213,37 @@ class TestArtifacts:
         assert len(set(headers)) == len(headers) > 1
         assert [message for message in hashed if message in headers] == headers
 
+    def test_run_and_write_build_one_ledger_document_and_run_id(self, tmp_path, monkeypatch):
+        calls = {"ledger_document": 0, "run_id": 0}
+        ledger_document = scenario_module.ledger_document
+        run_id = scenario_module.ScenarioConfig.run_id
+
+        def counting_document(*args):
+            calls["ledger_document"] += 1
+            return ledger_document(*args)
+
+        def counting_run_id(config):
+            calls["run_id"] += 1
+            return run_id(config)
+
+        monkeypatch.setattr(scenario_module, "ledger_document", counting_document)
+        monkeypatch.setattr(scenario_module.ScenarioConfig, "run_id", counting_run_id)
+        write_run(run_scenario(parse_config(base_doc())), tmp_path)
+        assert calls == {"ledger_document": 1, "run_id": 1}
+
+    def test_checkpoints_published_from_running_sums(self, monkeypatch):
+        calls = []
+        scores_from_ledger = scenario_module.scores_from_ledger
+
+        def counting(ledger_doc):
+            calls.append(ledger_doc)
+            return scores_from_ledger(ledger_doc)
+
+        monkeypatch.setattr(scenario_module, "scores_from_ledger", counting)
+        result = run_scenario(parse_config(base_doc()))
+        assert len(calls) == 1  # the report's one parse, no rescan per checkpoint
+        assert [c["verdict"] for c in result.report["checkpoints"]] == ["ok", "ok"]
+
     def test_report_rebuilds_byte_identically_from_ledger(self, run_dir):
         path, _ = run_dir
         stored = (path / REPORT_FILE).read_bytes()
@@ -286,6 +318,46 @@ class TestAudit:
         (run_dir / LEDGER_FILE).write_bytes(gzip.compress(payload, mtime=0))
         verdicts = audit(run_dir)
         assert not verdicts[0]["ok"]
+        assert [c["verdict"] for c in verdicts[0]["checkpoints"]] == ["ContentMismatch"] * 2
+
+    def test_altered_score_is_content_mismatch(self, run_dir):
+        def raise_first_score(doc):
+            for receipt in doc["receipts"][4]:  # round 3: both checkpoints cover it
+                for name, payload in receipt["events"]:
+                    if name == "AlignmentScoresUpdated":
+                        payload["scores"][0][1] += 1
+
+        rewrite_ledger(run_dir, raise_first_score)
+        verdict = audit(run_dir)[0]
+        assert not verdict["ok"]
+        assert [(c["round"], c["verdict"]) for c in verdict["checkpoints"]] == [
+            (3, "ContentMismatch"), (6, "ContentMismatch"),
+        ]
+
+    @pytest.mark.parametrize("part", ["txs", "receipts"])
+    def test_dropped_block_list_detected(self, run_dir, part):
+        rewrite_ledger(run_dir, lambda doc: doc[part].pop())
+        verdict = audit(run_dir)[0]
+        assert not verdict["ok"]
+        assert verdict["chain"] != "ok"
+
+    @pytest.mark.parametrize("dropped", [3, 8])
+    def test_truncated_chain_without_report_detected(self, run_dir, dropped):
+        def drop_last_blocks(doc):
+            for part in ("blocks", "txs", "receipts"):
+                del doc[part][-dropped:]
+
+        rewrite_ledger(run_dir, drop_last_blocks)
+        (run_dir / REPORT_FILE).unlink()
+        verdict = audit(run_dir)[0]
+        assert not verdict["ok"]
+        assert verdict["chain"] == f"{8 - dropped} blocks for 6 rounds, expected 8"
+
+
+def rewrite_ledger(run_dir, mutate) -> None:
+    doc = json.loads(gzip.decompress((run_dir / LEDGER_FILE).read_bytes()))
+    mutate(doc)
+    (run_dir / LEDGER_FILE).write_bytes(gzip.compress(canonical_json_bytes(doc), mtime=0))
 
 
 class TestGasSweep:
