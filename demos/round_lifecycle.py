@@ -6,7 +6,7 @@ Run: python demos/round_lifecycle.py
 from fedchain.coordinator import Coordinator
 from fedchain.flclients import make_client_id
 from fedchain.ledger import GasModel, Ledger, SYSTEM_SENDER, Transaction, verify_chain
-from fedchain.numerics import GradientVector
+from fedchain.numerics import Fixed, GradientVector
 
 
 def show(receipt):
@@ -35,14 +35,14 @@ def main():
         vector = GradientVector.from_decimals(values)
         tx = Transaction(cid, "submit_update", {
             "round": 1, "batch_index": 0, "batch_count": 1,
-            "components": vector.raws(),
+            "components": list(vector.components),
         }, ledger.next_nonce(cid))
         show(ledger.submit_tx(tx))
 
     print("\n== a duplicate submission reverts ==")
     tx = Transaction(alice, "submit_update", {
         "round": 1, "batch_index": 0, "batch_count": 1,
-        "components": GradientVector.from_decimals(["9", "9"]).raws(),
+        "components": list(GradientVector.from_decimals(["9", "9"]).components),
     }, ledger.next_nonce(alice))
     show(ledger.submit_tx(tx))
 
@@ -59,7 +59,7 @@ def main():
     print("phase:", state.phase.name)
     print("scores:", {hex_id(cid): s.to_decimal() for cid, s in sorted(state.scores.items())})
     print("payouts:", {hex_id(cid): p for cid, p in sorted(state.payouts.items())})
-    print("aggregate:", [c.to_decimal() for c in state.aggregate.components],
+    print("aggregate:", [Fixed(c).to_decimal() for c in state.aggregate.components],
           "(sample-weighted mean: bob holds 3/4 of the data)")
     print("block", block.height, "hash:", block.block_hash().hex()[:16], "...")
     fault = verify_chain(ledger.chain_document(), rounds=1)

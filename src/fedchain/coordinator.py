@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 from . import incentives
@@ -225,13 +226,11 @@ class Coordinator:
         buffer["parts"].append(batch)
 
         if len(buffer["parts"]) == buffer["count"]:
-            components: list[Fixed] = []
-            for part in buffer["parts"]:
-                components.extend(part.components)
+            components = tuple(chain.from_iterable(part.components for part in buffer["parts"]))
             if len(components) != self.dim:
                 # leave the buffer exhausted; the client cannot complete this round
                 raise DimMismatch(f"update dim {len(components)} != model dim {self.dim}")
-            state.submissions[client_id] = GradientVector(tuple(components))
+            state.submissions[client_id] = GradientVector(components)
             del state.partial[client_id]
         self._emit(
             "UpdateSubmitted",

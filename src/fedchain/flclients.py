@@ -109,7 +109,7 @@ def local_train(
     for _ in range(epochs):
         gradient = X.T @ (X @ w - y) / n
         w = w - lr * gradient
-    return GradientVector.from_floats(w - start)
+    return GradientVector.from_floats((w - start).tolist())
 
 
 @dataclass(frozen=True)

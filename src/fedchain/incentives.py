@@ -9,8 +9,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import add, mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import BadParticipation, BadWeights, MissingRounds, TooManyClients
@@ -20,11 +18,12 @@ from .numerics import (
     ZERO,
     Fixed,
     GradientVector,
-    _check_acc,
-    _check_raw,
+    add_terms,
     div_toward_zero,
     dot,
+    raw_dot,
     sample_weighted_mean,
+    truncated_mean,
 )
 
 SHAPLEY_MAX_CLIENTS = 12  # 2^n subset enumeration budget
@@ -162,11 +161,11 @@ def alignment_coalition_values(
 
     The full-cohort FedAvg is computed once. Coalitions are walked depth
     first, adding members in sorted-id order, so each coalition's integer
-    numerator sum(n_i * raw_i) is its parent's plus one member's term, and
-    the parent's numerators are exactly the partial sums that
-    ``sample_weighted_mean`` bounds-checks. The walk keeps each member's
-    term and at most one numerator vector per depth, O(n * dim) integers,
-    never one vector per coalition.
+    numerator sum(n_i * raw_i) is its parent's plus one member's term. The
+    numerator, mean and dot steps are the ones ``sample_weighted_mean`` and
+    ``dot`` take, so values and overflows agree with them. The walk keeps
+    each member's term and at most one numerator vector per depth,
+    O(n * dim) integers, never one vector per coalition.
     """
     ids = sorted(submissions)
     values = [0] * (1 << len(ids))
@@ -174,40 +173,19 @@ def alignment_coalition_values(
         return values
     vectors = [submissions[i] for i in ids]
     counts = [n_map[i] for i in ids]
-    full = sample_weighted_mean(vectors, counts).raws()
-    terms = [[n * raw for raw in v.raws()] for n, v in zip(counts, vectors)]
+    full = sample_weighted_mean(vectors, counts).components
+    terms = [[n * raw for raw in v.components] for n, v in zip(counts, vectors)]
 
     def visit(mask: int, numerators: list[int], total: int, first: int) -> None:
         for j in range(first, len(ids)):
             child = mask | 1 << j
-            child_numerators = list(map(add, numerators, terms[j]))
-            _check_range(child_numerators, _check_acc)
-            values[child] = _aligned_mean_value(child_numerators, total + counts[j], full)
+            child_numerators = add_terms(numerators, terms[j])
+            # the coalition's mean is freed before the walk descends
+            values[child] = raw_dot(truncated_mean(child_numerators, total + counts[j]), full)
             visit(child, child_numerators, total + counts[j], j + 1)
 
     visit(0, [0] * len(full), 0, 0)
     return values
-
-
-def _aligned_mean_value(numerators: list[int], total: int, full: list[int]) -> int:
-    """Raw dot(numerators / total, full), truncating and bounds-checking like
-    ``sample_weighted_mean`` followed by ``dot``.
-
-    A function of its own so the coalition's mean and partial sums are freed
-    before the walk descends, rather than held once per depth.
-    """
-    mean = [div_toward_zero(a, total) for a in numerators]
-    _check_range(mean, _check_raw)
-    partial_sums = list(accumulate(map(mul, mean, full)))
-    _check_range(partial_sums, _check_acc)
-    return _check_raw(div_toward_zero(partial_sums[-1], SCALE))
-
-
-def _check_range(raws: list[int], check: Callable[[int], int]) -> None:
-    """Apply a numerics bound check to every element (it bounds an interval,
-    so checking the extremes is enough)."""
-    check(min(raws))
-    check(max(raws))
 
 
 def coalition_value_alignment(

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import accumulate
+from operator import add, mul, neg
+from typing import Callable, Iterable, Sequence
 
 from .errors import DimMismatch, EmptyInput, ParseError
 
@@ -40,6 +42,19 @@ def _check_raw(raw: int) -> int:
     return raw
 
 
+def _decimal_raw(text: str) -> int:
+    """Raw value of a decimal string with at most 9 fractional digits, exactly."""
+    if not isinstance(text, str) or not _DECIMAL_RE.match(text.strip()):
+        raise ParseError(f"not a decimal literal: {text!r}")
+    text = text.strip()
+    sign = -1 if text.startswith("-") else 1
+    text = text.lstrip("+-")
+    whole, _, frac = text.partition(".")
+    if len(frac) > 9:
+        raise ParseError(f"more than 9 fractional digits: {text!r}")
+    return sign * (int(whole or "0") * SCALE + int(frac.ljust(9, "0") or "0"))
+
+
 @dataclass(frozen=True, order=True)
 class Fixed:
     """Signed fixed-point number: ``raw`` interpreted as raw * 10^-9."""
@@ -54,16 +69,7 @@ class Fixed:
     @classmethod
     def from_decimal(cls, text: str) -> "Fixed":
         """Parse a decimal string with at most 9 fractional digits, exactly."""
-        if not isinstance(text, str) or not _DECIMAL_RE.match(text.strip()):
-            raise ParseError(f"not a decimal literal: {text!r}")
-        text = text.strip()
-        sign = -1 if text.startswith("-") else 1
-        text = text.lstrip("+-")
-        whole, _, frac = text.partition(".")
-        if len(frac) > 9:
-            raise ParseError(f"more than 9 fractional digits: {text!r}")
-        raw = int(whole or "0") * SCALE + int(frac.ljust(9, "0") or "0")
-        return cls(_check_raw(sign * raw))
+        return cls(_decimal_raw(text))
 
     @classmethod
     def from_int(cls, value: int) -> "Fixed":
@@ -111,9 +117,6 @@ class Fixed:
     def is_negative(self) -> bool:
         return self.raw < 0
 
-    def is_positive(self) -> bool:
-        return self.raw > 0
-
     def __repr__(self) -> str:
         return f"Fixed({self.to_decimal()!r})"
 
@@ -122,17 +125,41 @@ ZERO = Fixed(0)
 ONE = Fixed(SCALE)
 
 
+def _quantize(value: float) -> int:
+    return round(value * SCALE)  # Python round() is half-to-even
+
+
+def _check_range(raws: Sequence[int], check: Callable[[int], int] = _check_raw) -> None:
+    """Bound-check every raw; a bound is an interval, so the extremes suffice."""
+    check(min(raws))
+    check(max(raws))
+
+
+def _convert(values: Iterable, convert: Callable[[object], int]) -> tuple[int, ...]:
+    """``convert`` mapped over ``values``, failing with the error that converting
+    and range-checking them one by one would raise first."""
+    values = list(values)
+    try:
+        return tuple(map(convert, values))
+    except (TypeError, ValueError):
+        for value in values:
+            _check_raw(convert(value))
+        raise
+
+
 @dataclass(frozen=True)
 class GradientVector:
-    """Fixed-point vector; dimension is the length of ``components``."""
+    """Fixed-point vector of raw nano-unit ints; dimension is the length of
+    ``components``. The range is checked once per vector, on construction."""
 
-    components: tuple[Fixed, ...]
+    components: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if not isinstance(self.components, tuple):
             object.__setattr__(self, "components", tuple(self.components))
         if len(self.components) == 0:
             raise EmptyInput("vector must have at least one component")
+        _check_range(self.components)
 
     @property
     def dim(self) -> int:
@@ -140,52 +167,33 @@ class GradientVector:
 
     @classmethod
     def zeros(cls, dim: int) -> "GradientVector":
-        return cls((ZERO,) * dim)
+        return cls((0,) * dim)
 
     @classmethod
     def from_raw(cls, raws: Iterable[int]) -> "GradientVector":
-        return cls(tuple(Fixed(int(r)) for r in raws))
+        return cls(_convert(raws, int))
 
     @classmethod
     def from_floats(cls, values: Iterable[float]) -> "GradientVector":
-        return cls(tuple(Fixed.from_float(v) for v in values))
+        """Quantize floats half-to-even, as ``Fixed.from_float`` does each one."""
+        return cls(_convert(values, _quantize))
 
     @classmethod
     def from_decimals(cls, values: Iterable[str]) -> "GradientVector":
-        return cls(tuple(Fixed.from_decimal(v) for v in values))
-
-    def raws(self) -> list[int]:
-        return [c.raw for c in self.components]
+        return cls(_convert(values, _decimal_raw))
 
     def to_floats(self) -> list[float]:
-        return [c.to_float() for c in self.components]
+        return [c / SCALE for c in self.components]
 
     def negate(self) -> "GradientVector":
-        return GradientVector(tuple(-c for c in self.components))
+        return GradientVector(tuple(map(neg, self.components)))
 
     def scale_int(self, factor: int) -> "GradientVector":
-        return GradientVector(tuple(Fixed(_check_raw(c.raw * factor)) for c in self.components))
-
-    def __add__(self, other: "GradientVector") -> "GradientVector":
-        _require_same_dim(self, other)
-        return GradientVector(tuple(a + b for a, b in zip(self.components, other.components)))
+        return GradientVector(tuple(c * factor for c in self.components))
 
     def encode(self) -> bytes:
         """Canonical byte form: each component as signed 128-bit big-endian."""
-        return b"".join(c.raw.to_bytes(16, "big", signed=True) for c in self.components)
-
-    @classmethod
-    def decode(cls, data: bytes) -> "GradientVector":
-        if len(data) == 0 or len(data) % 16 != 0:
-            raise ParseError("encoded vector length must be a positive multiple of 16")
-        return cls.from_raw(
-            int.from_bytes(data[i : i + 16], "big", signed=True) for i in range(0, len(data), 16)
-        )
-
-
-def _require_same_dim(a: GradientVector, b: GradientVector) -> None:
-    if a.dim != b.dim:
-        raise DimMismatch(f"dim {a.dim} != dim {b.dim}")
+        return b"".join(c.to_bytes(16, "big", signed=True) for c in self.components)
 
 
 def _check_acc(acc: int) -> int:
@@ -194,13 +202,33 @@ def _check_acc(acc: int) -> int:
     return acc
 
 
+def add_terms(numerators: Sequence[int], terms: Sequence[int]) -> list[int]:
+    """Elementwise numerators + terms: the next partial sums of a weighted sum,
+    each bounded by ACC_LIMIT."""
+    out = list(map(add, numerators, terms))
+    _check_range(out, _check_acc)
+    return out
+
+
+def truncated_mean(numerators: Sequence[int], total: int) -> list[int]:
+    """Each numerator / total, truncated toward zero once."""
+    out = [div_toward_zero(a, total) for a in numerators]
+    _check_range(out)
+    return out
+
+
+def raw_dot(a: Sequence[int], b: Sequence[int]) -> int:
+    """Raw inner product of equal-length raws: every partial sum bounded, one rescale."""
+    partial_sums = list(accumulate(map(mul, a, b)))
+    _check_range(partial_sums, _check_acc)
+    return _check_raw(div_toward_zero(partial_sums[-1], SCALE))
+
+
 def dot(a: GradientVector, b: GradientVector) -> Fixed:
     """Inner product with exact wide accumulation and one terminal rescale."""
-    _require_same_dim(a, b)
-    acc = 0
-    for x, y in zip(a.components, b.components):
-        acc = _check_acc(acc + x.raw * y.raw)
-    return Fixed(_check_raw(div_toward_zero(acc, SCALE)))
+    if a.dim != b.dim:
+        raise DimMismatch(f"dim {a.dim} != dim {b.dim}")
+    return Fixed(raw_dot(a.components, b.components))
 
 
 def norm_sq(v: GradientVector) -> Fixed:
@@ -225,11 +253,7 @@ def sample_weighted_mean(vectors: Sequence[GradientVector], counts: Sequence[int
     for v in vectors[1:]:
         if v.dim != dim:
             raise DimMismatch(f"dim {v.dim} != dim {dim}")
-    total = sum(counts)
-    out = []
-    for k in range(dim):
-        acc = 0
-        for n, v in zip(counts, vectors):
-            acc = _check_acc(acc + n * v.components[k].raw)
-        out.append(Fixed(_check_raw(div_toward_zero(acc, total))))
-    return GradientVector(tuple(out))
+    numerators = [0] * dim
+    for n, v in zip(counts, vectors):
+        numerators = add_terms(numerators, [n * c for c in v.components])
+    return GradientVector(truncated_mean(numerators, sum(counts)))

@@ -52,18 +52,6 @@ def canonical_serialize(cumulative: Sequence[tuple[bytes, Fixed]]) -> bytes:
     return b"".join(parts)
 
 
-def deserialize_cumulative(blob: bytes) -> list[tuple[bytes, Fixed]]:
-    """Inverse of canonical_serialize."""
-    if len(blob) % 36 != 0:
-        raise ValueError("cumulative blob length must be a multiple of 36")
-    out = []
-    for offset in range(0, len(blob), 36):
-        client_id = blob[offset : offset + 20]
-        raw = int.from_bytes(blob[offset + 20 : offset + 36], "big", signed=True)
-        out.append((client_id, Fixed(raw)))
-    return out
-
-
 class ContentStore:
     """Append-only content-addressed blob store; CID == keccak256(blob)."""
 

@@ -11,6 +11,7 @@ import gzip
 import json
 import logging
 from dataclasses import dataclass, field
+from operator import add
 from pathlib import Path
 from typing import Optional
 
@@ -128,7 +129,12 @@ class ScenarioConfig:
         }
 
     def run_id(self) -> str:
-        return keccak256(canonical_json_bytes(self.to_canonical_dict())).hex()[:12]
+        return config_run_id(self.to_canonical_dict())
+
+
+def config_run_id(canonical_config: dict) -> str:
+    """Run id: the leading 12 hex digits of the canonical config's Keccak digest."""
+    return keccak256(canonical_json_bytes(canonical_config)).hex()[:12]
 
 
 # --- config parsing -----------------------------------------------------------
@@ -386,7 +392,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
                         "round": round_index,
                         "batch_index": batch_index,
                         "batch_count": len(batches),
-                        "components": [c.raw for c in batch],
+                        "components": list(batch),
                     },
                     ledger.next_nonce(client.id),
                 )
@@ -424,7 +430,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         system_tx("close_round", {"round": round_index})
         ledger.seal_block()
         if round_state.aggregate is not None and round_state.phase >= Phase.AGGREGATED:
-            model = model + round_state.aggregate
+            model = GradientVector(map(add, model.components, round_state.aggregate.components))
         model_history.append(model)
 
     ledger_doc = ledger_document(config, ledger)
@@ -670,7 +676,11 @@ def load_run_dir(run_dir) -> tuple[dict, ContentStore]:
 def audit_run(run_dir) -> dict:
     """Re-verify a completed run from its persisted artifacts alone."""
     ledger_doc, store = load_run_dir(run_dir)
-    chain_error = verify_chain(ledger_doc, ledger_doc["config"]["rounds"])
+    config_id = config_run_id(ledger_doc["config"])  # the chain checks trust the config
+    if config_id != ledger_doc.get("run_id"):
+        chain_error = f"config hashes to run id {config_id}, not {ledger_doc.get('run_id')}"
+    else:
+        chain_error = verify_chain(ledger_doc, ledger_doc["config"]["rounds"])
     try:
         report = build_report(ledger_doc, store)
     except (SimulationError, ValueError, LookupError):

@@ -107,7 +107,7 @@ class TestSubmission:
             c.submit_update(C[0], 1, batch, index, 3)
         recorded = c.rounds[1].submissions[C[0]]
         assert recorded.dim == 25
-        assert recorded.raws() == list(range(25))
+        assert recorded.components == tuple(range(25))
 
     def test_out_of_order_batch(self):
         c = registered(dim=4, clients=[(C[0], 5)])
@@ -160,7 +160,7 @@ class TestValidation:
         c.validate_round(1)
         c.score_and_reward_round(1)
         aggregate = c.aggregate_round(1)
-        assert [x.to_decimal() for x in aggregate.components] == ["1", "0"]
+        assert aggregate == GradientVector.from_decimals(["1", "0"])
         assert C[1] not in c.rounds[1].scores
 
 
@@ -238,7 +238,7 @@ class TestAggregation:
         c.validate_round(1)
         c.score_and_reward_round(1)
         aggregate = c.aggregate_round(1)
-        assert [x.to_decimal() for x in aggregate.components] == ["0.5", "-1.25"]
+        assert aggregate == GradientVector.from_decimals(["0.5", "-1.25"])
         assert c.model_version == 1
 
     def test_weighted_mean(self):
@@ -248,7 +248,7 @@ class TestAggregation:
         c.validate_round(1)
         c.score_and_reward_round(1)
         aggregate = c.aggregate_round(1)
-        assert [x.to_decimal() for x in aggregate.components] == ["0.25", "0.75"]
+        assert aggregate == GradientVector.from_decimals(["0.25", "0.75"])
 
     def test_opposite_updates_cancel(self):
         c = registered(clients=[(C[0], 5), (C[1], 5)])
@@ -256,7 +256,7 @@ class TestAggregation:
         submit_whole(c, C[1], ["-2", "1"])
         c.validate_round(1)
         c.score_and_reward_round(1)
-        assert c.aggregate_round(1).raws() == [0, 0]
+        assert c.aggregate_round(1).components == (0, 0)
 
     def test_no_accepted_updates(self):
         c = registered(clients=[(C[0], 5)])

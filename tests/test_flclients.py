@@ -91,15 +91,15 @@ class TestBehaviors:
         assert act(ClientBehavior("honest"), self.honest) is self.honest
 
     def test_negator(self):
-        assert act(ClientBehavior("negator"), self.honest).raws() == [-(10**9), -2 * 10**9]
+        assert act(ClientBehavior("negator"), self.honest).components == (-(10**9), -2 * 10**9)
 
     def test_freerider_zero_vector(self):
         out = act(ClientBehavior("freerider"), self.honest)
-        assert out.raws() == [0, 0]
+        assert out.components == (0, 0)
 
     def test_scaler_scales(self):
         out = act(ClientBehavior("scaler", scale=100), self.honest)
-        assert out.raws() == [100 * 10**9, 200 * 10**9]
+        assert out.components == (100 * 10**9, 200 * 10**9)
 
     def test_dropout_is_seed_deterministic(self):
         behavior = ClientBehavior("dropout", dropout_q=0.5)

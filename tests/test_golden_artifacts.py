@@ -1,17 +1,37 @@
 """Byte-identity guard: the committed configs replay to recorded artifact digests.
 
 The digests are SHA-256 of every file `fedchain run` writes for
-configs/adversary.json and configs/baseline.json. A change that alters any
-of these bytes must say so and re-record them on purpose.
+configs/adversary.json, configs/baseline.json and the inline VECTOR_PATHS
+scenario. A change that alters any of these bytes must say so and re-record
+them on purpose.
 """
 import hashlib
 from pathlib import Path
 
 import pytest
 
-from fedchain.scenario import load_config, run_scenario, write_run
+from fedchain.scenario import load_config, parse_config, run_scenario, write_run
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# The vector paths the committed configs miss: dim > batch_size (three
+# submit batches per update), a scaler rejected by the norm bound in every
+# round, a negator banned after three rounds, a freerider's zero vector, and
+# Shapley-based payouts.
+VECTOR_PATHS = {
+    "seed": 5,
+    "rounds": 6,
+    "fairness_interval": 3,
+    "batch_size": 5,
+    "reward_basis": "shapley",
+    "dataset": {
+        "n_clients": 5,
+        "samples_per_client": [30, 40, 50, 30, 40],
+        "dim": 12,
+        "noise": 0.1,
+        "behaviors": ["honest", "honest", {"kind": "scaler", "c": 50}, "negator", "freerider"],
+    },
+}
 
 GOLDEN = {
     "adversary.json": ("6b3fabba4b9f", {
@@ -40,13 +60,28 @@ GOLDEN = {
         "report.json": "638706ef1fab529fa1f38162afb97bcb9b74944ac1ad466b228fa269330e4548",
         "rewards.csv": "f8ce2df6b2a0e8ed11d866096d2d78e63fab4a6bbf397029d686bc375b132b3e",
     }),
+    "vector_paths": ("93df5a900f02", {
+        "attribution.jsonl": "b6c2b872d19227e849220d8b82a724c38f45421bd057c357b831feb7b91e2d51",
+        "blobs/a8372c63e6539cf1a84b9c87ad99b290f4f62a6f5a022874439d5087e34c0eea":
+            "c9d8a8f1ed61009b5c3d5c998ed137ab105be37d4b1eae7d6c835a2a54e65c94",
+        "blobs/df632967ef69e83e5f37738dddcbb8586c5038f416cacd88f28e6ca5b1f3fe52":
+            "595512917b3c3bb65592c75fffd7beb20ceb614fe94edac6aff6c1f84eecea19",
+        "gas.csv": "805d798b38a94a7143143530e59aa8961f22ba80a92283e95f8ac0ace505a8fe",
+        "ledger.bin": "4f9d1084059bb9fb1c784ac1d9f1b52ec7a3ce3784783625a64b8a458963cf86",
+        "report.json": "a50f1cf62b7c0f05d52fef246b07a55fa58357f757999ad0bda3a731b0e77b7c",
+        "rewards.csv": "a77b5696fbec9920eb228a53e499b767479e4cacd586c106c971382c200ec8f8",
+    }),
 }
+
+
+def _config(name):
+    return parse_config(VECTOR_PATHS) if name == "vector_paths" else load_config(CONFIGS / name)
 
 
 @pytest.mark.parametrize("config_name", sorted(GOLDEN))
 def test_config_replays_to_recorded_bytes(config_name, tmp_path):
     run_id, digests = GOLDEN[config_name]
-    run_dir = write_run(run_scenario(load_config(CONFIGS / config_name)), tmp_path)
+    run_dir = write_run(run_scenario(_config(config_name)), tmp_path)
     assert run_dir.name == run_id
     written = {
         path.relative_to(run_dir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()

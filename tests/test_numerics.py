@@ -1,9 +1,12 @@
 """Fixed-point scalar and vector arithmetic."""
+import math
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fedchain.errors import DimMismatch, EmptyInput, ParseError
 from fedchain.numerics import (
+    ACC_LIMIT,
     Fixed,
     GradientVector,
     RAW_LIMIT,
@@ -95,7 +98,7 @@ class TestDot:
             dot(vec("1"), vec("1", "2"))
 
     def test_accumulator_overflow(self):
-        huge = GradientVector((Fixed(RAW_LIMIT - 1),) * 4)
+        huge = GradientVector((RAW_LIMIT - 1,) * 4)
         with pytest.raises(OverflowError):
             dot(huge, huge)
 
@@ -139,11 +142,11 @@ class TestWeightedSum:
     def test_symmetry_cancels(self):
         v = vec("1.5", "-0.25")
         out = sample_weighted_mean([v, v.negate()], [2, 2])
-        assert out.raws() == [0, 0]
+        assert out.components == (0, 0)
 
     def test_weighted_mean_arithmetic(self):
         out = sample_weighted_mean([vec("2", "-1"), vec("-2", "3")], [3, 1])
-        assert [c.to_decimal() for c in out.components] == ["1", "0"]
+        assert out == vec("1", "0")
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
@@ -170,12 +173,12 @@ class TestSampleWeightedMean:
 
     def test_weighted_mean(self):
         out = sample_weighted_mean([vec("1", "0"), vec("0", "1")], [1, 3])
-        assert [c.to_decimal() for c in out.components] == ["0.25", "0.75"]
+        assert out == vec("0.25", "0.75")
 
     def test_equal_counts_cancel(self):
         v = vec("3", "-1")
         out = sample_weighted_mean([v, v.negate()], [5, 5])
-        assert out.raws() == [0, 0]
+        assert out.components == (0, 0)
 
     def test_rejects_nonpositive_counts(self):
         with pytest.raises(EmptyInput):
@@ -200,7 +203,7 @@ class TestSampleWeightedMean:
         total = sum(counts)
         for j in range(3):
             oracle = sum(n * (r[j] / SCALE) for n, r in zip(counts, raws)) / total
-            assert abs(out.components[j].to_float() - oracle) <= 2 * 3 / SCALE
+            assert abs(out.components[j] / SCALE - oracle) <= 2 * 3 / SCALE
 
 
 class TestVectorBasics:
@@ -208,10 +211,154 @@ class TestVectorBasics:
         assert norm_sq(vec("3", "4")).to_decimal() == "25"
 
     def test_encode_decode_round_trip(self):
+        # each component as signed 128-bit big-endian, nothing else
         v = vec("1.5", "-0.000000001", "0")
-        assert GradientVector.decode(v.encode()) == v
+        data = v.encode()
+        assert data == b"".join(raw.to_bytes(16, "big", signed=True) for raw in v.components)
+        decoded = [int.from_bytes(data[i : i + 16], "big", signed=True) for i in range(0, 48, 16)]
+        assert GradientVector.from_raw(decoded) == v
 
     def test_scale_and_negate(self):
         v = vec("1", "2")
-        assert v.negate().raws() == [-SCALE, -2 * SCALE]
-        assert v.scale_int(100).raws() == [100 * SCALE, 200 * SCALE]
+        assert v.negate().components == (-SCALE, -2 * SCALE)
+        assert v.scale_int(100).components == (100 * SCALE, 200 * SCALE)
+
+
+# --- raw-int vectors against the per-component formulation ------------------
+
+QUANT_LIMIT = RAW_LIMIT / SCALE  # floats beyond this quantize out of range
+
+FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-1e3, 1e3),
+    # (2k+1) / 1024 times 10^9 is exactly half an odd integer: a half-way tie
+    st.integers(-(2**40), 2**40).map(lambda k: (2 * k + 1) / 1024),
+    st.floats(0.5 * QUANT_LIMIT, 2 * QUANT_LIMIT).flatmap(lambda x: st.sampled_from([x, -x])),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+)
+RAWS = st.one_of(
+    st.integers(-(RAW_LIMIT - 1), RAW_LIMIT - 1),
+    st.integers(-(10**12), 10**12),
+    st.integers(RAW_LIMIT - 2**124, RAW_LIMIT - 1).flatmap(lambda r: st.sampled_from([r, -r])),
+)
+
+
+def outcome(compute):
+    """The value computed, or the type of the exception it raised."""
+    try:
+        return compute()
+    except Exception as err:  # noqa: BLE001 - the type is what is compared
+        return type(err)
+
+
+def checked_raw(raw: int) -> int:
+    if not -RAW_LIMIT < raw < RAW_LIMIT:
+        raise OverflowError(raw)
+    return raw
+
+
+def checked_acc(acc: int) -> int:
+    if not -ACC_LIMIT < acc < ACC_LIMIT:
+        raise OverflowError(acc)
+    return acc
+
+
+def mean_oracle(raws: list[list[int]], counts: list[int]) -> list[int]:
+    """The per-component FedAvg: partial sums bounded, one truncation each."""
+    out = []
+    for k in range(len(raws[0])):
+        acc = 0
+        for n, vector in zip(counts, raws):
+            acc = checked_acc(acc + n * vector[k])
+        out.append(checked_raw(div_toward_zero(acc, sum(counts))))
+    return out
+
+
+def dot_oracle(a: list[int], b: list[int]) -> int:
+    acc = 0
+    for x, y in zip(a, b):
+        acc = checked_acc(acc + x * y)
+    return checked_raw(div_toward_zero(acc, SCALE))
+
+
+class TestRawVectors:
+    def test_components_are_raw_ints(self):
+        vectors = [
+            vec("1.5", "-2"),
+            GradientVector.from_floats([0.5, -0.25]),
+            GradientVector.from_raw([3, -4]),
+            GradientVector.zeros(2),
+            vec("1", "2").negate(),
+            vec("1", "2").scale_int(3),
+            sample_weighted_mean([vec("1", "2"), vec("3", "-1")], [1, 2]),
+        ]
+        for v in vectors:
+            assert all(type(c) is int for c in v.components)
+
+    def test_range_checked_on_construction(self):
+        with pytest.raises(OverflowError):
+            GradientVector((0, RAW_LIMIT))
+        with pytest.raises(OverflowError):
+            GradientVector.from_raw([-RAW_LIMIT, 0])
+        with pytest.raises(OverflowError):
+            vec("1").scale_int(RAW_LIMIT)
+        with pytest.raises(EmptyInput):
+            GradientVector(())
+
+    @pytest.mark.parametrize("make, values, error", [
+        (GradientVector.from_raw, [2**200, "x"], OverflowError),
+        (GradientVector.from_raw, ["x", 2**200], ValueError),
+        (GradientVector.from_raw, [2**200, None], OverflowError),
+        (GradientVector.from_decimals, [str(2**127), "abc"], OverflowError),
+        (GradientVector.from_decimals, ["abc", str(2**127)], ParseError),
+    ])
+    def test_first_bad_component_decides_the_error(self, make, values, error):
+        with pytest.raises(error):
+            make(values)
+
+    @given(st.lists(FLOATS, min_size=1, max_size=12))
+    @example([1e30, math.nan])
+    @example([math.nan, 1e30])
+    @example([math.inf, math.nan])
+    @example([-0.0, 0.0])
+    @example([2.5e-9, -2.5e-9, 1 / 1024, 3 / 1024])
+    def test_from_floats_matches_fixed_from_float(self, xs):
+        expected = outcome(lambda: [Fixed.from_float(x).raw for x in xs])
+        actual = outcome(lambda: list(GradientVector.from_floats(xs).components))
+        assert actual == expected
+
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda k: st.integers(1, 6).flatmap(
+                lambda dim: st.tuples(
+                    st.lists(st.lists(RAWS, min_size=dim, max_size=dim), min_size=k, max_size=k),
+                    st.lists(st.one_of(st.integers(1, 50), st.integers(2**127, 2**130)),
+                             min_size=k, max_size=k),
+                )
+            )
+        )
+    )
+    @example(([[RAW_LIMIT - 1]], [2**129]))  # one weighted term beyond the accumulator
+    def test_sample_weighted_mean_matches_per_component_oracle(self, instance):
+        raws, counts = instance
+        expected = outcome(lambda: mean_oracle(raws, counts))
+        actual = outcome(lambda: list(sample_weighted_mean(
+            [GradientVector.from_raw(r) for r in raws], counts
+        ).components))
+        assert actual == expected
+
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda dim: st.tuples(
+                st.lists(RAWS, min_size=dim, max_size=dim),
+                st.lists(RAWS, min_size=dim, max_size=dim),
+            )
+        )
+    )
+    # only a partial sum leaves the accumulator range; the full sum is 0
+    @example(([RAW_LIMIT - 1] * 6, [RAW_LIMIT - 1] * 3 + [1 - RAW_LIMIT] * 3))
+    def test_dot_matches_per_component_oracle(self, pair):
+        a, b = pair
+        expected = outcome(lambda: dot_oracle(a, b))
+        actual = outcome(lambda: dot(GradientVector.from_raw(a), GradientVector.from_raw(b)).raw)
+        assert actual == expected

@@ -9,7 +9,6 @@ from fedchain.offchain import (
     ContentStore,
     canonical_json_bytes,
     canonical_serialize,
-    deserialize_cumulative,
     publish_checkpoint,
     verify_checkpoint,
 )
@@ -39,20 +38,29 @@ class TestCanonicalSerialize:
 
     def test_negative_values_round_trip(self):
         entries = [(cid_of(9), Fixed(-123456789)), (cid_of(4), Fixed(42))]
-        assert dict(deserialize_cumulative(canonical_serialize(entries))) == dict(entries)
+        assert canonical_serialize(entries) == (
+            cid_of(4) + (42).to_bytes(16, "big", signed=True)
+            + cid_of(9) + (-123456789).to_bytes(16, "big", signed=True)
+        )
 
     @given(
         st.dictionaries(
             st.binary(min_size=20, max_size=20),
             st.integers(-(10**15), 10**15),
             max_size=8,
-        )
+        ),
+        st.randoms(use_true_random=False),
     )
-    def test_round_trip_and_order_independence(self, mapping):
+    def test_round_trip_and_order_independence(self, mapping, rng):
+        # the layout: ids ascending, each id || raw as signed 128-bit big-endian
         entries = [(cid, Fixed(raw)) for cid, raw in mapping.items()]
-        blob = canonical_serialize(entries)
-        assert blob == canonical_serialize(sorted(entries))
-        assert dict(deserialize_cumulative(blob)) == dict(entries)
+        expected = b"".join(
+            cid + raw.to_bytes(16, "big", signed=True) for cid, raw in sorted(mapping.items())
+        )
+        shuffled = list(entries)
+        rng.shuffle(shuffled)
+        assert canonical_serialize(entries) == expected
+        assert canonical_serialize(shuffled) == expected
 
 
 class TestContentStore:

@@ -1,6 +1,7 @@
 """End-to-end scenario runs, artifacts, determinism, and audits."""
 import gzip
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +13,9 @@ from fedchain.offchain import canonical_json_bytes
 from fedchain.scenario import (
     audit,
     build_report,
+    config_run_id,
     gas_sweep,
+    load_config,
     load_run_dir,
     parse_config,
     run_scenario,
@@ -24,6 +27,8 @@ from fedchain.scenario import (
     ATTRIBUTION_FILE,
     BLOBS_DIR,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def base_doc(**overrides) -> dict:
@@ -352,6 +357,27 @@ class TestAudit:
         verdict = audit(run_dir)[0]
         assert not verdict["ok"]
         assert verdict["chain"] == f"{8 - dropped} blocks for 6 rounds, expected 8"
+
+    def test_truncated_chain_with_edited_rounds_detected(self, tmp_path):
+        # the chain checks trust config.rounds, so shortening both must not pass
+        run_dir = write_run(run_scenario(load_config(CONFIGS / "adversary.json")), tmp_path)
+
+        def drop_five_rounds(doc):
+            for part in ("blocks", "txs", "receipts"):
+                del doc[part][-5:]
+            doc["config"]["rounds"] = 5
+
+        rewrite_ledger(run_dir, drop_five_rounds)
+        (run_dir / REPORT_FILE).unlink()
+        verdict = audit(run_dir)[0]
+        assert verdict["run_id"] == "6b3fabba4b9f"
+        assert not verdict["ok"]
+        assert verdict["chain"].startswith("config hashes to run id ")
+        assert verdict["chain"].endswith(", not 6b3fabba4b9f")
+
+    def test_run_id_is_the_recorded_config_digest(self, run_dir):
+        ledger_doc, _ = load_run_dir(run_dir)
+        assert config_run_id(ledger_doc["config"]) == ledger_doc["run_id"] == run_dir.name
 
 
 def rewrite_ledger(run_dir, mutate) -> None:
