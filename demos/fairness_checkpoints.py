@@ -35,9 +35,9 @@ def print_verdicts(verdicts):
 def main():
     result = run_scenario(parse_config(CONFIG))
     print("checkpoints anchored on-chain:")
-    for _, _, payload in result.ledger.events("FairnessCheckpoint"):
-        print(f"  round {payload['round']}: cid={payload['cid'][:16]}... "
-              f"H={payload['hash'][:16]}...")
+    for checkpoint in result.report["checkpoints"]:
+        print(f"  round {checkpoint['round']}: cid={checkpoint['cid'][:16]}... "
+              f"H={checkpoint['hash'][:16]}...")
 
     with tempfile.TemporaryDirectory() as tmp:
         run_dir = write_run(result, tmp)

@@ -27,16 +27,13 @@ def main():
     aggregate_value = coalition_value_alignment(list(submissions), submissions, n_map)
     print("grand-coalition value (||aggregate||^2):", aggregate_value.to_decimal())
 
-    attribution = shapley_exact(
-        list(submissions), make_alignment_characteristic(submissions, n_map),
-        characteristic="alignment",
-    )
+    phi = shapley_exact(list(submissions), make_alignment_characteristic(submissions, n_map))
     print("\nper-client Shapley values:")
-    for cid, value in sorted(attribution.values.items()):
+    for cid, value in sorted(phi.items()):
         name = CLIENTS[cid][0]
         print(f"  {name:12s} phi = {value.to_decimal():>13}")
 
-    total = sum(v.raw for v in attribution.values.values())
+    total = sum(v.raw for v in phi.values())
     print(f"\nefficiency: sum(phi) = {total / 10**9:.9f} "
           f"= v(grand) - v(empty) (within a few ulps)")
     print("the two redundant clients split their direction's credit evenly;")

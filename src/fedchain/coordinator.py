@@ -46,7 +46,6 @@ from .offchain import vector_commit
 
 VERDICT_ACCEPTED = "accepted"
 VERDICT_REJECTED_NORM = "rejected_norm"
-VERDICT_REJECTED_DIM = "rejected_dim"
 
 
 class Phase(enum.IntEnum):
@@ -78,7 +77,6 @@ class RoundState:
     scores: dict[bytes, Fixed] = field(default_factory=dict)
     payouts: dict[bytes, int] = field(default_factory=dict)
     aggregate: Optional[GradientVector] = None
-    validated: bool = False
     phi: Optional[dict[bytes, Fixed]] = None  # Shapley values, under reward_basis "shapley"
 
 
@@ -253,24 +251,20 @@ class Coordinator:
         verdicts: dict[bytes, str] = {}
         accepted: list[bytes] = []
         for client_id in sorted(state.submissions):
-            update = state.submissions[client_id]
-            if update.dim != self.dim:
-                verdicts[client_id] = VERDICT_REJECTED_DIM
-            elif norm_sq(update) > norm_bound:
+            if norm_sq(state.submissions[client_id]) > norm_bound:
                 verdicts[client_id] = VERDICT_REJECTED_NORM
             else:
                 verdicts[client_id] = VERDICT_ACCEPTED
                 accepted.append(client_id)
         state.verdicts = verdicts
         state.accepted = accepted
-        state.validated = True
         return [(cid, verdicts[cid]) for cid in sorted(verdicts)]
 
     # -- scoring and payout ----------------------------------------------------------
 
     def score_and_reward_round(self, round_index: int) -> dict[bytes, int]:
         state = self._current_state(round_index, Phase.OPEN)
-        if not state.validated and state.submissions:
+        if not state.verdicts and state.submissions:
             raise WrongPhase("validate the round before scoring")
 
         accepted = list(state.accepted)
@@ -334,7 +328,7 @@ class Coordinator:
         return incentives.shapley_alignment(
             {cid: state.submissions[cid] for cid in state.accepted},
             {cid: self.clients[cid].n_samples for cid in state.accepted},
-        ).values
+        )
 
     def multiplier_on(self, round_index: int) -> bool:
         """Whether consistency multipliers apply in ``round_index``: the

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import BadParticipation, BadWeights, MissingRounds, TooManyClients
@@ -84,19 +83,10 @@ def consistency_adjusted_reward(score: Fixed, alpha: Fixed, participation: Fixed
     return Fixed(div_toward_zero(numerator, scale_sq))
 
 
-@dataclass(frozen=True)
-class ShapleyAttribution:
-    """Per-client Shapley values under a named characteristic function."""
-
-    values: dict[bytes, Fixed]
-    characteristic: str
-
-
 def shapley_exact(
     clients: Sequence[bytes],
     coalition_value: Callable[[frozenset], Fixed],
-    characteristic: str = "custom",
-) -> ShapleyAttribution:
+) -> dict[bytes, Fixed]:
     """Exact Shapley values by full subset enumeration.
 
     phi_i = sum over T not containing i of
@@ -111,12 +101,12 @@ def shapley_exact(
         coalition_value(frozenset(ids[k] for k in range(len(ids)) if mask >> k & 1)).raw
         for mask in range(1 << len(ids))
     ]
-    return ShapleyAttribution(values=_shapley_phi(ids, values), characteristic=characteristic)
+    return _shapley_phi(ids, values)
 
 
 def shapley_alignment(
     submissions: Mapping[bytes, GradientVector], n_map: Mapping[bytes, int]
-) -> ShapleyAttribution:
+) -> dict[bytes, Fixed]:
     """Exact Shapley values under the alignment characteristic, in one pass.
 
     Bit-identical to ``shapley_exact(ids, make_alignment_characteristic(...))``,
@@ -125,7 +115,7 @@ def shapley_alignment(
     """
     ids = _players(submissions)
     values = alignment_coalition_values(submissions, n_map)
-    return ShapleyAttribution(values=_shapley_phi(ids, values), characteristic="alignment")
+    return _shapley_phi(ids, values)
 
 
 def _players(clients: Iterable[bytes]) -> list[bytes]:

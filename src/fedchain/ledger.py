@@ -15,7 +15,8 @@ from typing import Optional
 
 from .errors import NonceError, SimulationError, UnknownSender
 from .keccak import keccak256
-from .offchain import canonical_json_bytes
+from .numerics import GradientVector
+from .offchain import canonical_json_bytes, vector_commit
 
 SYSTEM_SENDER = b"\x00" * 20  # reserved id for coordinator-initiated calls
 GENESIS_PARENT = b"\x00" * 32
@@ -103,9 +104,6 @@ class Transaction:
     def digest_args(self) -> dict:
         """Args with bulk payloads replaced by their commitment digests."""
         if "components" in self.args:
-            from .offchain import vector_commit
-            from .numerics import GradientVector
-
             slim = dict(self.args)
             raws = slim.pop("components")
             slim["components_commit"] = vector_commit(GradientVector.from_raw(raws))
@@ -130,10 +128,6 @@ class Transaction:
             doc = {**self.to_dict(), "args": self.digest_args()}
             object.__setattr__(self, "_hash_cache", keccak256(canonical_json_bytes(doc)))
         return self._hash_cache
-
-    def payload_size(self) -> int:
-        """Deterministic byte size of the serialized call."""
-        return len(canonical_json_bytes({"op": self.op, "args": self.args}))
 
 
 @dataclass
@@ -304,20 +298,6 @@ class Ledger:
             "txs": [[tx.to_dict() for tx in sealed] for sealed in self.block_txs],
             "receipts": [[r.to_dict() for r in sealed] for sealed in self.block_receipts],
         }
-
-    def all_receipts(self) -> list[Receipt]:
-        return [r for sealed in self.block_receipts for r in sealed] + [
-            r for _, r in self._pending
-        ]
-
-    def events(self, name: Optional[str] = None) -> list[tuple[int, str, dict]]:
-        """Flat (block_height, name, payload) event stream, optionally filtered."""
-        out = []
-        for receipt in self.all_receipts():
-            for event_name, payload in receipt.events:
-                if name is None or event_name == name:
-                    out.append((receipt.block_height, event_name, payload))
-        return out
 
 
 def verify_chain(chain: dict, rounds: int) -> Optional[str]:

@@ -53,10 +53,14 @@ def canonical_serialize(cumulative: Sequence[tuple[bytes, Fixed]]) -> bytes:
 
 
 class ContentStore:
-    """Append-only content-addressed blob store; CID == keccak256(blob)."""
+    """Append-only content-addressed blob store; CID == keccak256(blob).
 
-    def __init__(self) -> None:
-        self._blobs: dict[bytes, bytes] = {}
+    ``blobs`` seeds the store as found on disk: each blob is keyed by the CID
+    it claims, unchecked, so that ``verify_checkpoint`` can detect tampering.
+    """
+
+    def __init__(self, blobs: Optional[Mapping[bytes, bytes]] = None) -> None:
+        self._blobs: dict[bytes, bytes] = dict(blobs or {})
 
     def put(self, blob: bytes) -> bytes:
         cid = keccak256(blob)
@@ -65,12 +69,6 @@ class ContentStore:
 
     def get(self, cid: bytes) -> Optional[bytes]:
         return self._blobs.get(cid)
-
-    def __contains__(self, cid: bytes) -> bool:
-        return cid in self._blobs
-
-    def __len__(self) -> int:
-        return len(self._blobs)
 
     def cids(self) -> list[bytes]:
         return sorted(self._blobs)
@@ -84,15 +82,6 @@ class FairnessCheckpoint:
     cumulative: Optional[tuple[tuple[bytes, Fixed], ...]]  # None: unknown, matches no blob
     cid: bytes
     integrity_hash: bytes
-
-
-@dataclass(frozen=True)
-class CheckpointVerdict:
-    ok: bool
-    reason: Optional[str] = None  # NotFound | CidMismatch | HashMismatch | ContentMismatch
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def publish_checkpoint(
@@ -121,22 +110,20 @@ def publish_checkpoint(
     )
 
 
-def verify_checkpoint(
-    checkpoint: FairnessCheckpoint,
-    store: ContentStore,
-    onchain_hash: Optional[bytes] = None,
-) -> CheckpointVerdict:
-    """Re-verify a checkpoint: CID resolves, hashes agree, content matches."""
+def verify_checkpoint(checkpoint: FairnessCheckpoint, store: ContentStore) -> Optional[str]:
+    """Re-verify a checkpoint: CID resolves, hashes agree, content matches.
+
+    None when intact, else the reason: NotFound, CidMismatch, HashMismatch
+    or ContentMismatch.
+    """
     blob = store.get(checkpoint.cid)
     if blob is None:
-        return CheckpointVerdict(False, "NotFound")
+        return "NotFound"
     digest = keccak256(blob)
     if digest != checkpoint.cid:
-        return CheckpointVerdict(False, "CidMismatch")
+        return "CidMismatch"
     if digest != checkpoint.integrity_hash:
-        return CheckpointVerdict(False, "HashMismatch")
-    if onchain_hash is not None and onchain_hash != checkpoint.integrity_hash:
-        return CheckpointVerdict(False, "HashMismatch")
+        return "HashMismatch"
     if checkpoint.cumulative is None or blob != canonical_serialize(list(checkpoint.cumulative)):
-        return CheckpointVerdict(False, "ContentMismatch")
-    return CheckpointVerdict(True)
+        return "ContentMismatch"
+    return None

@@ -10,7 +10,7 @@ from __future__ import annotations
 import gzip
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from operator import add
 from pathlib import Path
 from typing import Optional
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import incentives
 from .coordinator import Coordinator, Phase
-from .errors import ConfigError, MissingRounds, MissingRun, SimulationError
+from .errors import ConfigError, MissingRun, SimulationError
 from .flclients import (
     STREAM_DROPOUT,
     ClientBehavior,
@@ -59,8 +59,6 @@ GAS_FILE = "gas.csv"
 REWARDS_FILE = "rewards.csv"
 ATTRIBUTION_FILE = "attribution.jsonl"
 BLOBS_DIR = "blobs"
-
-_FIXED_FIELDS = ("alpha", "tau", "slash_fraction")
 
 
 @dataclass(frozen=True)
@@ -144,26 +142,35 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _as_int(doc: dict, key: str, default=None, minimum: Optional[int] = None):
-    value = doc.get(key, default)
-    _require(value is not None, f"missing required field {key!r}")
-    _require(isinstance(value, int) and not isinstance(value, bool), f"{key} must be an integer")
+def _as_int(value, name: str, minimum: Optional[int] = None) -> int:
+    _require(value is not None, f"missing required field {name!r}")
+    _require(isinstance(value, int) and not isinstance(value, bool), f"{name} must be an integer")
     if minimum is not None:
-        _require(value >= minimum, f"{key} must be >= {minimum}, got {value}")
+        _require(value >= minimum, f"{name} must be >= {minimum}, got {value}")
     return value
 
 
-def _as_fixed(doc: dict, key: str, default: str) -> Fixed:
-    value = doc.get(key, default)
+def _as_number(value, name: str):
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    _require(is_number, f"{name} must be a number")
+    return value
+
+
+def _as_fixed(value, name: str) -> Fixed:
     if isinstance(value, Fixed):
         return value
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         value = repr(value)
-    _require(isinstance(value, str), f"{key} must be a decimal number or string")
+    _require(isinstance(value, str), f"{name} must be a decimal number or string")
     try:
         return Fixed.from_decimal(value)
     except SimulationError as err:
-        raise ConfigError(f"{key}: {err}") from err
+        raise ConfigError(f"{name}: {err}") from err
+
+
+def _check_keys(doc: dict, cls, what: str) -> None:
+    unknown = set(doc) - {f.name for f in fields(cls)}
+    _require(not unknown, f"unknown {what} keys: {sorted(unknown)}")
 
 
 def _parse_behavior(entry) -> ClientBehavior:
@@ -172,64 +179,56 @@ def _parse_behavior(entry) -> ClientBehavior:
     _require(isinstance(entry, dict), "behavior entries must be strings or objects")
     unknown = set(entry) - {"kind", "c", "q"}
     _require(not unknown, f"unknown behavior keys: {sorted(unknown)}")
-    kind = entry.get("kind")
+    scale = _as_int(entry.get("c", ClientBehavior.scale), "c", minimum=1)
+    dropout_q = _as_number(entry.get("q", ClientBehavior.dropout_q), "q")
     try:
-        return ClientBehavior(
-            kind=kind,
-            scale=entry.get("c", 100),
-            dropout_q=entry.get("q", 0.5),
-        )
-    except (ValueError, TypeError) as err:
+        return ClientBehavior(kind=entry.get("kind"), scale=scale, dropout_q=dropout_q)
+    except ValueError as err:
         raise ConfigError(f"bad behavior {entry!r}: {err}") from err
 
 
 def _parse_dataset(doc: dict) -> DatasetConfig:
     _require(isinstance(doc, dict), "dataset must be an object")
-    allowed = {"n_clients", "samples_per_client", "dim", "noise", "behaviors", "epochs", "lr", "seed"}
-    unknown = set(doc) - allowed
-    _require(not unknown, f"unknown dataset keys: {sorted(unknown)}")
-    n_clients = _as_int(doc, "n_clients", minimum=1)
+    _check_keys(doc, DatasetConfig, "dataset")
+    n_clients = _as_int(doc.get("n_clients"), "n_clients", minimum=1)
     samples = doc.get("samples_per_client")
     _require(isinstance(samples, list) and len(samples) == n_clients,
              "samples_per_client must list one count per client")
-    _require(all(isinstance(s, int) and s > 0 for s in samples),
-             "samples_per_client entries must be positive integers")
-    dim = _as_int(doc, "dim", minimum=1)
-    noise = doc.get("noise", 0.0)
-    _require(isinstance(noise, (int, float)) and noise >= 0, "noise must be >= 0")
+    samples = tuple(_as_int(s, "samples_per_client", minimum=1) for s in samples)
+    dim = _as_int(doc.get("dim"), "dim", minimum=1)
+    noise = _as_number(doc.get("noise", 0.0), "noise")
+    _require(noise >= 0, "noise must be >= 0")
     behaviors_doc = doc.get("behaviors", ["honest"] * n_clients)
     _require(isinstance(behaviors_doc, list) and len(behaviors_doc) == n_clients,
              "behaviors must list one entry per client")
     behaviors = tuple(_parse_behavior(b) for b in behaviors_doc)
-    epochs = _as_int(doc, "epochs", default=5, minimum=1)
-    lr = doc.get("lr", 0.1)
-    _require(isinstance(lr, (int, float)) and lr > 0, "lr must be positive")
-    seed = doc.get("seed")
-    if seed is not None:
-        _require(isinstance(seed, int), "dataset seed must be an integer")
+    epochs = _as_int(doc.get("epochs", DatasetConfig.epochs), "epochs", minimum=1)
+    lr = _as_number(doc.get("lr", DatasetConfig.lr), "lr")
+    _require(lr > 0, "lr must be positive")
+    seed = doc.get("seed", DatasetConfig.seed)
     return DatasetConfig(
         n_clients=n_clients,
-        samples_per_client=tuple(samples),
+        samples_per_client=samples,
         dim=dim,
         noise=float(noise),
         behaviors=behaviors,
         epochs=epochs,
         lr=float(lr),
-        seed=seed,
+        seed=None if seed is None else _as_int(seed, "dataset seed"),
     )
 
 
 def parse_config(doc: dict) -> ScenarioConfig:
-    """Validate a scenario document; unknown keys are rejected."""
+    """Validate a scenario document; unknown keys are rejected.
+
+    Absent keys take the defaults ``ScenarioConfig`` declares.
+    """
     _require(isinstance(doc, dict), "config must be a JSON object")
-    allowed = {
-        "seed", "rounds", "fairness_interval", "alpha", "min_stake",
-        "reward_pool_per_round", "tau", "ban_threshold", "slash_fraction",
-        "batch_size", "gas", "dataset", "reward_basis",
-    }
-    unknown = set(doc) - allowed
-    _require(not unknown, f"unknown config keys: {sorted(unknown)}")
+    _check_keys(doc, ScenarioConfig, "config")
     _require("dataset" in doc, "missing required field 'dataset'")
+
+    def value(key: str):
+        return doc.get(key, getattr(ScenarioConfig, key, None))
 
     gas_doc = doc.get("gas", {})
     _require(isinstance(gas_doc, dict), "gas must be an object")
@@ -240,26 +239,28 @@ def parse_config(doc: dict) -> ScenarioConfig:
     except (TypeError, ValueError) as err:
         raise ConfigError(f"bad gas model: {err}") from err
 
-    alpha = _as_fixed(doc, "alpha", "0.5")
+    alpha = _as_fixed(value("alpha"), "alpha")
     _require(alpha.raw >= 0, "alpha must be >= 0")
-    tau = _as_fixed(doc, "tau", "10.0")
+    tau = _as_fixed(value("tau"), "tau")
     _require(tau.raw > 0, "tau must be positive")
-    slash = _as_fixed(doc, "slash_fraction", "0.5")
+    slash = _as_fixed(value("slash_fraction"), "slash_fraction")
     _require(0 <= slash.raw <= Fixed.from_int(1).raw, "slash_fraction must lie in [0, 1]")
-    reward_basis = doc.get("reward_basis", "alignment")
+    reward_basis = value("reward_basis")
     _require(reward_basis in ("alignment", "shapley"), "reward_basis must be alignment or shapley")
 
     config = ScenarioConfig(
-        seed=_as_int(doc, "seed"),
-        rounds=_as_int(doc, "rounds", minimum=1),
-        fairness_interval=_as_int(doc, "fairness_interval", default=5, minimum=1),
+        seed=_as_int(value("seed"), "seed"),
+        rounds=_as_int(value("rounds"), "rounds", minimum=1),
+        fairness_interval=_as_int(value("fairness_interval"), "fairness_interval", minimum=1),
         alpha=alpha,
-        min_stake=_as_int(doc, "min_stake", default=100, minimum=0),
-        reward_pool_per_round=_as_int(doc, "reward_pool_per_round", default=1_000_000, minimum=0),
+        min_stake=_as_int(value("min_stake"), "min_stake", minimum=0),
+        reward_pool_per_round=_as_int(
+            value("reward_pool_per_round"), "reward_pool_per_round", minimum=0
+        ),
         tau=tau,
-        ban_threshold=_as_int(doc, "ban_threshold", default=3, minimum=1),
+        ban_threshold=_as_int(value("ban_threshold"), "ban_threshold", minimum=1),
         slash_fraction=slash,
-        batch_size=_as_int(doc, "batch_size", default=10_000, minimum=1),
+        batch_size=_as_int(value("batch_size"), "batch_size", minimum=1),
         gas=gas,
         dataset=_parse_dataset(doc["dataset"]),
         reward_basis=reward_basis,
@@ -552,17 +553,22 @@ def build_report(ledger_doc: dict, store: ContentStore) -> dict:
     for r, scores in history.items():
         if r in per_round:
             per_round[r]["scores"] = {"0x" + cid.hex(): s.to_decimal() for cid, s in scores.items()}
-    try:
-        final_cumulative = incentives.cumulative_scores(history, rounds_count)
-    except MissingRounds:  # a history with a missing round has no final sums
-        final_cumulative = {}
+    cumulative: dict[int, dict[bytes, Fixed]] = {}  # r -> sums over rounds 1..r
+    totals: dict[bytes, Fixed] = {}
+    r = 1
+    while r in history:  # the sums stop at the first missing round
+        for cid, score in history[r].items():
+            totals[cid] = totals.get(cid, Fixed(0)) + score
+        cumulative[r] = dict(totals)
+        r += 1
+    final_cumulative = cumulative.get(rounds_count, {})
 
     checkpoints = [
         {
             "round": payload["round"],
             "cid": payload["cid"],
             "hash": payload["hash"],
-            "verdict": _checkpoint_verdict(payload, history, store),
+            "verdict": _checkpoint_verdict(payload, cumulative, store),
         }
         for _, _, payload in _doc_events(ledger_doc, "FairnessCheckpoint")
     ]
@@ -593,20 +599,18 @@ def build_report(ledger_doc: dict, store: ContentStore) -> dict:
     }
 
 
-def _checkpoint_verdict(payload: dict, history: dict, store: ContentStore) -> str:
+def _checkpoint_verdict(
+    payload: dict, cumulative: dict[int, dict[bytes, Fixed]], store: ContentStore
+) -> str:
     """One anchored checkpoint against its blob and the recomputed cumulative."""
-    try:
-        cumulative = tuple(incentives.cumulative_scores(history, payload["round"]).items())
-    except MissingRounds:
-        cumulative = None  # a history that cannot be summed matches no blob
+    sums = cumulative.get(payload["round"])  # None: the history cannot be summed
     expected = FairnessCheckpoint(
         through_round=payload["round"],
-        cumulative=cumulative,
+        cumulative=None if sums is None else tuple(sums.items()),
         cid=bytes.fromhex(payload["cid"]),
         integrity_hash=bytes.fromhex(payload["hash"]),
     )
-    verdict = verify_checkpoint(expected, store)
-    return "ok" if verdict else verdict.reason
+    return verify_checkpoint(expected, store) or "ok"
 
 
 def _report_bytes(report: dict) -> bytes:
@@ -665,12 +669,9 @@ def load_run_dir(run_dir) -> tuple[dict, ContentStore]:
         raise MissingRun(f"no {LEDGER_FILE} under {run_dir}")
     with gzip.open(ledger_path, "rb") as fh:
         ledger_doc = json.loads(fh.read().decode())
-    store = ContentStore()
     blob_dir = run_dir / BLOBS_DIR
-    if blob_dir.is_dir():
-        for path in sorted(blob_dir.iterdir()):
-            store._blobs[bytes.fromhex(path.name)] = path.read_bytes()
-    return ledger_doc, store
+    paths = sorted(blob_dir.iterdir()) if blob_dir.is_dir() else []
+    return ledger_doc, ContentStore({bytes.fromhex(p.name): p.read_bytes() for p in paths})
 
 
 def audit_run(run_dir) -> dict:
@@ -740,19 +741,13 @@ def sweep_config(config: ScenarioConfig, size: int) -> ScenarioConfig:
         lr=0.05,
         seed=config.dataset_seed(),
     )
-    return ScenarioConfig(
-        seed=config.seed,
+    return replace(
+        config,
         rounds=1,
         dataset=dataset,
         fairness_interval=max(2, config.fairness_interval),
-        alpha=config.alpha,
-        min_stake=config.min_stake,
-        reward_pool_per_round=config.reward_pool_per_round,
         tau=Fixed.from_int(10**9),
-        ban_threshold=config.ban_threshold,
-        slash_fraction=config.slash_fraction,
         batch_size=size,
-        gas=config.gas,
         reward_basis="alignment",
     )
 

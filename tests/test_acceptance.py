@@ -189,9 +189,9 @@ def test_criterion_4_shapley_exactness():
         attribution = shapley_exact(players, fixed_table.__getitem__)
         oracle = permutation_oracle(players, table)
         for cid in players:
-            assert abs(attribution.values[cid].to_float() - oracle[cid]) <= 4 * n / SCALE
+            assert abs(attribution[cid].to_float() - oracle[cid]) <= 4 * n / SCALE
         # efficiency axiom
-        total = sum(v.raw for v in attribution.values.values())
+        total = sum(v.raw for v in attribution.values())
         assert abs(total - table[frozenset(players)]) <= 4 * n
 
     # symmetry axiom: interchangeable players receive equal shares
@@ -210,7 +210,7 @@ def test_criterion_4_shapley_exactness():
             return Fixed(base.get(rest, 0) + twins * 10**8)
 
         attribution = shapley_exact(players, symmetric_value)
-        assert abs(attribution.values[players[0]].raw - attribution.values[players[1]].raw) <= 4 * n
+        assert abs(attribution[players[0]].raw - attribution[players[1]].raw) <= 4 * n
 
     # dummy axiom: a player with zero marginals everywhere gets zero
     for trial in range(10):
@@ -228,7 +228,7 @@ def test_criterion_4_shapley_exactness():
             return Fixed(core[frozenset(cid for cid in subset if cid != dummy)])
 
         attribution = shapley_exact(players, dummy_value)
-        assert abs(attribution.values[dummy].raw) <= 4 * n
+        assert abs(attribution[dummy].raw) <= 4 * n
 
     elapsed = time.monotonic() - started
     assert elapsed < 10.0, f"shapley comparison took {elapsed:.1f}s"
@@ -269,23 +269,22 @@ def test_criterion_6_checkpoint_integrity(adversary_run, tmp_path):
 def test_criterion_7_adversary_economics(adversary_run):
     negator = make_client_id(5)
     record = adversary_run.coordinator.clients[negator]
-    banned_events = [
-        payload for _, name, payload in adversary_run.ledger.events("ClientBanned")
-    ]
+    rounds = adversary_run.report["rounds"]
+    ban_rounds = [rec["round"] for rec in rounds for _ in rec["banned"]]
     assert record.banned
-    assert banned_events and banned_events[0]["round"] <= 4
+    assert ban_rounds and ban_rounds[0] <= 4
     assert record.stake == 50  # half of the 100-token stake slashed
 
     totals: dict[str, int] = {}
-    for _, _, payload in adversary_run.ledger.events("RewardsDistributed"):
-        for cid_hex, amount in payload["payouts"]:
+    for rec in rounds:
+        for cid_hex, amount in rec["payouts"].items():
             totals[cid_hex] = totals.get(cid_hex, 0) + amount
     assert totals.get("0x" + negator.hex(), 0) == 0
     for i in range(5):
         assert totals.get("0x" + make_client_id(i).hex(), 0) > 0
     cumulative = adversary_run.report["final_cumulative"]["0x" + negator.hex()]
     assert cumulative.startswith("-"), "negator cumulative score must be negative"
-    report_line(7, f"negator banned in round {banned_events[0]['round']}, slashed to "
+    report_line(7, f"negator banned in round {ban_rounds[0]}, slashed to "
                    f"{record.stake}, cumulative {cumulative}, paid 0; all honest clients paid")
 
 

@@ -13,6 +13,7 @@ from fedchain.errors import (
     AlreadyRegistered,
     Banned,
     BadSampleCount,
+    DimMismatch,
     DuplicateSubmission,
     InsufficientStake,
     NoAcceptedUpdates,
@@ -120,6 +121,16 @@ class TestSubmission:
         c.submit_update(C[0], 1, GradientVector.from_raw([1, 2]), 0, 2)
         with pytest.raises(OutOfOrderBatch):
             c.submit_update(C[0], 1, GradientVector.from_raw([3, 4]), 1, 3)
+
+    def test_wrong_dimension_reverts_before_validation(self):
+        # validate_round never sees an update of the wrong length
+        c = registered(dim=3, clients=[(C[0], 5)])
+        c.submit_update(C[0], 1, GradientVector.from_raw([1, 2]), 0, 2)
+        with pytest.raises(DimMismatch):
+            c.submit_update(C[0], 1, GradientVector.from_raw([3, 4]), 1, 2)
+        assert c.rounds[1].submissions == {}
+        with pytest.raises(NothingToValidate):
+            c.validate_round(1)
 
     def test_banned_client_rejected(self):
         c = registered(clients=[(C[0], 5)])

@@ -189,8 +189,8 @@ class TestShapley:
             frozenset({IDS[0], IDS[1]}): fx("6"),
         }
         attribution = shapley_exact(IDS[:2], table.__getitem__)
-        assert attribution.values[IDS[0]].to_decimal() == "2"
-        assert attribution.values[IDS[1]].to_decimal() == "4"
+        assert attribution[IDS[0]].to_decimal() == "2"
+        assert attribution[IDS[1]].to_decimal() == "4"
 
     def test_additive_game_returns_weights(self):
         weights = {IDS[0]: fx("1.5"), IDS[1]: fx("-0.25"), IDS[2]: fx("3")}
@@ -203,16 +203,16 @@ class TestShapley:
 
         attribution = shapley_exact(IDS[:3], v)
         for cid, expected in weights.items():
-            assert abs(attribution.values[cid].raw - expected.raw) <= 4
+            assert abs(attribution[cid].raw - expected.raw) <= 4
 
     def test_dummy_player_gets_zero(self):
         def v(subset):
             return fx("5") if IDS[0] in subset else fx("0")
 
         attribution = shapley_exact(IDS[:3], v)
-        assert attribution.values[IDS[0]].to_decimal() == "5"
-        assert abs(attribution.values[IDS[1]].raw) <= 4
-        assert abs(attribution.values[IDS[2]].raw) <= 4
+        assert attribution[IDS[0]].to_decimal() == "5"
+        assert abs(attribution[IDS[1]].raw) <= 4
+        assert abs(attribution[IDS[2]].raw) <= 4
 
     def test_too_many_clients(self):
         with pytest.raises(TooManyClients):
@@ -232,7 +232,7 @@ class TestShapley:
             attribution = shapley_exact(ids, table.__getitem__)
             oracle = shapley_permutation_oracle(ids, table.__getitem__)
             for cid in ids:
-                assert abs(attribution.values[cid].to_float() - oracle[cid]) <= 4 * n / SCALE
+                assert abs(attribution[cid].to_float() - oracle[cid]) <= 4 * n / SCALE
 
     def test_efficiency_on_random_games(self):
         rng = np.random.default_rng(29)
@@ -246,7 +246,7 @@ class TestShapley:
             }
             table[frozenset()] = Fixed(0)
             attribution = shapley_exact(ids, table.__getitem__)
-            total = sum(v.raw for v in attribution.values.values())
+            total = sum(v.raw for v in attribution.values())
             grand = table[frozenset(ids)].raw
             assert abs(total - grand) <= 4 * n
 
@@ -260,7 +260,7 @@ class TestShapley:
         attribution = shapley_exact(
             list(submissions), make_alignment_characteristic(submissions, n_map)
         )
-        assert abs(attribution.values[IDS[0]].raw - attribution.values[IDS[1]].raw) <= 4
+        assert abs(attribution[IDS[0]].raw - attribution[IDS[1]].raw) <= 4
 
 
 class TestCoalitionValue:
@@ -289,7 +289,7 @@ class TestCoalitionValue:
             list(submissions), make_alignment_characteristic(submissions, n_map)
         )
         expected = dot(g, g).raw / 3
-        for value in attribution.values.values():
+        for value in attribution.values():
             assert abs(value.raw - expected) <= 4
 
 
@@ -297,7 +297,7 @@ def _per_coalition(submissions, n_map):
     """Outcome of the per-coalition definition: phi, or the exception type."""
     try:
         return shapley_exact(
-            list(submissions), make_alignment_characteristic(submissions, n_map), "alignment"
+            list(submissions), make_alignment_characteristic(submissions, n_map)
         )
     except OverflowError as err:
         return type(err)
@@ -371,7 +371,7 @@ class TestShapleyAlignment:
 
     def test_no_clients(self):
         assert alignment_coalition_values({}, {}) == [0]
-        assert shapley_alignment({}, {}).values == {}
+        assert shapley_alignment({}, {}) == {}
 
     def test_too_many_clients(self):
         ids = [bytes([i]) * 20 for i in range(13)]
@@ -410,7 +410,7 @@ def test_scenario_computes_shapley_once_per_round(monkeypatch):
         state = rounds[r]
         submissions = {cid: state.submissions[cid] for cid in state.accepted}
         n_map = {cid: result.coordinator.clients[cid].n_samples for cid in state.accepted}
-        assert state.phi == _per_coalition(submissions, n_map).values
+        assert state.phi == _per_coalition(submissions, n_map)
         logged = {rec["client"]: rec["phi"] for rec in result.attribution if rec["round"] == r}
         assert logged == {"0x" + cid.hex(): phi.to_decimal() for cid, phi in state.phi.items()}
         if all(rec["multiplier"] == "1" for rec in result.attribution if rec["round"] == r):

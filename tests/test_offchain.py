@@ -1,4 +1,6 @@
 """Content store, canonical serialization, and checkpoint integrity."""
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -75,8 +77,9 @@ class TestContentStore:
 
     def test_idempotent_append_only(self):
         store = ContentStore()
-        assert store.put(b"x") == store.put(b"x")
-        assert len(store) == 1
+        cid = store.put(b"x")
+        assert store.put(b"x") == cid
+        assert store.cids() == [cid]
 
 
 class TestCheckpoints:
@@ -87,8 +90,7 @@ class TestCheckpoints:
 
     def test_round_trip_verifies(self):
         store, cp = self.make()
-        assert verify_checkpoint(cp, store).ok
-        assert verify_checkpoint(cp, store, onchain_hash=cp.integrity_hash).ok
+        assert verify_checkpoint(cp, store) is None
 
     def test_cid_equals_hash_of_blob(self):
         store, cp = self.make()
@@ -106,23 +108,17 @@ class TestCheckpoints:
         store, cp = self.make()
         blob = bytearray(store.get(cp.cid))
         blob[25] ^= 0x01
-        store._blobs[cp.cid] = bytes(blob)
-        verdict = verify_checkpoint(cp, store)
-        assert not verdict.ok
-        assert verdict.reason == "CidMismatch"
+        assert verify_checkpoint(cp, ContentStore({cp.cid: bytes(blob)})) == "CidMismatch"
 
     def test_missing_blob_detected(self):
-        store, cp = self.make()
-        del store._blobs[cp.cid]
-        verdict = verify_checkpoint(cp, store)
-        assert not verdict.ok
-        assert verdict.reason == "NotFound"
+        _, cp = self.make()
+        other = ContentStore({keccak256(b"other"): b"other"})
+        assert verify_checkpoint(cp, other) == "NotFound"
 
     def test_onchain_hash_mismatch_detected(self):
         store, cp = self.make()
-        verdict = verify_checkpoint(cp, store, onchain_hash=b"\xff" * 32)
-        assert not verdict.ok
-        assert verdict.reason == "HashMismatch"
+        forged = replace(cp, integrity_hash=b"\xff" * 32)
+        assert verify_checkpoint(forged, store) == "HashMismatch"
 
 
 class TestCanonicalJson:

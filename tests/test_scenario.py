@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from fedchain import incentives
 from fedchain import ledger as ledger_module
 from fedchain import scenario as scenario_module
 from fedchain.errors import ConfigError, MissingRun
@@ -19,6 +20,7 @@ from fedchain.scenario import (
     load_run_dir,
     parse_config,
     run_scenario,
+    scores_from_ledger,
     write_run,
     LEDGER_FILE,
     REPORT_FILE,
@@ -98,6 +100,25 @@ class TestConfigValidation:
 
     def test_run_id_depends_on_seed(self):
         assert parse_config(base_doc()).run_id() != parse_config(base_doc(seed=43)).run_id()
+
+    @pytest.mark.parametrize(
+        "dataset_edit",
+        [
+            {"behaviors": ["honest", {"kind": "scaler", "c": 2.5}, "honest"]},
+            {"behaviors": ["honest", {"kind": "scaler", "c": True}, "honest"]},
+            {"behaviors": ["honest", {"kind": "dropout", "q": True}, "honest"]},
+            {"seed": True},
+            {"lr": True},
+            {"noise": True},
+            {"samples_per_client": [True, 30, 30]},
+        ],
+        ids=["float_c", "bool_c", "bool_q", "bool_seed", "bool_lr", "bool_noise", "bool_samples"],
+    )
+    def test_non_integer_and_bool_values_rejected(self, dataset_edit):
+        doc = json.loads((CONFIGS / "baseline.json").read_text())
+        doc["dataset"].update(dataset_edit)
+        with pytest.raises(ConfigError):
+            parse_config(doc)
 
 
 class TestRun:
@@ -249,6 +270,15 @@ class TestArtifacts:
         assert len(calls) == 1  # the report's one parse, no rescan per checkpoint
         assert [c["verdict"] for c in result.report["checkpoints"]] == ["ok", "ok"]
 
+    def test_report_sums_match_the_cumulative_oracle(self):
+        config = load_config(CONFIGS / "adversary.json")
+        result = run_scenario(config)
+        oracle = incentives.cumulative_scores(scores_from_ledger(result.ledger_doc), config.rounds)
+        assert result.report["final_cumulative"] == {
+            "0x" + cid.hex(): value.to_decimal() for cid, value in sorted(oracle.items())
+        }
+        assert [c["verdict"] for c in result.report["checkpoints"]] == ["ok", "ok"]
+
     def test_report_rebuilds_byte_identically_from_ledger(self, run_dir):
         path, _ = run_dir
         stored = (path / REPORT_FILE).read_bytes()
@@ -324,6 +354,7 @@ class TestAudit:
         verdicts = audit(run_dir)
         assert not verdicts[0]["ok"]
         assert [c["verdict"] for c in verdicts[0]["checkpoints"]] == ["ContentMismatch"] * 2
+        assert build_report(*load_run_dir(run_dir))["final_cumulative"] == {}
 
     def test_altered_score_is_content_mismatch(self, run_dir):
         def raise_first_score(doc):
