@@ -12,10 +12,24 @@ implementation overview*: a local is much cheaper to read and write than a
 list slot, and the rho rotation offsets and pi positions become constants in
 the source. It is pure Python because ``hashlib.sha3_256`` pads with the NIST
 domain byte, so it cannot compute this digest.
+
+``keccak256_many`` hashes a batch of independent messages at once, the
+multi-instance form that overview describes for SIMD: the permutation runs on
+a (25, k) uint64 array, one column per message, so each numpy operation acts
+on one lane of every message. Messages are sorted by padded block count,
+longest first, and packed into one flat buffer; block ``b`` is absorbed by
+the prefix of the batch that still has a block ``b``. A batched step costs
+about two to three scalar permutations whether it holds one message or a
+dozen, so once fewer than ``_SCALAR_TAIL`` messages are still absorbing,
+each finishes on the scalar permutation from its current lanes. Its digests
+equal ``keccak256`` on each message.
 """
 from __future__ import annotations
 
 import struct
+from typing import Sequence
+
+import numpy as np
 
 _MASK = (1 << 64) - 1
 _RATE = 136  # bytes
@@ -145,16 +159,104 @@ def _permute(lanes: list[int]) -> list[int]:
     ]
 
 
-def keccak256(data: bytes) -> bytes:
-    """32-byte Keccak-256 digest of ``data``."""
-    padlen = _RATE - len(data) % _RATE
+def _padding(length: int) -> bytes:
+    """Multi-rate padding (domain byte 0x01) for a message of ``length`` bytes."""
+    padlen = _RATE - length % _RATE
     if padlen == 1:
-        padded = data + b"\x81"
-    else:
-        padded = data + b"\x01" + b"\x00" * (padlen - 2) + b"\x80"
-    lanes = [0] * 25
-    for offset in range(0, len(padded), _RATE):
+        return b"\x81"
+    return b"\x01" + b"\x00" * (padlen - 2) + b"\x80"
+
+
+def _absorb(lanes: list[int], padded: bytes, start: int, end: int) -> bytes:
+    """Absorb the rate blocks of ``padded[start:end]`` into ``lanes`` and
+    return the digest."""
+    for offset in range(start, end, _RATE):
         for i, word in enumerate(_BLOCK.unpack_from(padded, offset)):
             lanes[i] ^= word
         lanes = _permute(lanes)
     return _DIGEST.pack(*lanes[:4])
+
+
+def keccak256(data: bytes) -> bytes:
+    """32-byte Keccak-256 digest of ``data``."""
+    padded = data + _padding(len(data))
+    return _absorb([0] * 25, padded, 0, len(padded))
+
+
+# -- many messages at once ---------------------------------------------------------
+
+# Below this many messages still absorbing, each finishes on the scalar
+# permutation: a batched step on 1 to 12 messages costs 2.1 to 2.6 scalar
+# permutations, so batching pays from three messages on.
+_SCALAR_TAIL = 3
+
+_WORDS = _RATE // 8
+_ROUND_CONSTANTS_NP = np.array(_ROUND_CONSTANTS, dtype=np.uint64)
+# lane i = x + 5*y; theta mixes column x with columns x - 1 and x + 1
+_LEFT = np.array([4, 0, 1, 2, 3])
+_RIGHT = np.array([1, 2, 3, 4, 0])
+_RHO = np.array(
+    [0, 1, 62, 28, 27, 36, 44, 6, 55, 20, 3, 10, 43, 25, 39,
+     41, 45, 15, 21, 8, 18, 2, 61, 56, 14],
+    dtype=np.uint64,
+)[:, None]
+_RHO_BACK = (np.uint64(64) - _RHO) % np.uint64(64)
+# pi moves lane (x, y) to (y, 2x + 3y); _PI[x + 5*y] is the lane that lands there
+_PI = np.array([(3 * (y - 3 * x)) % 5 + 5 * x for y in range(5) for x in range(5)])
+# chi: lane (x, y) ^= ~(x + 1, y) & (x + 2, y), read through pi
+_CHI_NEXT = _PI[[(x + 1) % 5 + 5 * y for y in range(5) for x in range(5)]]
+_CHI_AFTER = _PI[[(x + 2) % 5 + 5 * y for y in range(5) for x in range(5)]]
+
+
+def _permute_many(state: np.ndarray) -> np.ndarray:
+    """Keccak-f[1600] on each column of a (25, k) uint64 lane array."""
+    for rc in _ROUND_CONSTANTS_NP:
+        # theta
+        parity = state[0:5] ^ state[5:10]
+        parity ^= state[10:15]
+        parity ^= state[15:20]
+        parity ^= state[20:25]
+        right = parity[_RIGHT]
+        mix = parity[_LEFT] ^ ((right << np.uint64(1)) | (right >> np.uint64(63)))
+        state = (state.reshape(5, 5, -1) ^ mix).reshape(25, -1)
+        # rho, then pi and chi read together through _PI
+        rotated = (state << _RHO) | (state >> _RHO_BACK)
+        state = rotated[_PI] ^ (~rotated[_CHI_NEXT] & rotated[_CHI_AFTER])
+        # iota
+        state[0] ^= rc
+    return state
+
+
+def keccak256_many(messages: Sequence[bytes]) -> list[bytes]:
+    """Keccak-256 digest of each message, equal to ``keccak256`` on each."""
+    n = len(messages)
+    order = sorted(range(n), key=lambda i: len(messages[i]), reverse=True)
+    # one flat buffer of every padded message, longest first
+    padded = b"".join(
+        part for i in order for part in (messages[i], _padding(len(messages[i])))
+    )
+    words = np.frombuffer(padded, dtype="<u8").astype(np.uint64, copy=False)
+    blocks = [len(messages[i]) // _RATE + 1 for i in order]
+    starts = np.cumsum([0] + blocks[:-1], dtype=np.intp) * _WORDS
+
+    state = np.zeros((25, n), dtype=np.uint64)
+    active, step = n, 0
+    while active >= _SCALAR_TAIL:
+        lanes = words[starts[:active] + step * _WORDS + np.arange(_WORDS)[:, None]]
+        state[:_WORDS, :active] ^= lanes
+        state[:, :active] = _permute_many(state[:, :active])
+        step += 1
+        while active and blocks[active - 1] == step:
+            active -= 1
+
+    digests = state[:4].T.astype("<u8").tobytes()
+    out: list[bytes] = [b""] * n
+    for rank, i in enumerate(order):
+        if rank < active:
+            begin = int(starts[rank]) * 8
+            out[i] = _absorb(
+                state[:, rank].tolist(), padded, begin + step * _RATE, begin + blocks[rank] * _RATE
+            )
+        else:
+            out[i] = digests[32 * rank:32 * rank + 32]
+    return out

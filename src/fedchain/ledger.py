@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import NonceError, SimulationError, UnknownSender
-from .keccak import keccak256
+from .keccak import keccak256, keccak256_many
 from .numerics import GradientVector
 from .offchain import canonical_json_bytes, vector_commit
 
@@ -68,7 +68,7 @@ class GasModel:
 
     def __post_init__(self) -> None:
         for name, value in self.__dict__.items():
-            if not isinstance(value, int) or value < 0:
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                 raise ValueError(f"gas coefficient {name} must be a non-negative int")
 
     def coefficients(self, op_class: str) -> tuple[int, int]:
@@ -123,10 +123,12 @@ class Transaction:
     def from_dict(cls, doc: dict) -> "Transaction":
         return cls(bytes.fromhex(doc["sender"][2:]), doc["op"], doc["args"], doc["nonce"])
 
+    def hash_preimage(self) -> bytes:
+        return canonical_json_bytes({**self.to_dict(), "args": self.digest_args()})
+
     def tx_hash(self) -> bytes:
         if self._hash_cache is None:
-            doc = {**self.to_dict(), "args": self.digest_args()}
-            object.__setattr__(self, "_hash_cache", keccak256(canonical_json_bytes(doc)))
+            object.__setattr__(self, "_hash_cache", keccak256(self.hash_preimage()))
         return self._hash_cache
 
 
@@ -179,9 +181,12 @@ class Block:
             "state_root": self.state_root.hex(),
         }
 
+    def hash_preimage(self) -> bytes:
+        return canonical_json_bytes(self._header())
+
     def block_hash(self) -> bytes:
         if self._hash_cache is None:
-            object.__setattr__(self, "_hash_cache", keccak256(canonical_json_bytes(self._header())))
+            object.__setattr__(self, "_hash_cache", keccak256(self.hash_preimage()))
         return self._hash_cache
 
     def to_dict(self) -> dict:
@@ -306,34 +311,63 @@ def verify_chain(chain: dict, rounds: int) -> Optional[str]:
     The chain must hold genesis, the registration block, then one block per
     round, each with one tx list and one receipt list. Every height, parent
     link, header hash, tx hash and receipts root is recomputed; the first
-    fault found is returned as a message.
+    fault found, in block order, is returned as a message. A header, tx or
+    receipt list that cannot be read is ``malformed``.
     """
     blocks, txs, receipts = chain["blocks"], chain["txs"], chain["receipts"]
     if not len(blocks) == len(txs) == len(receipts):
         return f"{len(blocks)} blocks, {len(txs)} tx lists, {len(receipts)} receipt lists"
     if len(blocks) != rounds + 2:
         return f"{len(blocks)} blocks for {rounds} rounds, expected {rounds + 2}"
+    checks, fault = _hash_checks(blocks, txs, receipts)
+    digests = iter(keccak256_many([m for _, preimages, _ in checks for m in preimages]))
+    for message, preimages, expected in checks:
+        if [next(digests).hex() for _ in preimages] != expected:
+            return message
+    return fault
+
+
+def _hash_checks(blocks, txs, receipts) -> tuple[list, Optional[str]]:
+    """The hash comparisons ``verify_chain`` makes, in its order, each as
+    (message, preimages, expected hex digests); and the first fault that
+    needs no hash (a bad height or parent link, or a malformed part), where
+    building them stops, or None."""
+    checks = []
     parent = GENESIS_PARENT.hex()
     for i, (header, block_txs, block_receipts) in enumerate(zip(blocks, txs, receipts)):
-        if header["height"] != i:
-            return f"block {i}: bad height {header['height']}"
-        if header["parent_hash"] != parent:
-            return f"block {i}: broken parent link"
-        rebuilt = Block(
-            height=i,
-            parent_hash=bytes.fromhex(header["parent_hash"]),
-            tx_hashes=tuple(bytes.fromhex(h) for h in header["tx_hashes"]),
-            receipts_root=bytes.fromhex(header["receipts_root"]),
-            state_root=bytes.fromhex(header["state_root"]),
-        )
-        if rebuilt.block_hash().hex() != header["hash"]:
-            return f"block {i}: header hash mismatch"
-        if [Transaction.from_dict(t).tx_hash().hex() for t in block_txs] != header["tx_hashes"]:
-            return f"block {i}: tx hashes do not match transactions"
-        if receipts_root(block_receipts).hex() != header["receipts_root"]:
-            return f"block {i}: receipts root mismatch"
-        parent = header["hash"]
-    return None
+        try:
+            if header["height"] != i:
+                return checks, f"block {i}: bad height {header['height']}"
+            if header["parent_hash"] != parent:
+                return checks, f"block {i}: broken parent link"
+            rebuilt = Block(
+                height=i,
+                parent_hash=bytes.fromhex(header["parent_hash"]),
+                tx_hashes=tuple(bytes.fromhex(h) for h in header["tx_hashes"]),
+                receipts_root=bytes.fromhex(header["receipts_root"]),
+                state_root=bytes.fromhex(header["state_root"]),
+            )
+            parent = header["hash"]
+        except (KeyError, TypeError, ValueError):
+            return checks, f"block {i}: malformed header"
+        checks.append((f"block {i}: header hash mismatch", [rebuilt.hash_preimage()], [parent]))
+        tx_preimages = []
+        for j, tx in enumerate(block_txs):
+            try:
+                tx_preimages.append(Transaction.from_dict(tx).hash_preimage())
+            except (KeyError, TypeError, ValueError, OverflowError):
+                return checks, f"block {i}: malformed tx {j}"
+        checks.append((
+            f"block {i}: tx hashes do not match transactions", tx_preimages, header["tx_hashes"],
+        ))
+        try:
+            receipts_preimage = canonical_json_bytes(block_receipts)
+        except (TypeError, ValueError):
+            return checks, f"block {i}: malformed receipts"
+        checks.append((
+            f"block {i}: receipts root mismatch", [receipts_preimage], [header["receipts_root"]],
+        ))
+    return checks, None
 
 
 def gas_csv_text(rows: dict[int, dict[str, int]]) -> str:

@@ -2,9 +2,11 @@
 import hashlib
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from keccak_reference import ABC_DIGEST, EMPTY_DIGEST, keccak256_reference
 
-from fedchain.keccak import keccak256
+from fedchain.keccak import keccak256, keccak256_many
 
 
 def test_reference_is_pinned_by_known_vectors():
@@ -45,3 +47,40 @@ def test_collision_smoke():
         digest = keccak256(rng.randbytes(16))
         assert digest not in seen
         seen.add(digest)
+
+
+def boundary_message(n: int) -> bytes:
+    return (bytes(range(256)) * (n // 256 + 1))[:n]
+
+
+class TestKeccakMany:
+    def test_block_boundary_lengths_in_one_shuffled_batch(self):
+        messages = [boundary_message(n) for n in range(410)]
+        random.Random(7).shuffle(messages)
+        assert keccak256_many(messages) == [keccak256_reference(m) for m in messages]
+
+    def test_empty_batch(self):
+        assert keccak256_many([]) == []
+
+    def test_batch_of_one(self):
+        assert keccak256_many([b"abc"]) == [bytes.fromhex(ABC_DIGEST)]
+
+    def test_duplicate_messages(self):
+        messages = [b"", b"abc", b"", b"x" * 300, b"abc", b"x" * 300] * 3
+        assert keccak256_many(messages) == [keccak256_reference(m) for m in messages]
+
+    def test_one_byte_pad_lengths(self):
+        # 135 and 271 pad with the single byte 0x81; 136 and 272 add a whole block
+        messages = [boundary_message(n) for n in (135, 136, 271, 272)] * 3
+        assert keccak256_many(messages) == [keccak256_reference(m) for m in messages]
+
+    def test_long_message_finishes_on_scalar_tail(self):
+        rng = random.Random(40)
+        messages = [rng.randbytes(rng.randrange(0, 136)) for _ in range(30)]
+        messages.insert(11, rng.randbytes(40 * 136 - 1))  # 40 blocks, alone after block 1
+        assert keccak256_many(messages) == [keccak256_reference(m) for m in messages]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.binary(max_size=700), max_size=24))
+    def test_equals_scalar_keccak(self, messages):
+        assert keccak256_many(messages) == [keccak256(m) for m in messages]

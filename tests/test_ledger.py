@@ -70,6 +70,10 @@ class TestGasModel:
         with pytest.raises(ValueError):
             GasModel(submit_base=-1)
 
+    def test_bool_coefficients_rejected(self):
+        with pytest.raises(ValueError):
+            GasModel(system_cost=True)
+
     def test_param_count_must_be_nonnegative(self):
         with pytest.raises(ValueError):
             GasModel().charge("submit", -1)
@@ -216,6 +220,28 @@ class TestChain:
         chain = self.run_small_chain().chain_document()
         chain["blocks"][1]["height"] = 2
         assert verify_chain(chain, rounds=1) == "block 1: bad height 2"
+
+    @pytest.mark.parametrize("break_later_block", [
+        lambda chain: chain["blocks"][2].update(hash="00" * 32),
+        lambda chain: chain["blocks"][2].update(state_root="not hex"),
+    ], ids=["header_hash", "malformed_header"])
+    def test_first_fault_in_block_order_wins(self, break_later_block):
+        ledger = self.run_small_chain()
+        ledger.block_receipts[1][0].gas_used += 1
+        chain = ledger.chain_document()
+        break_later_block(chain)
+        assert verify_chain(chain, rounds=1) == "block 1: receipts root mismatch"
+
+    def test_header_hash_checked_before_malformed_tx(self):
+        chain = self.run_small_chain().chain_document()
+        chain["blocks"][1]["state_root"] = "00" * 32
+        del chain["txs"][1][2]["nonce"]
+        assert verify_chain(chain, rounds=1) == "block 1: header hash mismatch"
+
+    def test_unserializable_receipts_are_malformed(self):
+        chain = self.run_small_chain().chain_document()
+        chain["receipts"][1][0]["gas_used"] = b"\x01"
+        assert verify_chain(chain, rounds=1) == "block 1: malformed receipts"
 
     def test_replay_is_bit_identical(self):
         hashes_a = [b.block_hash() for b in self.run_small_chain().blocks]

@@ -98,6 +98,10 @@ class TestConfigValidation:
         assert config.dataset.behaviors[1].scale == 50
         assert config.dataset.behaviors[2].dropout_q == 0.25
 
+    def test_bool_gas_coefficient_rejected(self):
+        with pytest.raises(ConfigError, match="gas"):
+            parse_config(base_doc(gas={"system_cost": True}))
+
     def test_run_id_depends_on_seed(self):
         assert parse_config(base_doc()).run_id() != parse_config(base_doc(seed=43)).run_id()
 
@@ -405,6 +409,30 @@ class TestAudit:
         assert not verdict["ok"]
         assert verdict["chain"].startswith("config hashes to run id ")
         assert verdict["chain"].endswith(", not 6b3fabba4b9f")
+
+    def test_non_hex_header_hash_is_malformed(self, run_dir):
+        rewrite_ledger(run_dir, lambda doc: doc["blocks"][3].update(state_root="zz" * 32))
+        verdict = audit(run_dir)[0]
+        assert not verdict["ok"]
+        assert verdict["chain"] == "block 3: malformed header"
+
+    def test_tx_missing_nonce_is_malformed(self, run_dir):
+        rewrite_ledger(run_dir, lambda doc: doc["txs"][3][1].pop("nonce"))
+        verdict = audit(run_dir)[0]
+        assert not verdict["ok"]
+        assert verdict["chain"] == "block 3: malformed tx 1"
+
+    @pytest.mark.parametrize("component", ["x", None, 10**40], ids=["string", "none", "beyond_raw_limit"])
+    def test_bad_update_component_is_malformed(self, run_dir, component):
+        def spoil_update(doc):
+            tx = doc["txs"][4][2]
+            assert tx["op"] == "submit_update"
+            tx["args"]["components"][-1] = component
+
+        rewrite_ledger(run_dir, spoil_update)
+        verdict = audit(run_dir)[0]
+        assert not verdict["ok"]
+        assert verdict["chain"] == "block 4: malformed tx 2"
 
     def test_run_id_is_the_recorded_config_digest(self, run_dir):
         ledger_doc, _ = load_run_dir(run_dir)
