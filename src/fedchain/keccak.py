@@ -18,11 +18,8 @@ multi-instance form that overview describes for SIMD: the permutation runs on
 a (25, k) uint64 array, one column per message, so each numpy operation acts
 on one lane of every message. Messages are sorted by padded block count,
 longest first, and packed into one flat buffer; block ``b`` is absorbed by
-the prefix of the batch that still has a block ``b``. A batched step costs
-about two to three scalar permutations whether it holds one message or a
-dozen, so once fewer than ``_SCALAR_TAIL`` messages are still absorbing,
-each finishes on the scalar permutation from its current lanes. Its digests
-equal ``keccak256`` on each message.
+the prefix of the batch that still has a block ``b``. Its digests equal
+``keccak256`` on each message.
 """
 from __future__ import annotations
 
@@ -167,28 +164,18 @@ def _padding(length: int) -> bytes:
     return b"\x01" + b"\x00" * (padlen - 2) + b"\x80"
 
 
-def _absorb(lanes: list[int], padded: bytes, start: int, end: int) -> bytes:
-    """Absorb the rate blocks of ``padded[start:end]`` into ``lanes`` and
-    return the digest."""
-    for offset in range(start, end, _RATE):
+def keccak256(data: bytes) -> bytes:
+    """32-byte Keccak-256 digest of ``data``."""
+    padded = data + _padding(len(data))
+    lanes = [0] * 25
+    for offset in range(0, len(padded), _RATE):
         for i, word in enumerate(_BLOCK.unpack_from(padded, offset)):
             lanes[i] ^= word
         lanes = _permute(lanes)
     return _DIGEST.pack(*lanes[:4])
 
 
-def keccak256(data: bytes) -> bytes:
-    """32-byte Keccak-256 digest of ``data``."""
-    padded = data + _padding(len(data))
-    return _absorb([0] * 25, padded, 0, len(padded))
-
-
 # -- many messages at once ---------------------------------------------------------
-
-# Below this many messages still absorbing, each finishes on the scalar
-# permutation: a batched step on 1 to 12 messages costs 2.1 to 2.6 scalar
-# permutations, so batching pays from three messages on.
-_SCALAR_TAIL = 3
 
 _WORDS = _RATE // 8
 _ROUND_CONSTANTS_NP = np.array(_ROUND_CONSTANTS, dtype=np.uint64)
@@ -241,7 +228,7 @@ def keccak256_many(messages: Sequence[bytes]) -> list[bytes]:
 
     state = np.zeros((25, n), dtype=np.uint64)
     active, step = n, 0
-    while active >= _SCALAR_TAIL:
+    while active:
         lanes = words[starts[:active] + step * _WORDS + np.arange(_WORDS)[:, None]]
         state[:_WORDS, :active] ^= lanes
         state[:, :active] = _permute_many(state[:, :active])
@@ -252,11 +239,5 @@ def keccak256_many(messages: Sequence[bytes]) -> list[bytes]:
     digests = state[:4].T.astype("<u8").tobytes()
     out: list[bytes] = [b""] * n
     for rank, i in enumerate(order):
-        if rank < active:
-            begin = int(starts[rank]) * 8
-            out[i] = _absorb(
-                state[:, rank].tolist(), padded, begin + step * _RATE, begin + blocks[rank] * _RATE
-            )
-        else:
-            out[i] = digests[32 * rank:32 * rank + 32]
+        out[i] = digests[32 * rank:32 * rank + 32]
     return out

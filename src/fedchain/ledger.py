@@ -193,9 +193,15 @@ class Block:
         return {**self._header(), "hash": self.block_hash().hex()}
 
 
+def receipts_preimage(receipt_docs: list[dict]) -> bytes:
+    """The bytes ``receipts_root`` hashes: a block's receipts in their
+    ``Receipt.to_dict`` form."""
+    return canonical_json_bytes(receipt_docs)
+
+
 def receipts_root(receipt_docs: list[dict]) -> bytes:
     """Keccak-256 of a block's receipts in their ``Receipt.to_dict`` form."""
-    return keccak256(canonical_json_bytes(receipt_docs))
+    return keccak256(receipts_preimage(receipt_docs))
 
 
 class Ledger:
@@ -311,8 +317,8 @@ def verify_chain(chain: dict, rounds: int) -> Optional[str]:
     The chain must hold genesis, the registration block, then one block per
     round, each with one tx list and one receipt list. Every height, parent
     link, header hash, tx hash and receipts root is recomputed; the first
-    fault found, in block order, is returned as a message. A header, tx or
-    receipt list that cannot be read is ``malformed``.
+    fault found, in block order, is returned as a message. A header, tx list,
+    tx or receipt list that cannot be read is ``malformed``.
     """
     blocks, txs, receipts = chain["blocks"], chain["txs"], chain["receipts"]
     if not len(blocks) == len(txs) == len(receipts):
@@ -351,21 +357,25 @@ def _hash_checks(blocks, txs, receipts) -> tuple[list, Optional[str]]:
         except (KeyError, TypeError, ValueError):
             return checks, f"block {i}: malformed header"
         checks.append((f"block {i}: header hash mismatch", [rebuilt.hash_preimage()], [parent]))
+        try:
+            tx_docs = iter(block_txs)
+        except TypeError:
+            return checks, f"block {i}: malformed tx list"
         tx_preimages = []
-        for j, tx in enumerate(block_txs):
+        for j, tx in enumerate(tx_docs):
             try:
                 tx_preimages.append(Transaction.from_dict(tx).hash_preimage())
-            except (KeyError, TypeError, ValueError, OverflowError):
+            except (KeyError, TypeError, ValueError, OverflowError, SimulationError):
                 return checks, f"block {i}: malformed tx {j}"
         checks.append((
             f"block {i}: tx hashes do not match transactions", tx_preimages, header["tx_hashes"],
         ))
         try:
-            receipts_preimage = canonical_json_bytes(block_receipts)
+            preimage = receipts_preimage(block_receipts)
         except (TypeError, ValueError):
             return checks, f"block {i}: malformed receipts"
         checks.append((
-            f"block {i}: receipts root mismatch", [receipts_preimage], [header["receipts_root"]],
+            f"block {i}: receipts root mismatch", [preimage], [header["receipts_root"]],
         ))
     return checks, None
 

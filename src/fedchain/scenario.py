@@ -684,7 +684,7 @@ def audit_run(run_dir) -> dict:
         chain_error = verify_chain(ledger_doc, ledger_doc["config"]["rounds"])
     try:
         report = build_report(ledger_doc, store)
-    except (SimulationError, ValueError, LookupError):
+    except (SimulationError, ValueError, LookupError, TypeError):
         report = None
     checkpoints = [] if report is None else [
         {"round": c["round"], "verdict": c["verdict"]} for c in report["checkpoints"]

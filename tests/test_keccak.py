@@ -74,7 +74,7 @@ class TestKeccakMany:
         messages = [boundary_message(n) for n in (135, 136, 271, 272)] * 3
         assert keccak256_many(messages) == [keccak256_reference(m) for m in messages]
 
-    def test_long_message_finishes_on_scalar_tail(self):
+    def test_long_message_absorbs_alone_after_the_rest(self):
         rng = random.Random(40)
         messages = [rng.randbytes(rng.randrange(0, 136)) for _ in range(30)]
         messages.insert(11, rng.randbytes(40 * 136 - 1))  # 40 blocks, alone after block 1

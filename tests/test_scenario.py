@@ -422,6 +422,31 @@ class TestAudit:
         assert not verdict["ok"]
         assert verdict["chain"] == "block 3: malformed tx 1"
 
+    def test_null_tx_list_is_malformed(self, run_dir):
+        rewrite_ledger(run_dir, lambda doc: doc["txs"].__setitem__(3, None))
+        verdict = audit(run_dir)[0]
+        assert not verdict["ok"]
+        assert verdict["chain"] == "block 3: malformed tx list"
+
+    def test_string_receipt_height_fails_the_audit(self, run_dir):
+        rewrite_ledger(run_dir, lambda doc: doc["receipts"][3][0].update(block_height="3"))
+        verdict = audit(run_dir)[0]
+        assert not verdict["ok"]
+        assert verdict["chain"] == "block 3: receipts root mismatch"
+        assert verdict["checkpoints"] == []
+
+    @pytest.mark.parametrize("components", [[], {}, ""], ids=["list", "dict", "string"])
+    def test_empty_update_components_are_malformed(self, run_dir, components):
+        def empty_update(doc):
+            tx = doc["txs"][4][2]
+            assert tx["op"] == "submit_update"
+            tx["args"]["components"] = components
+
+        rewrite_ledger(run_dir, empty_update)
+        verdict = audit(run_dir)[0]
+        assert not verdict["ok"]
+        assert verdict["chain"] == "block 4: malformed tx 2"
+
     @pytest.mark.parametrize("component", ["x", None, 10**40], ids=["string", "none", "beyond_raw_limit"])
     def test_bad_update_component_is_malformed(self, run_dir, component):
         def spoil_update(doc):
