@@ -1,4 +1,4 @@
-"""Measure per-operation gas across model sizes and print the cost table.
+"""Compute per-operation gas across model sizes and print the cost table.
 
 Registration and reward distribution are parameter-independent; submission,
 aggregation, and validation grow affinely with the parameter count, which is
@@ -24,7 +24,7 @@ CONFIG = {
 
 def main():
     sizes = [10, 100, 1_000, 10_000]
-    print(f"measuring gas for one client, one round, sizes {sizes} ...\n")
+    print(f"computing gas from the cost model, sizes {sizes} ...\n")
     rows = gas_sweep(parse_config(CONFIG), sizes)
     print(gas_csv_text(rows))
 

@@ -5,11 +5,7 @@ unique contributor earns alone.
 
 Run: python demos/shapley_attribution.py
 """
-from fedchain.incentives import (
-    coalition_value_alignment,
-    make_alignment_characteristic,
-    shapley_exact,
-)
+from fedchain.incentives import coalition_value_alignment, shapley_alignment
 from fedchain.numerics import GradientVector
 
 CLIENTS = {
@@ -27,7 +23,7 @@ def main():
     aggregate_value = coalition_value_alignment(list(submissions), submissions, n_map)
     print("grand-coalition value (||aggregate||^2):", aggregate_value.to_decimal())
 
-    phi = shapley_exact(list(submissions), make_alignment_characteristic(submissions, n_map))
+    phi = shapley_alignment(submissions, n_map)
     print("\nper-client Shapley values:")
     for cid, value in sorted(phi.items()):
         name = CLIENTS[cid][0]

@@ -6,7 +6,6 @@ FEDCHAIN_LOG environment variable sets log verbosity (DEBUG/INFO/WARNING).
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -23,10 +22,10 @@ def _setup_logging() -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    run_dir = scenario.run(args.config, args.out)
-    report = json.loads((run_dir / scenario.REPORT_FILE).read_text())
-    summary = report["summary"]
-    print(f"run {report['run_id']} complete: {summary['rounds']} rounds, "
+    result = scenario.run_scenario(scenario.load_config(args.config))
+    run_dir = scenario.write_run(result, args.out)
+    summary = result.report["summary"]
+    print(f"run {result.run_id} complete: {summary['rounds']} rounds, "
           f"{summary['clients']} clients, total payout {summary['total_payout']}")
     print(f"artifacts: {run_dir}")
     return 0
@@ -73,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", required=True, help="output base directory")
     p_run.set_defaults(func=_cmd_run)
 
-    p_sweep = sub.add_parser("gas-sweep", help="measure per-class gas across model sizes")
+    p_sweep = sub.add_parser("gas-sweep", help="compute per-class gas across model sizes")
     p_sweep.add_argument("--config", required=True, help="scenario JSON path")
     p_sweep.add_argument("--sizes", required=True, help="comma-separated parameter counts")
     p_sweep.add_argument("--out", help="also write the CSV here")

@@ -2,7 +2,8 @@
 
 Any ``SimulationError`` raised while a contract call executes is turned into
 a reverted receipt by the ledger; errors raised before execution starts
-(nonce, unknown sender, config problems) propagate to the caller.
+(nonce, unknown sender, unhashable args, config problems) propagate to the
+caller.
 """
 
 
@@ -34,6 +35,11 @@ class NonceError(SimulationError):
 
 class UnknownSender(SimulationError):
     """Non-registration call from an address the contract has never seen."""
+
+
+class BadComponent(SimulationError):
+    """Transaction args that cannot be hashed, such as an update component
+    that is no raw fixed-point int in range."""
 
 
 # --- coordinator (contract reverts) ---
@@ -122,3 +128,7 @@ class ConfigError(SimulationError):
 
 class MissingRun(SimulationError):
     pass
+
+
+class UnreadableRun(SimulationError):
+    """A run directory whose ledger or blobs cannot be read."""

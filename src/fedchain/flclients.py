@@ -44,9 +44,7 @@ class SyntheticDataset:
 
     features: np.ndarray
     targets: np.ndarray
-    seed: int
     true_weights: np.ndarray
-    noise_scale: float
 
     @property
     def n_samples(self) -> int:
@@ -77,9 +75,7 @@ class SyntheticDataset:
         return cls(
             features=features,
             targets=targets,
-            seed=seed,
             true_weights=np.asarray(true_weights, dtype=float),
-            noise_scale=noise_scale,
         )
 
 

@@ -109,7 +109,7 @@ def shapley_alignment(
 ) -> dict[bytes, Fixed]:
     """Exact Shapley values under the alignment characteristic, in one pass.
 
-    Bit-identical to ``shapley_exact(ids, make_alignment_characteristic(...))``,
+    Bit-identical to ``shapley_exact`` over ``coalition_value_alignment``,
     including which inputs raise ``OverflowError``, but the coalition values
     come from ``alignment_coalition_values`` instead of one FedAvg per coalition.
     """
@@ -202,17 +202,6 @@ def coalition_value_alignment(
         [submissions[i] for i in members], [n_map[i] for i in members]
     )
     return dot(subset_aggregate, full_aggregate)
-
-
-def make_alignment_characteristic(
-    submissions: Mapping[bytes, GradientVector], n_map: Mapping[bytes, int]
-) -> Callable[[frozenset], Fixed]:
-    """Bind submissions into a coalition-value function for shapley_exact."""
-
-    def v(subset: frozenset) -> Fixed:
-        return coalition_value_alignment(subset, submissions, n_map)
-
-    return v
 
 
 def attribution_record(

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import NonceError, SimulationError, UnknownSender
+from .errors import BadComponent, NonceError, SimulationError, UnknownSender
 from .keccak import keccak256, keccak256_many
 from .numerics import GradientVector
 from .offchain import canonical_json_bytes, vector_commit
@@ -124,7 +124,10 @@ class Transaction:
         return cls(bytes.fromhex(doc["sender"][2:]), doc["op"], doc["args"], doc["nonce"])
 
     def hash_preimage(self) -> bytes:
-        return canonical_json_bytes({**self.to_dict(), "args": self.digest_args()})
+        try:
+            return canonical_json_bytes({**self.to_dict(), "args": self.digest_args()})
+        except (SimulationError, TypeError, ValueError, OverflowError) as err:
+            raise BadComponent(f"{self.op} args cannot be hashed: {err}") from err
 
     def tx_hash(self) -> bytes:
         if self._hash_cache is None:
@@ -245,7 +248,11 @@ class Ledger:
         return self._nonces.get(sender, 0)
 
     def submit_tx(self, tx: Transaction) -> Receipt:
-        """Execute one contract call; order of execution is submission order."""
+        """Execute one contract call; order of execution is submission order.
+
+        A call that fails before execution (unknown sender, wrong nonce, args
+        that cannot be hashed) raises and leaves the ledger unchanged; the
+        sender's nonce advances only when a receipt is recorded."""
         if not self._deployed:
             raise SimulationError("deploy the contract before submitting calls")
         known = (
@@ -258,18 +265,19 @@ class Ledger:
         expected = self.next_nonce(tx.sender)
         if tx.nonce != expected:
             raise NonceError(f"nonce {tx.nonce} != expected {expected}")
-        self._nonces[tx.sender] = expected + 1
+        tx_hash = tx.tx_hash()
 
         gas = self._gas_for(tx)
         height = len(self.blocks)
         try:
             self.coordinator.execute(tx.op, tx.sender, tx.args)
             events = self.coordinator.drain_events()
-            receipt = Receipt(tx.tx_hash(), height, gas, events, "success")
+            receipt = Receipt(tx_hash, height, gas, events, "success")
         except SimulationError as err:
             self.coordinator.drain_events()  # discard anything emitted pre-revert
-            receipt = Receipt(tx.tx_hash(), height, gas, [], "reverted", err.reason)
+            receipt = Receipt(tx_hash, height, gas, [], "reverted", err.reason)
         self._pending.append((tx, receipt))
+        self._nonces[tx.sender] = expected + 1
         return receipt
 
     def _gas_for(self, tx: Transaction) -> int:
@@ -365,7 +373,7 @@ def _hash_checks(blocks, txs, receipts) -> tuple[list, Optional[str]]:
         for j, tx in enumerate(tx_docs):
             try:
                 tx_preimages.append(Transaction.from_dict(tx).hash_preimage())
-            except (KeyError, TypeError, ValueError, OverflowError, SimulationError):
+            except (KeyError, TypeError, ValueError, SimulationError):
                 return checks, f"block {i}: malformed tx {j}"
         checks.append((
             f"block {i}: tx hashes do not match transactions", tx_preimages, header["tx_hashes"],

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .errors import DuplicateClient, WrongRound
+from .errors import DuplicateClient
 from .keccak import keccak256
 from .numerics import Fixed, GradientVector
 
@@ -85,21 +85,14 @@ class FairnessCheckpoint:
 
 
 def publish_checkpoint(
-    store: ContentStore,
-    through_round: int,
-    cumulative: Mapping[bytes, Fixed] | Sequence[tuple[bytes, Fixed]],
-    fairness_interval: int,
+    store: ContentStore, through_round: int, cumulative: Mapping[bytes, Fixed]
 ) -> FairnessCheckpoint:
     """Serialize cumulative scores, store the blob, and hash it for anchoring.
 
-    Only fires on rounds that are a multiple of the fairness interval; the
-    caller records (cid, integrity_hash) on-chain as a system transaction.
+    The caller records (cid, integrity_hash) on-chain as a system transaction;
+    the contract decides which rounds may anchor one.
     """
-    if through_round <= 0 or through_round % fairness_interval != 0:
-        raise WrongRound(
-            f"round {through_round} is not a multiple of interval {fairness_interval}"
-        )
-    entries = sorted(cumulative.items()) if isinstance(cumulative, Mapping) else sorted(cumulative)
+    entries = sorted(cumulative.items())
     blob = canonical_serialize(entries)
     cid = store.put(blob)  # the CID is keccak256(blob), which is also the integrity hash
     return FairnessCheckpoint(

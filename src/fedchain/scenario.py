@@ -10,7 +10,8 @@ from __future__ import annotations
 import gzip
 import json
 import logging
-from dataclasses import dataclass, field, fields, replace
+import zlib
+from dataclasses import dataclass, field, fields
 from operator import add
 from pathlib import Path
 from typing import Optional
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import incentives
 from .coordinator import Coordinator, Phase
-from .errors import ConfigError, MissingRun, SimulationError
+from .errors import ConfigError, MissingRun, SimulationError, UnreadableRun
 from .flclients import (
     STREAM_DROPOUT,
     ClientBehavior,
@@ -32,7 +33,6 @@ from .flclients import (
 )
 from .keccak import keccak256
 from .ledger import (
-    OP_CLASSES,
     SYSTEM_SENDER,
     GasModel,
     Ledger,
@@ -416,9 +416,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
 
         if round_index % config.fairness_interval == 0:
             # the running sums already hold rounds 1..round_index
-            checkpoint = publish_checkpoint(
-                store, round_index, cumulative, config.fairness_interval
-            )
+            checkpoint = publish_checkpoint(store, round_index, cumulative)
             system_tx(
                 "record_checkpoint",
                 {
@@ -617,17 +615,12 @@ def _report_bytes(report: dict) -> bytes:
     return json.dumps(report, sort_keys=True, indent=2).encode() + b"\n"
 
 
-def rewards_csv_text(ledger_doc: dict) -> str:
-    """Per-round, per-client scores and payouts."""
-    payouts_by_round: dict[int, dict[str, int]] = {}
-    for _, _, payload in _doc_events(ledger_doc, "RewardsDistributed"):
-        payouts_by_round[payload["round"]] = dict(payload["payouts"])
+def rewards_csv_text(report: dict) -> str:
+    """Per-round, per-client scores and payouts, as the report holds them."""
     lines = ["round,client,score,payout"]
-    for r, scores in scores_from_ledger(ledger_doc).items():
-        for cid, score in scores.items():
-            cid_hex = "0x" + cid.hex()
-            payout = payouts_by_round.get(r, {}).get(cid_hex, 0)
-            lines.append(f"{r},{cid_hex},{score.to_decimal()},{payout}")
+    for record in report["rounds"]:
+        for cid, score in record["scores"].items():
+            lines.append(f"{record['round']},{cid},{score},{record['payouts'].get(cid, 0)}")
     return "\n".join(lines) + "\n"
 
 
@@ -643,7 +636,7 @@ def write_run(result: RunResult, out_dir) -> Path:
     (run_dir / REPORT_FILE).write_bytes(_report_bytes(result.report))
     dim = result.config.dataset.dim
     (run_dir / GAS_FILE).write_text(gas_csv_text({dim: result.config.gas.row(dim)}))
-    (run_dir / REWARDS_FILE).write_text(rewards_csv_text(result.ledger_doc))
+    (run_dir / REWARDS_FILE).write_text(rewards_csv_text(result.report))
     incentives.write_attribution_log(run_dir / ATTRIBUTION_FILE, result.attribution)
 
     blob_dir = run_dir / BLOBS_DIR
@@ -653,38 +646,77 @@ def write_run(result: RunResult, out_dir) -> Path:
     return run_dir
 
 
-def run(config_path, out_dir) -> Path:
-    """CLI entry: load config, run the scenario, write artifacts."""
-    config = load_config(config_path)
-    result = run_scenario(config)
-    return write_run(result, out_dir)
-
-
 # --- audit ------------------------------------------------------------------------
 
 def load_run_dir(run_dir) -> tuple[dict, ContentStore]:
+    """A run's ledger document and blob store as found on disk.
+
+    ``MissingRun`` without a ledger; ``UnreadableRun`` when the ledger is no
+    gzipped chain document or a blob cannot be read under a hex CID name.
+    """
     run_dir = Path(run_dir)
     ledger_path = run_dir / LEDGER_FILE
     if not ledger_path.exists():
         raise MissingRun(f"no {LEDGER_FILE} under {run_dir}")
-    with gzip.open(ledger_path, "rb") as fh:
-        ledger_doc = json.loads(fh.read().decode())
+    try:
+        with gzip.open(ledger_path, "rb") as fh:
+            ledger_doc = json.loads(fh.read().decode())
+    except (OSError, EOFError, zlib.error, ValueError) as err:
+        raise UnreadableRun(f"{LEDGER_FILE} is not gzipped JSON: {err}") from err
+    chain_parts = ("blocks", "txs", "receipts")
+    if not (
+        isinstance(ledger_doc, dict)
+        and "config" in ledger_doc
+        and all(isinstance(ledger_doc.get(part), list) for part in chain_parts)
+    ):
+        raise UnreadableRun(f"{LEDGER_FILE} holds no config with blocks, txs and receipts lists")
+    blobs = {}
     blob_dir = run_dir / BLOBS_DIR
-    paths = sorted(blob_dir.iterdir()) if blob_dir.is_dir() else []
-    return ledger_doc, ContentStore({bytes.fromhex(p.name): p.read_bytes() for p in paths})
+    for path in sorted(blob_dir.iterdir()) if blob_dir.is_dir() else []:
+        try:
+            blobs[bytes.fromhex(path.name)] = path.read_bytes()
+        except (OSError, ValueError) as err:
+            raise UnreadableRun(f"{BLOBS_DIR}/{path.name}: {err}") from err
+    return ledger_doc, ContentStore(blobs)
+
+
+def _recorded_config_fault(ledger_doc: dict) -> Optional[str]:
+    """Why the chain checks cannot trust the recorded config, or None: it must
+    be the canonical form of a valid config and hash to the recorded run id."""
+    config = ledger_doc["config"]
+    try:
+        canonical = parse_config(config).to_canonical_dict()
+    except ConfigError as err:
+        return f"recorded config is invalid: {err}"
+    if canonical != config:
+        return "recorded config is not in canonical form"
+    config_id = config_run_id(config)
+    if config_id != ledger_doc.get("run_id"):
+        return f"config hashes to run id {config_id}, not {ledger_doc.get('run_id')}"
+    return None
 
 
 def audit_run(run_dir) -> dict:
-    """Re-verify a completed run from its persisted artifacts alone."""
-    ledger_doc, store = load_run_dir(run_dir)
-    config_id = config_run_id(ledger_doc["config"])  # the chain checks trust the config
-    if config_id != ledger_doc.get("run_id"):
-        chain_error = f"config hashes to run id {config_id}, not {ledger_doc.get('run_id')}"
-    else:
-        chain_error = verify_chain(ledger_doc, ledger_doc["config"]["rounds"])
+    """Re-verify a completed run from its persisted artifacts alone.
+
+    An unreadable run fails with the reason as its ``chain`` verdict.
+    """
+    try:
+        ledger_doc, store = load_run_dir(run_dir)
+    except UnreadableRun as err:
+        return {
+            "run_id": None,
+            "ok": False,
+            "chain": str(err),
+            "checkpoints": [],
+            "report_matches_ledger": None,
+        }
+    chain_error = _recorded_config_fault(ledger_doc) or verify_chain(
+        ledger_doc, ledger_doc["config"]["rounds"]
+    )
     try:
         report = build_report(ledger_doc, store)
-    except (SimulationError, ValueError, LookupError, TypeError):
+    except (SimulationError, ValueError, LookupError, TypeError, AttributeError):
         report = None
     checkpoints = [] if report is None else [
         {"round": c["round"], "verdict": c["verdict"]} for c in report["checkpoints"]
@@ -725,52 +757,12 @@ def audit(out_dir) -> list[dict]:
 # --- gas sweep -----------------------------------------------------------------------
 
 
-def sweep_config(config: ScenarioConfig, size: int) -> ScenarioConfig:
-    """One-round, one-client variant used to measure per-class gas at a size.
-
-    The submission travels as a single batch and the norm bound is lifted so
-    the measurement isn't distorted by batching or validation rejections.
-    """
-    dataset = DatasetConfig(
-        n_clients=1,
-        samples_per_client=(4,),
-        dim=size,
-        noise=0.0,
-        behaviors=(ClientBehavior("honest"),),
-        epochs=1,
-        lr=0.05,
-        seed=config.dataset_seed(),
-    )
-    return replace(
-        config,
-        rounds=1,
-        dataset=dataset,
-        fairness_interval=max(2, config.fairness_interval),
-        tau=Fixed.from_int(10**9),
-        batch_size=size,
-        reward_basis="alignment",
-    )
-
-
 def gas_sweep(config: ScenarioConfig, sizes: list[int]) -> dict[int, dict[str, int]]:
-    """Run one round per size and record measured gas per operation class."""
+    """The config's gas model row at each size: the charge of one call of each
+    class in OP_CLASSES, the same charge a run's receipts record."""
     if not sizes:
         raise ConfigError("gas sweep needs at least one size")
-    rows: dict[int, dict[str, int]] = {}
     for size in sizes:
         if size < 1:
             raise ConfigError(f"parameter sizes must be positive, got {size}")
-        result = run_scenario(sweep_config(config, size))
-        cells: dict[str, int] = {}
-        for sealed_txs, sealed_receipts in zip(
-            result.ledger.block_txs, result.ledger.block_receipts
-        ):
-            for tx, receipt in zip(sealed_txs, sealed_receipts):
-                op_class = gas_class(tx.op)
-                if op_class in OP_CLASSES and receipt.success:
-                    cells[op_class] = receipt.gas_used
-        missing = [c for c in OP_CLASSES if c not in cells]
-        if missing:
-            raise SimulationError(f"sweep at size {size} missed classes {missing}")
-        rows[size] = cells
-    return rows
+    return {size: config.gas.row(size) for size in sizes}

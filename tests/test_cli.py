@@ -36,6 +36,19 @@ def test_run_then_audit(config_path, tmp_path, capsys):
     assert "ok" in printed
 
 
+def test_run_summary_is_the_report_summary(config_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+    (run_dir,) = out.iterdir()
+    report = json.loads((run_dir / "report.json").read_text())
+    summary = report["summary"]
+    assert capsys.readouterr().out.splitlines() == [
+        f"run {report['run_id']} complete: {summary['rounds']} rounds, "
+        f"{summary['clients']} clients, total payout {summary['total_payout']}",
+        f"artifacts: {run_dir}",
+    ]
+
+
 def test_run_writes_artifacts(config_path, tmp_path):
     out = tmp_path / "out"
     main(["run", "--config", str(config_path), "--out", str(out)])

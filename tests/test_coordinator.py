@@ -22,6 +22,7 @@ from fedchain.errors import (
     OutOfOrderBatch,
     RoundClosed,
     WrongPhase,
+    WrongRound,
 )
 from fedchain.flclients import make_client_id
 from fedchain.numerics import Fixed, GradientVector, SCALE
@@ -341,6 +342,25 @@ class TestPhaseMachine:
         c.score_and_reward_round(1)  # nobody submitted
         c.close_round(1)
         assert c.current_round == 2
+
+
+class TestCheckpoints:
+    def test_interval_gate(self):
+        c = registered(clients=[(C[0], 1)], fairness_interval=2)
+        cid, digest = b"\x01" * 32, b"\x02" * 32
+        c.drain_events()
+        with pytest.raises(WrongRound, match="outside round"):
+            c.record_checkpoint(2, cid, digest)  # round 2 is not current yet
+        with pytest.raises(WrongRound, match="not a multiple of 2"):
+            c.record_checkpoint(1, cid, digest)  # round 1 is off the interval
+        assert c.drain_events() == [] and c.checkpoints == {}
+        run_round(c, {C[0]: ["1", "1"]})
+        c.drain_events()
+        c.record_checkpoint(2, cid, digest)
+        assert c.checkpoints == {2: (cid, digest)} and c.last_checkpoint_round == 2
+        assert c.drain_events() == [
+            ("FairnessCheckpoint", {"round": 2, "cid": cid.hex(), "hash": digest.hex()}),
+        ]
 
 
 class TestPenalties:

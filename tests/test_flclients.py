@@ -20,9 +20,7 @@ def dataset_from_arrays(X, y, dim) -> SyntheticDataset:
     return SyntheticDataset(
         features=np.asarray(X, dtype=float),
         targets=np.asarray(y, dtype=float),
-        seed=0,
         true_weights=np.zeros(dim),
-        noise_scale=0.0,
     )
 
 

@@ -22,7 +22,6 @@ from fedchain.incentives import (
     consistency_adjusted_reward,
     consistency_multiplier,
     cumulative_scores,
-    make_alignment_characteristic,
     shapley_alignment,
     shapley_exact,
 )
@@ -258,7 +257,7 @@ class TestShapley:
         }
         n_map = {IDS[0]: 4, IDS[1]: 4, IDS[2]: 9}
         attribution = shapley_exact(
-            list(submissions), make_alignment_characteristic(submissions, n_map)
+            list(submissions), lambda s: coalition_value_alignment(s, submissions, n_map)
         )
         assert abs(attribution[IDS[0]].raw - attribution[IDS[1]].raw) <= 4
 
@@ -286,7 +285,7 @@ class TestCoalitionValue:
         submissions = {IDS[0]: g, IDS[1]: g, IDS[2]: g}
         n_map = {cid: 2 for cid in submissions}
         attribution = shapley_exact(
-            list(submissions), make_alignment_characteristic(submissions, n_map)
+            list(submissions), lambda s: coalition_value_alignment(s, submissions, n_map)
         )
         expected = dot(g, g).raw / 3
         for value in attribution.values():
@@ -297,7 +296,7 @@ def _per_coalition(submissions, n_map):
     """Outcome of the per-coalition definition: phi, or the exception type."""
     try:
         return shapley_exact(
-            list(submissions), make_alignment_characteristic(submissions, n_map)
+            list(submissions), lambda s: coalition_value_alignment(s, submissions, n_map)
         )
     except OverflowError as err:
         return type(err)
@@ -333,12 +332,11 @@ class TestShapleyAlignment:
     def test_matches_per_coalition_definition(self, game):
         submissions, n_map = game
         ids = sorted(submissions)
-        characteristic = make_alignment_characteristic(submissions, n_map)
         values = alignment_coalition_values(submissions, n_map)
         assert len(values) == 1 << len(ids)
         for mask, value in enumerate(values):
             subset = frozenset(ids[k] for k in range(len(ids)) if mask >> k & 1)
-            assert value == characteristic(subset).raw
+            assert value == coalition_value_alignment(subset, submissions, n_map).raw
         assert shapley_alignment(submissions, n_map) == _per_coalition(submissions, n_map)
 
     @settings(deadline=None)
@@ -365,7 +363,9 @@ class TestShapleyAlignment:
         submissions = {IDS[k]: GradientVector.from_raw(r) for k, r in enumerate(raws)}
         n_map = {cid: count for cid in submissions}
         with pytest.raises(OverflowError, match=message):
-            shapley_exact(list(submissions), make_alignment_characteristic(submissions, n_map))
+            shapley_exact(
+                list(submissions), lambda s: coalition_value_alignment(s, submissions, n_map)
+            )
         with pytest.raises(OverflowError, match=message):
             shapley_alignment(submissions, n_map)
 

@@ -4,10 +4,11 @@ from dataclasses import replace
 import pytest
 
 from fedchain.coordinator import Coordinator
-from fedchain.errors import NonceError, UnknownSender
+from fedchain.errors import BadComponent, NonceError, UnknownSender
 from fedchain.flclients import make_client_id
 from fedchain.ledger import (
     GENESIS_PARENT,
+    SYSTEM_SENDER,
     OP_CLASSES,
     Block,
     GasModel,
@@ -165,6 +166,62 @@ class TestExecution:
         tx.tx_hash()
         fresh = Transaction(make_client_id(0), "register", {"stake": 100, "n_samples": 10}, nonce=7)
         assert replace(tx, nonce=7).tx_hash() == fresh.tx_hash() != tx.tx_hash()
+
+
+def update_args(**overrides) -> dict:
+    return {"round": 1, "batch_index": 0, "batch_count": 1, "components": [0, 0], **overrides}
+
+
+class TestFailedSubmitLeavesLedgerUnchanged:
+    """A call that raises instead of producing a receipt records nothing and
+    does not consume the sender's nonce."""
+
+    def submit_failing(self, make_tx, error):
+        ledger, _ = make_ledger()
+        client = make_client_id(0)
+        ledger.submit_tx(register_tx(ledger, client))
+        tx = make_tx(ledger, client)
+        nonce, pending = ledger.next_nonce(tx.sender), list(ledger._pending)
+        with pytest.raises(error):
+            ledger.submit_tx(tx)
+        assert ledger.next_nonce(tx.sender) == nonce
+        assert ledger._pending == pending
+        return ledger
+
+    @pytest.mark.parametrize("components", [[], [10**40, 1], ["x", 1]],
+                             ids=["empty", "beyond_raw_limit", "string"])
+    def test_unhashable_update_is_bad_component(self, components):
+        def make_tx(ledger, client):
+            args = update_args(components=components)
+            return Transaction(client, "submit_update", args, ledger.next_nonce(client))
+
+        ledger = self.submit_failing(make_tx, BadComponent)
+        client = make_client_id(0)
+        retry = Transaction(client, "submit_update", update_args(), ledger.next_nonce(client))
+        assert ledger.submit_tx(retry).success
+
+    def test_update_without_round(self):
+        def make_tx(ledger, client):
+            args = update_args()
+            del args["round"]
+            return Transaction(client, "submit_update", args, ledger.next_nonce(client))
+
+        self.submit_failing(make_tx, KeyError)
+
+    def test_register_with_string_stake(self):
+        def make_tx(ledger, _):
+            client = make_client_id(1)
+            return Transaction(client, "register", {"stake": "100", "n_samples": 10},
+                               ledger.next_nonce(client))
+
+        self.submit_failing(make_tx, TypeError)
+
+    def test_system_validate_without_round(self):
+        def make_tx(ledger, _):
+            return Transaction(SYSTEM_SENDER, "validate_round", {},
+                               ledger.next_nonce(SYSTEM_SENDER))
+
+        self.submit_failing(make_tx, KeyError)
 
 
 class TestChain:

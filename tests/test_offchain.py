@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
-from fedchain.errors import DuplicateClient, WrongRound
+from fedchain.errors import DuplicateClient
 from fedchain.keccak import keccak256
 from fedchain.numerics import Fixed
 from fedchain.offchain import (
@@ -83,10 +83,10 @@ class TestContentStore:
 
 
 class TestCheckpoints:
-    def make(self, store=None, through=10, interval=5):
+    def make(self, store=None, through=10):
         store = store if store is not None else ContentStore()
         cumulative = {cid_of(1): Fixed(100), cid_of(2): Fixed(-50)}
-        return store, publish_checkpoint(store, through, cumulative, interval)
+        return store, publish_checkpoint(store, through, cumulative)
 
     def test_round_trip_verifies(self):
         store, cp = self.make()
@@ -96,13 +96,6 @@ class TestCheckpoints:
         store, cp = self.make()
         assert cp.cid == keccak256(store.get(cp.cid))
         assert cp.integrity_hash == keccak256(store.get(cp.cid))
-
-    def test_interval_gate(self):
-        store = ContentStore()
-        _, cp = self.make(store, through=10, interval=5)
-        assert cp.through_round == 10
-        with pytest.raises(WrongRound):
-            publish_checkpoint(store, 7, {cid_of(1): Fixed(1)}, 5)
 
     def test_tampered_blob_detected(self):
         store, cp = self.make()

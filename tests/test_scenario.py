@@ -463,6 +463,66 @@ class TestAudit:
         ledger_doc, _ = load_run_dir(run_dir)
         assert config_run_id(ledger_doc["config"]) == ledger_doc["run_id"] == run_dir.name
 
+    @pytest.mark.parametrize("payload, reason", [
+        (b"not gzip", "ledger.bin is not gzipped JSON"),
+        (gzip.compress(b"{nope", mtime=0), "ledger.bin is not gzipped JSON"),
+        (gzip.compress(b"[]", mtime=0), "ledger.bin holds no config with blocks"),
+    ], ids=["not_gzip", "not_json", "json_list"])
+    def test_unreadable_ledger_fails(self, run_dir, payload, reason):
+        (run_dir / LEDGER_FILE).write_bytes(payload)
+        verdict = audit(run_dir)[0]
+        assert not verdict["ok"]
+        assert verdict["chain"].startswith(reason)
+        assert verdict["checkpoints"] == [] and verdict["report_matches_ledger"] is None
+
+    @pytest.mark.parametrize("part", ["config", "blocks"])
+    def test_ledger_without_part_fails(self, run_dir, part):
+        rewrite_ledger(run_dir, lambda doc: doc.pop(part))
+        verdict = audit(run_dir)[0]
+        assert not verdict["ok"]
+        assert verdict["chain"].startswith("ledger.bin holds no config with blocks")
+
+    def test_invalid_recorded_config_fails(self, run_dir):
+        def string_rounds(doc):
+            doc["config"]["rounds"] = "x"
+            doc["run_id"] = config_run_id(doc["config"])
+
+        rewrite_ledger(run_dir, string_rounds)
+        verdict = audit(run_dir)[0]
+        assert not verdict["ok"]
+        assert verdict["chain"] == "recorded config is invalid: rounds must be an integer"
+
+    def test_non_canonical_recorded_config_fails(self, run_dir):
+        def drop_gas(doc):
+            del doc["config"]["gas"]  # parses, with the default gas model
+            doc["run_id"] = config_run_id(doc["config"])
+
+        rewrite_ledger(run_dir, drop_gas)
+        verdict = audit(run_dir)[0]
+        assert not verdict["ok"]
+        assert verdict["chain"] == "recorded config is not in canonical form"
+
+    def test_non_hex_blob_name_fails(self, run_dir):
+        (run_dir / BLOBS_DIR / "README").write_text("notes")
+        verdict = audit(run_dir)[0]
+        assert not verdict["ok"]
+        assert verdict["chain"].startswith("blobs/README: ")
+
+    def test_non_object_event_payload_fails(self, run_dir):
+        rewrite_ledger(run_dir, lambda doc: doc["receipts"][2][0]["events"][0].__setitem__(1, []))
+        verdict = audit(run_dir)[0]
+        assert not verdict["ok"]
+        assert verdict["chain"] == "block 2: receipts root mismatch"
+        assert verdict["report_matches_ledger"] is False
+
+    def test_bad_run_beside_a_good_one(self, run_dir):
+        other = write_run(run_scenario(load_config(CONFIGS / "adversary.json")), run_dir.parent)
+        bad, good = sorted([run_dir, other])
+        (bad / LEDGER_FILE).write_bytes(b"not gzip")
+        verdicts = audit(run_dir.parent)
+        assert [v["ok"] for v in verdicts] == [False, True]
+        assert verdicts[1]["run_id"] == good.name
+
 
 def rewrite_ledger(run_dir, mutate) -> None:
     doc = json.loads(gzip.decompress((run_dir / LEDGER_FILE).read_bytes()))
@@ -470,7 +530,49 @@ def rewrite_ledger(run_dir, mutate) -> None:
     (run_dir / LEDGER_FILE).write_bytes(gzip.compress(canonical_json_bytes(doc), mtime=0))
 
 
+class TestGasCharges:
+    @pytest.mark.parametrize("doc", [
+        "adversary.json",
+        dict(base_doc(batch_size=3), dataset={**base_doc()["dataset"], "dim": 8}),
+    ], ids=["adversary", "dim_over_batch_size"])
+    def test_every_receipt_charges_the_gas_model(self, doc):
+        config = load_config(CONFIGS / doc) if isinstance(doc, str) else parse_config(doc)
+        result = run_scenario(config)
+        dim = config.dataset.dim
+        by_class: dict[str, int] = {}
+        ops = set()
+        for txs, receipts in zip(result.ledger.block_txs, result.ledger.block_receipts):
+            for tx, receipt in zip(txs, receipts):
+                if tx.op == "submit_update":
+                    param_count = len(tx.args["components"])
+                elif tx.op in ("validate_round", "aggregate_round"):
+                    param_count = dim
+                else:
+                    param_count = 0
+                op_class = ledger_module.gas_class(tx.op)
+                charge = config.gas.charge(op_class, param_count)
+                assert receipt.gas_used == charge, (tx.op, receipt.block_height)
+                by_class[op_class] = by_class.get(op_class, 0) + charge
+                ops.add((tx.op, param_count))
+        assert result.report["gas"]["by_class"] == dict(sorted(by_class.items()))
+        assert result.report["gas"]["total"] == sum(by_class.values())
+        if dim > config.batch_size:  # the last batch of each update is a short one
+            assert ("submit_update", dim % config.batch_size) in ops
+
+
 class TestGasSweep:
+    def test_sweep_rows_are_the_gas_model_rows(self, monkeypatch):
+        def no_run(config):
+            raise AssertionError("the gas sweep runs no scenario")
+
+        monkeypatch.setattr(scenario_module, "run_scenario", no_run)
+        sizes = [1, 2, 7, 10, 100, 999, 1_000, 12_345, 100_000]
+        for config in (
+            load_config(CONFIGS / "baseline.json"),
+            parse_config(base_doc(gas={"submit_per_param": 7, "validate_base": 1})),
+        ):
+            assert gas_sweep(config, sizes) == {size: config.gas.row(size) for size in sizes}
+
     def test_sweep_rows_complete(self):
         config = parse_config(base_doc())
         rows = gas_sweep(config, [10, 100])
@@ -484,3 +586,7 @@ class TestGasSweep:
     def test_sweep_needs_sizes(self):
         with pytest.raises(ConfigError):
             gas_sweep(parse_config(base_doc()), [])
+
+    def test_sweep_sizes_must_be_positive(self):
+        with pytest.raises(ConfigError, match="must be positive, got 0"):
+            gas_sweep(parse_config(base_doc()), [10, 0])
