@@ -3,7 +3,7 @@ aggregate, close — printing receipts, events, and phase transitions.
 
 Run: python demos/round_lifecycle.py
 """
-from fedchain.coordinator import Coordinator
+from fedchain.coordinator import ContractConfig, Coordinator
 from fedchain.flclients import make_client_id
 from fedchain.ledger import GasModel, Ledger, SYSTEM_SENDER, Transaction, verify_chain
 from fedchain.numerics import Fixed, GradientVector
@@ -15,11 +15,11 @@ def show(receipt):
 
 
 def main():
-    coordinator = Coordinator(dim=2, reward_pool=1_000_000)
-    ledger = Ledger(GasModel(), coordinator)
+    ledger = Ledger(GasModel(), Coordinator(2, ContractConfig(reward_pool_per_round=1_000_000)))
+    coordinator = ledger.coordinator
 
     print("== deploy ==")
-    show(ledger.deploy())
+    show(ledger.block_receipts[0][0])
 
     print("\n== register two clients (stake 100 each) ==")
     alice, bob = make_client_id(0), make_client_id(1)

@@ -4,7 +4,7 @@ and consistency multipliers."""
 
 from .numerics import Fixed, GradientVector, dot, sample_weighted_mean
 from .keccak import keccak256
-from .offchain import ContentStore, FairnessCheckpoint, publish_checkpoint, verify_checkpoint
+from .offchain import ContentStore, publish_checkpoint, verify_checkpoint
 from .ledger import GasModel, Ledger, Transaction, Receipt, Block
 from .coordinator import Coordinator
 from .incentives import (
@@ -27,7 +27,6 @@ __all__ = [
     "sample_weighted_mean",
     "keccak256",
     "ContentStore",
-    "FairnessCheckpoint",
     "publish_checkpoint",
     "verify_checkpoint",
     "GasModel",

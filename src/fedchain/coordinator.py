@@ -80,35 +80,45 @@ class RoundState:
     phi: Optional[dict[bytes, Fixed]] = None  # Shapley values, under reward_basis "shapley"
 
 
+@dataclass(frozen=True, kw_only=True)
+class ContractConfig:
+    """The contract's hybrid-incentive parameters: their defaults and checks."""
+
+    min_stake: int = 100
+    tau: Fixed = Fixed.from_decimal("10.0")  # norm bound on an accepted update
+    ban_threshold: int = 3
+    slash_fraction: Fixed = Fixed.from_decimal("0.5")
+    reward_pool_per_round: int = 1_000_000
+    alpha: Fixed = Fixed.from_decimal("0.5")
+    fairness_interval: int = 5
+    reward_basis: str = "alignment"
+
+    def __post_init__(self) -> None:
+        for name, minimum in (
+            ("min_stake", 0), ("ban_threshold", 1),
+            ("reward_pool_per_round", 0), ("fairness_interval", 1),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer")
+            if value < minimum:
+                raise ValueError(f"{name} must be >= {minimum}, got {value}")
+        if self.alpha.raw < 0:
+            raise ValueError("alpha must be >= 0")
+        if self.tau.raw <= 0:
+            raise ValueError("tau must be positive")
+        if not 0 <= self.slash_fraction.raw <= SCALE:
+            raise ValueError("slash_fraction must lie in [0, 1]")
+        if self.reward_basis not in ("alignment", "shapley"):
+            raise ValueError("reward_basis must be alignment or shapley")
+
+
 class Coordinator:
     """Contract state machine; executes only inside the ledger's tx loop."""
 
-    def __init__(
-        self,
-        dim: int,
-        min_stake: int = 100,
-        tau: Fixed = Fixed.from_decimal("10.0"),
-        ban_threshold: int = 3,
-        slash_fraction: Fixed = Fixed.from_decimal("0.5"),
-        reward_pool: int = 1_000_000,
-        alpha: Fixed = Fixed.from_decimal("0.5"),
-        fairness_interval: int = 5,
-        reward_basis: str = "alignment",
-    ):
-        if dim < 1:
-            raise ValueError("model dimension must be positive")
-        if reward_basis not in ("alignment", "shapley"):
-            raise ValueError(f"unknown reward basis {reward_basis!r}")
+    def __init__(self, dim: int, config: ContractConfig = ContractConfig()):
         self.dim = dim
-        self.min_stake = min_stake
-        self.tau = tau
-        self.ban_threshold = ban_threshold
-        self.slash_fraction = slash_fraction
-        self.reward_pool = reward_pool
-        self.alpha = alpha
-        self.fairness_interval = fairness_interval
-        self.reward_basis = reward_basis
-
+        self.config = config
         self.global_model = GradientVector.zeros(dim)
         self.model_version = 0
         self.clients: dict[bytes, ClientRecord] = {}
@@ -176,8 +186,8 @@ class Coordinator:
             raise AlreadyRegistered(f"0x{client_id.hex()}")
         if client_id == SYSTEM_SENDER or len(client_id) != 20:
             raise NotAuthorized("invalid client id")
-        if stake < self.min_stake:
-            raise InsufficientStake(f"stake {stake} < minimum {self.min_stake}")
+        if stake < self.config.min_stake:
+            raise InsufficientStake(f"stake {stake} < minimum {self.config.min_stake}")
         if n_samples <= 0:
             raise BadSampleCount(f"n_samples must be positive, got {n_samples}")
         self.clients[client_id] = ClientRecord(
@@ -247,7 +257,7 @@ class Coordinator:
         state = self._current_state(round_index, Phase.OPEN)
         if not state.submissions:
             raise NothingToValidate(f"round {round_index} has no complete submissions")
-        norm_bound = self.tau * self.tau
+        norm_bound = self.config.tau * self.config.tau
         verdicts: dict[bytes, str] = {}
         accepted: list[bytes] = []
         for client_id in sorted(state.submissions):
@@ -280,7 +290,7 @@ class Coordinator:
         state.scores = scores
 
         basis = self._payout_basis(state, scores)
-        payouts = _largest_remainder_split(self.reward_pool, basis)
+        payouts = _largest_remainder_split(self.config.reward_pool_per_round, basis)
         state.payouts = payouts
 
         self._emit(
@@ -307,7 +317,7 @@ class Coordinator:
         """Positive payout weights: alignment scores (or Shapley values, kept
         on the round as ``phi``), consistency-adjusted in the rounds
         following a fairness checkpoint."""
-        if self.reward_basis == "shapley" and scores:
+        if self.config.reward_basis == "shapley" and scores:
             state.phi = self.shapley_values(state)
             raw_basis = state.phi
         else:
@@ -318,7 +328,7 @@ class Coordinator:
         for cid, value in raw_basis.items():
             if multiplier_on:
                 value = incentives.consistency_adjusted_reward(
-                    value, self.alpha, self.participation(cid)
+                    value, self.config.alpha, self.participation(cid)
                 )
             basis[cid] = value
         return basis
@@ -337,7 +347,7 @@ class Coordinator:
             self.last_checkpoint_round is not None
             and self.last_checkpoint_round
             < round_index
-            <= self.last_checkpoint_round + self.fairness_interval
+            <= self.last_checkpoint_round + self.config.fairness_interval
         )
 
     def _apply_negative_score_policy(self, round_index: int, scores: dict[bytes, Fixed]) -> None:
@@ -347,8 +357,8 @@ class Coordinator:
             record = self.clients[cid]
             if scores[cid].is_negative():
                 record.consecutive_negative += 1
-                if record.consecutive_negative >= self.ban_threshold and not record.banned:
-                    slashed = div_toward_zero(record.stake * self.slash_fraction.raw, SCALE)
+                if record.consecutive_negative >= self.config.ban_threshold and not record.banned:
+                    slashed = div_toward_zero(record.stake * self.config.slash_fraction.raw, SCALE)
                     record.stake -= slashed
                     record.banned = True
                     self._emit("ClientBanned", {"id": "0x" + cid.hex(), "round": round_index})
@@ -381,9 +391,9 @@ class Coordinator:
     def record_checkpoint(self, through_round: int, cid: bytes, integrity_hash: bytes) -> None:
         if through_round != self.current_round:
             raise WrongRound(f"checkpoint for round {through_round} outside round")
-        if through_round % self.fairness_interval != 0:
+        if through_round % self.config.fairness_interval != 0:
             raise WrongRound(
-                f"round {through_round} is not a multiple of {self.fairness_interval}"
+                f"round {through_round} is not a multiple of {self.config.fairness_interval}"
             )
         self.checkpoints[through_round] = (cid, integrity_hash)
         self.last_checkpoint_round = through_round

@@ -53,7 +53,8 @@ def gas_class(op: str) -> str:
 
 @dataclass(frozen=True)
 class GasModel:
-    """Affine per-class gas cost: intercept + slope * param_count."""
+    """Affine per-class gas cost: intercept + slope * param_count. Every
+    intercept is at least 1, since every executed transaction consumes gas."""
 
     register_base: int = 45_373
     submit_base: int = 159_745
@@ -67,9 +68,11 @@ class GasModel:
     system_cost: int = 21_000  # flat bookkeeping calls (close, checkpoint record)
 
     def __post_init__(self) -> None:
+        intercepts = {base for base, _ in _COEFFICIENT_FIELDS.values()}
         for name, value in self.__dict__.items():
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise ValueError(f"gas coefficient {name} must be a non-negative int")
+            minimum = 1 if name in intercepts else 0
+            if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+                raise ValueError(f"gas coefficient {name} must be an int >= {minimum}")
 
     def coefficients(self, op_class: str) -> tuple[int, int]:
         if op_class not in _COEFFICIENT_FIELDS:
@@ -98,8 +101,6 @@ class Transaction:
     op: str
     args: dict
     nonce: int
-
-    _hash_cache: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
     def digest_args(self) -> dict:
         """Args with bulk payloads replaced by their commitment digests."""
@@ -130,9 +131,7 @@ class Transaction:
             raise BadComponent(f"{self.op} args cannot be hashed: {err}") from err
 
     def tx_hash(self) -> bytes:
-        if self._hash_cache is None:
-            object.__setattr__(self, "_hash_cache", keccak256(self.hash_preimage()))
-        return self._hash_cache
+        return keccak256(self.hash_preimage())
 
 
 @dataclass
@@ -210,7 +209,8 @@ def receipts_root(receipt_docs: list[dict]) -> bytes:
 class Ledger:
     """Single-writer chain: executes calls against the coordinator in strict
     submission order, charges gas, and seals a block when asked: genesis,
-    registration, then one block per protocol round."""
+    registration, then one block per protocol round. The contract is deployed
+    on construction: genesis holds the lone deploy receipt."""
 
     def __init__(self, gas_model: GasModel, coordinator):
         self.gas_model = gas_model
@@ -218,18 +218,7 @@ class Ledger:
         self.blocks: list[Block] = []
         self.block_receipts: list[list[Receipt]] = []   # sealed, parallel to blocks
         self.block_txs: list[list[Transaction]] = []
-        self._pending: list[tuple[Transaction, Receipt]] = []
-        self._nonces: dict[bytes, int] = {}
-        self._deployed = False
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def deploy(self) -> Receipt:
-        """Create the contract: genesis block holds the lone deploy receipt."""
-        if self._deployed:
-            raise SimulationError("already deployed")
         tx = Transaction(sender=SYSTEM_SENDER, op="deploy", args={}, nonce=0)
-        self._nonces[SYSTEM_SENDER] = 1
         receipt = Receipt(
             tx_hash=tx.tx_hash(),
             block_height=0,
@@ -237,10 +226,9 @@ class Ledger:
             events=[("ContractDeployed", {"size_bytes": 10_667})],
             status="success",
         )
-        self._pending.append((tx, receipt))
-        self._deployed = True
+        self._pending: list[tuple[Transaction, Receipt]] = [(tx, receipt)]
+        self._nonces: dict[bytes, int] = {SYSTEM_SENDER: 1}
         self.seal_block()
-        return receipt
 
     # -- execution ---------------------------------------------------------
 
@@ -253,8 +241,6 @@ class Ledger:
         A call that fails before execution (unknown sender, wrong nonce, args
         that cannot be hashed) raises and leaves the ledger unchanged; the
         sender's nonce advances only when a receipt is recorded."""
-        if not self._deployed:
-            raise SimulationError("deploy the contract before submitting calls")
         known = (
             tx.sender == SYSTEM_SENDER
             or tx.op == "register"
@@ -294,7 +280,7 @@ class Ledger:
         block = Block(
             height=len(self.blocks),
             parent_hash=parent,
-            tx_hashes=tuple(tx.tx_hash() for tx in txs),
+            tx_hashes=tuple(r.tx_hash for r in receipts),
             receipts_root=receipts_root([r.to_dict() for r in receipts]),
             state_root=self.state_root(),
         )

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .errors import DuplicateClient
@@ -74,49 +73,36 @@ class ContentStore:
         return sorted(self._blobs)
 
 
-@dataclass(frozen=True)
-class FairnessCheckpoint:
-    """Periodic off-chain record of cumulative scores, anchored on-chain."""
+def publish_checkpoint(store: ContentStore, cumulative: Mapping[bytes, Fixed]) -> bytes:
+    """Serialize cumulative scores and store the blob; returns its CID.
 
-    through_round: int
-    cumulative: Optional[tuple[tuple[bytes, Fixed], ...]]  # None: unknown, matches no blob
-    cid: bytes
-    integrity_hash: bytes
-
-
-def publish_checkpoint(
-    store: ContentStore, through_round: int, cumulative: Mapping[bytes, Fixed]
-) -> FairnessCheckpoint:
-    """Serialize cumulative scores, store the blob, and hash it for anchoring.
-
-    The caller records (cid, integrity_hash) on-chain as a system transaction;
-    the contract decides which rounds may anchor one.
+    The CID is keccak256(blob), which is also the integrity hash: the caller
+    records (cid, cid) on-chain as a system transaction, and the contract
+    decides which rounds may anchor one.
     """
-    entries = sorted(cumulative.items())
-    blob = canonical_serialize(entries)
-    cid = store.put(blob)  # the CID is keccak256(blob), which is also the integrity hash
-    return FairnessCheckpoint(
-        through_round=through_round,
-        cumulative=tuple(entries),
-        cid=cid,
-        integrity_hash=cid,
-    )
+    return store.put(canonical_serialize(list(cumulative.items())))
 
 
-def verify_checkpoint(checkpoint: FairnessCheckpoint, store: ContentStore) -> Optional[str]:
-    """Re-verify a checkpoint: CID resolves, hashes agree, content matches.
+def verify_checkpoint(
+    store: ContentStore,
+    cid: bytes,
+    integrity_hash: bytes,
+    cumulative: Optional[Mapping[bytes, Fixed]],
+) -> Optional[str]:
+    """Re-verify an anchored checkpoint: CID resolves, hashes agree, and the
+    blob holds ``cumulative`` (None: unknown, matches no blob).
 
     None when intact, else the reason: NotFound, CidMismatch, HashMismatch
     or ContentMismatch.
     """
-    blob = store.get(checkpoint.cid)
+    blob = store.get(cid)
     if blob is None:
         return "NotFound"
     digest = keccak256(blob)
-    if digest != checkpoint.cid:
+    if digest != cid:
         return "CidMismatch"
-    if digest != checkpoint.integrity_hash:
+    if digest != integrity_hash:
         return "HashMismatch"
-    if checkpoint.cumulative is None or blob != canonical_serialize(list(checkpoint.cumulative)):
+    if cumulative is None or blob != canonical_serialize(list(cumulative.items())):
         return "ContentMismatch"
     return None

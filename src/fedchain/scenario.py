@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import incentives
-from .coordinator import Coordinator, Phase
+from .coordinator import ContractConfig, Coordinator, Phase
 from .errors import ConfigError, MissingRun, SimulationError, UnreadableRun
 from .flclients import (
     STREAM_DROPOUT,
@@ -45,7 +45,6 @@ from .ledger import (
 from .numerics import Fixed, GradientVector
 from .offchain import (
     ContentStore,
-    FairnessCheckpoint,
     canonical_json_bytes,
     publish_checkpoint,
     verify_checkpoint,
@@ -74,20 +73,15 @@ class DatasetConfig:
 
 
 @dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(ContractConfig):
+    """A scenario: the contract's parameters, plus the rounds, clients,
+    batching and gas model of one run."""
+
     seed: int
     rounds: int
     dataset: DatasetConfig
-    fairness_interval: int = 5
-    alpha: Fixed = Fixed.from_decimal("0.5")
-    min_stake: int = 100
-    reward_pool_per_round: int = 1_000_000
-    tau: Fixed = Fixed.from_decimal("10.0")
-    ban_threshold: int = 3
-    slash_fraction: Fixed = Fixed.from_decimal("0.5")
     batch_size: int = 10_000
     gas: GasModel = field(default_factory=GasModel)
-    reward_basis: str = "alignment"
 
     def dataset_seed(self) -> int:
         return self.dataset.seed if self.dataset.seed is not None else self.seed
@@ -221,7 +215,8 @@ def _parse_dataset(doc: dict) -> DatasetConfig:
 def parse_config(doc: dict) -> ScenarioConfig:
     """Validate a scenario document; unknown keys are rejected.
 
-    Absent keys take the defaults ``ScenarioConfig`` declares.
+    Absent keys take the defaults ``ScenarioConfig`` declares; the contract
+    parameters are checked by ``ContractConfig``.
     """
     _require(isinstance(doc, dict), "config must be a JSON object")
     _check_keys(doc, ScenarioConfig, "config")
@@ -239,32 +234,21 @@ def parse_config(doc: dict) -> ScenarioConfig:
     except (TypeError, ValueError) as err:
         raise ConfigError(f"bad gas model: {err}") from err
 
-    alpha = _as_fixed(value("alpha"), "alpha")
-    _require(alpha.raw >= 0, "alpha must be >= 0")
-    tau = _as_fixed(value("tau"), "tau")
-    _require(tau.raw > 0, "tau must be positive")
-    slash = _as_fixed(value("slash_fraction"), "slash_fraction")
-    _require(0 <= slash.raw <= Fixed.from_int(1).raw, "slash_fraction must lie in [0, 1]")
-    reward_basis = value("reward_basis")
-    _require(reward_basis in ("alignment", "shapley"), "reward_basis must be alignment or shapley")
-
-    config = ScenarioConfig(
-        seed=_as_int(value("seed"), "seed"),
-        rounds=_as_int(value("rounds"), "rounds", minimum=1),
-        fairness_interval=_as_int(value("fairness_interval"), "fairness_interval", minimum=1),
-        alpha=alpha,
-        min_stake=_as_int(value("min_stake"), "min_stake", minimum=0),
-        reward_pool_per_round=_as_int(
-            value("reward_pool_per_round"), "reward_pool_per_round", minimum=0
-        ),
-        tau=tau,
-        ban_threshold=_as_int(value("ban_threshold"), "ban_threshold", minimum=1),
-        slash_fraction=slash,
-        batch_size=_as_int(value("batch_size"), "batch_size", minimum=1),
-        gas=gas,
-        dataset=_parse_dataset(doc["dataset"]),
-        reward_basis=reward_basis,
-    )
+    contract = {f.name: value(f.name) for f in fields(ContractConfig)}
+    for f in fields(ContractConfig):
+        if isinstance(f.default, Fixed):  # a decimal parameter
+            contract[f.name] = _as_fixed(contract[f.name], f.name)
+    seed = _as_int(value("seed"), "seed")
+    rounds = _as_int(value("rounds"), "rounds", minimum=1)
+    batch_size = _as_int(value("batch_size"), "batch_size", minimum=1)
+    dataset = _parse_dataset(doc["dataset"])
+    try:
+        config = ScenarioConfig(
+            seed=seed, rounds=rounds, dataset=dataset, batch_size=batch_size, gas=gas,
+            **contract,
+        )
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     if config.reward_basis == "shapley":
         _require(
             config.dataset.n_clients <= incentives.SHAPLEY_MAX_CLIENTS,
@@ -332,20 +316,8 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     ]
     clients.sort(key=lambda c: c.id)  # submission order is client-id order
 
-    coordinator = Coordinator(
-        dim=ds.dim,
-        min_stake=config.min_stake,
-        tau=config.tau,
-        ban_threshold=config.ban_threshold,
-        slash_fraction=config.slash_fraction,
-        reward_pool=config.reward_pool_per_round,
-        alpha=config.alpha,
-        fairness_interval=config.fairness_interval,
-        reward_basis=config.reward_basis,
-    )
-    ledger = Ledger(config.gas, coordinator)
-    store = ContentStore()
-    ledger.deploy()
+    ledger = Ledger(config.gas, Coordinator(ds.dim, config))
+    coordinator, store = ledger.coordinator, ContentStore()
 
     def system_tx(op: str, args: dict) -> Receipt:
         tx = Transaction(SYSTEM_SENDER, op, args, ledger.next_nonce(SYSTEM_SENDER))
@@ -416,15 +388,8 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
 
         if round_index % config.fairness_interval == 0:
             # the running sums already hold rounds 1..round_index
-            checkpoint = publish_checkpoint(store, round_index, cumulative)
-            system_tx(
-                "record_checkpoint",
-                {
-                    "round": round_index,
-                    "cid": checkpoint.cid.hex(),
-                    "hash": checkpoint.integrity_hash.hex(),
-                },
-            )
+            cid = publish_checkpoint(store, cumulative).hex()
+            system_tx("record_checkpoint", {"round": round_index, "cid": cid, "hash": cid})
 
         system_tx("close_round", {"round": round_index})
         ledger.seal_block()
@@ -462,7 +427,7 @@ def _attribution_for_round(
         score = round_state.scores[cid]
         cumulative[cid] = cumulative.get(cid, Fixed(0)) + score
         multiplier = (
-            incentives.consistency_multiplier(coordinator.alpha, coordinator.participation(cid))
+            incentives.consistency_multiplier(coordinator.config.alpha, coordinator.participation(cid))
             if multiplier_on
             else Fixed.from_int(1)
         )
@@ -601,14 +566,12 @@ def _checkpoint_verdict(
     payload: dict, cumulative: dict[int, dict[bytes, Fixed]], store: ContentStore
 ) -> str:
     """One anchored checkpoint against its blob and the recomputed cumulative."""
-    sums = cumulative.get(payload["round"])  # None: the history cannot be summed
-    expected = FairnessCheckpoint(
-        through_round=payload["round"],
-        cumulative=None if sums is None else tuple(sums.items()),
-        cid=bytes.fromhex(payload["cid"]),
-        integrity_hash=bytes.fromhex(payload["hash"]),
-    )
-    return verify_checkpoint(expected, store) or "ok"
+    return verify_checkpoint(
+        store,
+        bytes.fromhex(payload["cid"]),
+        bytes.fromhex(payload["hash"]),
+        cumulative.get(payload["round"]),  # None: the history cannot be summed
+    ) or "ok"
 
 
 def _report_bytes(report: dict) -> bytes:

@@ -82,6 +82,21 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_zero_gas_intercept_exits_2(tmp_path, capsys):
+    doc = {
+        "seed": 1,
+        "rounds": 1,
+        "gas": {"system_cost": 0},
+        "dataset": {"n_clients": 1, "samples_per_client": [5], "dim": 2, "noise": 0.0},
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert "bad gas model" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path)]) == 2
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fedchain.coordinator import (
+    ContractConfig,
     Coordinator,
     VERDICT_ACCEPTED,
     VERDICT_REJECTED_NORM,
@@ -31,7 +32,7 @@ C = [make_client_id(i) for i in range(10)]
 
 
 def coord(dim=2, **kwargs) -> Coordinator:
-    return Coordinator(dim=dim, **kwargs)
+    return Coordinator(dim, ContractConfig(**kwargs))
 
 
 def registered(dim=2, clients=(), **kwargs) -> Coordinator:
@@ -179,7 +180,7 @@ class TestValidation:
 class TestScoringAndRewards:
     def test_proportional_split(self):
         # two clients with scores 2 and 6 split the pool 25% / 75%
-        c = registered(clients=[(C[0], 1), (C[1], 1)], reward_pool=1000)
+        c = registered(clients=[(C[0], 1), (C[1], 1)], reward_pool_per_round=1000)
         submit_whole(c, C[0], ["2", "2"])
         submit_whole(c, C[1], ["6", "6"])
         c.validate_round(1)
@@ -189,7 +190,7 @@ class TestScoringAndRewards:
         assert payouts[C[0]] == 250 and payouts[C[1]] == 750
 
     def test_single_positive_scorer_takes_pool(self):
-        c = registered(clients=[(C[0], 1), (C[1], 1)], reward_pool=999)
+        c = registered(clients=[(C[0], 1), (C[1], 1)], reward_pool_per_round=999)
         submit_whole(c, C[0], ["1", "1"])
         submit_whole(c, C[1], ["-0.4", "-0.4"])
         c.validate_round(1)
@@ -222,7 +223,7 @@ class TestScoringAndRewards:
             pool = int(rng.integers(1, 10**7))
             c = registered(
                 clients=[(C[i], int(rng.integers(1, 9))) for i in range(n)],
-                reward_pool=pool,
+                reward_pool_per_round=pool,
             )
             any_positive = False
             for i in range(n):

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from fedchain.coordinator import Coordinator
+from fedchain.coordinator import ContractConfig, Coordinator, Phase
 from fedchain.errors import BadComponent, NonceError, UnknownSender
 from fedchain.flclients import make_client_id
 from fedchain.ledger import (
@@ -97,11 +97,30 @@ class TestGasModel:
         assert model.charge("system", 7) == model.system_cost
 
 
+INTERCEPTS = ("register_base", "submit_base", "aggregate_base", "validate_base",
+              "distribute_base", "deploy_cost", "system_cost")
+
+
+class TestGasCoefficients:
+    """Every executed transaction consumes gas, so no intercept may be 0."""
+
+    @pytest.mark.parametrize("name", INTERCEPTS)
+    def test_zero_intercept_rejected(self, name):
+        with pytest.raises(ValueError, match=f"gas coefficient {name} must be an int >= 1"):
+            GasModel(**{name: 0})
+
+    def test_zero_slopes_allowed(self):
+        model = GasModel(submit_per_param=0, aggregate_per_param=0, validate_per_param=0)
+        assert model.row(1_000) == {c: model.charge(c, 0) for c in OP_CLASSES}
+
+    def test_negative_slope_rejected(self):
+        with pytest.raises(ValueError, match="submit_per_param must be an int >= 0"):
+            GasModel(submit_per_param=-1)
+
+
 def make_ledger(dim=2, **kwargs) -> tuple[Ledger, Coordinator]:
-    coordinator = Coordinator(dim=dim, **kwargs)
-    ledger = Ledger(GasModel(), coordinator)
-    ledger.deploy()
-    return ledger, coordinator
+    ledger = Ledger(GasModel(), Coordinator(dim, ContractConfig(**kwargs)))
+    return ledger, ledger.coordinator
 
 
 def register_tx(ledger: Ledger, client_id: bytes, stake=100, n_samples=10) -> Transaction:
@@ -143,6 +162,24 @@ class TestExecution:
         assert receipt.revert_reason == "AlreadyRegistered"
         assert receipt.events == []
         assert receipt.gas_used > 0
+
+    def test_client_system_call_not_authorized(self):
+        ledger, coordinator = make_ledger()
+        client = make_client_id(0)
+        ledger.submit_tx(register_tx(ledger, client))
+        tx = Transaction(client, "close_round", {"round": 1}, ledger.next_nonce(client))
+        receipt = ledger.submit_tx(tx)
+        assert receipt.status == "reverted"
+        assert receipt.revert_reason == "NotAuthorized"
+        assert coordinator.rounds[1].phase == Phase.OPEN
+        assert coordinator.current_round == 1
+
+    def test_system_sender_cannot_register(self):
+        ledger, coordinator = make_ledger()
+        receipt = ledger.submit_tx(register_tx(ledger, SYSTEM_SENDER))
+        assert receipt.status == "reverted"
+        assert receipt.revert_reason == "NotAuthorized"
+        assert not coordinator.is_known(SYSTEM_SENDER)
 
     def test_deploy_cost_in_genesis_receipt(self):
         ledger, _ = make_ledger()

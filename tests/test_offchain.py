@@ -1,5 +1,4 @@
 """Content store, canonical serialization, and checkpoint integrity."""
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -83,35 +82,42 @@ class TestContentStore:
 
 
 class TestCheckpoints:
-    def make(self, store=None, through=10):
-        store = store if store is not None else ContentStore()
-        cumulative = {cid_of(1): Fixed(100), cid_of(2): Fixed(-50)}
-        return store, publish_checkpoint(store, through, cumulative)
+    CUMULATIVE = {cid_of(1): Fixed(100), cid_of(2): Fixed(-50)}
+
+    def make(self):
+        store = ContentStore()
+        return store, publish_checkpoint(store, self.CUMULATIVE)
 
     def test_round_trip_verifies(self):
-        store, cp = self.make()
-        assert verify_checkpoint(cp, store) is None
+        store, cid = self.make()
+        assert verify_checkpoint(store, cid, cid, self.CUMULATIVE) is None
 
     def test_cid_equals_hash_of_blob(self):
-        store, cp = self.make()
-        assert cp.cid == keccak256(store.get(cp.cid))
-        assert cp.integrity_hash == keccak256(store.get(cp.cid))
+        store, cid = self.make()
+        assert cid == keccak256(store.get(cid))
+        assert store.get(cid) == canonical_serialize(list(self.CUMULATIVE.items()))
 
     def test_tampered_blob_detected(self):
-        store, cp = self.make()
-        blob = bytearray(store.get(cp.cid))
+        store, cid = self.make()
+        blob = bytearray(store.get(cid))
         blob[25] ^= 0x01
-        assert verify_checkpoint(cp, ContentStore({cp.cid: bytes(blob)})) == "CidMismatch"
+        tampered = ContentStore({cid: bytes(blob)})
+        assert verify_checkpoint(tampered, cid, cid, self.CUMULATIVE) == "CidMismatch"
 
     def test_missing_blob_detected(self):
-        _, cp = self.make()
+        _, cid = self.make()
         other = ContentStore({keccak256(b"other"): b"other"})
-        assert verify_checkpoint(cp, other) == "NotFound"
+        assert verify_checkpoint(other, cid, cid, self.CUMULATIVE) == "NotFound"
 
     def test_onchain_hash_mismatch_detected(self):
-        store, cp = self.make()
-        forged = replace(cp, integrity_hash=b"\xff" * 32)
-        assert verify_checkpoint(forged, store) == "HashMismatch"
+        store, cid = self.make()
+        assert verify_checkpoint(store, cid, b"\xff" * 32, self.CUMULATIVE) == "HashMismatch"
+
+    @pytest.mark.parametrize("cumulative", [{cid_of(1): Fixed(100)}, None],
+                             ids=["other_scores", "unknown_scores"])
+    def test_content_mismatch_detected(self, cumulative):
+        store, cid = self.make()
+        assert verify_checkpoint(store, cid, cid, cumulative) == "ContentMismatch"
 
 
 class TestCanonicalJson:

@@ -6,10 +6,12 @@ from pathlib import Path
 import pytest
 
 from fedchain import incentives
+from fedchain.coordinator import ContractConfig
 from fedchain import ledger as ledger_module
 from fedchain import scenario as scenario_module
 from fedchain.errors import ConfigError, MissingRun
 from fedchain.flclients import make_client_id
+from fedchain.numerics import Fixed
 from fedchain.offchain import canonical_json_bytes
 from fedchain.scenario import (
     audit,
@@ -71,6 +73,29 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="alpha"):
             parse_config(base_doc(alpha="-0.5"))
 
+    @pytest.mark.parametrize(
+        "key, contract_value, doc_value, message",
+        [
+            ("tau", Fixed(0), "0", "tau must be positive"),
+            ("slash_fraction", Fixed.from_decimal("1.5"), "1.5",
+             "slash_fraction must lie in [0, 1]"),
+            ("slash_fraction", Fixed.from_decimal("-0.1"), "-0.1",
+             "slash_fraction must lie in [0, 1]"),
+            ("reward_basis", "median", "median", "reward_basis must be alignment or shapley"),
+            ("min_stake", -1, -1, "min_stake must be >= 0, got -1"),
+            ("fairness_interval", 0, 0, "fairness_interval must be >= 1, got 0"),
+            ("reward_pool_per_round", True, True, "reward_pool_per_round must be an integer"),
+        ],
+        ids=["zero_tau", "slash_above_one", "negative_slash", "unknown_basis",
+             "negative_stake", "zero_interval", "bool_pool"],
+    )
+    def test_invalid_contract_parameter(self, key, contract_value, doc_value, message):
+        with pytest.raises(ValueError) as direct:
+            ContractConfig(**{key: contract_value})
+        with pytest.raises(ConfigError) as parsed:
+            parse_config(base_doc(**{key: doc_value}))
+        assert str(direct.value) == str(parsed.value) == message
+
     def test_samples_length_must_match(self):
         doc = base_doc()
         doc["dataset"]["samples_per_client"] = [10]
@@ -101,6 +126,10 @@ class TestConfigValidation:
     def test_bool_gas_coefficient_rejected(self):
         with pytest.raises(ConfigError, match="gas"):
             parse_config(base_doc(gas={"system_cost": True}))
+
+    def test_zero_gas_intercept_rejected(self):
+        with pytest.raises(ConfigError, match="bad gas model: gas coefficient system_cost"):
+            parse_config(base_doc(gas={"system_cost": 0}))
 
     def test_run_id_depends_on_seed(self):
         assert parse_config(base_doc()).run_id() != parse_config(base_doc(seed=43)).run_id()
