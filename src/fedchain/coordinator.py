@@ -10,6 +10,7 @@ identical state roots.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Optional
@@ -17,6 +18,7 @@ from typing import Optional
 from . import incentives
 from .errors import (
     AlreadyRegistered,
+    BadArgs,
     Banned,
     BadSampleCount,
     DimMismatch,
@@ -41,11 +43,24 @@ from .numerics import (
     norm_sq,
     sample_weighted_mean,
     SCALE,
+    check_int,
 )
 from .offchain import vector_commit
 
 VERDICT_ACCEPTED = "accepted"
 VERDICT_REJECTED_NORM = "rejected_norm"
+
+# contract call -> each of its args and the arg's type; a str arg is a hex digest
+CALL_ARGS = {
+    "register": {"stake": int, "n_samples": int},
+    "submit_update": {"round": int, "batch_index": int, "batch_count": int, "components": list},
+    "record_checkpoint": {"round": int, "cid": str, "hash": str},
+    **dict.fromkeys(
+        ("validate_round", "score_and_reward_round", "aggregate_round", "close_round"),
+        {"round": int},
+    ),
+}
+_DIGEST_HEX = re.compile("[0-9a-f]{64}")
 
 
 class Phase(enum.IntEnum):
@@ -94,15 +109,10 @@ class ContractConfig:
     reward_basis: str = "alignment"
 
     def __post_init__(self) -> None:
-        for name, minimum in (
-            ("min_stake", 0), ("ban_threshold", 1),
-            ("reward_pool_per_round", 0), ("fairness_interval", 1),
-        ):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer")
-            if value < minimum:
-                raise ValueError(f"{name} must be >= {minimum}, got {value}")
+        check_int(self.min_stake, "min_stake", minimum=0)
+        check_int(self.ban_threshold, "ban_threshold", minimum=1)
+        check_int(self.reward_pool_per_round, "reward_pool_per_round", minimum=0)
+        check_int(self.fairness_interval, "fairness_interval", minimum=1)
         if self.alpha.raw < 0:
             raise ValueError("alpha must be >= 0")
         if self.tau.raw <= 0:
@@ -143,10 +153,14 @@ class Coordinator:
     # -- dispatch (ledger entry point) ----------------------------------------
 
     def execute(self, op: str, sender: bytes, args: dict) -> None:
+        if sender != SYSTEM_SENDER and op not in ("register", "submit_update"):
+            raise NotAuthorized(f"{op} is a coordinator-initiated call")
+        if op not in CALL_ARGS:
+            raise SimulationError(f"unknown contract call {op!r}")
+        _check_args(op, args)
         if op == "register":
             self.register(sender, args["stake"], args["n_samples"])
-            return
-        if op == "submit_update":
+        elif op == "submit_update":
             self.submit_update(
                 sender,
                 args["round"],
@@ -154,27 +168,16 @@ class Coordinator:
                 args["batch_index"],
                 args["batch_count"],
             )
-            return
-        if sender != SYSTEM_SENDER:
-            raise NotAuthorized(f"{op} is a coordinator-initiated call")
-        if op == "validate_round":
-            self.validate_round(args["round"])
-        elif op == "score_and_reward_round":
-            self.score_and_reward_round(args["round"])
-        elif op == "aggregate_round":
-            self.aggregate_round(args["round"])
         elif op == "record_checkpoint":
             self.record_checkpoint(
                 args["round"], bytes.fromhex(args["cid"]), bytes.fromhex(args["hash"])
             )
-        elif op == "close_round":
-            self.close_round(args["round"])
         else:
-            raise SimulationError(f"unknown contract call {op!r}")
+            getattr(self, op)(args["round"])
 
     def gas_param_count(self, op: str, args: dict) -> int:
         if op == "submit_update":
-            return len(args["components"])
+            return len(args.get("components", ()))
         if op in ("validate_round", "aggregate_round"):
             return self.dim
         return 0
@@ -454,6 +457,17 @@ class Coordinator:
             },
             "last_checkpoint_round": self.last_checkpoint_round,
         }
+
+
+def _check_args(op: str, args: dict) -> None:
+    """``BadArgs`` unless ``args`` holds exactly the call's args, each of its type."""
+    types = CALL_ARGS[op]
+    if not isinstance(args, dict) or args.keys() != types.keys():
+        raise BadArgs(f"{op} takes exactly {', '.join(types)}")
+    for name, kind in types.items():
+        value = args[name]
+        if type(value) is not kind or (kind is str and not _DIGEST_HEX.fullmatch(value)):
+            raise BadArgs(f"{op}: bad {name} {value!r}")
 
 
 def _largest_remainder_split(pool: int, basis: dict[bytes, Fixed]) -> dict[bytes, int]:

@@ -44,6 +44,10 @@ class BadComponent(SimulationError):
 
 # --- coordinator (contract reverts) ---
 
+class BadArgs(SimulationError):
+    """Contract call args that are missing, extra or of the wrong type."""
+
+
 class AlreadyRegistered(SimulationError):
     pass
 

@@ -8,14 +8,14 @@ no global RNG state exists anywhere.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import DimMismatch
 from .keccak import keccak256
-from .numerics import GradientVector
+from .numerics import GradientVector, check_int, check_number
 
 BEHAVIOR_KINDS = ("honest", "negator", "scaler", "freerider", "dropout")
 
@@ -110,19 +110,20 @@ def local_train(
 
 @dataclass(frozen=True)
 class ClientBehavior:
-    """Per-client scripted behavior; fixed for the whole scenario."""
+    """Per-client scripted behavior; fixed for the whole scenario. A
+    parameter's ``kind`` metadata names the one behavior that reads it."""
 
-    kind: str = "honest"
-    scale: int = 100        # scaler: submits scale * g
-    dropout_q: float = 0.5  # dropout: participates with probability q
+    kind: str
+    c: int = field(default=100, metadata={"kind": "scaler"})  # submits c * g
+    q: float = field(default=0.5, metadata={"kind": "dropout"})  # participates with probability q
 
     def __post_init__(self) -> None:
         if self.kind not in BEHAVIOR_KINDS:
             raise ValueError(f"unknown behavior {self.kind!r}")
-        if not 0.0 <= self.dropout_q <= 1.0:
+        check_int(self.c, "c", minimum=1)
+        check_number(self.q, "q")
+        if not 0 <= self.q <= 1:
             raise ValueError("dropout probability must lie in [0, 1]")
-        if self.scale < 1:
-            raise ValueError("scale must be a positive integer")
 
 
 def act(
@@ -140,11 +141,11 @@ def act(
     if behavior.kind == "negator":
         return honest_update.negate()
     if behavior.kind == "scaler":
-        return honest_update.scale_int(behavior.scale)
+        return honest_update.scale_int(behavior.c)
     if behavior.kind == "freerider":
         return GradientVector.zeros(honest_update.dim)
     if behavior.kind == "dropout":
         if rng is None:
             raise ValueError("dropout behavior needs an rng stream")
-        return honest_update if rng.random() < behavior.dropout_q else None
+        return honest_update if rng.random() < behavior.q else None
     raise AssertionError(behavior.kind)

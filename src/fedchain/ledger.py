@@ -72,7 +72,8 @@ class GasModel:
         for name, value in self.__dict__.items():
             minimum = 1 if name in intercepts else 0
             if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-                raise ValueError(f"gas coefficient {name} must be an int >= {minimum}")
+                message = f"gas coefficient {name} must be an int >= {minimum}"
+                raise ValueError(f"bad gas model: {message}")
 
     def coefficients(self, op_class: str) -> tuple[int, int]:
         if op_class not in _COEFFICIENT_FIELDS:
@@ -90,9 +91,6 @@ class GasModel:
     def row(self, param_count: int) -> dict[str, int]:
         """Gas of one call of each class in OP_CLASSES at param_count parameters."""
         return {op_class: self.charge(op_class, param_count) for op_class in OP_CLASSES}
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 @dataclass(frozen=True)

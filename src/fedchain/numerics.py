@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, mul, neg
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import DimMismatch, EmptyInput, ParseError
 
@@ -34,6 +34,25 @@ def div_toward_zero(numerator: int, denominator: int) -> int:
     if (numerator < 0) != (denominator < 0):
         quotient = -quotient
     return quotient
+
+
+def check_int(value, name: str, minimum: Optional[int] = None) -> None:
+    """The config rule for an integer: a non-bool int, at least ``minimum``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_number(value, name: str) -> float:
+    """The config rule for a number: a non-bool int or float that a float can
+    hold; returns it as a float."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{name} must be a number")
 
 
 def _check_raw(raw: int) -> int:
@@ -171,7 +190,15 @@ class GradientVector:
 
     @classmethod
     def from_raw(cls, raws: Iterable[int]) -> "GradientVector":
-        return cls(_convert(raws, int))
+        """A vector of raw ints; any other component (a bool, a float, a
+        string) raises ValueError."""
+        raws = tuple(raws)
+        if not set(map(type, raws)) <= {int}:
+            for raw in raws:  # the first bad component decides the error
+                if type(raw) is not int:
+                    raise ValueError(f"raw component {raw!r} is not an int")
+                _check_raw(raw)
+        return cls(raws)
 
     @classmethod
     def from_floats(cls, values: Iterable[float]) -> "GradientVector":

@@ -11,10 +11,11 @@ import gzip
 import json
 import logging
 import zlib
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from functools import cache
 from operator import add
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .ledger import (
     gas_csv_text,
     verify_chain,
 )
-from .numerics import Fixed, GradientVector
+from .numerics import Fixed, GradientVector, check_int, check_number
 from .offchain import (
     ContentStore,
     canonical_json_bytes,
@@ -60,22 +61,49 @@ ATTRIBUTION_FILE = "attribution.jsonl"
 BLOBS_DIR = "blobs"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class DatasetConfig:
+    """The clients' synthetic data and local training, with their checks."""
+
     n_clients: int
     samples_per_client: tuple[int, ...]
     dim: int
-    noise: float
-    behaviors: tuple[ClientBehavior, ...]
+    noise: float = 0.0
+    behaviors: tuple[ClientBehavior, ...] = None  # None: every client honest
     epochs: int = 5
     lr: float = 0.1
-    seed: Optional[int] = None  # defaults to the scenario seed
+    seed: Optional[int] = None  # None: the scenario seed
+
+    def __post_init__(self) -> None:
+        check_int(self.n_clients, "n_clients", minimum=1)
+        _check_per_client(self.samples_per_client, self.n_clients, "samples_per_client", "count")
+        for count in self.samples_per_client:
+            check_int(count, "samples_per_client", minimum=1)
+        check_int(self.dim, "dim", minimum=1)
+        object.__setattr__(self, "noise", check_number(self.noise, "noise"))
+        if not self.noise >= 0:
+            raise ValueError("noise must be >= 0")
+        if self.behaviors is None:
+            object.__setattr__(self, "behaviors", (ClientBehavior("honest"),) * self.n_clients)
+        _check_per_client(self.behaviors, self.n_clients, "behaviors", "entry")
+        check_int(self.epochs, "epochs", minimum=1)
+        object.__setattr__(self, "lr", check_number(self.lr, "lr"))
+        if not self.lr > 0:
+            raise ValueError("lr must be positive")
+        if self.seed is not None:
+            check_int(self.seed, "dataset seed")
+
+
+def _check_per_client(values, n_clients: int, name: str, item: str) -> None:
+    if not (isinstance(values, tuple) and len(values) == n_clients):
+        raise ValueError(f"{name} must list one {item} per client")
 
 
 @dataclass(frozen=True)
 class ScenarioConfig(ContractConfig):
     """A scenario: the contract's parameters, plus the rounds, clients,
-    batching and gas model of one run."""
+    batching and gas model of one run. The dataset seed defaults to the
+    scenario seed."""
 
     seed: int
     rounds: int
@@ -83,45 +111,40 @@ class ScenarioConfig(ContractConfig):
     batch_size: int = 10_000
     gas: GasModel = field(default_factory=GasModel)
 
-    def dataset_seed(self) -> int:
-        return self.dataset.seed if self.dataset.seed is not None else self.seed
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        check_int(self.seed, "seed")
+        check_int(self.rounds, "rounds", minimum=1)
+        check_int(self.batch_size, "batch_size", minimum=1)
+        cap = incentives.SHAPLEY_MAX_CLIENTS
+        if self.reward_basis == "shapley" and self.dataset.n_clients > cap:
+            raise ValueError(f"shapley reward basis requires at most {cap} clients")
+        if self.dataset.seed is None:
+            object.__setattr__(self, "dataset", replace(self.dataset, seed=self.seed))
 
     def to_canonical_dict(self) -> dict:
-        behaviors = []
-        for b in self.dataset.behaviors:
-            entry: dict = {"kind": b.kind}
-            if b.kind == "scaler":
-                entry["c"] = b.scale
-            if b.kind == "dropout":
-                entry["q"] = b.dropout_q
-            behaviors.append(entry)
-        return {
-            "seed": self.seed,
-            "rounds": self.rounds,
-            "fairness_interval": self.fairness_interval,
-            "alpha": self.alpha.to_decimal(),
-            "min_stake": self.min_stake,
-            "reward_pool_per_round": self.reward_pool_per_round,
-            "tau": self.tau.to_decimal(),
-            "ban_threshold": self.ban_threshold,
-            "slash_fraction": self.slash_fraction.to_decimal(),
-            "batch_size": self.batch_size,
-            "reward_basis": self.reward_basis,
-            "gas": self.gas.to_dict(),
-            "dataset": {
-                "n_clients": self.dataset.n_clients,
-                "samples_per_client": list(self.dataset.samples_per_client),
-                "dim": self.dataset.dim,
-                "noise": self.dataset.noise,
-                "behaviors": behaviors,
-                "epochs": self.dataset.epochs,
-                "lr": self.dataset.lr,
-                "seed": self.dataset_seed(),
-            },
-        }
+        return _canonical(self)
 
     def run_id(self) -> str:
         return config_run_id(self.to_canonical_dict())
+
+
+def _canonical(value):
+    """A config value in its document form: a ``Fixed`` as its exact decimal
+    string, a tuple as a list, and a dataclass as an object of its fields,
+    leaving out a field whose ``kind`` metadata names another kind."""
+    if isinstance(value, Fixed):
+        return value.to_decimal()
+    if isinstance(value, tuple):
+        return [_canonical(item) for item in value]
+    if is_dataclass(value):
+        kind = getattr(value, "kind", None)
+        return {
+            f.name: _canonical(getattr(value, f.name))
+            for f in fields(value)
+            if f.metadata.get("kind", kind) == kind
+        }
+    return value
 
 
 def config_run_id(canonical_config: dict) -> str:
@@ -131,131 +154,62 @@ def config_run_id(canonical_config: dict) -> str:
 
 # --- config parsing -----------------------------------------------------------
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ConfigError(message)
-
-
-def _as_int(value, name: str, minimum: Optional[int] = None) -> int:
-    _require(value is not None, f"missing required field {name!r}")
-    _require(isinstance(value, int) and not isinstance(value, bool), f"{name} must be an integer")
-    if minimum is not None:
-        _require(value >= minimum, f"{name} must be >= {minimum}, got {value}")
-    return value
-
-
-def _as_number(value, name: str):
-    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    _require(is_number, f"{name} must be a number")
-    return value
-
-
 def _as_fixed(value, name: str) -> Fixed:
-    if isinstance(value, Fixed):
-        return value
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        value = repr(value)
-    _require(isinstance(value, str), f"{name} must be a decimal number or string")
+    """A decimal parameter, given as a JSON number or a decimal string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ConfigError(f"{name} must be a decimal number or string")
     try:
-        return Fixed.from_decimal(value)
-    except SimulationError as err:
+        return Fixed.from_decimal(value if isinstance(value, str) else repr(value))
+    except (ValueError, OverflowError) as err:
         raise ConfigError(f"{name}: {err}") from err
 
 
-def _check_keys(doc: dict, cls, what: str) -> None:
+_type_hints = cache(get_type_hints)  # a config class's field types, evaluated once
+
+
+def _from_doc(cls, doc, what: str):
+    """``cls`` built from a JSON object keyed by its field names; absent keys
+    take the defaults ``cls`` declares, and its constructor checks the values."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be an object")
     unknown = set(doc) - {f.name for f in fields(cls)}
-    _require(not unknown, f"unknown {what} keys: {sorted(unknown)}")
-
-
-def _parse_behavior(entry) -> ClientBehavior:
-    if isinstance(entry, str):
-        entry = {"kind": entry}
-    _require(isinstance(entry, dict), "behavior entries must be strings or objects")
-    unknown = set(entry) - {"kind", "c", "q"}
-    _require(not unknown, f"unknown behavior keys: {sorted(unknown)}")
-    scale = _as_int(entry.get("c", ClientBehavior.scale), "c", minimum=1)
-    dropout_q = _as_number(entry.get("q", ClientBehavior.dropout_q), "q")
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    for f in fields(cls):
+        if f.name not in doc and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing required field {f.name!r}")
+    hints = _type_hints(cls)
+    values = {name: _from_value(hints[name], value, name) for name, value in doc.items()}
     try:
-        return ClientBehavior(kind=entry.get("kind"), scale=scale, dropout_q=dropout_q)
+        return cls(**values)
     except ValueError as err:
-        raise ConfigError(f"bad behavior {entry!r}: {err}") from err
+        raise ConfigError(str(err)) from err
 
 
-def _parse_dataset(doc: dict) -> DatasetConfig:
-    _require(isinstance(doc, dict), "dataset must be an object")
-    _check_keys(doc, DatasetConfig, "dataset")
-    n_clients = _as_int(doc.get("n_clients"), "n_clients", minimum=1)
-    samples = doc.get("samples_per_client")
-    _require(isinstance(samples, list) and len(samples) == n_clients,
-             "samples_per_client must list one count per client")
-    samples = tuple(_as_int(s, "samples_per_client", minimum=1) for s in samples)
-    dim = _as_int(doc.get("dim"), "dim", minimum=1)
-    noise = _as_number(doc.get("noise", 0.0), "noise")
-    _require(noise >= 0, "noise must be >= 0")
-    behaviors_doc = doc.get("behaviors", ["honest"] * n_clients)
-    _require(isinstance(behaviors_doc, list) and len(behaviors_doc) == n_clients,
-             "behaviors must list one entry per client")
-    behaviors = tuple(_parse_behavior(b) for b in behaviors_doc)
-    epochs = _as_int(doc.get("epochs", DatasetConfig.epochs), "epochs", minimum=1)
-    lr = _as_number(doc.get("lr", DatasetConfig.lr), "lr")
-    _require(lr > 0, "lr must be positive")
-    seed = doc.get("seed", DatasetConfig.seed)
-    return DatasetConfig(
-        n_clients=n_clients,
-        samples_per_client=samples,
-        dim=dim,
-        noise=float(noise),
-        behaviors=behaviors,
-        epochs=epochs,
-        lr=float(lr),
-        seed=None if seed is None else _as_int(seed, "dataset seed"),
-    )
+def _from_value(hint, value, name: str):
+    """A document value as a field of type ``hint`` holds it: a decimal as a
+    ``Fixed``, an object as its config dataclass, a list as a tuple, and a
+    behavior's kind name as that behavior."""
+    if hint is Fixed:
+        return _as_fixed(value, name)
+    if hint is ClientBehavior and isinstance(value, str):
+        value = {"kind": value}
+    if is_dataclass(hint):
+        return _from_doc(hint, value, name)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, list):  # so `"behaviors": null` is no absent key
+            raise ConfigError(f"{name} must be a list")
+        return tuple(_from_value(get_args(hint)[0], item, name) for item in value)
+    return value
 
 
 def parse_config(doc: dict) -> ScenarioConfig:
-    """Validate a scenario document; unknown keys are rejected.
+    """Build a scenario from its JSON document; unknown keys are rejected.
 
-    Absent keys take the defaults ``ScenarioConfig`` declares; the contract
-    parameters are checked by ``ContractConfig``.
+    Absent keys take the defaults the config dataclasses declare; their
+    checks fail as ``ConfigError`` with the constructor's message.
     """
-    _require(isinstance(doc, dict), "config must be a JSON object")
-    _check_keys(doc, ScenarioConfig, "config")
-    _require("dataset" in doc, "missing required field 'dataset'")
-
-    def value(key: str):
-        return doc.get(key, getattr(ScenarioConfig, key, None))
-
-    gas_doc = doc.get("gas", {})
-    _require(isinstance(gas_doc, dict), "gas must be an object")
-    unknown_gas = set(gas_doc) - set(GasModel().to_dict())
-    _require(not unknown_gas, f"unknown gas keys: {sorted(unknown_gas)}")
-    try:
-        gas = GasModel(**gas_doc)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"bad gas model: {err}") from err
-
-    contract = {f.name: value(f.name) for f in fields(ContractConfig)}
-    for f in fields(ContractConfig):
-        if isinstance(f.default, Fixed):  # a decimal parameter
-            contract[f.name] = _as_fixed(contract[f.name], f.name)
-    seed = _as_int(value("seed"), "seed")
-    rounds = _as_int(value("rounds"), "rounds", minimum=1)
-    batch_size = _as_int(value("batch_size"), "batch_size", minimum=1)
-    dataset = _parse_dataset(doc["dataset"])
-    try:
-        config = ScenarioConfig(
-            seed=seed, rounds=rounds, dataset=dataset, batch_size=batch_size, gas=gas,
-            **contract,
-        )
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-    if config.reward_basis == "shapley":
-        _require(
-            config.dataset.n_clients <= incentives.SHAPLEY_MAX_CLIENTS,
-            "shapley reward basis requires at most "
-            f"{incentives.SHAPLEY_MAX_CLIENTS} clients",
-        )
-    return config
+    return _from_doc(ScenarioConfig, doc, "config")
 
 
 def load_config(path) -> ScenarioConfig:
@@ -300,15 +254,14 @@ def _chunked(components: tuple, size: int) -> list[tuple]:
 def run_scenario(config: ScenarioConfig) -> RunResult:
     """Execute the full round loop for one scenario, deterministically."""
     ds = config.dataset
-    data_seed = config.dataset_seed()
-    true_weights = sample_true_weights(data_seed, ds.dim)
+    true_weights = sample_true_weights(ds.seed, ds.dim)
     clients = [
         SimClient(
             index=i,
             id=make_client_id(i),
             behavior=ds.behaviors[i],
             dataset=SyntheticDataset.generate(
-                data_seed, ds.samples_per_client[i], ds.dim, ds.noise,
+                ds.seed, ds.samples_per_client[i], ds.dim, ds.noise,
                 true_weights=true_weights, client_index=i,
             ),
         )

@@ -97,6 +97,16 @@ def test_zero_gas_intercept_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [("alpha", 10**40), ("tau", "1" + "0" * 40)])
+def test_out_of_range_decimal_exits_2(config_path, tmp_path, capsys, key, value):
+    doc = json.loads(config_path.read_text())
+    config_path.write_text(json.dumps({**doc, key: value}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
+    assert f"config error: {key}: fixed-point value out of range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path)]) == 2
 

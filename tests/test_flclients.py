@@ -96,11 +96,11 @@ class TestBehaviors:
         assert out.components == (0, 0)
 
     def test_scaler_scales(self):
-        out = act(ClientBehavior("scaler", scale=100), self.honest)
+        out = act(ClientBehavior("scaler", c=100), self.honest)
         assert out.components == (100 * 10**9, 200 * 10**9)
 
     def test_dropout_is_seed_deterministic(self):
-        behavior = ClientBehavior("dropout", dropout_q=0.5)
+        behavior = ClientBehavior("dropout", q=0.5)
         picks_a = [
             act(behavior, self.honest, rng_stream(9, STREAM_DROPOUT, 0, r)) is None
             for r in range(40)
@@ -118,7 +118,7 @@ class TestBehaviors:
 
     def test_dropout_q_range(self):
         with pytest.raises(ValueError):
-            ClientBehavior("dropout", dropout_q=1.5)
+            ClientBehavior("dropout", q=1.5)
 
 
 class TestSyntheticData:

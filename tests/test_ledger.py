@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from fedchain.coordinator import ContractConfig, Coordinator, Phase
+from fedchain.coordinator import ContractConfig, Coordinator, Phase, RoundState
 from fedchain.errors import BadComponent, NonceError, UnknownSender
 from fedchain.flclients import make_client_id
 from fedchain.ledger import (
@@ -211,7 +211,9 @@ def update_args(**overrides) -> dict:
 
 class TestFailedSubmitLeavesLedgerUnchanged:
     """A call that raises instead of producing a receipt records nothing and
-    does not consume the sender's nonce."""
+    does not consume the sender's nonce. A call with missing, extra or
+    mistyped args reverts with ``BadArgs``: the receipt is recorded, gas is
+    charged, the nonce advances and the contract state is unchanged."""
 
     def submit_failing(self, make_tx, error):
         ledger, _ = make_ledger()
@@ -225,8 +227,23 @@ class TestFailedSubmitLeavesLedgerUnchanged:
         assert ledger._pending == pending
         return ledger
 
-    @pytest.mark.parametrize("components", [[], [10**40, 1], ["x", 1]],
-                             ids=["empty", "beyond_raw_limit", "string"])
+    def submit_bad_args(self, make_tx):
+        ledger, coordinator = make_ledger()
+        client = make_client_id(0)
+        ledger.submit_tx(register_tx(ledger, client))
+        tx = make_tx(ledger, client)
+        nonce, state = ledger.next_nonce(tx.sender), coordinator.state_dict()
+        receipt = ledger.submit_tx(tx)
+        assert receipt.revert_reason == "BadArgs"
+        assert receipt.events == [] and receipt.gas_used > 0
+        assert ledger._pending[-1] == (tx, receipt)
+        assert ledger.next_nonce(tx.sender) == nonce + 1
+        assert coordinator.state_dict() == state
+        assert coordinator.rounds == {1: RoundState(round=1)}
+        return receipt
+
+    @pytest.mark.parametrize("components", [[], [10**40, 1], ["x", 1], [1.5, 1], [True, 1]],
+                             ids=["empty", "beyond_raw_limit", "string", "float", "bool"])
     def test_unhashable_update_is_bad_component(self, components):
         def make_tx(ledger, client):
             args = update_args(components=components)
@@ -243,7 +260,7 @@ class TestFailedSubmitLeavesLedgerUnchanged:
             del args["round"]
             return Transaction(client, "submit_update", args, ledger.next_nonce(client))
 
-        self.submit_failing(make_tx, KeyError)
+        self.submit_bad_args(make_tx)
 
     def test_register_with_string_stake(self):
         def make_tx(ledger, _):
@@ -251,14 +268,49 @@ class TestFailedSubmitLeavesLedgerUnchanged:
             return Transaction(client, "register", {"stake": "100", "n_samples": 10},
                                ledger.next_nonce(client))
 
-        self.submit_failing(make_tx, TypeError)
+        self.submit_bad_args(make_tx)
 
     def test_system_validate_without_round(self):
         def make_tx(ledger, _):
             return Transaction(SYSTEM_SENDER, "validate_round", {},
                                ledger.next_nonce(SYSTEM_SENDER))
 
-        self.submit_failing(make_tx, KeyError)
+        self.submit_bad_args(make_tx)
+
+    @pytest.mark.parametrize("sender, op, args", [
+        (0, "submit_update", update_args(batch_index="0")),
+        (0, "submit_update", update_args(batch_count=True)),
+        (0, "submit_update", update_args(nonce=1)),
+        (1, "register", {"stake": 100, "n_samples": 2.5}),
+        (1, "register", {"stake": 100}),
+        (None, "close_round", {"round": 1.0}),
+        (None, "record_checkpoint", {"round": 1, "cid": "zz", "hash": "00" * 32}),
+        (None, "record_checkpoint", {"round": 1, "cid": "00" * 32, "hash": "AB" * 32}),
+    ], ids=["string_batch_index", "bool_batch_count", "extra_arg",
+            "float_n_samples", "no_n_samples", "float_round", "non_hex_cid", "upper_hex_hash"])
+    def test_bad_args_revert(self, sender, op, args):
+        def make_tx(ledger, _):
+            who = SYSTEM_SENDER if sender is None else make_client_id(sender)
+            return Transaction(who, op, args, ledger.next_nonce(who))
+
+        self.submit_bad_args(make_tx)
+
+    def test_update_without_components_is_charged_as_empty(self):
+        def make_tx(ledger, client):
+            args = {"round": 1, "batch_index": 0, "batch_count": 1}
+            return Transaction(client, "submit_update", args, ledger.next_nonce(client))
+
+        assert self.submit_bad_args(make_tx).gas_used == GasModel().charge("submit", 0)
+
+    def test_not_authorized_comes_before_bad_args(self):
+        ledger, _ = make_ledger()
+        client = make_client_id(0)
+        ledger.submit_tx(register_tx(ledger, client))
+        for op in ("close_round", "mint"):
+            tx = Transaction(client, op, {}, ledger.next_nonce(client))
+            assert ledger.submit_tx(tx).revert_reason == "NotAuthorized"
+        tx = Transaction(SYSTEM_SENDER, "mint", {}, ledger.next_nonce(SYSTEM_SENDER))
+        assert ledger.submit_tx(tx).revert_reason == "SimulationError"
 
 
 class TestChain:

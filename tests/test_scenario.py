@@ -1,16 +1,21 @@
 """End-to-end scenario runs, artifacts, determinism, and audits."""
+import copy
 import gzip
 import json
+import math
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from fedchain import incentives
 from fedchain.coordinator import ContractConfig
 from fedchain import ledger as ledger_module
 from fedchain import scenario as scenario_module
 from fedchain.errors import ConfigError, MissingRun
-from fedchain.flclients import make_client_id
+from fedchain.flclients import ClientBehavior, make_client_id
+from fedchain.ledger import GasModel
 from fedchain.numerics import Fixed
 from fedchain.offchain import canonical_json_bytes
 from fedchain.scenario import (
@@ -18,6 +23,8 @@ from fedchain.scenario import (
     build_report,
     config_run_id,
     gas_sweep,
+    DatasetConfig,
+    ScenarioConfig,
     load_config,
     load_run_dir,
     parse_config,
@@ -96,6 +103,11 @@ class TestConfigValidation:
             parse_config(base_doc(**{key: doc_value}))
         assert str(direct.value) == str(parsed.value) == message
 
+    @pytest.mark.parametrize("key, value", [("alpha", 10**40), ("tau", "1" + "0" * 40)])
+    def test_out_of_range_decimal_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key}: fixed-point value out of range"):
+            parse_config(base_doc(**{key: value}))
+
     def test_samples_length_must_match(self):
         doc = base_doc()
         doc["dataset"]["samples_per_client"] = [10]
@@ -120,8 +132,8 @@ class TestConfigValidation:
             "honest", {"kind": "scaler", "c": 50}, {"kind": "dropout", "q": 0.25}, "freerider",
         ]
         config = parse_config(doc)
-        assert config.dataset.behaviors[1].scale == 50
-        assert config.dataset.behaviors[2].dropout_q == 0.25
+        assert config.dataset.behaviors[1].c == 50
+        assert config.dataset.behaviors[2].q == 0.25
 
     def test_bool_gas_coefficient_rejected(self):
         with pytest.raises(ConfigError, match="gas"):
@@ -152,6 +164,162 @@ class TestConfigValidation:
         doc["dataset"].update(dataset_edit)
         with pytest.raises(ConfigError):
             parse_config(doc)
+
+
+def direct_dataset(**overrides) -> DatasetConfig:
+    """``base_doc()``'s dataset, built without ``parse_config``."""
+    behaviors = tuple(map(ClientBehavior, ["honest", "honest", "honest", "negator"]))
+    kwargs = dict(n_clients=4, samples_per_client=(10,) * 4, dim=4, noise=0.05,
+                  behaviors=behaviors)
+    return DatasetConfig(**{**kwargs, **overrides})
+
+
+def assert_same_error(build, doc, message) -> None:
+    """``build()`` raises ``ValueError(message)``, and ``parse_config(doc)``
+    reports the same message as a ``ConfigError``."""
+    with pytest.raises(ValueError) as direct:
+        build()
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(doc)
+    assert str(direct.value) == str(parsed.value) == message
+
+
+class TestConfigTypes:
+    """Each config dataclass checks its own fields, with the message that
+    ``parse_config`` reports."""
+
+    @pytest.mark.parametrize("key, direct_value, doc_value, message", [
+        ("n_clients", 0, 0, "n_clients must be >= 1, got 0"),
+        ("samples_per_client", (True, 10, 10, 10), [True, 10, 10, 10],
+         "samples_per_client must be an integer"),
+        ("dim", 0, 0, "dim must be >= 1, got 0"),
+        ("noise", -1, -1, "noise must be >= 0"),
+        ("noise", math.nan, math.nan, "noise must be >= 0"),
+        ("lr", 0, 0, "lr must be positive"),
+        ("lr", math.nan, math.nan, "lr must be positive"),
+        ("epochs", 0, 0, "epochs must be >= 1, got 0"),
+        ("seed", True, True, "dataset seed must be an integer"),
+        ("behaviors", (ClientBehavior("honest"),) * 3, ["honest"] * 3,
+         "behaviors must list one entry per client"),
+    ], ids=["zero_clients", "bool_sample_count", "zero_dim", "negative_noise", "nan_noise",
+            "zero_lr", "nan_lr", "zero_epochs", "bool_seed", "short_behaviors"])
+    def test_invalid_dataset_field(self, key, direct_value, doc_value, message):
+        doc = base_doc()
+        doc["dataset"][key] = doc_value
+        assert_same_error(lambda: direct_dataset(**{key: direct_value}), doc, message)
+
+    @pytest.mark.parametrize("kind, key, value, message", [
+        ("scaler", "c", 2.5, "c must be an integer"),
+        ("scaler", "c", 0, "c must be >= 1, got 0"),
+        ("dropout", "q", True, "q must be a number"),
+        ("dropout", "q", 1.5, "dropout probability must lie in [0, 1]"),
+    ], ids=["float_c", "zero_c", "bool_q", "q_above_one"])
+    def test_invalid_behavior_field(self, kind, key, value, message):
+        doc = base_doc()
+        doc["dataset"]["behaviors"][1] = {"kind": kind, key: value}
+        assert_same_error(lambda: ClientBehavior(kind, **{key: value}), doc, message)
+
+    def test_behavior_object_needs_a_kind(self):
+        doc = base_doc()
+        doc["dataset"]["behaviors"][1] = {}
+        with pytest.raises(ConfigError, match="missing required field 'kind'"):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("behaviors", [[], None], ids=["empty", "null"])
+    def test_behaviors_must_be_listed_when_given(self, behaviors):
+        doc = base_doc()
+        doc["dataset"]["behaviors"] = behaviors
+        with pytest.raises(ConfigError, match="behaviors"):
+            parse_config(doc)
+
+    def test_absent_behaviors_are_honest(self):
+        doc = base_doc()
+        del doc["dataset"]["behaviors"]
+        assert parse_config(doc).dataset.behaviors == (ClientBehavior("honest"),) * 4
+
+    @pytest.mark.parametrize("key, value, n_clients, message", [
+        ("rounds", 0, 4, "rounds must be >= 1, got 0"),
+        ("batch_size", 0, 4, "batch_size must be >= 1, got 0"),
+        ("reward_basis", "shapley", 13, "shapley reward basis requires at most 12 clients"),
+    ], ids=["zero_rounds", "zero_batch_size", "shapley_13_clients"])
+    def test_invalid_scenario_field(self, key, value, n_clients, message):
+        def build():
+            dataset = DatasetConfig(n_clients=n_clients, samples_per_client=(5,) * n_clients, dim=2)
+            return ScenarioConfig(**{"seed": 42, "rounds": 6, "dataset": dataset, key: value})
+
+        dataset_doc = {"n_clients": n_clients, "samples_per_client": [5] * n_clients, "dim": 2}
+        assert_same_error(build, {"seed": 42, "rounds": 6, "dataset": dataset_doc, key: value},
+                          message)
+
+    def test_dataset_seed_defaults_to_the_scenario_seed(self):
+        config = ScenarioConfig(seed=42, rounds=6, fairness_interval=3, dataset=direct_dataset())
+        assert config.dataset.seed == 42
+        assert config.to_canonical_dict() == parse_config(base_doc()).to_canonical_dict()
+
+
+BASE_DOCS = [
+    json.loads((CONFIGS / name).read_text()) for name in ("baseline.json", "adversary.json")
+]
+SCALARS = st.one_of(
+    st.sampled_from([0, -1, 1, 3, 13, 10**40]),
+    st.integers(-3, 60),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.25, 1.5, -0.5]),
+    st.floats(-2, 2),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["0.5", "1" + "0" * 40, "honest", "scaler", "dropout", "shapley", "x"]),
+)
+BEHAVIOR_KEYS = [f.name for f in fields(ClientBehavior)] + ["unknown"]
+VALUES = st.one_of(
+    SCALARS,
+    st.lists(SCALARS, max_size=7),
+    st.dictionaries(st.sampled_from(BEHAVIOR_KEYS), SCALARS, max_size=3),
+)
+PATHS = st.one_of(
+    st.sampled_from([(f.name,) for f in fields(ScenarioConfig)] + [("unknown",)]),
+    st.sampled_from(
+        [("dataset", f.name) for f in fields(DatasetConfig)] + [("dataset", "unknown")]
+    ),
+    st.sampled_from([("gas", f.name) for f in fields(GasModel)] + [("gas", "unknown")]),
+    st.tuples(st.just("dataset"), st.just("behaviors"), st.integers(0, 5),
+              st.sampled_from(BEHAVIOR_KEYS)),
+)
+
+
+def apply_edit(doc: dict, path: tuple, value) -> None:
+    """Set ``value`` at ``path``, a behavior given by its kind name turning
+    into an object; an edit under a part that is no longer a container is
+    dropped."""
+    *parents, key = path
+    target = doc
+    for step in parents:
+        if isinstance(target, dict):
+            target = target.setdefault(step, {}) if step == "gas" else target.get(step)
+        elif isinstance(target, list) and step < len(target):
+            if isinstance(target[step], str):
+                target[step] = {"kind": target[step]}
+            target = target[step]
+        else:
+            return
+    if isinstance(target, dict):
+        target[key] = value
+
+
+class TestConfigDocuments:
+    @given(st.sampled_from(range(len(BASE_DOCS))),
+           st.lists(st.tuples(PATHS, VALUES), min_size=1, max_size=3))
+    @example(0, [(("alpha",), 10**40)])
+    @example(1, [(("tau",), "1" + "0" * 40)])
+    def test_parse_is_total_and_the_canonical_form_a_fixed_point(self, base, edits):
+        doc = copy.deepcopy(BASE_DOCS[base])
+        for path, value in edits:
+            apply_edit(doc, path, value)
+        try:
+            config = parse_config(doc)
+        except ConfigError:
+            return
+        canonical = json.loads(json.dumps(config.to_canonical_dict()))
+        assert parse_config(canonical).to_canonical_dict() == canonical
 
 
 class TestRun:
@@ -476,7 +644,8 @@ class TestAudit:
         assert not verdict["ok"]
         assert verdict["chain"] == "block 4: malformed tx 2"
 
-    @pytest.mark.parametrize("component", ["x", None, 10**40], ids=["string", "none", "beyond_raw_limit"])
+    @pytest.mark.parametrize("component", ["x", None, 10**40, 1.5, True],
+                             ids=["string", "none", "beyond_raw_limit", "float", "bool"])
     def test_bad_update_component_is_malformed(self, run_dir, component):
         def spoil_update(doc):
             tx = doc["txs"][4][2]
@@ -520,6 +689,21 @@ class TestAudit:
         verdict = audit(run_dir)[0]
         assert not verdict["ok"]
         assert verdict["chain"] == "recorded config is invalid: rounds must be an integer"
+
+    def test_out_of_range_recorded_alpha_fails_beside_a_good_run(self, run_dir):
+        other = write_run(run_scenario(load_config(CONFIGS / "adversary.json")), run_dir.parent)
+
+        def huge_alpha(doc):
+            doc["config"]["alpha"] = 10**40
+
+        rewrite_ledger(run_dir, huge_alpha)
+        verdicts = {v["run_id"]: v for v in audit(run_dir.parent)}
+        assert verdicts[other.name]["ok"]
+        bad = verdicts[run_dir.name]
+        assert not bad["ok"]
+        assert bad["chain"].startswith(
+            "recorded config is invalid: alpha: fixed-point value out of range"
+        )
 
     def test_non_canonical_recorded_config_fails(self, run_dir):
         def drop_gas(doc):
