@@ -52,7 +52,7 @@ def main():
         receipt = ledger.submit_tx(tx)
         print(f"{op}:")
         show(receipt)
-    block = ledger.seal_block()
+    ledger.seal_block()
 
     state = coordinator.rounds[1]
     print("\n== outcome ==")
@@ -61,8 +61,10 @@ def main():
     print("payouts:", {hex_id(cid): p for cid, p in sorted(state.payouts.items())})
     print("aggregate:", [Fixed(c).to_decimal() for c in state.aggregate.components],
           "(sample-weighted mean: bob holds 3/4 of the data)")
-    print("block", block.height, "hash:", block.block_hash().hex()[:16], "...")
-    fault = verify_chain(ledger.chain_document(), rounds=1)
+    chain = ledger.chain_document()
+    block = chain["blocks"][-1]
+    print("block", block["height"], "hash:", block["hash"][:16], "...")
+    fault = verify_chain(chain, rounds=1)
     print("chain verifies." if fault is None else f"chain fault: {fault}")
 
 

@@ -175,9 +175,12 @@ class Coordinator:
         else:
             getattr(self, op)(args["round"])
 
-    def gas_param_count(self, op: str, args: dict) -> int:
+    def gas_param_count(self, op: str, args) -> int:
+        """Parameters a call touches, for its gas charge. An update whose args
+        are not an object touches none: it is charged, and ``execute``
+        reverts it with ``BadArgs``."""
         if op == "submit_update":
-            return len(args.get("components", ()))
+            return len(args.get("components", ())) if isinstance(args, dict) else 0
         if op in ("validate_round", "aggregate_round"):
             return self.dim
         return 0

@@ -7,6 +7,14 @@ relative error across four decades of parameter counts) against gas
 measurements of a reference contract deployment; registration and reward
 distribution are parameter-independent, so their slopes are structurally
 zero.
+
+Hashing is deferred: ``submit_tx`` builds each tx preimage (its args check)
+and ``seal_block`` snapshots the state preimage, but neither hashes. The
+first read of the chain (``blocks``, ``block_receipts``, ``block_txs`` or
+``chain_document``) hashes every sealed block not yet hashed: one
+``keccak256_many`` pass over the tx and state preimages, a second over the
+receipts-root preimages, which hold the tx hashes, then the headers in
+order through ``keccak256``, since each holds its parent's hash.
 """
 from __future__ import annotations
 
@@ -102,7 +110,7 @@ class Transaction:
 
     def digest_args(self) -> dict:
         """Args with bulk payloads replaced by their commitment digests."""
-        if "components" in self.args:
+        if isinstance(self.args, dict) and "components" in self.args:
             slim = dict(self.args)
             raws = slim.pop("components")
             slim["components_commit"] = vector_commit(GradientVector.from_raw(raws))
@@ -134,18 +142,26 @@ class Transaction:
 
 @dataclass
 class Receipt:
-    tx_hash: bytes
+    tx_preimage: bytes = field(repr=False)  # the bytes ``tx_hash`` hashes
     block_height: int
     gas_used: int
     events: list[tuple[str, dict]]
     status: str  # "success" | "reverted"
     revert_reason: Optional[str] = None
+    # set by the ledger's batched pass, or by the first read of ``tx_hash`` before it
+    _tx_hash: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.gas_used <= 0:
             raise ValueError("every executed transaction consumes gas")
         if self.status == "reverted" and self.events:
             raise ValueError("reverted transactions emit no events")
+
+    @property
+    def tx_hash(self) -> bytes:
+        if self._tx_hash is None:
+            self._tx_hash = keccak256(self.tx_preimage)
+        return self._tx_hash
 
     @property
     def success(self) -> bool:
@@ -170,9 +186,7 @@ class Block:
     receipts_root: bytes
     state_root: bytes
 
-    _hash_cache: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
-
-    def _header(self) -> dict:
+    def header(self) -> dict:
         return {
             "height": self.height,
             "parent_hash": self.parent_hash.hex(),
@@ -182,15 +196,13 @@ class Block:
         }
 
     def hash_preimage(self) -> bytes:
-        return canonical_json_bytes(self._header())
+        return canonical_json_bytes(self.header())
 
     def block_hash(self) -> bytes:
-        if self._hash_cache is None:
-            object.__setattr__(self, "_hash_cache", keccak256(self.hash_preimage()))
-        return self._hash_cache
+        return keccak256(self.hash_preimage())
 
     def to_dict(self) -> dict:
-        return {**self._header(), "hash": self.block_hash().hex()}
+        return {**self.header(), "hash": self.block_hash().hex()}
 
 
 def receipts_preimage(receipt_docs: list[dict]) -> bytes:
@@ -199,26 +211,24 @@ def receipts_preimage(receipt_docs: list[dict]) -> bytes:
     return canonical_json_bytes(receipt_docs)
 
 
-def receipts_root(receipt_docs: list[dict]) -> bytes:
-    """Keccak-256 of a block's receipts in their ``Receipt.to_dict`` form."""
-    return keccak256(receipts_preimage(receipt_docs))
-
-
 class Ledger:
     """Single-writer chain: executes calls against the coordinator in strict
     submission order, charges gas, and seals a block when asked: genesis,
     registration, then one block per protocol round. The contract is deployed
-    on construction: genesis holds the lone deploy receipt."""
+    on construction: genesis holds the lone deploy receipt. Sealed blocks are
+    hashed in batches when the chain is next read (module docstring)."""
 
     def __init__(self, gas_model: GasModel, coordinator):
         self.gas_model = gas_model
         self.coordinator = coordinator
-        self.blocks: list[Block] = []
-        self.block_receipts: list[list[Receipt]] = []   # sealed, parallel to blocks
-        self.block_txs: list[list[Transaction]] = []
+        self._blocks: list[Block] = []            # hashed headers
+        self._block_hashes: list[bytes] = []      # parallel to _blocks
+        self._receipts: list[list[Receipt]] = []  # every sealed block, hashed or not
+        self._txs: list[list[Transaction]] = []
+        self._state_preimages: list[bytes] = []   # sealed blocks not yet hashed
         tx = Transaction(sender=SYSTEM_SENDER, op="deploy", args={}, nonce=0)
         receipt = Receipt(
-            tx_hash=tx.tx_hash(),
+            tx_preimage=tx.hash_preimage(),
             block_height=0,
             gas_used=self._gas_for(tx),
             events=[("ContractDeployed", {"size_bytes": 10_667})],
@@ -249,17 +259,17 @@ class Ledger:
         expected = self.next_nonce(tx.sender)
         if tx.nonce != expected:
             raise NonceError(f"nonce {tx.nonce} != expected {expected}")
-        tx_hash = tx.tx_hash()
+        preimage = tx.hash_preimage()
 
         gas = self._gas_for(tx)
-        height = len(self.blocks)
+        height = len(self._receipts)
         try:
             self.coordinator.execute(tx.op, tx.sender, tx.args)
             events = self.coordinator.drain_events()
-            receipt = Receipt(tx_hash, height, gas, events, "success")
+            receipt = Receipt(preimage, height, gas, events, "success")
         except SimulationError as err:
             self.coordinator.drain_events()  # discard anything emitted pre-revert
-            receipt = Receipt(tx_hash, height, gas, [], "reverted", err.reason)
+            receipt = Receipt(preimage, height, gas, [], "reverted", err.reason)
         self._pending.append((tx, receipt))
         self._nonces[tx.sender] = expected + 1
         return receipt
@@ -270,23 +280,38 @@ class Ledger:
 
     # -- blocks ------------------------------------------------------------
 
-    def seal_block(self) -> Block:
-        """Seal pending receipts into the next block (empty blocks allowed)."""
-        txs = [tx for tx, _ in self._pending]
-        receipts = [r for _, r in self._pending]
-        parent = self.blocks[-1].block_hash() if self.blocks else GENESIS_PARENT
-        block = Block(
-            height=len(self.blocks),
-            parent_hash=parent,
-            tx_hashes=tuple(r.tx_hash for r in receipts),
-            receipts_root=receipts_root([r.to_dict() for r in receipts]),
-            state_root=self.state_root(),
-        )
-        self.blocks.append(block)
-        self.block_receipts.append(receipts)
-        self.block_txs.append(txs)
+    def seal_block(self) -> None:
+        """Seal pending receipts into the next block (empty blocks allowed),
+        with a snapshot of the state; hashing waits for the next chain read."""
+        self._txs.append([tx for tx, _ in self._pending])
+        self._receipts.append([r for _, r in self._pending])
+        self._state_preimages.append(canonical_json_bytes(self.coordinator.state_dict()))
         self._pending = []
-        return block
+
+    def _hash_sealed(self) -> None:
+        """Hash every sealed block not yet hashed, in two batched passes and
+        one chained pass over the headers."""
+        start = len(self._blocks)
+        if start == len(self._receipts):
+            return
+        sealed = self._receipts[start:]
+        unhashed = [r for receipts in sealed for r in receipts if r._tx_hash is None]
+        digests = keccak256_many([r.tx_preimage for r in unhashed] + self._state_preimages)
+        for receipt, digest in zip(unhashed, digests):
+            receipt._tx_hash = digest
+        state_roots = digests[len(unhashed):]
+        roots = keccak256_many(
+            [receipts_preimage([r.to_dict() for r in receipts]) for receipts in sealed]
+        )
+        parent = self._block_hashes[-1] if self._block_hashes else GENESIS_PARENT
+        for height, (receipts, root, state_root) in enumerate(
+            zip(sealed, roots, state_roots), start
+        ):
+            block = Block(height, parent, tuple(r.tx_hash for r in receipts), root, state_root)
+            parent = keccak256(block.hash_preimage())
+            self._blocks.append(block)
+            self._block_hashes.append(parent)
+        self._state_preimages = []
 
     def state_root(self) -> bytes:
         """Keccak-256 of the canonical coordinator-state serialization."""
@@ -294,12 +319,32 @@ class Ledger:
 
     # -- queries -----------------------------------------------------------
 
+    @property
+    def blocks(self) -> list[Block]:
+        self._hash_sealed()
+        return self._blocks
+
+    @property
+    def block_receipts(self) -> list[list[Receipt]]:
+        """Sealed receipts, parallel to ``blocks``."""
+        self._hash_sealed()
+        return self._receipts
+
+    @property
+    def block_txs(self) -> list[list[Transaction]]:
+        self._hash_sealed()
+        return self._txs
+
     def chain_document(self) -> dict:
         """The sealed chain in its persisted form: headers, txs and receipts."""
+        self._hash_sealed()
         return {
-            "blocks": [b.to_dict() for b in self.blocks],
-            "txs": [[tx.to_dict() for tx in sealed] for sealed in self.block_txs],
-            "receipts": [[r.to_dict() for r in sealed] for sealed in self.block_receipts],
+            "blocks": [
+                {**block.header(), "hash": block_hash.hex()}
+                for block, block_hash in zip(self._blocks, self._block_hashes)
+            ],
+            "txs": [[tx.to_dict() for tx in sealed] for sealed in self._txs],
+            "receipts": [[r.to_dict() for r in sealed] for sealed in self._receipts],
         }
 
 

@@ -2,8 +2,10 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fedchain.coordinator import ContractConfig, Coordinator, Phase, RoundState
+from fedchain.coordinator import CALL_ARGS, ContractConfig, Coordinator, Phase, RoundState
+from fedchain import ledger as ledger_module
 from fedchain.errors import BadComponent, NonceError, UnknownSender
 from fedchain.flclients import make_client_id
 from fedchain.ledger import (
@@ -18,6 +20,7 @@ from fedchain.ledger import (
     gas_csv_text,
     verify_chain,
 )
+from fedchain.offchain import canonical_json_bytes
 
 # Reference gas measurements by parameter size (register and distribute are
 # parameter-independent; the other classes grow with size).
@@ -302,6 +305,17 @@ class TestFailedSubmitLeavesLedgerUnchanged:
 
         assert self.submit_bad_args(make_tx).gas_used == GasModel().charge("submit", 0)
 
+    @pytest.mark.parametrize("args", [["round"], "xyz", "components", 7],
+                             ids=["list", "string", "string_components", "int"])
+    @pytest.mark.parametrize("sender, op", [(0, "submit_update"), (1, "register")])
+    def test_args_that_are_not_an_object_revert_charged_as_empty(self, sender, op, args):
+        def make_tx(ledger, _):
+            who = make_client_id(sender)
+            return Transaction(who, op, args, ledger.next_nonce(who))
+
+        receipt = self.submit_bad_args(make_tx)
+        assert receipt.gas_used == GasModel().charge(gas_class(op), 0)
+
     def test_not_authorized_comes_before_bad_args(self):
         ledger, _ = make_ledger()
         client = make_client_id(0)
@@ -405,7 +419,110 @@ class TestChain:
         for i in range(4):
             ledger.submit_tx(register_tx(ledger, make_client_id(i)))
         assert len(ledger.blocks) == 1  # genesis only: pending txs wait for seal_block
-        assert len(ledger.seal_block().tx_hashes) == 4
+        ledger.seal_block()
+        assert len(ledger.blocks[-1].tx_hashes) == 4
+
+
+JSON_LIKE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-3, 3) | st.floats()
+    | st.text(max_size=6) | st.sampled_from(["00" * 32, "round", "components"]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=8,
+)
+CALL_NAMES = sorted(CALL_ARGS) + ["deploy", "mint"]
+
+
+@st.composite
+def contract_calls(draw):
+    """(sender, op, args, nonce offset, seal after): any JSON-like args, or
+    the call's own arg names with JSON-like values, from the system, a
+    registered client or a stranger, mostly at the right nonce."""
+    op = draw(st.sampled_from(CALL_NAMES))
+    named = st.fixed_dictionaries({name: JSON_LIKE for name in CALL_ARGS.get(op, {})})
+    args = draw(st.one_of(JSON_LIKE, named))
+    sender = draw(st.sampled_from([SYSTEM_SENDER, make_client_id(0), make_client_id(1)]))
+    return sender, op, args, draw(st.sampled_from([0, 0, 0, 1, -1])), draw(st.booleans())
+
+
+class TestContractBoundary:
+    @settings(max_examples=60, deadline=None)
+    @given(calls=st.lists(contract_calls(), min_size=1, max_size=4))
+    def test_submit_raises_only_pre_execution_errors_and_then_changes_nothing(self, calls):
+        ledger, coordinator = make_ledger()
+        ledger.submit_tx(register_tx(ledger, make_client_id(0)))
+        ledger.seal_block()
+
+        def snapshot(sender):
+            return (
+                ledger.next_nonce(sender),
+                list(ledger._pending),
+                [receipt.tx_preimage for _, receipt in ledger._pending],
+                canonical_json_bytes(ledger.chain_document()),
+                coordinator.state_dict(),
+            )
+
+        for sender, op, args, nonce_offset, seal in calls:
+            tx = Transaction(sender, op, args, ledger.next_nonce(sender) + nonce_offset)
+            before = snapshot(sender)
+            try:
+                receipt = ledger.submit_tx(tx)
+            except (NonceError, UnknownSender, BadComponent):
+                assert snapshot(sender) == before
+            else:
+                assert ledger._pending[-1] == (tx, receipt)
+                assert ledger.next_nonce(sender) == before[0] + 1
+                assert receipt.tx_hash == tx.tx_hash()
+            if seal:
+                ledger.seal_block()
+
+
+class TestDeferredHashing:
+    def small_chain(self, read_every_seal: bool) -> Ledger:
+        ledger, _ = make_ledger()
+        for i in range(5):
+            if i < 4:  # the last block is empty; client 0 registers twice and reverts
+                ledger.submit_tx(register_tx(ledger, make_client_id(i % 3)))
+            ledger.seal_block()
+            if read_every_seal:
+                assert len(ledger.blocks) == i + 2
+        return ledger
+
+    def test_flush_timing_does_not_change_bytes(self):
+        eager = self.small_chain(read_every_seal=True)
+        lazy = self.small_chain(read_every_seal=False)
+        assert canonical_json_bytes(eager.chain_document()) == \
+            canonical_json_bytes(lazy.chain_document())
+
+    def test_chain_document_equals_the_blocks_and_receipts_read(self):
+        ledger = self.small_chain(read_every_seal=False)
+        chain = ledger.chain_document()
+        assert chain["blocks"] == [block.to_dict() for block in ledger.blocks]
+        assert chain["receipts"] == [[r.to_dict() for r in sealed]
+                                     for sealed in ledger.block_receipts]
+
+    def test_receipt_tx_hash_is_right_before_the_seal(self):
+        unread, _ = make_ledger()
+        unread.submit_tx(register_tx(unread, make_client_id(0)))
+        unread.seal_block()
+        ledger, _ = make_ledger()
+        tx = register_tx(ledger, make_client_id(0))
+        receipt = ledger.submit_tx(tx)
+        assert receipt.tx_hash == tx.tx_hash()
+        ledger.seal_block()
+        assert ledger.blocks[-1].tx_hashes == (tx.tx_hash(),)
+        assert ledger.chain_document() == unread.chain_document()
+
+    def test_submit_and_seal_hash_nothing(self, monkeypatch):
+        def no_hash(*args):
+            raise AssertionError("hashed before the chain was read")
+
+        monkeypatch.setattr(ledger_module, "keccak256", no_hash)
+        monkeypatch.setattr(ledger_module, "keccak256_many", no_hash)
+        ledger, _ = make_ledger()
+        ledger.submit_tx(register_tx(ledger, make_client_id(0)))
+        ledger.seal_block()
+        ledger.seal_block()
 
 
 class TestGasCsv:

@@ -440,6 +440,42 @@ class TestArtifacts:
         assert len(set(headers)) == len(headers) > 1
         assert [message for message in hashed if message in headers] == headers
 
+    def test_reading_the_chain_after_every_seal_does_not_change_bytes(self, monkeypatch):
+        config = load_config(CONFIGS / "baseline.json")
+        once = run_scenario(config).ledger_doc
+        seal_block = ledger_module.Ledger.seal_block
+        reads = []
+
+        def seal_and_read(ledger):
+            seal_block(ledger)
+            reads.append(len(ledger.blocks))
+
+        monkeypatch.setattr(ledger_module.Ledger, "seal_block", seal_and_read)
+        every_seal = run_scenario(config).ledger_doc
+        assert reads == list(range(1, config.rounds + 3))
+        assert canonical_json_bytes(every_seal) == canonical_json_bytes(once)
+
+    @pytest.mark.parametrize("rounds", [2, 6])
+    def test_run_hashes_txs_and_states_in_a_fixed_number_of_batches(self, rounds, monkeypatch):
+        scalar, batches = [], []
+        keccak256, keccak256_many = ledger_module.keccak256, ledger_module.keccak256_many
+
+        def recording(data):
+            scalar.append(data)
+            return keccak256(data)
+
+        def recording_many(messages):
+            batches.append(len(messages))
+            return keccak256_many(messages)
+
+        monkeypatch.setattr(ledger_module, "keccak256", recording)
+        monkeypatch.setattr(ledger_module, "keccak256_many", recording_many)
+        result = run_scenario(parse_config(base_doc(rounds=rounds)))
+        monkeypatch.undo()
+        assert scalar == [block.hash_preimage() for block in result.ledger.blocks]
+        txs = sum(len(sealed) for sealed in result.ledger.block_txs)
+        assert batches == [txs + rounds + 2, rounds + 2]
+
     def test_run_and_write_build_one_ledger_document_and_run_id(self, tmp_path, monkeypatch):
         calls = {"ledger_document": 0, "run_id": 0}
         ledger_document = scenario_module.ledger_document
