@@ -9,9 +9,10 @@ from fedchain.ledger import GasModel, Ledger, SYSTEM_SENDER, Transaction, verify
 from fedchain.numerics import Fixed, GradientVector
 
 
-def show(receipt):
-    print(f"  gas={receipt.gas_used:>9,}  status={receipt.status:8s} "
-          f"events={[name for name, _ in receipt.events]}")
+def show(gas_used, status, events, **_):
+    """One receipt's gas, status and event names, from its fields or its
+    chain-document form."""
+    print(f"  gas={gas_used:>9,}  status={status:8s} events={[name for name, _ in events]}")
 
 
 def main():
@@ -19,14 +20,14 @@ def main():
     coordinator = ledger.coordinator
 
     print("== deploy ==")
-    show(ledger.block_receipts[0][0])
+    show(**ledger.chain_document()["receipts"][0][0])
 
     print("\n== register two clients (stake 100 each) ==")
     alice, bob = make_client_id(0), make_client_id(1)
     for cid, n in ((alice, 10), (bob, 30)):
         tx = Transaction(cid, "register", {"stake": 100, "n_samples": n},
                          ledger.next_nonce(cid))
-        show(ledger.submit_tx(tx))
+        show(**vars(ledger.submit_tx(tx)))
     ledger.seal_block()
 
     print("\n== round 1: submissions ==")
@@ -37,21 +38,21 @@ def main():
             "round": 1, "batch_index": 0, "batch_count": 1,
             "components": list(vector.components),
         }, ledger.next_nonce(cid))
-        show(ledger.submit_tx(tx))
+        show(**vars(ledger.submit_tx(tx)))
 
     print("\n== a duplicate submission reverts ==")
     tx = Transaction(alice, "submit_update", {
         "round": 1, "batch_index": 0, "batch_count": 1,
         "components": list(GradientVector.from_decimals(["9", "9"]).components),
     }, ledger.next_nonce(alice))
-    show(ledger.submit_tx(tx))
+    show(**vars(ledger.submit_tx(tx)))
 
     print("\n== system calls drive the round forward ==")
     for op in ("validate_round", "score_and_reward_round", "aggregate_round", "close_round"):
         tx = Transaction(SYSTEM_SENDER, op, {"round": 1}, ledger.next_nonce(SYSTEM_SENDER))
         receipt = ledger.submit_tx(tx)
         print(f"{op}:")
-        show(receipt)
+        show(**vars(receipt))
     ledger.seal_block()
 
     state = coordinator.rounds[1]

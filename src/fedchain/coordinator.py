@@ -36,6 +36,7 @@ from .errors import (
 )
 from .ledger import SYSTEM_SENDER
 from .numerics import (
+    ONE,
     ZERO,
     Fixed,
     GradientVector,
@@ -117,6 +118,11 @@ class ContractConfig:
             raise ValueError("alpha must be >= 0")
         if self.tau.raw <= 0:
             raise ValueError("tau must be positive")
+        try:  # the largest payout basis: a Shapley value, at most 2 * tau * tau, times 1 + alpha
+            Fixed.from_int(2) * (self.tau * self.tau) * (ONE + self.alpha)
+        except OverflowError:
+            message = "2 * tau * tau * (1 + alpha) must lie in the fixed-point range"
+            raise ValueError(message) from None
         if not 0 <= self.slash_fraction.raw <= SCALE:
             raise ValueError("slash_fraction must lie in [0, 1]")
         if self.reward_basis not in ("alignment", "shapley"):
@@ -267,10 +273,12 @@ class Coordinator:
         verdicts: dict[bytes, str] = {}
         accepted: list[bytes] = []
         for client_id in sorted(state.submissions):
-            if norm_sq(state.submissions[client_id]) > norm_bound:
-                verdicts[client_id] = VERDICT_REJECTED_NORM
-            else:
-                verdicts[client_id] = VERDICT_ACCEPTED
+            try:
+                within = norm_sq(state.submissions[client_id]) <= norm_bound
+            except OverflowError:  # beyond the fixed-point range, so beyond tau * tau
+                within = False
+            verdicts[client_id] = VERDICT_ACCEPTED if within else VERDICT_REJECTED_NORM
+            if within:
                 accepted.append(client_id)
         state.verdicts = verdicts
         state.accepted = accepted

@@ -102,10 +102,12 @@ def local_train(
     w = start.copy()
     X, y = dataset.features, dataset.targets
     n = dataset.n_samples
-    for _ in range(epochs):
-        gradient = X.T @ (X @ w - y) / n
-        w = w - lr * gradient
-    return GradientVector.from_floats((w - start).tolist())
+    with np.errstate(over="ignore", invalid="ignore"):  # from_floats rejects inf and NaN
+        for _ in range(epochs):
+            gradient = X.T @ (X @ w - y) / n
+            w = w - lr * gradient
+        delta = (w - start).tolist()
+    return GradientVector.from_floats(delta)
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,14 @@ measurements of a reference contract deployment; registration and reward
 distribution are parameter-independent, so their slopes are structurally
 zero.
 
-Hashing is deferred: ``submit_tx`` builds each tx preimage (its args check)
-and ``seal_block`` snapshots the state preimage, but neither hashes. The
-first read of the chain (``blocks``, ``block_receipts``, ``block_txs`` or
-``chain_document``) hashes every sealed block not yet hashed: one
-``keccak256_many`` pass over the tx and state preimages, a second over the
-receipts-root preimages, which hold the tx hashes, then the headers in
-order through ``keccak256``, since each holds its parent's hash.
+The chain has one read, ``Ledger.chain_document``, and one place that hashes
+a sealed tx, state or block: the flush that read runs first. ``submit_tx``
+builds each tx preimage (its args check) and ``seal_block`` snapshots the
+state preimage; neither hashes. The flush hashes every sealed block not yet
+hashed: one ``keccak256_many`` pass over the tx and state preimages, which
+sets each receipt's ``tx_hash``, a second over the receipts-root preimages,
+which hold the tx hashes, then the headers in order through ``keccak256``,
+since each holds its parent's hash.
 """
 from __future__ import annotations
 
@@ -148,20 +149,13 @@ class Receipt:
     events: list[tuple[str, dict]]
     status: str  # "success" | "reverted"
     revert_reason: Optional[str] = None
-    # set by the ledger's batched pass, or by the first read of ``tx_hash`` before it
-    _tx_hash: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
+    tx_hash: Optional[bytes] = field(default=None, init=False)  # None until the flush
 
     def __post_init__(self) -> None:
         if self.gas_used <= 0:
             raise ValueError("every executed transaction consumes gas")
         if self.status == "reverted" and self.events:
             raise ValueError("reverted transactions emit no events")
-
-    @property
-    def tx_hash(self) -> bytes:
-        if self._tx_hash is None:
-            self._tx_hash = keccak256(self.tx_preimage)
-        return self._tx_hash
 
     @property
     def success(self) -> bool:
@@ -198,12 +192,6 @@ class Block:
     def hash_preimage(self) -> bytes:
         return canonical_json_bytes(self.header())
 
-    def block_hash(self) -> bytes:
-        return keccak256(self.hash_preimage())
-
-    def to_dict(self) -> dict:
-        return {**self.header(), "hash": self.block_hash().hex()}
-
 
 def receipts_preimage(receipt_docs: list[dict]) -> bytes:
     """The bytes ``receipts_root`` hashes: a block's receipts in their
@@ -215,17 +203,16 @@ class Ledger:
     """Single-writer chain: executes calls against the coordinator in strict
     submission order, charges gas, and seals a block when asked: genesis,
     registration, then one block per protocol round. The contract is deployed
-    on construction: genesis holds the lone deploy receipt. Sealed blocks are
-    hashed in batches when the chain is next read (module docstring)."""
+    on construction: genesis holds the lone deploy receipt. The chain is read
+    only as ``chain_document``, which first hashes the blocks sealed since
+    the last read in batches (module docstring)."""
 
     def __init__(self, gas_model: GasModel, coordinator):
         self.gas_model = gas_model
         self.coordinator = coordinator
-        self._blocks: list[Block] = []            # hashed headers
-        self._block_hashes: list[bytes] = []      # parallel to _blocks
-        self._receipts: list[list[Receipt]] = []  # every sealed block, hashed or not
-        self._txs: list[list[Transaction]] = []
-        self._state_preimages: list[bytes] = []   # sealed blocks not yet hashed
+        self._sealed: list[list[tuple[Transaction, Receipt]]] = []  # hashed or not
+        self._hashed: list[tuple[Block, bytes]] = []  # each hashed block and its hash
+        self._state_preimages: list[bytes] = []       # sealed blocks not yet hashed
         tx = Transaction(sender=SYSTEM_SENDER, op="deploy", args={}, nonce=0)
         receipt = Receipt(
             tx_preimage=tx.hash_preimage(),
@@ -262,7 +249,7 @@ class Ledger:
         preimage = tx.hash_preimage()
 
         gas = self._gas_for(tx)
-        height = len(self._receipts)
+        height = len(self._sealed)
         try:
             self.coordinator.execute(tx.op, tx.sender, tx.args)
             events = self.coordinator.drain_events()
@@ -283,68 +270,51 @@ class Ledger:
     def seal_block(self) -> None:
         """Seal pending receipts into the next block (empty blocks allowed),
         with a snapshot of the state; hashing waits for the next chain read."""
-        self._txs.append([tx for tx, _ in self._pending])
-        self._receipts.append([r for _, r in self._pending])
+        self._sealed.append(self._pending)
         self._state_preimages.append(canonical_json_bytes(self.coordinator.state_dict()))
         self._pending = []
 
     def _hash_sealed(self) -> None:
         """Hash every sealed block not yet hashed, in two batched passes and
         one chained pass over the headers."""
-        start = len(self._blocks)
-        if start == len(self._receipts):
+        start = len(self._hashed)
+        sealed = [[r for _, r in calls] for calls in self._sealed[start:]]
+        if not sealed:
             return
-        sealed = self._receipts[start:]
-        unhashed = [r for receipts in sealed for r in receipts if r._tx_hash is None]
+        unhashed = [r for receipts in sealed for r in receipts]
         digests = keccak256_many([r.tx_preimage for r in unhashed] + self._state_preimages)
         for receipt, digest in zip(unhashed, digests):
-            receipt._tx_hash = digest
+            receipt.tx_hash = digest
         state_roots = digests[len(unhashed):]
         roots = keccak256_many(
             [receipts_preimage([r.to_dict() for r in receipts]) for receipts in sealed]
         )
-        parent = self._block_hashes[-1] if self._block_hashes else GENESIS_PARENT
+        parent = self._hashed[-1][1] if self._hashed else GENESIS_PARENT
         for height, (receipts, root, state_root) in enumerate(
             zip(sealed, roots, state_roots), start
         ):
             block = Block(height, parent, tuple(r.tx_hash for r in receipts), root, state_root)
             parent = keccak256(block.hash_preimage())
-            self._blocks.append(block)
-            self._block_hashes.append(parent)
+            self._hashed.append((block, parent))
         self._state_preimages = []
 
     def state_root(self) -> bytes:
         """Keccak-256 of the canonical coordinator-state serialization."""
         return keccak256(canonical_json_bytes(self.coordinator.state_dict()))
 
-    # -- queries -----------------------------------------------------------
-
-    @property
-    def blocks(self) -> list[Block]:
-        self._hash_sealed()
-        return self._blocks
-
-    @property
-    def block_receipts(self) -> list[list[Receipt]]:
-        """Sealed receipts, parallel to ``blocks``."""
-        self._hash_sealed()
-        return self._receipts
-
-    @property
-    def block_txs(self) -> list[list[Transaction]]:
-        self._hash_sealed()
-        return self._txs
+    # -- the one read ------------------------------------------------------
 
     def chain_document(self) -> dict:
-        """The sealed chain in its persisted form: headers, txs and receipts."""
+        """The sealed chain in its persisted form: headers, txs and receipts, as
+        new dicts and lists, though tx args and event payloads are shared."""
         self._hash_sealed()
         return {
             "blocks": [
                 {**block.header(), "hash": block_hash.hex()}
-                for block, block_hash in zip(self._blocks, self._block_hashes)
+                for block, block_hash in self._hashed
             ],
-            "txs": [[tx.to_dict() for tx in sealed] for sealed in self._txs],
-            "receipts": [[r.to_dict() for r in sealed] for sealed in self._receipts],
+            "txs": [[tx.to_dict() for tx, _ in calls] for calls in self._sealed],
+            "receipts": [[r.to_dict() for _, r in calls] for calls in self._sealed],
         }
 
 

@@ -20,7 +20,7 @@ from typing import Optional, get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import incentives
-from .coordinator import ContractConfig, Coordinator, Phase
+from .coordinator import ContractConfig, Coordinator
 from .errors import ConfigError, MissingRun, SimulationError, UnreadableRun
 from .flclients import (
     STREAM_DROPOUT,
@@ -116,6 +116,10 @@ class ScenarioConfig(ContractConfig):
         check_int(self.seed, "seed")
         check_int(self.rounds, "rounds", minimum=1)
         check_int(self.batch_size, "batch_size", minimum=1)
+        try:  # a round's score is at most tau * tau, and the run sums every round's
+            Fixed(self.rounds * (self.tau * self.tau).raw)
+        except OverflowError:
+            raise ValueError("rounds * tau * tau must lie in the fixed-point range") from None
         cap = incentives.SHAPLEY_MAX_CLIENTS
         if self.reward_basis == "shapley" and self.dataset.n_clients > cap:
             raise ValueError(f"shapley reward basis requires at most {cap} clients")
@@ -237,7 +241,6 @@ class SimClient:
 class RunResult:
     config: ScenarioConfig
     run_id: str
-    ledger: Ledger
     coordinator: Coordinator
     store: ContentStore
     ledger_doc: dict  # the persisted chain, as ledger_document builds it
@@ -301,12 +304,18 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         for client in clients:
             if coordinator.clients[client.id].banned:
                 continue
-            honest = local_train(model, client.dataset, ds.epochs, ds.lr)
-            update = act(
-                client.behavior,
-                honest,
-                rng_stream(config.seed, STREAM_DROPOUT, client.index, round_index),
-            )
+            try:
+                update = act(
+                    client.behavior,
+                    local_train(model, client.dataset, ds.epochs, ds.lr),
+                    rng_stream(config.seed, STREAM_DROPOUT, client.index, round_index),
+                )
+            except (OverflowError, ValueError) as err:  # out of fixed-point range, or NaN
+                logger.warning(
+                    "client 0x%s sits out round %d: its update cannot be encoded: %s",
+                    client.id.hex(), round_index, err,
+                )
+                continue
             if update is None:
                 continue
             batches = _chunked(update.components, config.batch_size)
@@ -346,7 +355,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
 
         system_tx("close_round", {"round": round_index})
         ledger.seal_block()
-        if round_state.aggregate is not None and round_state.phase >= Phase.AGGREGATED:
+        if round_state.accepted:
             model = GradientVector(map(add, model.components, round_state.aggregate.components))
         model_history.append(model)
 
@@ -354,7 +363,6 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     return RunResult(
         config=config,
         run_id=ledger_doc["run_id"],
-        ledger=ledger,
         coordinator=coordinator,
         store=store,
         ledger_doc=ledger_doc,

@@ -103,9 +103,9 @@ def test_criterion_1_gas_table_structure():
 
 
 def test_criterion_2_deployment_cost(adversary_run):
-    genesis = adversary_run.ledger.block_receipts[0]
+    genesis = adversary_run.ledger_doc["receipts"][0]
     assert len(genesis) == 1
-    assert genesis[0].gas_used == 2_371_244
+    assert genesis[0]["gas_used"] == 2_371_244
     report_line(2, "genesis receipt records deployment cost 2,371,244 gas")
 
 
@@ -306,8 +306,8 @@ def test_criterion_9_determinism(tmp_path):
     dir_b = write_run(second, tmp_path / "b")
     assert (dir_a / REPORT_FILE).read_bytes() == (dir_b / REPORT_FILE).read_bytes()
     assert (dir_a / GAS_FILE).read_bytes() == (dir_b / GAS_FILE).read_bytes()
-    hashes_a = [b.block_hash() for b in first.ledger.blocks]
-    hashes_b = [b.block_hash() for b in second.ledger.blocks]
+    hashes_a = [b["hash"] for b in first.ledger_doc["blocks"]]
+    hashes_b = [b["hash"] for b in second.ledger_doc["blocks"]]
     assert hashes_a == hashes_b
     report_line(9, f"two executions produced identical artifacts and "
                    f"{len(hashes_a)} identical block hashes")

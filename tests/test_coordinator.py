@@ -26,7 +26,7 @@ from fedchain.errors import (
     WrongRound,
 )
 from fedchain.flclients import make_client_id
-from fedchain.numerics import Fixed, GradientVector, SCALE
+from fedchain.numerics import RAW_LIMIT, Fixed, GradientVector, SCALE
 
 C = [make_client_id(i) for i in range(10)]
 
@@ -160,6 +160,27 @@ class TestValidation:
         c = registered(clients=[(C[0], 5)], tau=Fixed.from_decimal("5"))
         submit_whole(c, C[0], ["3", "4"])  # norm exactly 5
         assert c.validate_round(1) == [(C[0], VERDICT_ACCEPTED)]
+
+    def test_squared_norm_beyond_the_fixed_point_range_is_rejected_norm(self):
+        c = registered(clients=[(C[0], 5), (C[1], 5)])
+        submit_whole(c, C[0], ["1", "2"])
+        huge = GradientVector((RAW_LIMIT - 1, 0))  # encodable, but its square is not
+        c.submit_update(C[1], 1, huge, 0, 1)
+        assert c.validate_round(1) == sorted(
+            [(C[0], VERDICT_ACCEPTED), (C[1], VERDICT_REJECTED_NORM)]
+        )
+        assert c.rounds[1].accepted == [C[0]]
+
+    @pytest.mark.parametrize("tau, alpha", [
+        (Fixed.from_int(5 * 10**14), Fixed(0)),  # tau * tau itself is out of range
+        (Fixed.from_int(2 * 10**14), Fixed.from_int(2)),  # 2 * 4e28 * 3 > 1.7e29
+        (Fixed.from_int(1), Fixed(RAW_LIMIT - 1)),  # 1 + alpha is out of range
+    ], ids=["tau_squared", "shapley_value_times_multiplier", "multiplier"])
+    def test_payout_basis_beyond_the_fixed_point_range_is_rejected(self, tau, alpha):
+        ContractConfig(tau=Fixed.from_int(2 * 10**14))  # 2 * 4e28 * 1.5 < 1.7e29
+        message = r"^2 \* tau \* tau \* \(1 \+ alpha\) must lie in the fixed-point range$"
+        with pytest.raises(ValueError, match=message):
+            ContractConfig(tau=tau, alpha=alpha)
 
     def test_nothing_to_validate(self):
         c = registered(clients=[(C[0], 5)])

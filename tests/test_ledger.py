@@ -8,6 +8,7 @@ from fedchain.coordinator import CALL_ARGS, ContractConfig, Coordinator, Phase, 
 from fedchain import ledger as ledger_module
 from fedchain.errors import BadComponent, NonceError, UnknownSender
 from fedchain.flclients import make_client_id
+from fedchain.keccak import keccak256
 from fedchain.ledger import (
     GENESIS_PARENT,
     SYSTEM_SENDER,
@@ -186,11 +187,10 @@ class TestExecution:
 
     def test_deploy_cost_in_genesis_receipt(self):
         ledger, _ = make_ledger()
-        genesis_receipts = ledger.block_receipts[0]
-        assert len(genesis_receipts) == 1
-        assert genesis_receipts[0].gas_used == 2_371_244
-        assert ledger.blocks[0].height == 0
-        assert ledger.blocks[0].parent_hash == GENESIS_PARENT
+        chain = ledger.chain_document()
+        assert [receipt["gas_used"] for receipt in chain["receipts"][0]] == [2_371_244]
+        assert chain["blocks"][0]["height"] == 0
+        assert chain["blocks"][0]["parent_hash"] == GENESIS_PARENT.hex()
 
     def test_tx_hash_independent_of_arg_order(self):
         tx = Transaction(make_client_id(0), "submit_update", {
@@ -327,6 +327,16 @@ class TestFailedSubmitLeavesLedgerUnchanged:
         assert ledger.submit_tx(tx).revert_reason == "SimulationError"
 
 
+def block_from_header(header: dict) -> Block:
+    return Block(
+        height=header["height"],
+        parent_hash=bytes.fromhex(header["parent_hash"]),
+        tx_hashes=tuple(bytes.fromhex(h) for h in header["tx_hashes"]),
+        receipts_root=bytes.fromhex(header["receipts_root"]),
+        state_root=bytes.fromhex(header["state_root"]),
+    )
+
+
 class TestChain:
     def run_small_chain(self) -> Ledger:
         ledger, _ = make_ledger()
@@ -340,34 +350,27 @@ class TestChain:
         assert verify_chain(self.run_small_chain().chain_document(), rounds=1) is None
 
     def test_parent_links(self):
-        ledger = self.run_small_chain()
-        for prev, block in zip(ledger.blocks, ledger.blocks[1:]):
-            assert block.parent_hash == prev.block_hash()
-        chain = ledger.chain_document()
+        chain = self.run_small_chain().chain_document()
+        for prev, block in zip(chain["blocks"], chain["blocks"][1:]):
+            assert block["parent_hash"] == prev["hash"]
         chain["blocks"][2]["parent_hash"] = "00" * 32
         assert verify_chain(chain, rounds=1) == "block 2: broken parent link"
 
     def test_replace_does_not_carry_cached_block_hash(self):
-        block = self.run_small_chain().blocks[1]
-        block.block_hash()
-        fresh = Block(
-            height=block.height,
-            parent_hash=block.parent_hash,
-            tx_hashes=block.tx_hashes,
-            receipts_root=block.receipts_root,
-            state_root=b"\x01" * 32,
-        )
-        assert replace(block, state_root=b"\x01" * 32).block_hash() == fresh.block_hash()
-        assert fresh.block_hash() != block.block_hash()
+        header = self.run_small_chain().chain_document()["blocks"][1]
+        block = block_from_header(header)
+        assert keccak256(block.hash_preimage()).hex() == header["hash"]
+        fresh = block_from_header({**header, "state_root": "01" * 32})
+        assert replace(block, state_root=b"\x01" * 32).hash_preimage() == fresh.hash_preimage()
+        assert fresh.hash_preimage() != block.hash_preimage()
 
     def test_empty_block(self):
-        ledger = self.run_small_chain()
-        assert ledger.blocks[-1].tx_hashes == ()
+        assert self.run_small_chain().chain_document()["blocks"][-1]["tx_hashes"] == []
 
     def test_receipt_tamper_detected(self):
-        ledger = self.run_small_chain()
-        ledger.block_receipts[1][0].gas_used += 1
-        assert verify_chain(ledger.chain_document(), rounds=1) == "block 1: receipts root mismatch"
+        chain = self.run_small_chain().chain_document()
+        chain["receipts"][1][0]["gas_used"] += 1
+        assert verify_chain(chain, rounds=1) == "block 1: receipts root mismatch"
 
     def test_block_count_must_match_rounds(self):
         chain = self.run_small_chain().chain_document()
@@ -386,9 +389,8 @@ class TestChain:
         lambda chain: chain["blocks"][2].update(state_root="not hex"),
     ], ids=["header_hash", "malformed_header"])
     def test_first_fault_in_block_order_wins(self, break_later_block):
-        ledger = self.run_small_chain()
-        ledger.block_receipts[1][0].gas_used += 1
-        chain = ledger.chain_document()
+        chain = self.run_small_chain().chain_document()
+        chain["receipts"][1][0]["gas_used"] += 1
         break_later_block(chain)
         assert verify_chain(chain, rounds=1) == "block 1: receipts root mismatch"
 
@@ -404,9 +406,11 @@ class TestChain:
         assert verify_chain(chain, rounds=1) == "block 1: malformed receipts"
 
     def test_replay_is_bit_identical(self):
-        hashes_a = [b.block_hash() for b in self.run_small_chain().blocks]
-        hashes_b = [b.block_hash() for b in self.run_small_chain().blocks]
-        assert hashes_a == hashes_b
+        chain_a = self.run_small_chain().chain_document()
+        assert canonical_json_bytes(chain_a) == canonical_json_bytes(
+            self.run_small_chain().chain_document()
+        )
+        assert len({block["hash"] for block in chain_a["blocks"]}) == 3
 
     def test_state_root_changes_with_state(self):
         ledger, _ = make_ledger()
@@ -418,9 +422,9 @@ class TestChain:
         ledger, _ = make_ledger()
         for i in range(4):
             ledger.submit_tx(register_tx(ledger, make_client_id(i)))
-        assert len(ledger.blocks) == 1  # genesis only: pending txs wait for seal_block
+        assert len(ledger.chain_document()["blocks"]) == 1  # pending txs wait for seal_block
         ledger.seal_block()
-        assert len(ledger.blocks[-1].tx_hashes) == 4
+        assert len(ledger.chain_document()["blocks"][-1]["tx_hashes"]) == 4
 
 
 JSON_LIKE = st.recursive(
@@ -452,6 +456,7 @@ class TestContractBoundary:
         ledger, coordinator = make_ledger()
         ledger.submit_tx(register_tx(ledger, make_client_id(0)))
         ledger.seal_block()
+        recorded = []
 
         def snapshot(sender):
             return (
@@ -472,9 +477,12 @@ class TestContractBoundary:
             else:
                 assert ledger._pending[-1] == (tx, receipt)
                 assert ledger.next_nonce(sender) == before[0] + 1
-                assert receipt.tx_hash == tx.tx_hash()
+                recorded.append((tx, receipt))
             if seal:
                 ledger.seal_block()
+        ledger.seal_block()
+        ledger.chain_document()
+        assert [receipt.tx_hash for _, receipt in recorded] == [tx.tx_hash() for tx, _ in recorded]
 
 
 class TestDeferredHashing:
@@ -485,7 +493,7 @@ class TestDeferredHashing:
                 ledger.submit_tx(register_tx(ledger, make_client_id(i % 3)))
             ledger.seal_block()
             if read_every_seal:
-                assert len(ledger.blocks) == i + 2
+                assert len(ledger.chain_document()["blocks"]) == i + 2
         return ledger
 
     def test_flush_timing_does_not_change_bytes(self):
@@ -494,24 +502,30 @@ class TestDeferredHashing:
         assert canonical_json_bytes(eager.chain_document()) == \
             canonical_json_bytes(lazy.chain_document())
 
-    def test_chain_document_equals_the_blocks_and_receipts_read(self):
+    def test_editing_the_chain_document_leaves_the_ledger_unchanged(self):
         ledger = self.small_chain(read_every_seal=False)
         chain = ledger.chain_document()
-        assert chain["blocks"] == [block.to_dict() for block in ledger.blocks]
-        assert chain["receipts"] == [[r.to_dict() for r in sealed]
-                                     for sealed in ledger.block_receipts]
+        expected = canonical_json_bytes(chain)
+        chain["blocks"][1]["tx_hashes"].append("00" * 32)
+        chain["blocks"][2]["hash"] = "00" * 32
+        chain["txs"][1][0]["nonce"] += 1
+        chain["txs"][2].pop()
+        chain["receipts"][1][0]["gas_used"] += 1
+        chain["receipts"][1][0]["events"].clear()
+        chain["receipts"][2].clear()
+        chain["blocks"].pop()
+        assert canonical_json_bytes(ledger.chain_document()) == expected
 
-    def test_receipt_tx_hash_is_right_before_the_seal(self):
-        unread, _ = make_ledger()
-        unread.submit_tx(register_tx(unread, make_client_id(0)))
-        unread.seal_block()
+    def test_receipt_tx_hash_is_none_until_the_first_read(self):
         ledger, _ = make_ledger()
         tx = register_tx(ledger, make_client_id(0))
         receipt = ledger.submit_tx(tx)
-        assert receipt.tx_hash == tx.tx_hash()
         ledger.seal_block()
-        assert ledger.blocks[-1].tx_hashes == (tx.tx_hash(),)
-        assert ledger.chain_document() == unread.chain_document()
+        assert receipt.tx_hash is None
+        chain = ledger.chain_document()
+        assert receipt.tx_hash == tx.tx_hash()
+        assert chain["blocks"][-1]["tx_hashes"] == [tx.tx_hash().hex()]
+        assert chain["receipts"][-1][0]["tx_hash"] == tx.tx_hash().hex()
 
     def test_submit_and_seal_hash_nothing(self, monkeypatch):
         def no_hash(*args):

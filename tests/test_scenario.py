@@ -2,12 +2,14 @@
 import copy
 import gzip
 import json
+import logging
 import math
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fedchain import incentives
 from fedchain.coordinator import ContractConfig
@@ -16,7 +18,7 @@ from fedchain import scenario as scenario_module
 from fedchain.errors import ConfigError, MissingRun
 from fedchain.flclients import ClientBehavior, make_client_id
 from fedchain.ledger import GasModel
-from fedchain.numerics import Fixed
+from fedchain.numerics import RAW_LIMIT, Fixed
 from fedchain.offchain import canonical_json_bytes
 from fedchain.scenario import (
     audit,
@@ -84,6 +86,8 @@ class TestConfigValidation:
         "key, contract_value, doc_value, message",
         [
             ("tau", Fixed(0), "0", "tau must be positive"),
+            ("tau", Fixed.from_int(5 * 10**14), "500000000000000",
+             "2 * tau * tau * (1 + alpha) must lie in the fixed-point range"),
             ("slash_fraction", Fixed.from_decimal("1.5"), "1.5",
              "slash_fraction must lie in [0, 1]"),
             ("slash_fraction", Fixed.from_decimal("-0.1"), "-0.1",
@@ -93,8 +97,8 @@ class TestConfigValidation:
             ("fairness_interval", 0, 0, "fairness_interval must be >= 1, got 0"),
             ("reward_pool_per_round", True, True, "reward_pool_per_round must be an integer"),
         ],
-        ids=["zero_tau", "slash_above_one", "negative_slash", "unknown_basis",
-             "negative_stake", "zero_interval", "bool_pool"],
+        ids=["zero_tau", "payout_basis_out_of_range", "slash_above_one", "negative_slash",
+             "unknown_basis", "negative_stake", "zero_interval", "bool_pool"],
     )
     def test_invalid_contract_parameter(self, key, contract_value, doc_value, message):
         with pytest.raises(ValueError) as direct:
@@ -251,6 +255,16 @@ class TestConfigTypes:
         assert_same_error(build, {"seed": 42, "rounds": 6, "dataset": dataset_doc, key: value},
                           message)
 
+    def test_summed_scores_beyond_the_fixed_point_range_rejected(self):
+        def build(rounds):
+            return ScenarioConfig(seed=42, rounds=rounds, tau=Fixed.from_int(10**14),
+                                  dataset=direct_dataset())
+
+        build(10)  # 10 * 1e28 < 1.7e29
+        doc = base_doc(rounds=20, tau="100000000000000")
+        assert_same_error(lambda: build(20), doc,
+                          "rounds * tau * tau must lie in the fixed-point range")
+
     def test_dataset_seed_defaults_to_the_scenario_seed(self):
         config = ScenarioConfig(seed=42, rounds=6, fairness_interval=3, dataset=direct_dataset())
         assert config.dataset.seed == 42
@@ -393,6 +407,103 @@ class TestRun:
         assert ordered[0] <= ordered[1] <= ordered[2]
 
 
+def baseline_with(dataset=None, **overrides) -> dict:
+    """configs/baseline.json with top-level and dataset fields replaced."""
+    doc = copy.deepcopy(BASE_DOCS[0])
+    doc["dataset"].update(dataset or {})
+    return {**doc, **overrides}
+
+
+SCALER_C_10_30 = baseline_with({"behaviors": ["honest", {"kind": "scaler", "c": 10**30}, "honest"]})
+DIVERGING_LR = baseline_with({"lr": 50, "epochs": 50})
+NOISE_1E300 = baseline_with({"noise": 1e300})
+TAU_5E14 = baseline_with(tau="500000000000000")
+# two scalers, one of which scores over half of tau * tau in a round
+SCORES_NEAR_TAU_SQUARED = {
+    "seed": 1, "rounds": 3, "fairness_interval": 3, "tau": "238000000000000",
+    "dataset": {"n_clients": 2, "samples_per_client": [20, 1], "dim": 1,
+                "behaviors": [{"kind": "scaler", "c": 2 * 10**14}, {"kind": "scaler", "c": 5}]},
+}
+
+BEHAVIOR_DOCS = st.one_of(
+    st.sampled_from(["honest", "negator", "freerider"]),
+    st.builds(lambda c: {"kind": "scaler", "c": c}, st.integers(1, 10**40)),
+    st.builds(lambda q: {"kind": "dropout", "q": q}, st.floats(0, 1)),
+)
+
+
+@st.composite
+def scenario_docs(draw) -> dict:
+    """Small scenarios with extreme training, behaviors and norm bounds:
+    noise up to 1e300, lr up to 100, 60 epochs, scalers up to c = 10^40, and
+    tau and alpha on both sides of the largest values whose sums and payout
+    bases stay in the fixed-point range."""
+    n_clients = draw(st.integers(1, 4))
+    per_client = st.lists(st.integers(1, 20), min_size=n_clients, max_size=n_clients)
+    return {
+        "seed": draw(st.integers(0, 2**32)),
+        "rounds": draw(st.integers(1, 3)),
+        "fairness_interval": draw(st.integers(1, 3)),
+        "reward_basis": draw(st.sampled_from(["alignment", "shapley"])),
+        "tau": Fixed(draw(st.integers(1, 10**24))).to_decimal(),
+        "alpha": Fixed(draw(st.integers(0, RAW_LIMIT - 1))).to_decimal(),
+        "dataset": {
+            "n_clients": n_clients,
+            "samples_per_client": draw(per_client),
+            "dim": draw(st.integers(1, 6)),
+            "noise": draw(st.floats(0, 1e300) | st.sampled_from([0.0, 1e300])),
+            "behaviors": draw(st.lists(BEHAVIOR_DOCS, min_size=n_clients, max_size=n_clients)),
+            "epochs": draw(st.integers(1, 60)),
+            "lr": draw(st.floats(0, 100, exclude_min=True)),
+        },
+    }
+
+
+class TestHostileConfigs:
+    """A config that parse_config accepts runs, writes and audits: an update
+    that cannot be encoded sits its round out, one whose squared norm leaves
+    the fixed-point range is rejected by the norm check, and the config's
+    bounds on tau, alpha and rounds keep every score sum and payout basis in
+    that range."""
+
+    def test_unencodable_update_is_a_logged_sit_out(self, caplog):
+        doc = base_doc(rounds=2)
+        doc["dataset"]["noise"] = 1e300
+        with caplog.at_level(logging.WARNING, logger="fedchain"):
+            result = run_scenario(parse_config(doc))
+        sit_outs = [r.getMessage() for r in caplog.records if "sits out" in r.getMessage()]
+        client = "0x" + make_client_id(0).hex()
+        assert len(sit_outs) == 2 * 4
+        assert any(message.startswith(f"client {client} sits out round 2: ")
+                   for message in sit_outs)
+        assert all(record["submitted"] == [] for record in result.report["rounds"])
+        assert result.coordinator.current_round == 3
+
+    def test_scaler_too_large_for_the_norm_check_is_rejected_norm(self):
+        result = run_scenario(parse_config(SCALER_C_10_30))
+        scaler = make_client_id(1)
+        rounds = [result.coordinator.rounds[r] for r in range(1, SCALER_C_10_30["rounds"] + 1)]
+        assert any(state.verdicts.get(scaler) == "rejected_norm" for state in rounds)
+        assert all(scaler not in state.accepted for state in rounds)
+
+    @settings(max_examples=60, deadline=None)
+    @given(scenario_docs())
+    @example(SCALER_C_10_30)
+    @example(DIVERGING_LR)
+    @example(NOISE_1E300)
+    @example(TAU_5E14)
+    @example(SCORES_NEAR_TAU_SQUARED)
+    @example({**SCORES_NEAR_TAU_SQUARED, "tau": "400000000000000"})
+    def test_every_accepted_config_runs_writes_and_audits(self, doc):
+        try:
+            config = parse_config(doc)
+        except ConfigError:
+            return
+        with tempfile.TemporaryDirectory() as out:
+            verdicts = audit(write_run(run_scenario(config), out))
+        assert [verdict["ok"] for verdict in verdicts] == [True], verdicts
+
+
 class TestArtifacts:
     @pytest.fixture()
     def run_dir(self, tmp_path):
@@ -416,8 +527,8 @@ class TestArtifacts:
 
     def test_block_hashes_replay_identical(self):
         config = parse_config(base_doc())
-        hashes_a = [b.block_hash() for b in run_scenario(config).ledger.blocks]
-        hashes_b = [b.block_hash() for b in run_scenario(config).ledger.blocks]
+        hashes_a = [b["hash"] for b in run_scenario(config).ledger_doc["blocks"]]
+        hashes_b = [b["hash"] for b in run_scenario(config).ledger_doc["blocks"]]
         assert hashes_a == hashes_b
 
     def test_run_and_write_hash_each_block_header_once(self, tmp_path, monkeypatch):
@@ -432,11 +543,7 @@ class TestArtifacts:
         result = run_scenario(parse_config(base_doc()))
         write_run(result, tmp_path)
         monkeypatch.undo()
-        headers = []
-        for block in result.ledger.blocks:
-            header = block.to_dict()
-            del header["hash"]
-            headers.append(canonical_json_bytes(header))
+        headers = header_preimages(result.ledger_doc)
         assert len(set(headers)) == len(headers) > 1
         assert [message for message in hashed if message in headers] == headers
 
@@ -448,7 +555,7 @@ class TestArtifacts:
 
         def seal_and_read(ledger):
             seal_block(ledger)
-            reads.append(len(ledger.blocks))
+            reads.append(len(ledger.chain_document()["blocks"]))
 
         monkeypatch.setattr(ledger_module.Ledger, "seal_block", seal_and_read)
         every_seal = run_scenario(config).ledger_doc
@@ -472,8 +579,8 @@ class TestArtifacts:
         monkeypatch.setattr(ledger_module, "keccak256_many", recording_many)
         result = run_scenario(parse_config(base_doc(rounds=rounds)))
         monkeypatch.undo()
-        assert scalar == [block.hash_preimage() for block in result.ledger.blocks]
-        txs = sum(len(sealed) for sealed in result.ledger.block_txs)
+        assert scalar == header_preimages(result.ledger_doc)
+        txs = sum(len(sealed) for sealed in result.ledger_doc["txs"])
         assert batches == [txs + rounds + 2, rounds + 2]
 
     def test_run_and_write_build_one_ledger_document_and_run_id(self, tmp_path, monkeypatch):
@@ -779,6 +886,14 @@ def rewrite_ledger(run_dir, mutate) -> None:
     (run_dir / LEDGER_FILE).write_bytes(gzip.compress(canonical_json_bytes(doc), mtime=0))
 
 
+def header_preimages(ledger_doc: dict) -> list[bytes]:
+    """Each persisted header's hash preimage: the header without its hash."""
+    return [
+        canonical_json_bytes({key: value for key, value in block.items() if key != "hash"})
+        for block in ledger_doc["blocks"]
+    ]
+
+
 class TestGasCharges:
     @pytest.mark.parametrize("doc", [
         "adversary.json",
@@ -790,19 +905,19 @@ class TestGasCharges:
         dim = config.dataset.dim
         by_class: dict[str, int] = {}
         ops = set()
-        for txs, receipts in zip(result.ledger.block_txs, result.ledger.block_receipts):
+        for txs, receipts in zip(result.ledger_doc["txs"], result.ledger_doc["receipts"]):
             for tx, receipt in zip(txs, receipts):
-                if tx.op == "submit_update":
-                    param_count = len(tx.args["components"])
-                elif tx.op in ("validate_round", "aggregate_round"):
+                if tx["op"] == "submit_update":
+                    param_count = len(tx["args"]["components"])
+                elif tx["op"] in ("validate_round", "aggregate_round"):
                     param_count = dim
                 else:
                     param_count = 0
-                op_class = ledger_module.gas_class(tx.op)
+                op_class = ledger_module.gas_class(tx["op"])
                 charge = config.gas.charge(op_class, param_count)
-                assert receipt.gas_used == charge, (tx.op, receipt.block_height)
+                assert receipt["gas_used"] == charge, (tx["op"], receipt["block_height"])
                 by_class[op_class] = by_class.get(op_class, 0) + charge
-                ops.add((tx.op, param_count))
+                ops.add((tx["op"], param_count))
         assert result.report["gas"]["by_class"] == dict(sorted(by_class.items()))
         assert result.report["gas"]["total"] == sum(by_class.values())
         if dim > config.batch_size:  # the last batch of each update is a short one
