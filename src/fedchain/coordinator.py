@@ -73,7 +73,6 @@ class Phase(enum.IntEnum):
 
 @dataclass
 class ClientRecord:
-    id: bytes
     stake: int
     n_samples: int
     registered_round: int
@@ -203,7 +202,6 @@ class Coordinator:
         if n_samples <= 0:
             raise BadSampleCount(f"n_samples must be positive, got {n_samples}")
         self.clients[client_id] = ClientRecord(
-            id=client_id,
             stake=stake,
             n_samples=n_samples,
             registered_round=self.current_round,

@@ -118,12 +118,6 @@ class MissingRounds(SimulationError):
     pass
 
 
-# --- offchain ---
-
-class DuplicateClient(SimulationError):
-    pass
-
-
 # --- scenario / cli ---
 
 class ConfigError(SimulationError):

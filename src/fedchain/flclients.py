@@ -44,7 +44,6 @@ class SyntheticDataset:
 
     features: np.ndarray
     targets: np.ndarray
-    true_weights: np.ndarray
 
     @property
     def n_samples(self) -> int:
@@ -61,22 +60,16 @@ class SyntheticDataset:
         n_samples: int,
         dim: int,
         noise_scale: float,
-        true_weights: Optional[np.ndarray] = None,
+        true_weights: np.ndarray,
         client_index: int = 0,
     ) -> "SyntheticDataset":
         """Reproducible dataset; clients of one scenario share true_weights."""
-        if true_weights is None:
-            true_weights = sample_true_weights(seed, dim)
         features = rng_stream(seed, STREAM_FEATURES, client_index).standard_normal(
             (n_samples, dim)
         )
         noise = rng_stream(seed, STREAM_NOISE, client_index).standard_normal(n_samples)
         targets = features @ true_weights + noise_scale * noise
-        return cls(
-            features=features,
-            targets=targets,
-            true_weights=np.asarray(true_weights, dtype=float),
-        )
+        return cls(features=features, targets=targets)
 
 
 def sample_true_weights(seed: int, dim: int) -> np.ndarray:

@@ -24,7 +24,7 @@ from typing import Optional
 
 from .errors import BadComponent, NonceError, SimulationError, UnknownSender
 from .keccak import keccak256, keccak256_many
-from .numerics import GradientVector
+from .numerics import INT_LIMIT, GradientVector
 from .offchain import canonical_json_bytes, vector_commit
 
 SYSTEM_SENDER = b"\x00" * 20  # reserved id for coordinator-initiated calls
@@ -80,8 +80,9 @@ class GasModel:
         intercepts = {base for base, _ in _COEFFICIENT_FIELDS.values()}
         for name, value in self.__dict__.items():
             minimum = 1 if name in intercepts else 0
-            if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-                message = f"gas coefficient {name} must be an int >= {minimum}"
+            is_int = isinstance(value, int) and not isinstance(value, bool)
+            if not is_int or not minimum <= value < INT_LIMIT:
+                message = f"gas coefficient {name} must be an int >= {minimum} and below 2**256"
                 raise ValueError(f"bad gas model: {message}")
 
     def coefficients(self, op_class: str) -> tuple[int, int]:

@@ -22,6 +22,7 @@ from .errors import DimMismatch, EmptyInput, ParseError
 SCALE = 10**9
 RAW_LIMIT = 2**127          # |raw| must stay below this
 ACC_LIMIT = 2**255          # wide accumulator bound for dot/weighted sums
+INT_LIMIT = 2**256          # |config integer| must stay below this: the contract's uint256
 
 _DECIMAL_RE = re.compile(r"^[+-]?(?:\d+(?:\.\d+)?|\.\d+)$")
 
@@ -37,9 +38,12 @@ def div_toward_zero(numerator: int, denominator: int) -> int:
 
 
 def check_int(value, name: str, minimum: Optional[int] = None) -> None:
-    """The config rule for an integer: a non-bool int, at least ``minimum``."""
+    """The config rule for an integer: a non-bool int below 2**256 in
+    magnitude, at least ``minimum``."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer")
+    if abs(value) >= INT_LIMIT:  # before any message prints the value
+        raise ValueError(f"{name} must be below 2**256 in magnitude")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
@@ -57,7 +61,9 @@ def check_number(value, name: str) -> float:
 
 def _check_raw(raw: int) -> int:
     if not -RAW_LIMIT < raw < RAW_LIMIT:
-        raise OverflowError(f"fixed-point value out of range: {raw}")
+        raise OverflowError(
+            f"fixed-point value out of range: a {raw.bit_length()}-bit magnitude, limit 127 bits"
+        )
     return raw
 
 

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
-from .errors import DuplicateClient
 from .keccak import keccak256
 from .numerics import Fixed, GradientVector
 
@@ -31,22 +30,17 @@ def vector_commit(vector: GradientVector) -> str:
     return hashlib.sha256(header + vector.encode()).hexdigest()
 
 
-def canonical_serialize(cumulative: Sequence[tuple[bytes, Fixed]]) -> bytes:
-    """Canonical byte form of a cumulative-score list.
+def canonical_serialize(cumulative: Mapping[bytes, Fixed]) -> bytes:
+    """Canonical byte form of a client id -> cumulative score mapping.
 
     Entries sorted ascending by 20-byte client id, each encoded as
     id || raw score as signed 128-bit big-endian. No separators, so the
-    encoding is injective for distinct (id, value) sets of this shape.
+    encoding is injective for distinct mappings of this shape.
     """
-    seen = set()
-    for client_id, _ in cumulative:
+    parts = []
+    for client_id, value in sorted(cumulative.items()):
         if len(client_id) != 20:
             raise ValueError(f"client id must be 20 bytes, got {len(client_id)}")
-        if client_id in seen:
-            raise DuplicateClient(f"duplicate client id 0x{client_id.hex()}")
-        seen.add(client_id)
-    parts = []
-    for client_id, value in sorted(cumulative, key=lambda e: e[0]):
         parts.append(client_id + value.raw.to_bytes(16, "big", signed=True))
     return b"".join(parts)
 
@@ -80,7 +74,7 @@ def publish_checkpoint(store: ContentStore, cumulative: Mapping[bytes, Fixed]) -
     records (cid, cid) on-chain as a system transaction, and the contract
     decides which rounds may anchor one.
     """
-    return store.put(canonical_serialize(list(cumulative.items())))
+    return store.put(canonical_serialize(cumulative))
 
 
 def verify_checkpoint(
@@ -103,6 +97,6 @@ def verify_checkpoint(
         return "CidMismatch"
     if digest != integrity_hash:
         return "HashMismatch"
-    if cumulative is None or blob != canonical_serialize(list(cumulative.items())):
+    if cumulative is None or blob != canonical_serialize(cumulative):
         return "ContentMismatch"
     return None

@@ -222,7 +222,7 @@ def load_config(path) -> ScenarioConfig:
             doc = json.load(fh)
     except FileNotFoundError as err:
         raise ConfigError(f"config file not found: {path}") from err
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # bad JSON or UTF-8, or an integer over json's digit limit
         raise ConfigError(f"config is not valid JSON: {err}") from err
     return parse_config(doc)
 
@@ -492,7 +492,12 @@ def build_report(ledger_doc: dict, store: ContentStore) -> dict:
             "round": payload["round"],
             "cid": payload["cid"],
             "hash": payload["hash"],
-            "verdict": _checkpoint_verdict(payload, cumulative, store),
+            "verdict": verify_checkpoint(
+                store,
+                bytes.fromhex(payload["cid"]),
+                bytes.fromhex(payload["hash"]),
+                cumulative.get(payload["round"]),  # None: the history cannot be summed
+            ) or "ok",
         }
         for _, _, payload in _doc_events(ledger_doc, "FairnessCheckpoint")
     ]
@@ -521,18 +526,6 @@ def build_report(ledger_doc: dict, store: ContentStore) -> dict:
             "final_state_root": ledger_doc["blocks"][-1]["state_root"],
         },
     }
-
-
-def _checkpoint_verdict(
-    payload: dict, cumulative: dict[int, dict[bytes, Fixed]], store: ContentStore
-) -> str:
-    """One anchored checkpoint against its blob and the recomputed cumulative."""
-    return verify_checkpoint(
-        store,
-        bytes.fromhex(payload["cid"]),
-        bytes.fromhex(payload["hash"]),
-        cumulative.get(payload["round"]),  # None: the history cannot be summed
-    ) or "ok"
 
 
 def _report_bytes(report: dict) -> bytes:

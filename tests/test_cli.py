@@ -82,6 +82,17 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("content", [
+    b'{"seed": 1, "min_stake": ' + b"9" * 5000 + b"}",  # over json's integer-digit limit
+    b'{"seed": 1, "rounds": "\xff"}',  # not UTF-8
+], ids=["5000_digit_int", "not_utf8"])
+def test_undecodable_config_exits_2(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert "config error: config is not valid JSON: " in capsys.readouterr().err
+
+
 def test_zero_gas_intercept_exits_2(tmp_path, capsys):
     doc = {
         "seed": 1,

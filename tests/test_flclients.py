@@ -16,19 +16,15 @@ from fedchain.flclients import (
 from fedchain.numerics import GradientVector
 
 
-def dataset_from_arrays(X, y, dim) -> SyntheticDataset:
-    return SyntheticDataset(
-        features=np.asarray(X, dtype=float),
-        targets=np.asarray(y, dtype=float),
-        true_weights=np.zeros(dim),
-    )
+def dataset_from_arrays(X, y) -> SyntheticDataset:
+    return SyntheticDataset(features=np.asarray(X, dtype=float), targets=np.asarray(y, dtype=float))
 
 
 class TestLocalTrain:
     def test_hand_computed_single_step(self):
         # one sample (x=[1], y=1), w=0, lr=0.5: gradient of 0.5*(y-wx)^2 is
         # -x(y-wx) = -1, so the step is +0.5
-        data = dataset_from_arrays([[1.0]], [1.0], 1)
+        data = dataset_from_arrays([[1.0]], [1.0])
         update = local_train(GradientVector.zeros(1), data, epochs=1, lr=0.5)
         assert update.to_floats() == [0.5]
 
@@ -36,7 +32,7 @@ class TestLocalTrain:
         rng = np.random.default_rng(3)
         w_star = rng.normal(size=4)
         X = rng.normal(size=(30, 4))
-        data = dataset_from_arrays(X, X @ w_star, 4)
+        data = dataset_from_arrays(X, X @ w_star)
         update = local_train(GradientVector.from_floats(w_star), data, epochs=3, lr=0.1)
         assert np.linalg.norm(update.to_floats()) < 1e-6
 
@@ -47,7 +43,7 @@ class TestLocalTrain:
             X = rng.normal(size=(n, d))
             y = rng.normal(size=n)
             w0 = rng.normal(size=d)
-            data = dataset_from_arrays(X, y, d)
+            data = dataset_from_arrays(X, y)
             lr = 0.05
             update = np.array(
                 local_train(GradientVector.from_floats(w0), data, epochs=1, lr=lr).to_floats()
@@ -71,13 +67,13 @@ class TestLocalTrain:
         X = rng.normal(size=(50, d))
         w_star = rng.normal(size=d)
         y = X @ w_star + 0.01 * rng.normal(size=50)
-        data = dataset_from_arrays(X, y, d)
+        data = dataset_from_arrays(X, y)
         closed_form = np.linalg.solve(X.T @ X, X.T @ y)
         update = local_train(GradientVector.zeros(d), data, epochs=500, lr=0.2)
         assert np.linalg.norm(np.array(update.to_floats()) - closed_form) < 1e-4
 
     def test_dim_mismatch(self):
-        data = dataset_from_arrays([[1.0, 2.0]], [1.0], 2)
+        data = dataset_from_arrays([[1.0, 2.0]], [1.0])
         with pytest.raises(DimMismatch):
             local_train(GradientVector.zeros(3), data, epochs=1, lr=0.1)
 
@@ -123,24 +119,29 @@ class TestBehaviors:
 
 class TestSyntheticData:
     def test_reproducible_from_seed(self):
-        a = SyntheticDataset.generate(5, 20, 3, 0.1, client_index=2)
-        b = SyntheticDataset.generate(5, 20, 3, 0.1, client_index=2)
+        w = sample_true_weights(5, 3)
+        a = SyntheticDataset.generate(5, 20, 3, 0.1, true_weights=w, client_index=2)
+        b = SyntheticDataset.generate(5, 20, 3, 0.1, true_weights=w, client_index=2)
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.targets, b.targets)
 
     def test_clients_get_distinct_data(self):
-        a = SyntheticDataset.generate(5, 20, 3, 0.1, client_index=0)
-        b = SyntheticDataset.generate(5, 20, 3, 0.1, client_index=1)
+        w = sample_true_weights(5, 3)
+        a = SyntheticDataset.generate(5, 20, 3, 0.1, true_weights=w, client_index=0)
+        b = SyntheticDataset.generate(5, 20, 3, 0.1, true_weights=w, client_index=1)
         assert not np.array_equal(a.features, b.features)
 
     def test_targets_follow_linear_model(self):
-        data = SyntheticDataset.generate(5, 20, 3, 0.0, client_index=0)
-        assert np.allclose(data.targets, data.features @ data.true_weights)
+        w = sample_true_weights(5, 3)
+        data = SyntheticDataset.generate(5, 20, 3, 0.0, true_weights=w, client_index=0)
+        assert np.allclose(data.targets, data.features @ w)
 
     def test_shared_true_weights(self):
+        # clients of one scenario draw their own features from the same weights
         w = sample_true_weights(5, 3)
-        a = SyntheticDataset.generate(5, 10, 3, 0.0, true_weights=w, client_index=0)
-        assert np.array_equal(a.true_weights, w)
+        for index in range(2):
+            data = SyntheticDataset.generate(5, 10, 3, 0.0, true_weights=w, client_index=index)
+            assert np.allclose(data.targets, data.features @ w)
 
 
 class TestIds:

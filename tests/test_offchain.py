@@ -3,7 +3,6 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from fedchain.errors import DuplicateClient
 from fedchain.keccak import keccak256
 from fedchain.numerics import Fixed
 from fedchain.offchain import (
@@ -21,24 +20,24 @@ def cid_of(index: int) -> bytes:
 
 class TestCanonicalSerialize:
     def test_empty(self):
-        assert canonical_serialize([]) == b""
+        assert canonical_serialize({}) == b""
 
     def test_single_zero_entry_is_36_bytes(self):
-        blob = canonical_serialize([(cid_of(1), Fixed(0))])
+        blob = canonical_serialize({cid_of(1): Fixed(0)})
         assert len(blob) == 36
         assert blob[:20] == cid_of(1)
         assert blob[20:] == b"\x00" * 16
 
     def test_permutation_invariant(self):
         entries = [(cid_of(3), Fixed(5)), (cid_of(1), Fixed(-7)), (cid_of(2), Fixed(0))]
-        assert canonical_serialize(entries) == canonical_serialize(list(reversed(entries)))
+        assert canonical_serialize(dict(entries)) == canonical_serialize(dict(reversed(entries)))
 
-    def test_duplicate_client_rejected(self):
-        with pytest.raises(DuplicateClient):
-            canonical_serialize([(cid_of(1), Fixed(1)), (cid_of(1), Fixed(2))])
+    def test_client_id_must_be_20_bytes(self):
+        with pytest.raises(ValueError, match="client id must be 20 bytes, got 19"):
+            canonical_serialize({cid_of(1): Fixed(1), b"\x02" * 19: Fixed(2)})
 
     def test_negative_values_round_trip(self):
-        entries = [(cid_of(9), Fixed(-123456789)), (cid_of(4), Fixed(42))]
+        entries = {cid_of(9): Fixed(-123456789), cid_of(4): Fixed(42)}
         assert canonical_serialize(entries) == (
             cid_of(4) + (42).to_bytes(16, "big", signed=True)
             + cid_of(9) + (-123456789).to_bytes(16, "big", signed=True)
@@ -60,8 +59,8 @@ class TestCanonicalSerialize:
         )
         shuffled = list(entries)
         rng.shuffle(shuffled)
-        assert canonical_serialize(entries) == expected
-        assert canonical_serialize(shuffled) == expected
+        assert canonical_serialize(dict(entries)) == expected
+        assert canonical_serialize(dict(shuffled)) == expected
 
 
 class TestContentStore:
@@ -95,7 +94,7 @@ class TestCheckpoints:
     def test_cid_equals_hash_of_blob(self):
         store, cid = self.make()
         assert cid == keccak256(store.get(cid))
-        assert store.get(cid) == canonical_serialize(list(self.CUMULATIVE.items()))
+        assert store.get(cid) == canonical_serialize(self.CUMULATIVE)
 
     def test_tampered_blob_detected(self):
         store, cid = self.make()

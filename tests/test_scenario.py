@@ -18,7 +18,7 @@ from fedchain import scenario as scenario_module
 from fedchain.errors import ConfigError, MissingRun
 from fedchain.flclients import ClientBehavior, make_client_id
 from fedchain.ledger import GasModel
-from fedchain.numerics import RAW_LIMIT, Fixed
+from fedchain.numerics import RAW_LIMIT, SCALE, Fixed
 from fedchain.offchain import canonical_json_bytes
 from fedchain.scenario import (
     audit,
@@ -111,6 +111,20 @@ class TestConfigValidation:
     def test_out_of_range_decimal_rejected(self, key, value):
         with pytest.raises(ConfigError, match=f"^{key}: fixed-point value out of range"):
             parse_config(base_doc(**{key: value}))
+
+    @pytest.mark.parametrize("doc", [
+        base_doc(reward_pool_per_round=2**256),
+        base_doc(min_stake=10**5000),
+        base_doc(seed=-(2**256)),
+        base_doc(gas={"submit_per_param": 2**256}),
+    ], ids=["pool", "stake_5000_digits", "negative_seed", "gas"])
+    def test_integer_beyond_uint256_rejected(self, doc):
+        with pytest.raises(ConfigError, match="below 2\\*\\*256"):
+            parse_config(doc)
+
+    def test_largest_uint256_accepted(self):
+        config = parse_config(base_doc(reward_pool_per_round=2**256 - 1, min_stake=2**256 - 1))
+        assert config.reward_pool_per_round == config.min_stake == 2**256 - 1
 
     def test_samples_length_must_match(self):
         doc = base_doc()
@@ -324,6 +338,7 @@ class TestConfigDocuments:
            st.lists(st.tuples(PATHS, VALUES), min_size=1, max_size=3))
     @example(0, [(("alpha",), 10**40)])
     @example(1, [(("tau",), "1" + "0" * 40)])
+    @example(0, [(("reward_pool_per_round",), 10**5000)])
     def test_parse_is_total_and_the_canonical_form_a_fixed_point(self, base, edits):
         doc = copy.deepcopy(BASE_DOCS[base])
         for path, value in edits:
@@ -432,14 +447,25 @@ BEHAVIOR_DOCS = st.one_of(
 )
 
 
+UINT256_MAX = 2**256 - 1
+
+
+def up_to_uint256(minimum: int, usual: int):
+    """Integers from ``minimum``: small ones, and any up to the uint256 maximum."""
+    return st.integers(minimum, usual) | st.integers(minimum, UINT256_MAX) | st.just(UINT256_MAX)
+
+
 @st.composite
 def scenario_docs(draw) -> dict:
-    """Small scenarios with extreme training, behaviors and norm bounds:
-    noise up to 1e300, lr up to 100, 60 epochs, scalers up to c = 10^40, and
-    tau and alpha on both sides of the largest values whose sums and payout
-    bases stay in the fixed-point range."""
+    """Small scenarios with extreme training, behaviors, norm bounds and
+    contract integers: noise up to 1e300, lr up to 100, 60 epochs, scalers up
+    to c = 10^40, tau and alpha on both sides of the largest values whose sums
+    and payout bases stay in the fixed-point range, and stake, ban threshold,
+    pool, batch size and gas coefficients up to 2**256 - 1."""
     n_clients = draw(st.integers(1, 4))
     per_client = st.lists(st.integers(1, 20), min_size=n_clients, max_size=n_clients)
+    gas_fields = [f.name for f in fields(GasModel)]
+    gas_keys = draw(st.lists(st.sampled_from(gas_fields), unique=True))
     return {
         "seed": draw(st.integers(0, 2**32)),
         "rounds": draw(st.integers(1, 3)),
@@ -447,6 +473,14 @@ def scenario_docs(draw) -> dict:
         "reward_basis": draw(st.sampled_from(["alignment", "shapley"])),
         "tau": Fixed(draw(st.integers(1, 10**24))).to_decimal(),
         "alpha": Fixed(draw(st.integers(0, RAW_LIMIT - 1))).to_decimal(),
+        "min_stake": draw(up_to_uint256(0, 1000)),
+        "ban_threshold": draw(up_to_uint256(1, 3)),
+        "slash_fraction": Fixed(draw(st.integers(0, SCALE))).to_decimal(),
+        "reward_pool_per_round": draw(up_to_uint256(0, 10**6)),
+        "batch_size": draw(up_to_uint256(1, 7)),
+        # an intercept is at least 1, a per-parameter slope at least 0
+        "gas": {key: draw(up_to_uint256(0 if key.endswith("_per_param") else 1, 10**6))
+                for key in gas_keys},
         "dataset": {
             "n_clients": n_clients,
             "samples_per_client": draw(per_client),
@@ -460,11 +494,11 @@ def scenario_docs(draw) -> dict:
 
 
 class TestHostileConfigs:
-    """A config that parse_config accepts runs, writes and audits: an update
-    that cannot be encoded sits its round out, one whose squared norm leaves
-    the fixed-point range is rejected by the norm check, and the config's
-    bounds on tau, alpha and rounds keep every score sum and payout basis in
-    that range."""
+    """A config that parse_config accepts runs, writes and audits, and pays
+    out each round's whole pool or nothing: an update that cannot be encoded
+    sits its round out, one whose squared norm leaves the fixed-point range is
+    rejected by the norm check, and the config's bounds on tau, alpha and
+    rounds keep every score sum and payout basis in that range."""
 
     def test_unencodable_update_is_a_logged_sit_out(self, caplog):
         doc = base_doc(rounds=2)
@@ -478,6 +512,16 @@ class TestHostileConfigs:
                    for message in sit_outs)
         assert all(record["submitted"] == [] for record in result.report["rounds"])
         assert result.coordinator.current_round == 3
+
+    def test_sit_out_warning_is_short(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="fedchain"):
+            run_scenario(parse_config(NOISE_1E300))
+        sit_outs = [r.getMessage() for r in caplog.records if "sits out" in r.getMessage()]
+        client = "0x" + make_client_id(0).hex()
+        assert len(sit_outs) == 3 * 20
+        assert any(message.startswith(f"client {client} sits out round 20: ")
+                   for message in sit_outs)
+        assert max(map(len, sit_outs)) < 200
 
     def test_scaler_too_large_for_the_norm_check_is_rejected_norm(self):
         result = run_scenario(parse_config(SCALER_C_10_30))
@@ -499,9 +543,17 @@ class TestHostileConfigs:
             config = parse_config(doc)
         except ConfigError:
             return
+        result = run_scenario(config)
         with tempfile.TemporaryDirectory() as out:
-            verdicts = audit(write_run(run_scenario(config), out))
+            verdicts = audit(write_run(result, out))
         assert [verdict["ok"] for verdict in verdicts] == [True], verdicts
+        # the pool is split in full when any payout-basis value is positive
+        basis = "phi" if config.reward_basis == "shapley" else "S"
+        paying = {record["round"] for record in result.attribution
+                  if record[basis] is not None and Fixed.from_decimal(record[basis]).raw > 0}
+        for record in result.report["rounds"]:
+            expected = config.reward_pool_per_round if record["round"] in paying else 0
+            assert sum(record["payouts"].values()) == expected, record
 
 
 class TestArtifacts:
