@@ -8,15 +8,21 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import compress
+from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import BadParticipation, BadWeights, MissingRounds, TooManyClients
 from .numerics import (
     ONE,
+    RAW_LIMIT,
     SCALE,
     ZERO,
     Fixed,
     GradientVector,
+    _check_raw,
     add_terms,
     div_toward_zero,
     dot,
@@ -26,6 +32,8 @@ from .numerics import (
 )
 
 SHAPLEY_MAX_CLIENTS = 12  # 2^n subset enumeration budget
+_LANE_LIMIT = 2**63  # an int64 lane holds magnitudes below this
+_LANE_BLOCK_CELLS = 4096  # coalition x component cells per int64 block
 
 
 def alignment_score(
@@ -128,17 +136,29 @@ def _players(clients: Iterable[bytes]) -> list[bytes]:
 
 
 def _shapley_phi(ids: Sequence[bytes], values: Sequence[int]) -> dict[bytes, Fixed]:
-    """Shapley values from raw coalition values indexed by bitmask over ``ids``."""
+    """Shapley values from raw coalition values indexed by bitmask over ``ids``.
+
+    phi_k * n! is sum over T containing k of |T-k|! (n-|T|)! * v(T), less the
+    sum over S not containing k of |S|! (n-|S|-1)! * v(S): the marginals
+    v(S+k) - v(S) of the definition regrouped by coalition. Both sums are
+    exact integer sums, taken by ``itertools.compress`` over one weighted
+    table each, so each phi carries the one truncation by n! the
+    per-marginal loop has.
+    """
     n = len(ids)
     factorial = [math.factorial(k) for k in range(n + 1)]
     weight = [factorial[size] * factorial[n - size - 1] for size in range(n)]
+    sizes = [mask.bit_count() for mask in range(1 << n)]
+    # the empty coalition never contains k and the grand one always does, so
+    # their zero weights are never selected
+    joined = [weight[s - 1] * v if s else 0 for s, v in zip(sizes, values)]
+    left = [weight[s] * v if s < n else 0 for s, v in zip(sizes, values)]
     phi: dict[bytes, Fixed] = {}
     for k, client_id in enumerate(ids):
-        bit = 1 << k
-        acc = 0
-        for mask in range(1 << n):
-            if not mask & bit:
-                acc += weight[mask.bit_count()] * (values[mask | bit] - values[mask])
+        run, repeats = 1 << k, 1 << (n - k - 1)
+        has_k = ([0] * run + [1] * run) * repeats
+        lacks_k = ([1] * run + [0] * run) * repeats
+        acc = sum(compress(joined, has_k)) - sum(compress(left, lacks_k))
         phi[client_id] = Fixed(div_toward_zero(acc, factorial[n]))
     return phi
 
@@ -149,25 +169,98 @@ def alignment_coalition_values(
     """Raw ``coalition_value_alignment`` of every coalition, indexed by bitmask
     over the sorted client ids (bit k set means the k-th id is a member).
 
-    The full-cohort FedAvg is computed once. Coalitions are walked depth
-    first, adding members in sorted-id order, so each coalition's integer
-    numerator sum(n_i * raw_i) is its parent's plus one member's term. The
-    numerator, mean and dot steps are the ones ``sample_weighted_mean`` and
-    ``dot`` take, so values and overflows agree with them. The walk keeps
-    each member's term and at most one numerator vector per depth,
-    O(n * dim) integers, never one vector per coalition.
+    The full-cohort FedAvg is computed once, by ``sample_weighted_mean``, so
+    its errors come first. When every coalition numerator and sample total
+    fits in int64 (``sum(n_i * max|raw_i|)`` and ``sum(n_i)`` below 2**63)
+    the coalition means are computed on int64 lanes by
+    ``_lane_coalition_values``; otherwise by the depth-first
+    ``_walk_coalition_values``, the path for values beyond int64. Both give
+    the per-coalition definition's values and raise its ``OverflowError``s.
     """
     ids = sorted(submissions)
-    values = [0] * (1 << len(ids))
     if not ids:
-        return values
+        return [0]
     vectors = [submissions[i] for i in ids]
     counts = [n_map[i] for i in ids]
     full = sample_weighted_mean(vectors, counts).components
-    terms = [[n * raw for raw in v.components] for n, v in zip(counts, vectors)]
+    raws = [v.components for v in vectors]
+    peak = sum(n * max(max(r), -min(r)) for n, r in zip(counts, raws))
+    if peak < _LANE_LIMIT and sum(counts) < _LANE_LIMIT:
+        return _lane_coalition_values(raws, counts, full)
+    return _walk_coalition_values(raws, counts, full)
+
+
+def _lane_coalition_values(
+    raws: Sequence[Sequence[int]], counts: Sequence[int], full: Sequence[int]
+) -> list[int]:
+    """``alignment_coalition_values`` with every coalition's truncated mean
+    taken on whole int64 arrays, a block of components at a time.
+
+    Only for ``sum(n_i * max|raw_i|) < 2**63`` and ``sum(n_i) < 2**63``. Then
+    no coalition numerator sum(n_i * raw_i), sample total or mean leaves
+    int64, and no partial sum of a dot with the full FedAvg reaches
+    ACC_LIMIT: |mean| and |full| are below 2**63, so a partial sum is below
+    dim * 2**126, and dim < 2**129 for any vector that fits in memory. So
+    the walk's per-partial-sum checks cannot fail and are not repeated.
+
+    Each dot is exact: a block's products go into an int64 lane while the
+    sum of their bounds ``reach`` stays below 2**63, and into Python ints
+    otherwise. Each value gets the walk's terminal range check, in mask
+    order; it can fail only when dim * 2**126 / SCALE reaches 2**127, at a
+    dim above 2**30. Memory is O(2**n * n) for the membership table plus
+    one block of at most ``_LANE_BLOCK_CELLS`` coalition x component cells,
+    never a 2**n x dim table.
+    """
+    n = len(counts)
+    members = (np.arange(1, 1 << n, dtype=np.int64)[:, None] >> np.arange(n)) & 1
+    totals = (members @ np.array(counts, dtype=np.int64))[:, None]
+    lanes = np.array(raws, dtype=np.int64)
+    terms = lanes * np.array(counts, dtype=np.int64)[:, None]
+    # |mean_c| <= max_i |raw_ic| for every coalition, so |mean_c * full_c| <= reach[c]
+    reach = list(map(mul, np.abs(lanes).max(axis=0).tolist(), map(abs, full)))
+    full_lane = np.array(full, dtype=np.int64)
+    full_row = np.array(full, dtype=object)
+    width = max(1, _LANE_BLOCK_CELLS // len(members))
+    lane, lane_reach = np.zeros(len(members), dtype=np.int64), 0
+    spill = 0  # exact Python-int sums of what the lane cannot hold
+    for start in range(0, len(full), width):
+        block = slice(start, start + width)
+        numerators = members @ terms[:, block]
+        means = np.sign(numerators) * (np.abs(numerators) // totals)
+        block_reach = sum(reach[block])
+        if block_reach >= _LANE_LIMIT:
+            spill = spill + means.astype(object) @ full_row[block]
+            continue
+        if lane_reach + block_reach >= _LANE_LIMIT:
+            spill = spill + lane.astype(object)
+            lane, lane_reach = np.zeros_like(lane), 0
+        lane += means @ full_lane[block]
+        lane_reach += block_reach
+    dots = lane if isinstance(spill, int) else spill + lane.astype(object)
+    values = [0] + (np.sign(dots) * (np.abs(dots) // SCALE)).tolist()
+    if min(values) <= -RAW_LIMIT or max(values) >= RAW_LIMIT:
+        list(map(_check_raw, values))  # the first value out of range, in mask order
+    return values
+
+
+def _walk_coalition_values(
+    raws: Sequence[Sequence[int]], counts: Sequence[int], full: Sequence[int]
+) -> list[int]:
+    """``alignment_coalition_values`` by a depth-first walk over Python ints:
+    the path for raws or counts whose coalition numerators leave int64.
+
+    Coalitions are walked depth first, adding members in sorted-id order, so
+    each coalition's integer numerator sum(n_i * raw_i) is its parent's plus
+    one member's term. The numerator, mean and dot steps are the ones
+    ``sample_weighted_mean`` and ``dot`` take, so values and overflows agree
+    with them. The walk keeps each member's term and at most one numerator
+    vector per depth, O(n * dim) integers, never one vector per coalition.
+    """
+    values = [0] * (1 << len(counts))
+    terms = [[n * raw for raw in r] for n, r in zip(counts, raws)]
 
     def visit(mask: int, numerators: list[int], total: int, first: int) -> None:
-        for j in range(first, len(ids)):
+        for j in range(first, len(counts)):
             child = mask | 1 << j
             child_numerators = add_terms(numerators, terms[j])
             # the coalition's mean is freed before the walk descends

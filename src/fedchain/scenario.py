@@ -80,6 +80,11 @@ class DatasetConfig:
         for count in self.samples_per_client:
             check_int(count, "samples_per_client", minimum=1)
         check_int(self.dim, "dim", minimum=1)
+        if max(self.samples_per_client) * self.dim * 8 >= 2**63:  # numpy's array size limit
+            raise ValueError(
+                "max(samples_per_client) * dim must be below 2**60: "
+                "a client's float64 feature matrix must fit in numpy"
+            )
         object.__setattr__(self, "noise", check_number(self.noise, "noise"))
         if not self.noise >= 0:
             raise ValueError("noise must be >= 0")

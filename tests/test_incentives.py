@@ -1,10 +1,12 @@
 """Alignment scores, Shapley attribution, cumulative scores, multipliers."""
 import itertools
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fedchain import incentives
 
@@ -25,7 +27,7 @@ from fedchain.incentives import (
     shapley_alignment,
     shapley_exact,
 )
-from fedchain.numerics import RAW_LIMIT, Fixed, GradientVector, SCALE, dot
+from fedchain.numerics import RAW_LIMIT, Fixed, GradientVector, SCALE, div_toward_zero, dot
 from fedchain.scenario import parse_config, run_scenario
 
 IDS = [bytes([i]) * 20 for i in range(1, 13)]
@@ -176,6 +178,48 @@ class TestConsistencyMultiplier:
         low = consistency_adjusted_reward(score, Fixed(a_lo), Fixed(p_lo))
         assert consistency_adjusted_reward(score, Fixed(a_hi), Fixed(p_lo)) >= low
         assert consistency_adjusted_reward(score, Fixed(a_lo), Fixed(p_hi)) >= low
+
+
+def shapley_phi_loop(ids, values) -> dict:
+    """Reference for ``incentives._shapley_phi``: the per-marginal loop
+    phi_k = sum over masks without k of |S|! (n-|S|-1)! (v(S+k) - v(S)) / n!,
+    one truncation per phi."""
+    n = len(ids)
+    factorial = [math.factorial(k) for k in range(n + 1)]
+    weight = [factorial[size] * factorial[n - size - 1] for size in range(n)]
+    phi = {}
+    for k, client_id in enumerate(ids):
+        bit = 1 << k
+        acc = 0
+        for mask in range(1 << n):
+            if not mask & bit:
+                acc += weight[mask.bit_count()] * (values[mask | bit] - values[mask])
+        phi[client_id] = Fixed(div_toward_zero(acc, factorial[n]))
+    return phi
+
+
+def _outcome(f, *args):
+    """``f(*args)``, or the type and message of the OverflowError it raises."""
+    try:
+        return f(*args)
+    except OverflowError as err:
+        return type(err), str(err)
+
+
+class TestShapleyPhi:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 12), st.integers(0, 2**64),
+           st.sampled_from([2**20, 2**64, 2**100, RAW_LIMIT]))
+    @example(12, 0, RAW_LIMIT)
+    @example(12, 1, 2**20)
+    def test_matches_the_per_marginal_loop(self, n, seed, bound):
+        # raw tables up to +-(2**127 - 1); at the widest, many phi leave the range
+        rng = random.Random(seed)
+        values = [rng.randrange(-bound + 1, bound) for _ in range(1 << n)]
+        ids = IDS[:n]
+        assert _outcome(incentives._shapley_phi, ids, values) == _outcome(
+            shapley_phi_loop, ids, values
+        )
 
 
 class TestShapley:
@@ -377,6 +421,146 @@ class TestShapleyAlignment:
         ids = [bytes([i]) * 20 for i in range(13)]
         with pytest.raises(TooManyClients):
             shapley_alignment({cid: vec("1") for cid in ids}, {cid: 1 for cid in ids})
+
+
+def _walk_order(n: int) -> list[int]:
+    """Non-empty coalition masks in the depth-first walk's order: member
+    index lists in lexicographic order."""
+    return sorted(range(1, 1 << n), key=lambda mask: [k for k in range(n) if mask >> k & 1])
+
+
+def _definition_values(submissions, n_map) -> list[int]:
+    """Every coalition's raw value by the per-coalition definition; raises the
+    OverflowError of the first coalition, in the walk's order, that has one."""
+    ids = sorted(submissions)
+    values = [0] * (1 << len(ids))
+    for mask in _walk_order(len(ids)):
+        subset = [ids[k] for k in range(len(ids)) if mask >> k & 1]
+        values[mask] = coalition_value_alignment(subset, submissions, n_map).raw
+    return values
+
+
+def _takes_lanes(submissions, n_map) -> bool:
+    """The lanes path's bound: sum(n_i * max|raw_i|) and sum(n_i) below 2**63."""
+    peak = sum(n_map[c] * max(map(abs, v.components)) for c, v in submissions.items())
+    return peak < 2**63 and sum(n_map.values()) < 2**63
+
+
+def _forbid(monkeypatch, name: str) -> None:
+    def forbidden(*args):
+        raise AssertionError(f"{name} ran")
+
+    monkeypatch.setattr(incentives, name, forbidden)
+
+
+def _cohort(raw_rows, counts) -> tuple[dict, dict]:
+    submissions = {IDS[k]: GradientVector.from_raw(row) for k, row in enumerate(raw_rows)}
+    return submissions, {cid: n for cid, n in zip(submissions, counts)}
+
+
+@st.composite
+def _bound_games(draw):
+    """Games whose sum(n_i * max|raw_i|) lands on either side of 2**63: each
+    client has a component of magnitude 2**raw_bits and 2**(count_bits - 1)
+    to 2**count_bits samples, with raw_bits + count_bits from 58 to 66."""
+    total_bits = draw(st.integers(58, 66))
+    raw_bits = draw(st.integers(0, total_bits))
+    count_bits = total_bits - raw_bits
+    dim = draw(st.integers(1, 6))
+    raws = st.integers(-(2**raw_bits), 2**raw_bits)
+    rows, counts = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        row = draw(st.lists(raws, min_size=dim - 1, max_size=dim - 1))
+        row.insert(draw(st.integers(0, dim - 1)), draw(st.sampled_from([-1, 1])) * 2**raw_bits)
+        rows.append(row)
+        counts.append(draw(st.integers(max(1, 2 ** count_bits // 2), 2**count_bits)))
+    return _cohort(rows, counts)
+
+
+class TestCoalitionValuePaths:
+    """Each path of ``alignment_coalition_values`` against the per-coalition
+    definition: the int64 lanes under the bound, the walk beyond it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_bound_games())
+    @example(_cohort([[2**62]], [2]))  # n * |raw| == 2**63: the walk
+    @example(_cohort([[-(2**63 - 1)]], [1]))  # just under: the lanes
+    def test_both_sides_of_the_bound_match_the_definition(self, game):
+        submissions, n_map = game
+        outcome = _outcome(alignment_coalition_values, submissions, n_map)
+        assert outcome == _outcome(_definition_values, submissions, n_map)
+        if _takes_lanes(submissions, n_map):
+            # called directly on the inputs the lanes took, the walk agrees
+            ids = sorted(submissions)
+            vectors, counts = [submissions[c] for c in ids], [n_map[c] for c in ids]
+            full = incentives.sample_weighted_mean(vectors, counts).components
+            raws = [v.components for v in vectors]
+            assert incentives._walk_coalition_values(raws, counts, full) == outcome
+
+    def test_shapley_cohort_shape_takes_the_lanes(self, monkeypatch):
+        # 12 clients x dim 16 with 40 samples each, raws at gradient scale
+        rng = np.random.default_rng(5)
+        submissions, n_map = _cohort(rng.integers(-(2**30), 2**30, (12, 16)).tolist(), [40] * 12)
+        expected = _definition_values(submissions, n_map)
+        _forbid(monkeypatch, "_walk_coalition_values")
+        assert alignment_coalition_values(submissions, n_map) == expected
+        assert shapley_alignment(submissions, n_map) == shapley_phi_loop(sorted(submissions),
+                                                                         expected)
+
+    @pytest.mark.parametrize("raw_rows, counts", [
+        ([[2**62]], [2]),  # n * |raw| == 2**63
+        ([[2**61, 1], [-(2**61), 3]], [2, 2]),  # sum(n_i * max|raw_i|) == 2**63
+        ([[0, 0], [0, 0]], [2**62, 2**62]),  # sum(n_i) == 2**63
+    ], ids=["one_client", "sum_of_peaks", "sum_of_counts"])
+    def test_at_the_bound_takes_the_walk(self, monkeypatch, raw_rows, counts):
+        submissions, n_map = _cohort(raw_rows, counts)
+        expected = _definition_values(submissions, n_map)
+        _forbid(monkeypatch, "_lane_coalition_values")
+        assert alignment_coalition_values(submissions, n_map) == expected
+
+    # column magnitudes that keep every block's dot on the int64 lane, fill the
+    # lane so it spills to Python ints between blocks, or overflow it in one
+    # column so the block is summed in Python ints, and a mix of all three
+    @pytest.mark.parametrize("magnitudes", [
+        [2**20] * 9,
+        [3 * 2**29] * 9,
+        [2**40] * 9,
+        [2**40, 2**10, 3 * 2**29, 3 * 2**29, 2**10, 3 * 2**29, 2**40, 2**10, 3 * 2**29],
+    ], ids=["lane", "lane_spills", "python_ints", "mixed"])
+    @pytest.mark.parametrize("cells", [14, incentives._LANE_BLOCK_CELLS])
+    def test_blocks_with_a_short_last_block(self, monkeypatch, magnitudes, cells):
+        # 3 clients: 7 coalitions, so 14 cells make blocks of 2, 2, 2, 2 and 1
+        rng = np.random.default_rng(len(magnitudes) + cells)
+        rows = [[int(m) - int(rng.integers(0, 99)) for m in magnitudes] for _ in range(3)]
+        submissions, n_map = _cohort(rows, [1, 2, 3])
+        expected = _definition_values(submissions, n_map)
+        monkeypatch.setattr(incentives, "_LANE_BLOCK_CELLS", cells)
+        _forbid(monkeypatch, "_walk_coalition_values")
+        assert alignment_coalition_values(submissions, n_map) == expected
+        assert shapley_alignment(submissions, n_map) == shapley_phi_loop(sorted(submissions),
+                                                                         expected)
+
+    def test_ten_clients_in_blocks_of_four_components(self, monkeypatch):
+        # 1 023 coalitions: 4 096 cells make blocks of 4, 4 and 2 components
+        rng = np.random.default_rng(11)
+        submissions, n_map = _cohort(rng.integers(-(2**31), 2**31, (10, 10)).tolist(),
+                                     rng.integers(1, 500, 10).tolist())
+        expected = _definition_values(submissions, n_map)
+        _forbid(monkeypatch, "_walk_coalition_values")
+        assert alignment_coalition_values(submissions, n_map) == expected
+
+    def test_memory_is_bounded_by_the_block(self):
+        # a 1 023 x 256 int64 table of coalition means alone would be 2 MB
+        rng = np.random.default_rng(13)
+        submissions, n_map = _cohort(rng.integers(-(2**30), 2**30, (10, 256)).tolist(), [40] * 10)
+        alignment_coalition_values(submissions, n_map)
+        tracemalloc.start()
+        try:
+            alignment_coalition_values(submissions, n_map)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 def test_scenario_computes_shapley_once_per_round(monkeypatch):

@@ -132,6 +132,28 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="samples_per_client"):
             parse_config(doc)
 
+    @staticmethod
+    def sized_doc(samples: list, dim: int) -> dict:
+        doc = base_doc()
+        doc["dataset"].update(n_clients=len(samples), samples_per_client=samples, dim=dim,
+                              behaviors=["honest"] * len(samples))
+        return doc
+
+    # parse_config only: a run would ask numpy for these feature matrices
+    @pytest.mark.parametrize("samples, dim", [
+        ([2**200], 1), ([10, 10], 2**200), ([2**30], 2**30), ([1, 2**60], 1),
+    ], ids=["samples_2_200", "dim_2_200", "cells_2_60", "one_client_2_60"])
+    def test_feature_matrix_numpy_cannot_hold_rejected(self, samples, dim):
+        with pytest.raises(ConfigError, match="max\\(samples_per_client\\) \\* dim must be below"):
+            parse_config(self.sized_doc(samples, dim))
+
+    @pytest.mark.parametrize("samples, dim", [
+        ([2**60 - 1], 1), ([3, 1], (2**60 - 1) // 3),
+    ], ids=["samples", "samples_times_dim"])
+    def test_largest_feature_matrix_accepted(self, samples, dim):
+        dataset = parse_config(self.sized_doc(samples, dim)).dataset
+        assert max(dataset.samples_per_client) * dataset.dim == 2**60 - 1
+
     def test_shapley_client_cap(self):
         doc = base_doc(reward_basis="shapley")
         doc["dataset"] = {
