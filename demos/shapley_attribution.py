@@ -6,7 +6,7 @@ unique contributor earns alone.
 Run: python demos/shapley_attribution.py
 """
 from fedchain.incentives import coalition_value_alignment, shapley_alignment
-from fedchain.numerics import GradientVector
+from fedchain.numerics import GradientVector, sample_weighted_mean
 
 CLIENTS = {
     b"\x01" * 20: ("redundant-a", GradientVector.from_decimals(["1", "0", "0"])),
@@ -23,7 +23,9 @@ def main():
     aggregate_value = coalition_value_alignment(list(submissions), submissions, n_map)
     print("grand-coalition value (||aggregate||^2):", aggregate_value.to_decimal())
 
-    phi = shapley_alignment(submissions, n_map)
+    ids = sorted(submissions)  # the FedAvg in sorted-id order, as the contract keeps it
+    aggregate = sample_weighted_mean([submissions[i] for i in ids], [n_map[i] for i in ids])
+    phi = shapley_alignment(submissions, n_map, aggregate)
     print("\nper-client Shapley values:")
     for cid, value in sorted(phi.items()):
         name = CLIENTS[cid][0]

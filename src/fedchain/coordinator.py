@@ -92,7 +92,8 @@ class RoundState:
     scores: dict[bytes, Fixed] = field(default_factory=dict)
     payouts: dict[bytes, int] = field(default_factory=dict)
     aggregate: Optional[GradientVector] = None
-    phi: Optional[dict[bytes, Fixed]] = None  # Shapley values, under reward_basis "shapley"
+    phi: Optional[dict[bytes, Fixed]] = None  # Shapley values, once computed
+    multipliers: dict[bytes, Fixed] = field(default_factory=dict)  # id -> consistency multiplier
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -232,15 +233,13 @@ class Coordinator:
         if batch_count < 1 or not 0 <= batch_index < batch_count:
             raise OutOfOrderBatch(f"batch {batch_index} of {batch_count}")
 
-        buffer = state.partial.get(client_id)
-        if buffer is None:
-            buffer = {"count": batch_count, "parts": []}
-            state.partial[client_id] = buffer
+        buffer = state.partial.get(client_id) or {"count": batch_count, "parts": []}
         if batch_count != buffer["count"] or batch_index != len(buffer["parts"]):
             raise OutOfOrderBatch(
                 f"expected batch {len(buffer['parts'])} of {buffer['count']}, "
                 f"got {batch_index} of {batch_count}"
             )
+        state.partial[client_id] = buffer  # only once the batch is in order
         buffer["parts"].append(batch)
 
         if len(buffer["parts"]) == buffer["count"]:
@@ -326,41 +325,37 @@ class Coordinator:
         return dict(payouts)
 
     def _payout_basis(self, state: RoundState, scores: dict[bytes, Fixed]) -> dict[bytes, Fixed]:
-        """Positive payout weights: alignment scores (or Shapley values, kept
-        on the round as ``phi``), consistency-adjusted in the rounds
-        following a fairness checkpoint."""
+        """Positive payout weights: alignment scores (or Shapley values),
+        consistency-adjusted in the ``fairness_interval`` rounds after the
+        last fairness checkpoint. Each scored client's multiplier, ``ONE``
+        outside that window, is kept on the round as ``multipliers``."""
+        raw_basis = scores
         if self.config.reward_basis == "shapley" and scores:
-            state.phi = self.shapley_values(state)
-            raw_basis = state.phi
-        else:
-            raw_basis = scores
-
-        multiplier_on = self.multiplier_on(state.round)
+            raw_basis = self.shapley_values(state)
+        last = self.last_checkpoint_round
+        window = last is not None and last < state.round <= last + self.config.fairness_interval
+        alpha = self.config.alpha
         basis: dict[bytes, Fixed] = {}
         for cid, value in raw_basis.items():
-            if multiplier_on:
-                value = incentives.consistency_adjusted_reward(
-                    value, self.config.alpha, self.participation(cid)
-                )
+            multiplier = ONE
+            if window:
+                participation = self.participation(cid)
+                multiplier = incentives.consistency_multiplier(alpha, participation)
+                value = incentives.consistency_adjusted_reward(value, alpha, participation)
+            state.multipliers[cid] = multiplier
             basis[cid] = value
         return basis
 
     def shapley_values(self, state: RoundState) -> dict[bytes, Fixed]:
-        """Exact alignment Shapley values over the round's accepted updates."""
-        return incentives.shapley_alignment(
-            {cid: state.submissions[cid] for cid in state.accepted},
-            {cid: self.clients[cid].n_samples for cid in state.accepted},
-        )
-
-    def multiplier_on(self, round_index: int) -> bool:
-        """Whether consistency multipliers apply in ``round_index``: the
-        ``fairness_interval`` rounds after the last fairness checkpoint."""
-        return (
-            self.last_checkpoint_round is not None
-            and self.last_checkpoint_round
-            < round_index
-            <= self.last_checkpoint_round + self.config.fairness_interval
-        )
+        """Exact alignment Shapley values over the round's accepted updates,
+        against its FedAvg; computed once per round and kept as ``phi``."""
+        if state.phi is None:
+            state.phi = incentives.shapley_alignment(
+                {cid: state.submissions[cid] for cid in state.accepted},
+                {cid: self.clients[cid].n_samples for cid in state.accepted},
+                state.aggregate,
+            )
+        return state.phi
 
     def _apply_negative_score_policy(self, round_index: int, scores: dict[bytes, Fixed]) -> None:
         """Streak bookkeeping: consistently negative scorers are slashed and

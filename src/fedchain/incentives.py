@@ -113,16 +113,20 @@ def shapley_exact(
 
 
 def shapley_alignment(
-    submissions: Mapping[bytes, GradientVector], n_map: Mapping[bytes, int]
+    submissions: Mapping[bytes, GradientVector],
+    n_map: Mapping[bytes, int],
+    aggregate: GradientVector,
 ) -> dict[bytes, Fixed]:
     """Exact Shapley values under the alignment characteristic, in one pass.
 
-    Bit-identical to ``shapley_exact`` over ``coalition_value_alignment``,
-    including which inputs raise ``OverflowError``, but the coalition values
-    come from ``alignment_coalition_values`` instead of one FedAvg per coalition.
+    ``aggregate`` is the cohort's FedAvg, as ``alignment_coalition_values``
+    takes it. Bit-identical to ``shapley_exact`` over
+    ``coalition_value_alignment``, including which inputs raise
+    ``OverflowError`` once that FedAvg exists, but the coalition values come
+    from ``alignment_coalition_values`` instead of one FedAvg per coalition.
     """
     ids = _players(submissions)
-    values = alignment_coalition_values(submissions, n_map)
+    values = alignment_coalition_values(submissions, n_map, aggregate)
     return _shapley_phi(ids, values)
 
 
@@ -164,15 +168,18 @@ def _shapley_phi(ids: Sequence[bytes], values: Sequence[int]) -> dict[bytes, Fix
 
 
 def alignment_coalition_values(
-    submissions: Mapping[bytes, GradientVector], n_map: Mapping[bytes, int]
+    submissions: Mapping[bytes, GradientVector],
+    n_map: Mapping[bytes, int],
+    aggregate: GradientVector,
 ) -> list[int]:
     """Raw ``coalition_value_alignment`` of every coalition, indexed by bitmask
     over the sorted client ids (bit k set means the k-th id is a member).
 
-    The full-cohort FedAvg is computed once, by ``sample_weighted_mean``, so
-    its errors come first. When every coalition numerator and sample total
-    fits in int64 (``sum(n_i * max|raw_i|)`` and ``sum(n_i)`` below 2**63)
-    the coalition means are computed on int64 lanes by
+    ``aggregate`` must be the full-cohort FedAvg: ``sample_weighted_mean``
+    over the submissions and their counts in sorted-id order, as the
+    contract keeps it on the round. When every coalition numerator and
+    sample total fits in int64 (``sum(n_i * max|raw_i|)`` and ``sum(n_i)``
+    below 2**63) the coalition means are computed on int64 lanes by
     ``_lane_coalition_values``; otherwise by the depth-first
     ``_walk_coalition_values``, the path for values beyond int64. Both give
     the per-coalition definition's values and raise its ``OverflowError``s.
@@ -180,10 +187,9 @@ def alignment_coalition_values(
     ids = sorted(submissions)
     if not ids:
         return [0]
-    vectors = [submissions[i] for i in ids]
     counts = [n_map[i] for i in ids]
-    full = sample_weighted_mean(vectors, counts).components
-    raws = [v.components for v in vectors]
+    raws = [submissions[i].components for i in ids]
+    full = aggregate.components
     peak = sum(n * max(max(r), -min(r)) for n, r in zip(counts, raws))
     if peak < _LANE_LIMIT and sum(counts) < _LANE_LIMIT:
         return _lane_coalition_values(raws, counts, full)

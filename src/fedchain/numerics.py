@@ -105,7 +105,7 @@ class Fixed:
         """Quantize a float, rounding half to even (submission boundary only)."""
         scaled = value * SCALE
         nearest = round(scaled)  # Python round() is half-to-even
-        return cls(_check_raw(int(nearest)))
+        return cls(int(nearest))
 
     def to_decimal(self) -> str:
         """Exact decimal string; round-trips through from_decimal."""
@@ -119,17 +119,17 @@ class Fixed:
         return self.raw / SCALE
 
     def __add__(self, other: "Fixed") -> "Fixed":
-        return Fixed(_check_raw(self.raw + other.raw))
+        return Fixed(self.raw + other.raw)
 
     def __sub__(self, other: "Fixed") -> "Fixed":
-        return Fixed(_check_raw(self.raw - other.raw))
+        return Fixed(self.raw - other.raw)
 
     def __neg__(self) -> "Fixed":
         return Fixed(-self.raw)
 
     def __mul__(self, other: "Fixed") -> "Fixed":
         # single rescale, truncating toward zero
-        return Fixed(_check_raw(div_toward_zero(self.raw * other.raw, SCALE)))
+        return Fixed(div_toward_zero(self.raw * other.raw, SCALE))
 
     def mul_div(self, numerator: int, denominator: int) -> "Fixed":
         """self * numerator / denominator with one terminal rounding.
@@ -137,7 +137,7 @@ class Fixed:
         Multiply-before-divide keeps ratios like sample-count weights exact
         until the final truncation.
         """
-        return Fixed(_check_raw(div_toward_zero(self.raw * numerator, denominator)))
+        return Fixed(div_toward_zero(self.raw * numerator, denominator))
 
     def is_negative(self) -> bool:
         return self.raw < 0

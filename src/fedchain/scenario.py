@@ -37,7 +37,6 @@ from .ledger import (
     SYSTEM_SENDER,
     GasModel,
     Ledger,
-    Receipt,
     Transaction,
     gas_class,
     gas_csv_text,
@@ -225,8 +224,8 @@ def load_config(path) -> ScenarioConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except FileNotFoundError as err:
-        raise ConfigError(f"config file not found: {path}") from err
+    except OSError as err:  # absent, a directory, or otherwise unreadable
+        raise ConfigError(f"config file cannot be read: {err}") from err
     except ValueError as err:  # bad JSON or UTF-8, or an integer over json's digit limit
         raise ConfigError(f"config is not valid JSON: {err}") from err
     return parse_config(doc)
@@ -280,23 +279,14 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     ledger = Ledger(config.gas, Coordinator(ds.dim, config))
     coordinator, store = ledger.coordinator, ContentStore()
 
-    def system_tx(op: str, args: dict) -> Receipt:
-        tx = Transaction(SYSTEM_SENDER, op, args, ledger.next_nonce(SYSTEM_SENDER))
-        receipt = ledger.submit_tx(tx)
+    def call(sender: bytes, op: str, args: dict) -> None:
+        receipt = ledger.submit_tx(Transaction(sender, op, args, ledger.next_nonce(sender)))
         if not receipt.success:
-            raise SimulationError(f"system call {op} reverted: {receipt.revert_reason}")
-        return receipt
+            raise SimulationError(f"{op} by 0x{sender.hex()} reverted: {receipt.revert_reason}")
 
     for client in clients:
-        tx = Transaction(
-            client.id,
-            "register",
-            {"stake": config.min_stake, "n_samples": client.dataset.n_samples},
-            ledger.next_nonce(client.id),
-        )
-        receipt = ledger.submit_tx(tx)
-        if not receipt.success:
-            raise SimulationError(f"registration reverted: {receipt.revert_reason}")
+        call(client.id, "register",
+             {"stake": config.min_stake, "n_samples": client.dataset.n_samples})
     ledger.seal_block()
 
     model = GradientVector.zeros(ds.dim)
@@ -346,19 +336,20 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
 
         round_state = coordinator.rounds[round_index]
         if round_state.submissions:
-            system_tx("validate_round", {"round": round_index})
-        system_tx("score_and_reward_round", {"round": round_index})
+            call(SYSTEM_SENDER, "validate_round", {"round": round_index})
+        call(SYSTEM_SENDER, "score_and_reward_round", {"round": round_index})
         if round_state.accepted:
-            system_tx("aggregate_round", {"round": round_index})
+            call(SYSTEM_SENDER, "aggregate_round", {"round": round_index})
 
         attribution.extend(_attribution_for_round(coordinator, round_state, cumulative))
 
         if round_index % config.fairness_interval == 0:
             # the running sums already hold rounds 1..round_index
             cid = publish_checkpoint(store, cumulative).hex()
-            system_tx("record_checkpoint", {"round": round_index, "cid": cid, "hash": cid})
+            call(SYSTEM_SENDER, "record_checkpoint",
+                 {"round": round_index, "cid": cid, "hash": cid})
 
-        system_tx("close_round", {"round": round_index})
+        call(SYSTEM_SENDER, "close_round", {"round": round_index})
         ledger.seal_block()
         if round_state.accepted:
             model = GradientVector(map(add, model.components, round_state.aggregate.components))
@@ -381,26 +372,19 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
 def _attribution_for_round(
     coordinator: Coordinator, round_state, cumulative: dict[bytes, Fixed]
 ) -> list[dict]:
-    """Attribution-log records for one scored round; updates running sums."""
-    # under reward_basis "shapley" the coordinator already computed phi for the payout
-    phi_values = round_state.phi or {}
-    if round_state.phi is None and 0 < len(round_state.accepted) <= incentives.SHAPLEY_MAX_CLIENTS:
-        phi_values = coordinator.shapley_values(round_state)
-
-    multiplier_on = coordinator.multiplier_on(round_state.round)
+    """Attribution-log records for one scored round; updates running sums.
+    phi and the multipliers are the contract's, computed once per round."""
+    phi = {}
+    if 0 < len(round_state.accepted) <= incentives.SHAPLEY_MAX_CLIENTS:
+        phi = coordinator.shapley_values(round_state)
     records = []
     for cid in sorted(round_state.scores):
         score = round_state.scores[cid]
         cumulative[cid] = cumulative.get(cid, Fixed(0)) + score
-        multiplier = (
-            incentives.consistency_multiplier(coordinator.config.alpha, coordinator.participation(cid))
-            if multiplier_on
-            else Fixed.from_int(1)
-        )
         records.append(
             incentives.attribution_record(
-                round_state.round, cid, score, cumulative[cid], multiplier,
-                phi=phi_values.get(cid),
+                round_state.round, cid, score, cumulative[cid], round_state.multipliers[cid],
+                phi=phi.get(cid),
             )
         )
     return records

@@ -122,6 +122,14 @@ def test_missing_config_file_exits_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path)]) == 2
 
 
+def test_unreadable_config_path_exits_2(tmp_path, capsys):
+    # a directory cannot be read as a config file
+    assert main(["run", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: config file cannot be read" in err
+    assert "Traceback" not in err
+
+
 def test_audit_without_run_exits_1(tmp_path, capsys):
     assert main(["audit", "--out", str(tmp_path)]) == 1
     assert "error" in capsys.readouterr().err

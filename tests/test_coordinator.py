@@ -2,6 +2,7 @@
 aggregation, and the phase machine."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fedchain.coordinator import (
     ContractConfig,
@@ -22,6 +23,7 @@ from fedchain.errors import (
     NotRegistered,
     OutOfOrderBatch,
     RoundClosed,
+    SimulationError,
     WrongPhase,
     WrongRound,
 )
@@ -139,6 +141,37 @@ class TestSubmission:
         c.clients[C[0]].banned = True
         with pytest.raises(Banned):
             submit_whole(c, C[0], ["1", "2"])
+
+    def test_reverted_first_batch_leaves_no_buffer(self):
+        c = registered(dim=4, clients=[(C[0], 5)])
+        with pytest.raises(OutOfOrderBatch):
+            c.submit_update(C[0], 1, GradientVector.from_raw([1]), 1, 3)
+        assert c.rounds[1].partial == {}
+        c.submit_update(C[0], 1, GradientVector.from_raw([1, 2]), 0, 2)
+        c.submit_update(C[0], 1, GradientVector.from_raw([3, 4]), 1, 2)
+        assert c.rounds[1].submissions[C[0]].components == (1, 2, 3, 4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 3),
+                              st.lists(st.integers(-5, 5), min_size=1, max_size=3)),
+                    max_size=8))
+    @example([(1, 3, [1]), (0, 2, [1, 2]), (1, 2, [3, 4])])
+    def test_a_reverted_batch_leaves_the_round_unchanged(self, calls):
+        c = registered(dim=4, clients=[(C[0], 5)])
+        state = c.rounds[1]
+
+        def snapshot():
+            partial = {cid: (b["count"], list(b["parts"])) for cid, b in state.partial.items()}
+            return partial, dict(state.submissions)
+
+        for index, count, raws in calls:
+            before = snapshot()
+            try:
+                c.submit_update(C[0], 1, GradientVector.from_raw(raws), index, count)
+            except DimMismatch:
+                pass  # exhausts the buffer on purpose: the client cannot complete the round
+            except SimulationError:
+                assert snapshot() == before
 
 
 class TestValidation:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fedchain import incentives
+from fedchain import coordinator, incentives
 
 from fedchain.errors import (
     BadParticipation,
@@ -27,7 +27,15 @@ from fedchain.incentives import (
     shapley_alignment,
     shapley_exact,
 )
-from fedchain.numerics import RAW_LIMIT, Fixed, GradientVector, SCALE, div_toward_zero, dot
+from fedchain.numerics import (
+    RAW_LIMIT,
+    SCALE,
+    Fixed,
+    GradientVector,
+    div_toward_zero,
+    dot,
+    sample_weighted_mean,
+)
 from fedchain.scenario import parse_config, run_scenario
 
 IDS = [bytes([i]) * 20 for i in range(1, 13)]
@@ -336,6 +344,21 @@ class TestCoalitionValue:
             assert abs(value.raw - expected) <= 4
 
 
+def fedavg(submissions, n_map) -> GradientVector:
+    """The cohort's FedAvg as the contract keeps it for Shapley:
+    ``sample_weighted_mean`` over the submissions in sorted-id order."""
+    ids = sorted(submissions)
+    return sample_weighted_mean([submissions[i] for i in ids], [n_map[i] for i in ids])
+
+
+def coalition_values(submissions, n_map) -> list[int]:
+    return alignment_coalition_values(submissions, n_map, fedavg(submissions, n_map))
+
+
+def one_pass_phi(submissions, n_map) -> dict:
+    return shapley_alignment(submissions, n_map, fedavg(submissions, n_map))
+
+
 def _per_coalition(submissions, n_map):
     """Outcome of the per-coalition definition: phi, or the exception type."""
     try:
@@ -348,7 +371,7 @@ def _per_coalition(submissions, n_map):
 
 def _one_pass(submissions, n_map):
     try:
-        return shapley_alignment(submissions, n_map)
+        return one_pass_phi(submissions, n_map)
     except OverflowError as err:
         return type(err)
 
@@ -376,12 +399,12 @@ class TestShapleyAlignment:
     def test_matches_per_coalition_definition(self, game):
         submissions, n_map = game
         ids = sorted(submissions)
-        values = alignment_coalition_values(submissions, n_map)
+        values = coalition_values(submissions, n_map)
         assert len(values) == 1 << len(ids)
         for mask, value in enumerate(values):
             subset = frozenset(ids[k] for k in range(len(ids)) if mask >> k & 1)
             assert value == coalition_value_alignment(subset, submissions, n_map).raw
-        assert shapley_alignment(submissions, n_map) == _per_coalition(submissions, n_map)
+        assert one_pass_phi(submissions, n_map) == _per_coalition(submissions, n_map)
 
     @settings(deadline=None)
     @given(_games(4, st.integers(-RAW_LIMIT + 1, RAW_LIMIT - 1), st.integers(1, 2**130)))
@@ -411,16 +434,18 @@ class TestShapleyAlignment:
                 list(submissions), lambda s: coalition_value_alignment(s, submissions, n_map)
             )
         with pytest.raises(OverflowError, match=message):
-            shapley_alignment(submissions, n_map)
+            # the FedAvg numerator case raises from the FedAvg the contract computes
+            one_pass_phi(submissions, n_map)
 
     def test_no_clients(self):
-        assert alignment_coalition_values({}, {}) == [0]
-        assert shapley_alignment({}, {}) == {}
+        # an empty cohort has no FedAvg, and none is read
+        assert alignment_coalition_values({}, {}, None) == [0]
+        assert shapley_alignment({}, {}, None) == {}
 
     def test_too_many_clients(self):
         ids = [bytes([i]) * 20 for i in range(13)]
         with pytest.raises(TooManyClients):
-            shapley_alignment({cid: vec("1") for cid in ids}, {cid: 1 for cid in ids})
+            one_pass_phi({cid: vec("1") for cid in ids}, {cid: 1 for cid in ids})
 
 
 def _walk_order(n: int) -> list[int]:
@@ -487,7 +512,7 @@ class TestCoalitionValuePaths:
     @example(_cohort([[-(2**63 - 1)]], [1]))  # just under: the lanes
     def test_both_sides_of_the_bound_match_the_definition(self, game):
         submissions, n_map = game
-        outcome = _outcome(alignment_coalition_values, submissions, n_map)
+        outcome = _outcome(coalition_values, submissions, n_map)
         assert outcome == _outcome(_definition_values, submissions, n_map)
         if _takes_lanes(submissions, n_map):
             # called directly on the inputs the lanes took, the walk agrees
@@ -503,9 +528,8 @@ class TestCoalitionValuePaths:
         submissions, n_map = _cohort(rng.integers(-(2**30), 2**30, (12, 16)).tolist(), [40] * 12)
         expected = _definition_values(submissions, n_map)
         _forbid(monkeypatch, "_walk_coalition_values")
-        assert alignment_coalition_values(submissions, n_map) == expected
-        assert shapley_alignment(submissions, n_map) == shapley_phi_loop(sorted(submissions),
-                                                                         expected)
+        assert coalition_values(submissions, n_map) == expected
+        assert one_pass_phi(submissions, n_map) == shapley_phi_loop(sorted(submissions), expected)
 
     @pytest.mark.parametrize("raw_rows, counts", [
         ([[2**62]], [2]),  # n * |raw| == 2**63
@@ -516,7 +540,7 @@ class TestCoalitionValuePaths:
         submissions, n_map = _cohort(raw_rows, counts)
         expected = _definition_values(submissions, n_map)
         _forbid(monkeypatch, "_lane_coalition_values")
-        assert alignment_coalition_values(submissions, n_map) == expected
+        assert coalition_values(submissions, n_map) == expected
 
     # column magnitudes that keep every block's dot on the int64 lane, fill the
     # lane so it spills to Python ints between blocks, or overflow it in one
@@ -536,9 +560,8 @@ class TestCoalitionValuePaths:
         expected = _definition_values(submissions, n_map)
         monkeypatch.setattr(incentives, "_LANE_BLOCK_CELLS", cells)
         _forbid(monkeypatch, "_walk_coalition_values")
-        assert alignment_coalition_values(submissions, n_map) == expected
-        assert shapley_alignment(submissions, n_map) == shapley_phi_loop(sorted(submissions),
-                                                                         expected)
+        assert coalition_values(submissions, n_map) == expected
+        assert one_pass_phi(submissions, n_map) == shapley_phi_loop(sorted(submissions), expected)
 
     def test_ten_clients_in_blocks_of_four_components(self, monkeypatch):
         # 1 023 coalitions: 4 096 cells make blocks of 4, 4 and 2 components
@@ -547,55 +570,72 @@ class TestCoalitionValuePaths:
                                      rng.integers(1, 500, 10).tolist())
         expected = _definition_values(submissions, n_map)
         _forbid(monkeypatch, "_walk_coalition_values")
-        assert alignment_coalition_values(submissions, n_map) == expected
+        assert coalition_values(submissions, n_map) == expected
 
     def test_memory_is_bounded_by_the_block(self):
         # a 1 023 x 256 int64 table of coalition means alone would be 2 MB
         rng = np.random.default_rng(13)
         submissions, n_map = _cohort(rng.integers(-(2**30), 2**30, (10, 256)).tolist(), [40] * 10)
-        alignment_coalition_values(submissions, n_map)
+        aggregate = fedavg(submissions, n_map)
+        alignment_coalition_values(submissions, n_map, aggregate)
         tracemalloc.start()
         try:
-            alignment_coalition_values(submissions, n_map)
+            alignment_coalition_values(submissions, n_map, aggregate)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
 
 
-def test_scenario_computes_shapley_once_per_round(monkeypatch):
-    calls = []
+def _counted_run(monkeypatch, reward_basis: str):
+    """A small run with its ``shapley_alignment`` cohorts and its FedAvg calls
+    (through the ``coordinator`` and ``incentives`` bindings) recorded."""
+    shapley_calls, fedavg_calls = [], []
     one_pass = incentives.shapley_alignment
 
-    def counted(submissions, n_map):
-        calls.append(sorted(submissions))
-        return one_pass(submissions, n_map)
+    def counted(submissions, n_map, aggregate):
+        shapley_calls.append(sorted(submissions))
+        return one_pass(submissions, n_map, aggregate)
+
+    def counted_mean(vectors, counts):
+        fedavg_calls.append(len(vectors))
+        return sample_weighted_mean(vectors, counts)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the scenario runs the per-coalition Shapley path")
 
     monkeypatch.setattr(incentives, "shapley_alignment", counted)
     monkeypatch.setattr(incentives, "shapley_exact", forbidden)
+    for module in (coordinator, incentives):
+        monkeypatch.setattr(module, "sample_weighted_mean", counted_mean)
     doc = {
-        "seed": 42, "rounds": 4, "fairness_interval": 2, "reward_basis": "shapley",
+        "seed": 42, "rounds": 4, "fairness_interval": 2, "reward_basis": reward_basis,
         "dataset": {
             "n_clients": 4, "samples_per_client": [10, 20, 10, 30], "dim": 4, "noise": 0.05,
             "behaviors": ["honest", "honest", "honest", "negator"],
         },
     }
     config = parse_config(doc)
-    result = run_scenario(config)
-    monkeypatch.undo()
+    try:
+        return config, run_scenario(config), shapley_calls, fedavg_calls
+    finally:
+        monkeypatch.undo()
 
-    rounds = result.coordinator.rounds
-    scored = [r for r in range(1, config.rounds + 1) if rounds[r].accepted]
-    assert len(calls) == len(scored) == config.rounds
-    for r in scored:
-        state = rounds[r]
-        submissions = {cid: state.submissions[cid] for cid in state.accepted}
-        n_map = {cid: result.coordinator.clients[cid].n_samples for cid in state.accepted}
-        assert state.phi == _per_coalition(submissions, n_map)
-        logged = {rec["client"]: rec["phi"] for rec in result.attribution if rec["round"] == r}
-        assert logged == {"0x" + cid.hex(): phi.to_decimal() for cid, phi in state.phi.items()}
-        if all(rec["multiplier"] == "1" for rec in result.attribution if rec["round"] == r):
-            assert state.payouts == _largest_remainder_split(config.reward_pool_per_round, state.phi)
+
+def test_scenario_computes_shapley_once_per_round(monkeypatch):
+    for reward_basis in ("alignment", "shapley"):
+        config, result, shapley_calls, fedavg_calls = _counted_run(monkeypatch, reward_basis)
+        rounds = result.coordinator.rounds
+        scored = [r for r in range(1, config.rounds + 1) if rounds[r].accepted]
+        # the contract's FedAvg, once per scored round, is the one Shapley reads
+        assert len(shapley_calls) == len(fedavg_calls) == len(scored) == config.rounds
+        for r in scored:
+            state = rounds[r]
+            submissions = {cid: state.submissions[cid] for cid in state.accepted}
+            n_map = {cid: result.coordinator.clients[cid].n_samples for cid in state.accepted}
+            assert state.phi == _per_coalition(submissions, n_map)
+            logged = {rec["client"]: rec["phi"] for rec in result.attribution if rec["round"] == r}
+            assert logged == {"0x" + cid.hex(): phi.to_decimal() for cid, phi in state.phi.items()}
+            if all(rec["multiplier"] == "1" for rec in result.attribution if rec["round"] == r):
+                basis = state.phi if reward_basis == "shapley" else state.scores
+                assert state.payouts == _largest_remainder_split(config.reward_pool_per_round, basis)

@@ -425,6 +425,24 @@ class TestRun:
         assert all(r["multiplier"] == "1" for r in before)
         assert any(r["multiplier"] != "1" for r in after)
 
+    def test_logged_multiplier_is_the_consistency_multiplier_in_the_window(self):
+        config = load_config(CONFIGS / "adversary.json")
+        result = run_scenario(config)
+        rounds = result.coordinator.rounds
+        window = range(6, 11)  # the checkpoint at round 5 opens rounds 6..10
+        in_window = set()
+        for record in result.attribution:
+            r, cid = record["round"], bytes.fromhex(record["client"][2:])
+            expected = Fixed.from_int(1)
+            if r in window:
+                # every client registers before round 1 closes
+                joined = sum(cid in rounds[k].accepted for k in range(1, r))
+                participation = Fixed(joined * SCALE // (r - 1))
+                expected = incentives.consistency_multiplier(config.alpha, participation)
+                in_window.add(record["multiplier"])
+            assert record["multiplier"] == expected.to_decimal()
+        assert len(in_window) > 1  # a dropout client's participation sets it apart
+
     def test_payout_nondecreasing_in_sample_count(self):
         # honest clients on the same distribution: more data, no smaller reward
         doc = base_doc(rounds=8)
