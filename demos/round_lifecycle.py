@@ -3,9 +3,9 @@ aggregate, close — printing receipts, events, and phase transitions.
 
 Run: python demos/round_lifecycle.py
 """
-from fedchain.coordinator import ContractConfig, Coordinator
+from fedchain.coordinator import SYSTEM_SENDER, ContractConfig, Coordinator
 from fedchain.flclients import make_client_id
-from fedchain.ledger import GasModel, Ledger, SYSTEM_SENDER, Transaction, verify_chain
+from fedchain.ledger import GasModel, Ledger, Transaction, verify_chain
 from fedchain.numerics import Fixed, GradientVector
 
 

@@ -1,7 +1,8 @@
 """Command-line entry points: run a scenario, sweep gas costs, audit a run.
 
-Exit codes: 0 success, 1 runtime failure, 2 configuration error. The
-FEDCHAIN_LOG environment variable sets log verbosity (DEBUG/INFO/WARNING).
+Exit codes: 0 success, 1 runtime failure, 2 configuration error, an
+``--out`` path that cannot be created or written included. The FEDCHAIN_LOG
+environment variable sets log verbosity (DEBUG/INFO/WARNING).
 """
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import argparse
 import logging
 import os
 import sys
+from pathlib import Path
 
 from . import scenario
 from .errors import ConfigError, SimulationError
@@ -21,9 +23,19 @@ def _setup_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
+def _write(write, *args, **kwargs):
+    """``write(*args, **kwargs)``, an ``OSError`` on the output path being a config error."""
+    try:
+        return write(*args, **kwargs)
+    except OSError as err:
+        raise ConfigError(f"cannot write --out: {err}") from err
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    result = scenario.run_scenario(scenario.load_config(args.config))
-    run_dir = scenario.write_run(result, args.out)
+    config = scenario.load_config(args.config)
+    _write(Path(args.out).mkdir, parents=True, exist_ok=True)  # fail before the run
+    result = scenario.run_scenario(config)
+    run_dir = _write(scenario.write_run, result, args.out)
     summary = result.report["summary"]
     print(f"run {result.run_id} complete: {summary['rounds']} rounds, "
           f"{summary['clients']} clients, total payout {summary['total_payout']}")
@@ -40,8 +52,7 @@ def _cmd_gas_sweep(args: argparse.Namespace) -> int:
     rows = scenario.gas_sweep(config, sizes)
     csv_text = gas_csv_text(rows)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+        _write(Path(args.out).write_text, csv_text, encoding="utf-8")
     sys.stdout.write(csv_text)
     return 0
 

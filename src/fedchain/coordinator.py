@@ -13,7 +13,7 @@ import enum
 import re
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import incentives
 from .errors import (
@@ -34,7 +34,6 @@ from .errors import (
     WrongPhase,
     WrongRound,
 )
-from .ledger import SYSTEM_SENDER
 from .numerics import (
     ONE,
     ZERO,
@@ -51,15 +50,26 @@ from .offchain import vector_commit
 VERDICT_ACCEPTED = "accepted"
 VERDICT_REJECTED_NORM = "rejected_norm"
 
-# contract call -> each of its args and the arg's type; a str arg is a hex digest
-CALL_ARGS = {
-    "register": {"stake": int, "n_samples": int},
-    "submit_update": {"round": int, "batch_index": int, "batch_count": int, "components": list},
-    "record_checkpoint": {"round": int, "cid": str, "hash": str},
-    **dict.fromkeys(
-        ("validate_round", "score_and_reward_round", "aggregate_round", "close_round"),
-        {"round": int},
-    ),
+SYSTEM_SENDER = b"\x00" * 20  # reserved id for coordinator-initiated calls
+
+
+class Call(NamedTuple):
+    gas_class: str  # one of ledger.OP_CLASSES, or the flat `system` class
+    client: bool  # whether a client may send it; only the system sends the others
+    args: dict  # each arg and its type; a str arg is a hex digest
+
+
+# the contract's interface: every call the chain executes and charges for
+CALLS = {
+    "register": Call("register", True, {"stake": int, "n_samples": int}),
+    "submit_update": Call("submit", True, {
+        "round": int, "batch_index": int, "batch_count": int, "components": list,
+    }),
+    "validate_round": Call("validate", False, {"round": int}),
+    "score_and_reward_round": Call("distribute", False, {"round": int}),
+    "aggregate_round": Call("aggregate", False, {"round": int}),
+    "record_checkpoint": Call("system", False, {"round": int, "cid": str, "hash": str}),
+    "close_round": Call("system", False, {"round": int}),
 }
 _DIGEST_HEX = re.compile("[0-9a-f]{64}")
 
@@ -153,15 +163,18 @@ class Coordinator:
         events, self._events = self._events, []
         return events
 
-    def is_known(self, client_id: bytes) -> bool:
-        return client_id in self.clients
+    def admits(self, sender: bytes, op: str) -> bool:
+        """Whether the chain executes a call from ``sender`` at all: the
+        system, any registration, or a registered client."""
+        return sender == SYSTEM_SENDER or op == "register" or sender in self.clients
 
     # -- dispatch (ledger entry point) ----------------------------------------
 
     def execute(self, op: str, sender: bytes, args: dict) -> None:
-        if sender != SYSTEM_SENDER and op not in ("register", "submit_update"):
+        call = CALLS.get(op)
+        if sender != SYSTEM_SENDER and not (call and call.client):
             raise NotAuthorized(f"{op} is a coordinator-initiated call")
-        if op not in CALL_ARGS:
+        if call is None:
             raise SimulationError(f"unknown contract call {op!r}")
         _check_args(op, args)
         if op == "register":
@@ -181,15 +194,14 @@ class Coordinator:
         else:
             getattr(self, op)(args["round"])
 
-    def gas_param_count(self, op: str, args) -> int:
-        """Parameters a call touches, for its gas charge. An update whose args
-        are not an object touches none: it is charged, and ``execute``
-        reverts it with ``BadArgs``."""
-        if op == "submit_update":
-            return len(args.get("components", ())) if isinstance(args, dict) else 0
-        if op in ("validate_round", "aggregate_round"):
-            return self.dim
-        return 0
+    def gas(self, op: str, args) -> tuple[str, int]:
+        """A call's gas class and the parameters it touches, for its charge.
+        An update whose args are not an object touches none: it is charged,
+        and ``execute`` reverts it with ``BadArgs``."""
+        op_class = gas_class(op)
+        if op_class == "submit":
+            return op_class, len(args.get("components", ())) if isinstance(args, dict) else 0
+        return op_class, self.dim if op_class in ("validate", "aggregate") else 0
 
     # -- client lifecycle ------------------------------------------------------
 
@@ -463,9 +475,14 @@ class Coordinator:
         }
 
 
+def gas_class(op: str) -> str:
+    """Gas class of an op: its ``CALLS`` class, ``deploy``, or else ``system``."""
+    return CALLS[op].gas_class if op in CALLS else "deploy" if op == "deploy" else "system"
+
+
 def _check_args(op: str, args: dict) -> None:
     """``BadArgs`` unless ``args`` holds exactly the call's args, each of its type."""
-    types = CALL_ARGS[op]
+    types = CALLS[op].args
     if not isinstance(args, dict) or args.keys() != types.keys():
         raise BadArgs(f"{op} takes exactly {', '.join(types)}")
     for name, kind in types.items():

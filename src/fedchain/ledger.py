@@ -6,7 +6,9 @@ calibrated offline by a least-squares fit (in log space, which balances
 relative error across four decades of parameter counts) against gas
 measurements of a reference contract deployment; registration and reward
 distribution are parameter-independent, so their slopes are structurally
-zero.
+zero. This module owns the gas model and the class order ``OP_CLASSES``;
+the contract's ``coordinator.CALLS`` table owns which class each call is
+charged as, and which senders the chain admits.
 
 The chain has one read, ``Ledger.chain_document``, and one place that hashes
 a sealed tx, state or block: the flush that read runs first. ``submit_tx``
@@ -22,26 +24,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .coordinator import SYSTEM_SENDER
 from .errors import BadComponent, NonceError, SimulationError, UnknownSender
 from .keccak import keccak256, keccak256_many
 from .numerics import INT_LIMIT, GradientVector
 from .offchain import canonical_json_bytes, vector_commit
 
-SYSTEM_SENDER = b"\x00" * 20  # reserved id for coordinator-initiated calls
 GENESIS_PARENT = b"\x00" * 32
 
 # gas classes in table order: the gas report's table row and gas.csv columns
 OP_CLASSES = ("register", "submit", "aggregate", "validate", "distribute")
-
-# contract call -> gas class; calls absent here are flat `system` bookkeeping
-CALL_GAS_CLASS = {
-    "deploy": "deploy",
-    "register": "register",
-    "submit_update": "submit",
-    "validate_round": "validate",
-    "score_and_reward_round": "distribute",
-    "aggregate_round": "aggregate",
-}
 
 # gas class -> GasModel fields of its (intercept, slope); no slope field means 0
 _COEFFICIENT_FIELDS = {
@@ -53,11 +45,6 @@ _COEFFICIENT_FIELDS = {
     "deploy": ("deploy_cost", None),
     "system": ("system_cost", None),
 }
-
-
-def gas_class(op: str) -> str:
-    """Gas class of a contract call: one of OP_CLASSES, `deploy` or `system`."""
-    return CALL_GAS_CLASS.get(op, "system")
 
 
 @dataclass(frozen=True)
@@ -218,7 +205,7 @@ class Ledger:
         receipt = Receipt(
             tx_preimage=tx.hash_preimage(),
             block_height=0,
-            gas_used=self._gas_for(tx),
+            gas_used=gas_model.charge("deploy", 0),
             events=[("ContractDeployed", {"size_bytes": 10_667})],
             status="success",
         )
@@ -237,19 +224,14 @@ class Ledger:
         A call that fails before execution (unknown sender, wrong nonce, args
         that cannot be hashed) raises and leaves the ledger unchanged; the
         sender's nonce advances only when a receipt is recorded."""
-        known = (
-            tx.sender == SYSTEM_SENDER
-            or tx.op == "register"
-            or self.coordinator.is_known(tx.sender)
-        )
-        if not known:
+        if not self.coordinator.admits(tx.sender, tx.op):
             raise UnknownSender(f"0x{tx.sender.hex()} has never registered")
         expected = self.next_nonce(tx.sender)
         if tx.nonce != expected:
             raise NonceError(f"nonce {tx.nonce} != expected {expected}")
         preimage = tx.hash_preimage()
 
-        gas = self._gas_for(tx)
+        gas = self.gas_model.charge(*self.coordinator.gas(tx.op, tx.args))
         height = len(self._sealed)
         try:
             self.coordinator.execute(tx.op, tx.sender, tx.args)
@@ -261,10 +243,6 @@ class Ledger:
         self._pending.append((tx, receipt))
         self._nonces[tx.sender] = expected + 1
         return receipt
-
-    def _gas_for(self, tx: Transaction) -> int:
-        param_count = self.coordinator.gas_param_count(tx.op, tx.args)
-        return self.gas_model.charge(gas_class(tx.op), param_count)
 
     # -- blocks ------------------------------------------------------------
 

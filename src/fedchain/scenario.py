@@ -20,7 +20,7 @@ from typing import Optional, get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import incentives
-from .coordinator import ContractConfig, Coordinator
+from .coordinator import SYSTEM_SENDER, ContractConfig, Coordinator, gas_class
 from .errors import ConfigError, MissingRun, SimulationError, UnreadableRun
 from .flclients import (
     STREAM_DROPOUT,
@@ -33,15 +33,7 @@ from .flclients import (
     sample_true_weights,
 )
 from .keccak import keccak256
-from .ledger import (
-    SYSTEM_SENDER,
-    GasModel,
-    Ledger,
-    Transaction,
-    gas_class,
-    gas_csv_text,
-    verify_chain,
-)
+from .ledger import GasModel, Ledger, Transaction, gas_csv_text, verify_chain
 from .numerics import Fixed, GradientVector, check_int, check_number
 from .offchain import (
     ContentStore,

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from fedchain import scenario
 from fedchain.cli import main
 
 
@@ -67,6 +68,28 @@ def test_gas_sweep_prints_csv(config_path, tmp_path, capsys):
     printed = capsys.readouterr().out
     assert printed.splitlines()[0] == "param_size,register,submit,aggregate,validate,distribute"
     assert csv_out.read_text() == printed
+
+
+def assert_one_line_config_error(capsys, caplog):
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write --out: ") and err.count("\n") == 1
+    assert not caplog.records  # no "unhandled failure" traceback
+
+
+def test_run_out_on_a_file_exits_2_before_the_run(config_path, tmp_path, capsys, caplog,
+                                                  monkeypatch):
+    out = tmp_path / "out"
+    out.write_text("")
+    monkeypatch.setattr(scenario, "run_scenario", lambda _: pytest.fail("the scenario ran"))
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
+    assert_one_line_config_error(capsys, caplog)
+
+
+def test_gas_sweep_out_on_a_directory_exits_2(config_path, tmp_path, capsys, caplog):
+    code = main(["gas-sweep", "--config", str(config_path), "--sizes", "10", "--out",
+                 str(tmp_path)])
+    assert code == 2
+    assert_one_line_config_error(capsys, caplog)
 
 
 def test_config_error_exits_2(tmp_path, capsys):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fedchain.coordinator import (
+    CALLS,
+    SYSTEM_SENDER,
     ContractConfig,
     Coordinator,
     VERDICT_ACCEPTED,
@@ -28,6 +30,7 @@ from fedchain.errors import (
     WrongRound,
 )
 from fedchain.flclients import make_client_id
+from fedchain.ledger import OP_CLASSES
 from fedchain.numerics import RAW_LIMIT, Fixed, GradientVector, SCALE
 
 C = [make_client_id(i) for i in range(10)]
@@ -58,6 +61,38 @@ def run_round(c: Coordinator, updates: dict) -> dict:
         c.aggregate_round(r)
     c.close_round(r)
     return payouts
+
+
+class TestCallTable:
+    """``CALLS`` is the contract's whole interface: each entry names a method
+    the dispatch calls, a gas class the gas model prices, and its senders."""
+
+    def test_every_call_is_a_coordinator_method(self):
+        assert all(callable(getattr(Coordinator, op, None)) for op in CALLS)
+
+    def test_every_gas_class_is_a_priced_class(self):
+        assert {call.gas_class for call in CALLS.values()} <= set(OP_CLASSES) | {"system"}
+
+    def test_exactly_register_and_submit_update_are_client_calls(self):
+        assert [op for op, call in CALLS.items() if call.client] == ["register", "submit_update"]
+
+    @pytest.mark.parametrize("op, args, expected", [
+        ("submit_update", {"components": [1, 2, 3]}, ("submit", 3)),
+        ("submit_update", ["components"], ("submit", 0)),
+        ("validate_round", {"round": 1}, ("validate", 4)),
+        ("aggregate_round", {}, ("aggregate", 4)),
+        ("register", {"stake": 100}, ("register", 0)),
+        ("close_round", {"round": 1}, ("system", 0)),
+        ("deploy", {}, ("deploy", 0)),
+    ])
+    def test_gas_is_the_class_and_the_parameters_touched(self, op, args, expected):
+        assert coord(dim=4).gas(op, args) == expected
+
+    def test_admits_the_system_any_registration_and_registered_clients(self):
+        c = registered(clients=[(C[0], 10)])
+        assert c.admits(SYSTEM_SENDER, "close_round")
+        assert c.admits(C[1], "register") and c.admits(C[0], "close_round")
+        assert not c.admits(C[1], "submit_update")
 
 
 class TestRegistration:

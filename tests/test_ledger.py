@@ -3,24 +3,32 @@ from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
-from fedchain.coordinator import CALL_ARGS, ContractConfig, Coordinator, Phase, RoundState
+from fedchain.coordinator import (
+    CALLS,
+    SYSTEM_SENDER,
+    ContractConfig,
+    Coordinator,
+    Phase,
+    RoundState,
+    gas_class,
+)
 from fedchain import ledger as ledger_module
 from fedchain.errors import BadComponent, NonceError, UnknownSender
 from fedchain.flclients import make_client_id
 from fedchain.keccak import keccak256
 from fedchain.ledger import (
     GENESIS_PARENT,
-    SYSTEM_SENDER,
     OP_CLASSES,
     Block,
     GasModel,
     Ledger,
     Transaction,
-    gas_class,
     gas_csv_text,
     verify_chain,
 )
+from fedchain.numerics import ONE, SCALE
 from fedchain.offchain import canonical_json_bytes
 
 # Reference gas measurements by parameter size (register and distribute are
@@ -97,6 +105,7 @@ class TestGasModel:
         model = GasModel()
         assert gas_class("deploy") == "deploy"
         assert gas_class("close_round") == gas_class("record_checkpoint") == "system"
+        assert gas_class("mint") == "system"
         assert model.charge("deploy", 7) == model.deploy_cost
         assert model.charge("system", 7) == model.system_cost
 
@@ -183,7 +192,7 @@ class TestExecution:
         receipt = ledger.submit_tx(register_tx(ledger, SYSTEM_SENDER))
         assert receipt.status == "reverted"
         assert receipt.revert_reason == "NotAuthorized"
-        assert not coordinator.is_known(SYSTEM_SENDER)
+        assert SYSTEM_SENDER not in coordinator.clients
 
     def test_deploy_cost_in_genesis_receipt(self):
         ledger, _ = make_ledger()
@@ -434,7 +443,7 @@ JSON_LIKE = st.recursive(
     | st.dictionaries(st.text(max_size=6), children, max_size=3),
     max_leaves=8,
 )
-CALL_NAMES = sorted(CALL_ARGS) + ["deploy", "mint"]
+CALL_NAMES = sorted(CALLS) + ["deploy", "mint"]
 
 
 @st.composite
@@ -443,7 +452,8 @@ def contract_calls(draw):
     the call's own arg names with JSON-like values, from the system, a
     registered client or a stranger, mostly at the right nonce."""
     op = draw(st.sampled_from(CALL_NAMES))
-    named = st.fixed_dictionaries({name: JSON_LIKE for name in CALL_ARGS.get(op, {})})
+    types = CALLS[op].args if op in CALLS else {}
+    named = st.fixed_dictionaries({name: JSON_LIKE for name in types})
     args = draw(st.one_of(JSON_LIKE, named))
     sender = draw(st.sampled_from([SYSTEM_SENDER, make_client_id(0), make_client_id(1)]))
     return sender, op, args, draw(st.sampled_from([0, 0, 0, 1, -1])), draw(st.booleans())
@@ -485,6 +495,110 @@ class TestContractBoundary:
         assert [receipt.tx_hash for _, receipt in recorded] == [tx.tx_hash() for tx, _ in recorded]
 
 
+CLIENTS = [make_client_id(i) for i in range(3)]
+CLIENT_OPS = [op for op in CALLS if CALLS[op].client]
+SYSTEM_OPS = [op for op in CALLS if not CALLS[op].client]  # in protocol order
+DIGESTS = st.sampled_from(["00" * 32, "ab" * 32])
+COMPONENTS = st.sampled_from([-7.5, -3, -1, -0.1, 0, 0.1, 1, 3, 7.5]).map(
+    lambda value: int(value * SCALE))  # (7.5, 7.5) lies beyond tau
+USUAL_ARGS = {  # a well-formed call, at the current round
+    "stake": st.sampled_from([100, 1_000]),
+    "n_samples": st.integers(1, 50),
+    "batch_index": st.just(0),
+    "batch_count": st.just(1),
+    "components": st.lists(COMPONENTS, min_size=2, max_size=2),
+    "cid": DIGESTS,
+    "hash": DIGESTS,
+}
+ANY_ARGS = {  # round is drawn around the current round
+    **USUAL_ARGS,
+    "stake": st.sampled_from([99, 100]),
+    "n_samples": st.integers(0, 50),
+    "batch_index": st.integers(0, 2),
+    "batch_count": st.integers(0, 2),
+    "components": st.lists(COMPONENTS, max_size=3),
+}
+
+
+class ContractMachine(RuleBasedStateMachine):
+    """Calls drawn from ``CALLS``: most well-formed from their usual sender,
+    the rest from any sender with any values, and a seal now and then. Each
+    receipt advances only its sender's nonce, once; a reverted call leaves
+    the contract state as it was; a scored round pays out the whole pool
+    when any payout basis value is positive, else nothing."""
+
+    @initialize(basis=st.sampled_from(["alignment", "shapley"]), interval=st.integers(1, 3),
+                registered=st.integers(0, len(CLIENTS)))
+    def deploy(self, basis, interval, registered):
+        self.ledger, self.coordinator = make_ledger(reward_basis=basis,
+                                                    fairness_interval=interval)
+        for client in CLIENTS[:registered]:
+            assert self.ledger.submit_tx(register_tx(self.ledger, client)).success
+
+    @rule(data=st.data(), ops=st.lists(st.sampled_from(CLIENT_OPS), min_size=1, max_size=6))
+    def client_calls(self, data, ops):
+        for op in ops:
+            self.call(data, op, CLIENTS)
+
+    @rule(data=st.data(), client_ops=st.lists(st.sampled_from(CLIENT_OPS), max_size=6),
+          system_ops=st.just(SYSTEM_OPS) | st.permutations(SYSTEM_OPS),
+          skip=st.sets(st.sampled_from(SYSTEM_OPS), max_size=3))
+    def round_of_calls(self, data, client_ops, system_ops, skip):
+        """Client calls, then the system calls that end a round: half the time
+        in protocol order, some skipped."""
+        for op in client_ops:
+            self.call(data, op, CLIENTS)
+        for op in system_ops:
+            if op not in skip:
+                self.call(data, op, [SYSTEM_SENDER])
+
+    @rule()
+    def seal(self):
+        self.ledger.seal_block()
+
+    def call(self, data, op, usual):
+        current = self.coordinator.current_round
+        if data.draw(st.integers(0, 3)):
+            sender, values, rounds = data.draw(st.sampled_from(usual)), USUAL_ARGS, [current]
+        else:
+            sender = data.draw(st.sampled_from([SYSTEM_SENDER] + CLIENTS))
+            values, rounds = ANY_ARGS, [current - 1, current, current + 1]
+        args = {
+            name: data.draw(st.sampled_from(rounds) if name == "round" else values[name])
+            for name in CALLS[op].args
+        }
+        nonces = {who: self.ledger.next_nonce(who) for who in [SYSTEM_SENDER] + CLIENTS}
+        state = self.coordinator.state_dict()
+        try:
+            receipt = self.ledger.submit_tx(Transaction(sender, op, args, nonces[sender]))
+        except (UnknownSender, BadComponent):  # refused before execution: no receipt
+            receipt = None
+        else:
+            nonces[sender] += 1
+        assert {who: self.ledger.next_nonce(who) for who in nonces} == nonces
+        if receipt is None or not receipt.success:
+            assert self.coordinator.state_dict() == state
+        elif op == "score_and_reward_round":
+            self.check_payout(args["round"], receipt)
+
+    def check_payout(self, round_index: int, receipt) -> None:
+        config, state = self.coordinator.config, self.coordinator.rounds[round_index]
+        raw_basis = state.scores
+        if config.reward_basis == "shapley" and state.scores:
+            raw_basis = state.phi
+        # each basis value is a raw value times a multiplier of at least one
+        assert state.multipliers.keys() == raw_basis.keys()
+        assert all(m >= ONE for m in state.multipliers.values())
+        positive = any(value.raw > 0 for value in raw_basis.values())
+        (paid,) = [p["payouts"] for name, p in receipt.events if name == "RewardsDistributed"]
+        assert sum(amount for _, amount in paid) == sum(state.payouts.values())
+        assert sum(state.payouts.values()) == (config.reward_pool_per_round if positive else 0)
+
+
+TestContractMachine = ContractMachine.TestCase
+TestContractMachine.settings = settings(max_examples=50, stateful_step_count=30, deadline=None)
+
+
 class TestDeferredHashing:
     def small_chain(self, read_every_seal: bool) -> Ledger:
         ledger, _ = make_ledger()
@@ -515,6 +629,26 @@ class TestDeferredHashing:
         chain["receipts"][2].clear()
         chain["blocks"].pop()
         assert canonical_json_bytes(ledger.chain_document()) == expected
+
+    def test_chain_document_shares_tx_args_and_event_payloads(self):
+        """The sharing the ``chain_document`` docstring states, pinned: each tx's
+        args and each event payload are the ledger's own objects."""
+        ledger = self.small_chain(read_every_seal=False)
+        chain = ledger.chain_document()
+        shared = 0
+        for calls, txs, receipts in zip(ledger._sealed, chain["txs"], chain["receipts"]):
+            for (tx, receipt), tx_doc, receipt_doc in zip(calls, txs, receipts, strict=True):
+                assert tx_doc["args"] is tx.args
+                for (_, payload), (_, payload_doc) in zip(receipt.events, receipt_doc["events"],
+                                                          strict=True):
+                    assert payload_doc is payload
+                    shared += 1
+        assert shared == 4  # the deploy and three successful registrations
+        chain["txs"][1][0]["args"]["stake"] = 7
+        chain["receipts"][1][0]["events"][0][1]["stake"] = 7
+        again = ledger.chain_document()
+        assert again["txs"][1][0]["args"]["stake"] == 7
+        assert again["receipts"][1][0]["events"][0][1]["stake"] == 7
 
     def test_receipt_tx_hash_is_none_until_the_first_read(self):
         ledger, _ = make_ledger()

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fedchain import incentives
-from fedchain.coordinator import ContractConfig
+from fedchain.coordinator import ContractConfig, gas_class
 from fedchain import ledger as ledger_module
 from fedchain import scenario as scenario_module
 from fedchain.errors import ConfigError, MissingRun
@@ -1005,7 +1005,7 @@ class TestGasCharges:
                     param_count = dim
                 else:
                     param_count = 0
-                op_class = ledger_module.gas_class(tx["op"])
+                op_class = gas_class(tx["op"])
                 charge = config.gas.charge(op_class, param_count)
                 assert receipt["gas_used"] == charge, (tx["op"], receipt["block_height"])
                 by_class[op_class] = by_class.get(op_class, 0) + charge
