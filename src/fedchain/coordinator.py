@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import NamedTuple, Optional
 
 from . import incentives
@@ -39,6 +38,7 @@ from .numerics import (
     ZERO,
     Fixed,
     GradientVector,
+    concatenate,
     div_toward_zero,
     norm_sq,
     sample_weighted_mean,
@@ -255,11 +255,11 @@ class Coordinator:
         buffer["parts"].append(batch)
 
         if len(buffer["parts"]) == buffer["count"]:
-            components = tuple(chain.from_iterable(part.components for part in buffer["parts"]))
-            if len(components) != self.dim:
+            update = concatenate(buffer["parts"])
+            if update.dim != self.dim:
                 # leave the buffer exhausted; the client cannot complete this round
-                raise DimMismatch(f"update dim {len(components)} != model dim {self.dim}")
-            state.submissions[client_id] = GradientVector(components)
+                raise DimMismatch(f"update dim {update.dim} != model dim {self.dim}")
+            state.submissions[client_id] = update
             del state.partial[client_id]
         self._emit(
             "UpdateSubmitted",
@@ -270,6 +270,8 @@ class Coordinator:
         state = self.rounds.get(round_index)
         if state is None or round_index != self.current_round or state.phase != Phase.OPEN:
             raise RoundClosed(f"round {round_index} is not open")
+        if state.verdicts:  # a later update would get no verdict, score or payout
+            raise RoundClosed(f"round {round_index} is validated")
         return state
 
     # -- validation ---------------------------------------------------------------

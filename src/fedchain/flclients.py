@@ -91,7 +91,7 @@ def local_train(
         raise ValueError("epochs must be >= 1")
     if lr <= 0:
         raise ValueError("learning rate must be positive")
-    start = np.array(model.to_floats())
+    start = model.to_floats()
     w = start.copy()
     X, y = dataset.features, dataset.targets
     n = dataset.n_samples
@@ -99,7 +99,7 @@ def local_train(
         for _ in range(epochs):
             gradient = X.T @ (X @ w - y) / n
             w = w - lr * gradient
-        delta = (w - start).tolist()
+        delta = w - start
     return GradientVector.from_floats(delta)
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import BadParticipation, BadWeights, MissingRounds, TooManyClients
 from .numerics import (
+    LANE_LIMIT,
     ONE,
     RAW_LIMIT,
     SCALE,
@@ -29,10 +30,10 @@ from .numerics import (
     raw_dot,
     sample_weighted_mean,
     truncated_mean,
+    weighted_sum_lanes,
 )
 
 SHAPLEY_MAX_CLIENTS = 12  # 2^n subset enumeration budget
-_LANE_LIMIT = 2**63  # an int64 lane holds magnitudes below this
 _LANE_BLOCK_CELLS = 4096  # coalition x component cells per int64 block
 
 
@@ -178,32 +179,34 @@ def alignment_coalition_values(
     ``aggregate`` must be the full-cohort FedAvg: ``sample_weighted_mean``
     over the submissions and their counts in sorted-id order, as the
     contract keeps it on the round. When every coalition numerator and
-    sample total fits in int64 (``sum(n_i * max|raw_i|)`` and ``sum(n_i)``
-    below 2**63) the coalition means are computed on int64 lanes by
-    ``_lane_coalition_values``; otherwise by the depth-first
-    ``_walk_coalition_values``, the path for values beyond int64. Both give
-    the per-coalition definition's values and raise its ``OverflowError``s.
+    sample total fits in int64 (``numerics.weighted_sum_lanes``, the bound
+    ``sample_weighted_mean`` takes its lanes under) the coalition means are
+    computed on int64 lanes by ``_lane_coalition_values``; otherwise by the
+    depth-first ``_walk_coalition_values``, the path for values beyond int64.
+    Both give the per-coalition definition's values and raise its
+    ``OverflowError``s.
     """
     ids = sorted(submissions)
     if not ids:
         return [0]
     counts = [n_map[i] for i in ids]
-    raws = [submissions[i].components for i in ids]
+    vectors = [submissions[i] for i in ids]
     full = aggregate.components
-    peak = sum(n * max(max(r), -min(r)) for n, r in zip(counts, raws))
-    if peak < _LANE_LIMIT and sum(counts) < _LANE_LIMIT:
-        return _lane_coalition_values(raws, counts, full)
-    return _walk_coalition_values(raws, counts, full)
+    lanes = weighted_sum_lanes(vectors, counts)
+    if lanes is not None:
+        return _lane_coalition_values(lanes, counts, full)
+    return _walk_coalition_values([v.components for v in vectors], counts, full)
 
 
 def _lane_coalition_values(
-    raws: Sequence[Sequence[int]], counts: Sequence[int], full: Sequence[int]
+    lanes: np.ndarray, counts: Sequence[int], full: Sequence[int]
 ) -> list[int]:
     """``alignment_coalition_values`` with every coalition's truncated mean
     taken on whole int64 arrays, a block of components at a time.
 
-    Only for ``sum(n_i * max|raw_i|) < 2**63`` and ``sum(n_i) < 2**63``. Then
-    no coalition numerator sum(n_i * raw_i), sample total or mean leaves
+    Only for ``lanes`` that ``weighted_sum_lanes`` admits, under
+    ``sum(n_i * max|raw_i|) < 2**63`` and ``sum(n_i) < 2**63``. Then no
+    coalition numerator sum(n_i * raw_i), sample total or mean leaves
     int64, and no partial sum of a dot with the full FedAvg reaches
     ACC_LIMIT: |mean| and |full| are below 2**63, so a partial sum is below
     dim * 2**126, and dim < 2**129 for any vector that fits in memory. So
@@ -220,7 +223,6 @@ def _lane_coalition_values(
     n = len(counts)
     members = (np.arange(1, 1 << n, dtype=np.int64)[:, None] >> np.arange(n)) & 1
     totals = (members @ np.array(counts, dtype=np.int64))[:, None]
-    lanes = np.array(raws, dtype=np.int64)
     terms = lanes * np.array(counts, dtype=np.int64)[:, None]
     # |mean_c| <= max_i |raw_ic| for every coalition, so |mean_c * full_c| <= reach[c]
     reach = list(map(mul, np.abs(lanes).max(axis=0).tolist(), map(abs, full)))
@@ -234,10 +236,10 @@ def _lane_coalition_values(
         numerators = members @ terms[:, block]
         means = np.sign(numerators) * (np.abs(numerators) // totals)
         block_reach = sum(reach[block])
-        if block_reach >= _LANE_LIMIT:
+        if block_reach >= LANE_LIMIT:
             spill = spill + means.astype(object) @ full_row[block]
             continue
-        if lane_reach + block_reach >= _LANE_LIMIT:
+        if lane_reach + block_reach >= LANE_LIMIT:
             spill = spill + lane.astype(object)
             lane, lane_reach = np.zeros_like(lane), 0
         lane += means @ full_lane[block]

@@ -13,7 +13,6 @@ import logging
 import zlib
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import cache
-from operator import add
 from pathlib import Path
 from typing import Optional, get_args, get_origin, get_type_hints
 
@@ -344,7 +343,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         call(SYSTEM_SENDER, "close_round", {"round": round_index})
         ledger.seal_block()
         if round_state.accepted:
-            model = GradientVector(map(add, model.components, round_state.aggregate.components))
+            model = model + round_state.aggregate
         model_history.append(model)
 
     ledger_doc = ledger_document(config, ledger)

@@ -410,6 +410,14 @@ class TestPhaseMachine:
         with pytest.raises(WrongPhase):
             c.close_round(1)
 
+    def test_submit_after_validation_reverts(self):
+        c = registered(clients=[(C[0], 1), (C[1], 1)])
+        submit_whole(c, C[0], ["1", "1"])
+        c.validate_round(1)
+        with pytest.raises(RoundClosed):
+            submit_whole(c, C[1], ["1", "1"])
+        assert C[1] not in c.rounds[1].submissions and C[1] not in c.rounds[1].partial
+
     def test_submit_after_close_hits_round_gate(self):
         c = registered(clients=[(C[0], 1)])
         run_round(c, {C[0]: ["1", "1"]})

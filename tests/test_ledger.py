@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from fedchain.coordinator import (
     CALLS,
@@ -525,7 +525,8 @@ class ContractMachine(RuleBasedStateMachine):
     the rest from any sender with any values, and a seal now and then. Each
     receipt advances only its sender's nonce, once; a reverted call leaves
     the contract state as it was; a scored round pays out the whole pool
-    when any payout basis value is positive, else nothing."""
+    when any payout basis value is positive, else nothing; no complete
+    submission in a validated round lacks a verdict."""
 
     @initialize(basis=st.sampled_from(["alignment", "shapley"]), interval=st.integers(1, 3),
                 registered=st.integers(0, len(CLIENTS)))
@@ -580,6 +581,15 @@ class ContractMachine(RuleBasedStateMachine):
             assert self.coordinator.state_dict() == state
         elif op == "score_and_reward_round":
             self.check_payout(args["round"], receipt)
+
+    @invariant()
+    def validated_rounds_judge_every_submission(self):
+        """No complete submission enters a round after its verdicts: each one
+        in a validated or scored round has a verdict, so it is scored or
+        turned away, never silently dropped."""
+        for state in self.coordinator.rounds.values():
+            if state.verdicts or state.phase != Phase.OPEN:
+                assert state.submissions.keys() <= state.verdicts.keys()
 
     def check_payout(self, round_index: int, receipt) -> None:
         config, state = self.coordinator.config, self.coordinator.rounds[round_index]

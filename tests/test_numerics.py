@@ -1,9 +1,12 @@
 """Fixed-point scalar and vector arithmetic."""
 import math
+from operator import add
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fedchain import numerics
 from fedchain.errors import DimMismatch, EmptyInput, ParseError
 from fedchain.numerics import (
     ACC_LIMIT,
@@ -235,11 +238,27 @@ FLOATS = st.one_of(
     st.integers(-(2**40), 2**40).map(lambda k: (2 * k + 1) / 1024),
     st.floats(0.5 * QUANT_LIMIT, 2 * QUANT_LIMIT).flatmap(lambda x: st.sampled_from([x, -x])),
     st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+    # scaled values on both sides of 2**62 and 2**63
+    st.sampled_from([2.0**62, 2.0**63, 2.0**63 - 1024, 2.0**64]).map(lambda x: x / SCALE),
+    st.floats(2.0**61 / SCALE, 2.0**64 / SCALE).flatmap(lambda x: st.sampled_from([x, -x])),
+    st.floats(-1e-300, 1e-300),  # subnormals and the smallest normals
 )
+INT64_MIN = -(2**63)
+# both sides of every int64 lane bound: the int64 range (INT64_MIN has no
+# positive int64), 2**62 (where two magnitudes sum to 2**63), and 2**53,
+# past which a float64 skips ints
+LANE_EDGES = [
+    2**62 - 1, 2**62, 2**63 - 1, 2**63,
+    -(2**62 - 1), -(2**62), INT64_MIN + 1, INT64_MIN,
+    2**53 - 1, 2**53, 2**53 + 1, -(2**53 + 1),
+]
 RAWS = st.one_of(
     st.integers(-(RAW_LIMIT - 1), RAW_LIMIT - 1),
     st.integers(-(10**12), 10**12),
     st.integers(RAW_LIMIT - 2**124, RAW_LIMIT - 1).flatmap(lambda r: st.sampled_from([r, -r])),
+    st.sampled_from(LANE_EDGES).flatmap(lambda e: st.integers(e - 3, e + 3)),
+    st.integers(-(2**64), 2**64),
+    st.integers(-(2**31), 2**31),
 )
 
 
@@ -332,13 +351,20 @@ class TestRawVectors:
             lambda k: st.integers(1, 6).flatmap(
                 lambda dim: st.tuples(
                     st.lists(st.lists(RAWS, min_size=dim, max_size=dim), min_size=k, max_size=k),
-                    st.lists(st.one_of(st.integers(1, 50), st.integers(2**127, 2**130)),
+                    st.lists(st.one_of(st.integers(1, 50), st.integers(2**127, 2**130),
+                                       st.sampled_from([2**31, 2**62])),
                              min_size=k, max_size=k),
                 )
             )
         )
     )
     @example(([[RAW_LIMIT - 1]], [2**129]))  # one weighted term beyond the accumulator
+    @example(([[2**62 - 1]], [2]))  # n * |raw| just below 2**63: the int64 lane
+    @example(([[2**62]], [2]))  # n * |raw| == 2**63: Python ints
+    @example(([[INT64_MIN]], [1]))  # |INT64_MIN| is 2**63
+    @example(([[2**61, 1], [-(2**61), 3]], [2, 2]))  # sum(n_i * max|raw_i|) == 2**63
+    @example(([[0], [0]], [2**62, 2**62]))  # sum(n_i) == 2**63
+    @example(([[-7], [2]], [3, 1]))  # a negative mean truncates toward zero
     def test_sample_weighted_mean_matches_per_component_oracle(self, instance):
         raws, counts = instance
         expected = outcome(lambda: mean_oracle(raws, counts))
@@ -357,8 +383,153 @@ class TestRawVectors:
     )
     # only a partial sum leaves the accumulator range; the full sum is 0
     @example(([RAW_LIMIT - 1] * 6, [RAW_LIMIT - 1] * 3 + [1 - RAW_LIMIT] * 3))
+    # products of 2**62 on the int64 lane: partial sums 2**62, 2**63, 3 * 2**62
+    @example(([2**31] * 4, [2**31] * 4))
+    @example(([2**32, 2**32, -(2**32)], [2**30] * 3))  # up to 2**63, back to 2**62
+    @example(([2**32], [2**31]))  # one product of exactly 2**63: Python ints
+    @example(([INT64_MIN, 5], [0, 0]))  # every product 0
+    @example(([INT64_MIN], [1]))
+    @example(([2**62, -(2**62)], [2**62 - 1, 2**62 - 1]))
     def test_dot_matches_per_component_oracle(self, pair):
         a, b = pair
         expected = outcome(lambda: dot_oracle(a, b))
         actual = outcome(lambda: dot(GradientVector.from_raw(a), GradientVector.from_raw(b)).raw)
         assert actual == expected
+
+
+# --- int64 lanes against the scalar reference --------------------------------
+
+
+def lane_of(vector: GradientVector):
+    return vector._lane
+
+
+class TestLanes:
+    """Every lane operation is bit-identical to the per-component reference,
+    including the errors, on both sides of its bound."""
+
+    @given(st.lists(FLOATS, min_size=1, max_size=12))
+    @example([0.5 / SCALE, 1.5 / SCALE, 2.5 / SCALE, -2.5 / SCALE])  # ties, to even
+    @example([1 / 1024, 3 / 1024, -5 / 1024])  # scaled exactly half an odd integer
+    @example([5e-324, -5e-324, 2.2250738585072014e-308])  # subnormals
+    @example([2.0**62 / SCALE, -(2.0**62) / SCALE])
+    @example([(2.0**63 - 1024) / SCALE])  # the largest scaled float below 2**63: the lane
+    @example([2.0**63 / SCALE])  # scaled to exactly 2**63: per component
+    @example([1.0, math.nan])
+    @example([math.inf, 1.0])
+    @example([-math.inf, math.nan])
+    @example([1e300, math.nan])  # the scaled 1e300 overflows before the NaN
+    def test_from_floats_array_matches_fixed_from_float(self, xs):
+        expected = outcome(lambda: [Fixed.from_float(x).raw for x in xs])
+        actual = outcome(lambda: list(GradientVector.from_floats(np.array(xs)).components))
+        assert actual == expected
+
+    # failing as Fixed.from_float fails on the first bad value, never coerced
+    # to a float (numpy would read "1.5" as 1.5)
+    @pytest.mark.parametrize("values, error", [
+        (["1.5"], TypeError),
+        ([None], TypeError),
+        ([1.5, "1.5"], TypeError),
+        ([None, 1e30], TypeError),
+        ([1e30, None], OverflowError),
+        (np.array(["1.5"]), TypeError),
+        (np.array([1.5, None]), TypeError),
+    ], ids=["str", "none", "float_then_str", "none_first", "out_of_range_first", "str_array",
+            "object_array"])
+    def test_from_floats_rejects_non_numbers_as_the_scalar_path(self, values, error):
+        assert outcome(lambda: [Fixed.from_float(x).raw for x in list(values)]) == error
+        assert outcome(lambda: GradientVector.from_floats(values)) == error
+
+    @given(st.lists(RAWS, min_size=1, max_size=8))
+    @example([2**62 - 1, -(2**62 - 1)])
+    @example([2**62, -(2**62)])
+    @example([INT64_MIN, 2**63 - 1])
+    @example([INT64_MIN])
+    @example([2**63])
+    @example([-1, 0, 1])
+    def test_encode_matches_per_component_bytes(self, raws):
+        expected = b"".join(raw.to_bytes(16, "big", signed=True) for raw in raws)
+        assert GradientVector.from_raw(raws).encode() == expected
+
+    @given(st.lists(RAWS, min_size=1, max_size=8))
+    @example([2**53 - 1, -(2**53 - 1)])
+    @example([2**53, -(2**53)])
+    @example([2**53 + 1])  # not a float64: divided as a Python int
+    @example([2**53 + 3])  # rounding to a float64 first would round the quotient twice, wrongly
+    @example([-(2**53 + 1), 1])
+    @example([INT64_MIN, 2**63])
+    def test_to_floats_matches_per_component_division(self, raws):
+        assert GradientVector.from_raw(raws).to_floats().tolist() == [raw / SCALE for raw in raws]
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda dim: st.tuples(
+                st.lists(RAWS, min_size=dim, max_size=dim),
+                st.lists(RAWS, min_size=dim, max_size=dim),
+                st.sampled_from([0, 1, -1, 2, 2**31, -(2**62), 2**63, 2**200]),
+            )
+        )
+    )
+    @example(([2**62], [2**62], 2))  # the sum is 2**63
+    @example(([INT64_MIN], [0], -1))  # negating INT64_MIN leaves int64
+    @example(([2**62 - 1], [-(2**62 - 1)], -2))
+    @example(([0, 0], [1, 2], 2**200))  # a zero vector times a factor beyond int64
+    def test_add_negate_scale_match_per_component(self, triple):
+        a, b, factor = triple
+        u, v = GradientVector.from_raw(a), GradientVector.from_raw(b)
+        assert outcome(lambda: (u + v).components) == outcome(
+            lambda: tuple(map(checked_raw, map(add, a, b))))
+        assert outcome(lambda: u.negate().components) == tuple(-x for x in a)
+        assert outcome(lambda: u.scale_int(factor).components) == outcome(
+            lambda: tuple(checked_raw(x * factor) for x in a))
+
+    def test_lanes_keep_every_component_a_raw_int(self):
+        v = GradientVector.from_floats(np.array([0.5, -0.25]))
+        for w in (v, v + v, v.negate(), v.scale_int(3), sample_weighted_mean([v, v], [1, 2])):
+            assert lane_of(w) is not None
+            assert all(type(c) is int for c in w.components)
+
+
+class TestPythonIntPath:
+    """Each lane operation falls back to Python ints only beyond its int64
+    bound, and there it is the per-component arithmetic of before."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts calls of the Python-int steps ``numerics`` looks up by name."""
+        counted = {}
+        for name in ("_quantize", "add_terms", "raw_dot"):
+            original = getattr(numerics, name)
+
+            def counting(*args, _name=name, _original=original):
+                counted[_name] = counted.get(_name, 0) + 1
+                return _original(*args)
+
+            monkeypatch.setattr(numerics, name, counting)
+        return counted
+
+    def test_quantize(self, calls):
+        GradientVector.from_floats(np.array([(2.0**63 - 1024) / SCALE, -1.5]))
+        assert calls == {}
+        big = GradientVector.from_floats(np.array([2.0**63 / SCALE, -1.5]))
+        assert calls == {"_quantize": 2} and big.components == (2**63, -1_500_000_000)
+
+    def test_encode(self):
+        assert lane_of(GradientVector.from_raw([2**63 - 1, INT64_MIN])) is not None
+        beyond = GradientVector.from_raw([2**63, 1])
+        assert lane_of(beyond) is None
+        assert beyond.encode() == (2**63).to_bytes(16, "big", signed=True) + (1).to_bytes(16, "big")
+
+    def test_fedavg(self, calls):
+        sample_weighted_mean([GradientVector.from_raw([2**62 - 1, 1])], [2])
+        assert calls == {}
+        out = sample_weighted_mean([GradientVector.from_raw([2**62, 1])], [2])
+        assert calls == {"add_terms": 1} and out.components == (2**62, 1)
+
+    def test_dot(self, calls):
+        a = GradientVector.from_raw([2**31] * 4)
+        assert dot(a, a).raw == 2**64 // SCALE  # partial sums past 2**63, on the lane
+        assert calls == {}
+        b = GradientVector.from_raw([2**32] * 4)
+        assert dot(b, b).raw == 2**66 // SCALE
+        assert calls == {"raw_dot": 1}
