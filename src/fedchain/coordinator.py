@@ -170,7 +170,13 @@ class Coordinator:
 
     # -- dispatch (ledger entry point) ----------------------------------------
 
-    def execute(self, op: str, sender: bytes, args: dict) -> None:
+    def execute(
+        self, op: str, sender: bytes, args: dict, batch: Optional[GradientVector]
+    ) -> None:
+        """Run one call. ``batch`` is the ``components`` arg as the ledger
+        decoded it for the tx preimage (``Transaction.decode``), None when
+        the args carry none; a ``submit_update`` that passes its args check
+        always has one."""
         call = CALLS.get(op)
         if sender != SYSTEM_SENDER and not (call and call.client):
             raise NotAuthorized(f"{op} is a coordinator-initiated call")
@@ -183,7 +189,7 @@ class Coordinator:
             self.submit_update(
                 sender,
                 args["round"],
-                GradientVector.from_raw(args["components"]),
+                batch,
                 args["batch_index"],
                 args["batch_count"],
             )

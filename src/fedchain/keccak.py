@@ -3,23 +3,36 @@
 This is the original Keccak sponge (multi-rate padding, domain byte 0x01),
 not NIST SHA3-256 (domain byte 0x06): rate 1088 bits, capacity 512, 24
 rounds, 256-bit digest. State is kept as a flat list of 25 lanes indexed
-x + 5*y.
+x + 5*y. It is pure Python because ``hashlib.sha3_256`` pads with the NIST
+domain byte, so it cannot compute this digest.
 
-The permutation writes one round of Keccak-f[1600] out in full and loops it
+``_permute`` writes one round of Keccak-f[1600] out in full and loops it
 over the 24 round constants, with the 25 lanes and the theta and rho-pi
 temporaries in local variables, after the Keccak team's *Keccak
 implementation overview*: a local is much cheaper to read and write than a
 list slot, and the rho rotation offsets and pi positions become constants in
-the source. It is pure Python because ``hashlib.sha3_256`` pads with the NIST
-domain byte, so it cannot compute this digest.
+the source. That one round body serves one message (``keccak256``) and k
+messages packed into each lane int, the overview's multi-instance form done
+on Python ints instead of SIMD registers: message r holds bits [128r,
+128r + 64) of every lane, and ``_permute`` takes the 64-bit mask and the round
+constants repeated in each slot. XOR, AND and chi's NOT act bit by bit, so
+they never mix slots, and NOT's set gap bits are cleared by the AND with a
+masked lane. Only a rotation reaches across a slot: its left shift carries up
+to 63 bits out of the top of a lane, and its right shift brings up to 63 low
+bits of the next message down below that message. A stride of at least 127
+bits leaves both in the gap above the lane, where the mask clears them; 128
+keeps each slot a whole 16 bytes.
 
-``keccak256_many`` hashes a batch of independent messages at once, the
-multi-instance form that overview describes for SIMD: the permutation runs on
-a (25, k) uint64 array, one column per message, so each numpy operation acts
-on one lane of every message. Messages are sorted by padded block count,
-longest first, and packed into one flat buffer; block ``b`` is absorbed by
-the prefix of the batch that still has a block ``b``. Its digests equal
-``keccak256`` on each message.
+``keccak256_many`` hashes a batch of independent messages at once. Messages
+are sorted by padded block count, longest first, and packed into one flat
+buffer; block ``b`` is absorbed by the prefix of the batch that still has a
+block ``b``. While more than ``_PACKED_MAX`` messages absorb, the permutation
+runs in numpy on a (25, k) uint64 array, one column per message, so each
+operation acts on one lane of every message; its cost is mostly fixed
+overhead per call, whatever k. Once ``_PACKED_MAX`` or fewer remain, their
+columns are packed into lane ints and finished on ``_permute``, each digest
+read out when its message ends. Its digests equal ``keccak256`` on each
+message.
 """
 from __future__ import annotations
 
@@ -43,13 +56,16 @@ _ROUND_CONSTANTS = (
 )
 
 
-def _permute(lanes: list[int]) -> list[int]:
+def _permute(
+    lanes: list[int], mask: int = _MASK, round_constants: Sequence[int] = _ROUND_CONSTANTS
+) -> list[int]:
     """Keccak-f[1600] on 25 lanes indexed x + 5*y.
 
     Lane (x, y) is the local ``a<x><y>``; ``c<x>`` and ``d<x>`` are theta's
     column parities and their mix, and ``b<x><y>`` is the state after rho and pi.
+    For k packed messages (``_packing``), ``mask`` and ``round_constants``
+    are the 64-bit mask and constants repeated in each message's slot.
     """
-    mask = _MASK
     (
         a00, a10, a20, a30, a40,
         a01, a11, a21, a31, a41,
@@ -57,7 +73,7 @@ def _permute(lanes: list[int]) -> list[int]:
         a03, a13, a23, a33, a43,
         a04, a14, a24, a34, a44,
     ) = lanes
-    for rc in _ROUND_CONSTANTS:
+    for rc in round_constants:
         # theta
         c0 = a00 ^ a01 ^ a02 ^ a03 ^ a04
         c1 = a10 ^ a11 ^ a12 ^ a13 ^ a14
@@ -193,6 +209,7 @@ _PI = np.array([(3 * (y - 3 * x)) % 5 + 5 * x for y in range(5) for x in range(5
 # chi: lane (x, y) ^= ~(x + 1, y) & (x + 2, y), read through pi
 _CHI_NEXT = _PI[[(x + 1) % 5 + 5 * y for y in range(5) for x in range(5)]]
 _CHI_AFTER = _PI[[(x + 2) % 5 + 5 * y for y in range(5) for x in range(5)]]
+_WORD_INDEX = np.arange(_WORDS)[:, None]  # a block's word offsets, one row each
 
 
 def _permute_many(state: np.ndarray) -> np.ndarray:
@@ -214,6 +231,53 @@ def _permute_many(state: np.ndarray) -> np.ndarray:
     return state
 
 
+# -- the narrow phase: k messages packed into each lane int ----------------------
+
+# With this many absorbing messages or fewer, one packed-int permutation per
+# block beats the numpy one, whose cost is mostly fixed per-call overhead;
+# the two meet at a few dozen messages.
+_PACKED_MAX = 32
+# Message r holds bits [128r, 128r + 64) of each lane int (module docstring).
+_STRIDE = 128
+
+
+def _packing(k: int) -> tuple[int, tuple[int, ...]]:
+    """``_permute``'s mask and round constants for k packed messages."""
+    ones = sum(1 << _STRIDE * r for r in range(k))
+    return _MASK * ones, tuple(rc * ones for rc in _ROUND_CONSTANTS)
+
+
+def _pack(columns: np.ndarray) -> list[int]:
+    """Each row of a (rows, k) uint64 array as one int, column r in slot r."""
+    slots = np.zeros(columns.shape + (2,), dtype="<u8")
+    slots[..., 0] = columns
+    return [int.from_bytes(row, "little") for row in slots]
+
+
+def _finish_packed(state, words, starts, blocks, step) -> list[bytes]:
+    """Digests of the k messages whose states are the columns of the (25, k)
+    ``state``, absorbing their blocks from ``step`` on: one ``_permute`` per
+    block for all k, each message's digest read out as it ends."""
+    active = state.shape[1]
+    lanes = _pack(state)
+    mask, round_constants = _packing(active)
+    digests: list[bytes] = [b""] * active
+    while active:
+        block = _pack(words[starts[:active] + step * _WORDS + _WORD_INDEX])
+        for i, word in enumerate(block):
+            lanes[i] ^= word
+        lanes = _permute(lanes, mask, round_constants)
+        step += 1
+        if blocks[active - 1] == step:
+            while active and blocks[active - 1] == step:
+                active -= 1
+                shift = _STRIDE * active
+                digests[active] = _DIGEST.pack(*(lane >> shift & _MASK for lane in lanes[:4]))
+            mask, round_constants = _packing(active)
+            lanes = [lane & mask for lane in lanes]  # drop the ended messages
+    return digests
+
+
 def keccak256_many(messages: Sequence[bytes]) -> list[bytes]:
     """Keccak-256 digest of each message, equal to ``keccak256`` on each."""
     n = len(messages)
@@ -228,16 +292,18 @@ def keccak256_many(messages: Sequence[bytes]) -> list[bytes]:
 
     state = np.zeros((25, n), dtype=np.uint64)
     active, step = n, 0
-    while active:
-        lanes = words[starts[:active] + step * _WORDS + np.arange(_WORDS)[:, None]]
+    while active > _PACKED_MAX:
+        lanes = words[starts[:active] + step * _WORDS + _WORD_INDEX]
         state[:_WORDS, :active] ^= lanes
         state[:, :active] = _permute_many(state[:, :active])
         step += 1
         while active and blocks[active - 1] == step:
             active -= 1
 
-    digests = state[:4].T.astype("<u8").tobytes()
+    ended = state[:4, active:].T.astype("<u8").tobytes()
+    ranked = _finish_packed(state[:, :active], words, starts, blocks, step)
+    ranked += [ended[32 * rank:32 * rank + 32] for rank in range(n - active)]
     out: list[bytes] = [b""] * n
     for rank, i in enumerate(order):
-        out[i] = digests[32 * rank:32 * rank + 32]
+        out[i] = ranked[rank]
     return out

@@ -12,7 +12,8 @@ charged as, and which senders the chain admits.
 
 The chain has one read, ``Ledger.chain_document``, and one place that hashes
 a sealed tx, state or block: the flush that read runs first. ``submit_tx``
-builds each tx preimage (its args check) and ``seal_block`` snapshots the
+builds each tx preimage (its args check), decoding a submitted batch once
+for both its commitment and the contract, and ``seal_block`` snapshots the
 state preimage; neither hashes. The flush hashes every sealed block not yet
 hashed: one ``keccak256_many`` pass over the tx and state preimages, which
 sets each receipt's ``tx_hash``, a second over the receipts-root preimages,
@@ -97,16 +98,6 @@ class Transaction:
     args: dict
     nonce: int
 
-    def digest_args(self) -> dict:
-        """Args with bulk payloads replaced by their commitment digests."""
-        if isinstance(self.args, dict) and "components" in self.args:
-            slim = dict(self.args)
-            raws = slim.pop("components")
-            slim["components_commit"] = vector_commit(GradientVector.from_raw(raws))
-            slim["components_len"] = len(raws)
-            return slim
-        return self.args
-
     def to_dict(self) -> dict:
         return {
             "sender": "0x" + self.sender.hex(),
@@ -119,11 +110,25 @@ class Transaction:
     def from_dict(cls, doc: dict) -> "Transaction":
         return cls(bytes.fromhex(doc["sender"][2:]), doc["op"], doc["args"], doc["nonce"])
 
-    def hash_preimage(self) -> bytes:
+    def decode(self) -> tuple[bytes, Optional[GradientVector]]:
+        """The bytes ``tx_hash`` hashes, and the ``components`` arg decoded, or
+        None when the args carry none. The preimage holds the args with the
+        bulk components replaced by their commitment digest; the one decode
+        serves that commitment and the contract's ``submit_update``."""
         try:
-            return canonical_json_bytes({**self.to_dict(), "args": self.digest_args()})
+            args, batch = self.args, None
+            if isinstance(args, dict) and "components" in args:
+                batch = GradientVector.from_raw(args["components"])
+                args = dict(args)
+                del args["components"]
+                args["components_commit"] = vector_commit(batch)
+                args["components_len"] = batch.dim
+            return canonical_json_bytes({**self.to_dict(), "args": args}), batch
         except (SimulationError, TypeError, ValueError, OverflowError) as err:
             raise BadComponent(f"{self.op} args cannot be hashed: {err}") from err
+
+    def hash_preimage(self) -> bytes:
+        return self.decode()[0]
 
     def tx_hash(self) -> bytes:
         return keccak256(self.hash_preimage())
@@ -229,12 +234,12 @@ class Ledger:
         expected = self.next_nonce(tx.sender)
         if tx.nonce != expected:
             raise NonceError(f"nonce {tx.nonce} != expected {expected}")
-        preimage = tx.hash_preimage()
+        preimage, batch = tx.decode()
 
         gas = self.gas_model.charge(*self.coordinator.gas(tx.op, tx.args))
         height = len(self._sealed)
         try:
-            self.coordinator.execute(tx.op, tx.sender, tx.args)
+            self.coordinator.execute(tx.op, tx.sender, tx.args, batch)
             events = self.coordinator.drain_events()
             receipt = Receipt(preimage, height, gas, events, "success")
         except SimulationError as err:

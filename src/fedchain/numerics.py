@@ -201,6 +201,19 @@ def _convert(values: Iterable, convert: Callable[[object], int]) -> tuple[int, .
         raise
 
 
+def _check_components(raws: tuple) -> None:
+    """Check raws that have no lane: each must be an int (not a bool, a float
+    or a string: ValueError) inside ``RAW_LIMIT``; the first bad component
+    decides the error."""
+    if set(map(type, raws)) <= {int}:
+        _check_range(raws)
+        return
+    for raw in raws:
+        if type(raw) is not int:
+            raise ValueError(f"raw component {raw!r} is not an int")
+        _check_raw(raw)
+
+
 def _int64(raws: tuple) -> Optional[np.ndarray]:
     """``raws`` as an int64 array, or None when one is not an int or does not
     fit (numpy would coerce a float, bool or numeric string)."""
@@ -222,8 +235,9 @@ class GradientVector:
     ``sample_weighted_mean`` run on lanes within their bounds (see the module
     docstring), which they check against ``_peak``, the largest magnitude,
     taken in Python ints. A lane needs no range check: every int64 lies
-    inside ``RAW_LIMIT``. A vector without one has its components checked
-    against ``RAW_LIMIT``. A constructor that already holds the components
+    inside ``RAW_LIMIT``. A vector without one has its components checked:
+    each must be an int (not a bool, a float or a string) inside
+    ``RAW_LIMIT``. A constructor that already holds the components
     as int64 may pass that array as ``_lane``; it must equal ``components``.
     """
 
@@ -238,7 +252,7 @@ class GradientVector:
         if self._lane is None:
             object.__setattr__(self, "_lane", _int64(self.components))
             if self._lane is None:
-                _check_range(self.components)
+                _check_components(self.components)
 
     @cached_property
     def _peak(self) -> Optional[int]:
@@ -264,14 +278,7 @@ class GradientVector:
     def from_raw(cls, raws: Iterable[int]) -> "GradientVector":
         """A vector of raw ints; any other component (a bool, a float, a
         string) raises ValueError."""
-        raws = tuple(raws)
-        lane = _int64(raws)
-        if lane is None and not set(map(type, raws)) <= {int}:
-            for raw in raws:  # the first bad component decides the error
-                if type(raw) is not int:
-                    raise ValueError(f"raw component {raw!r} is not an int")
-                _check_raw(raw)
-        return cls(raws, lane)
+        return cls(tuple(raws))
 
     @classmethod
     def from_floats(cls, values: Iterable[float]) -> "GradientVector":

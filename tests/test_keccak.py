@@ -2,11 +2,15 @@
 import hashlib
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from keccak_reference import ABC_DIGEST, EMPTY_DIGEST, keccak256_reference
 
-from fedchain.keccak import keccak256, keccak256_many
+from fedchain import keccak
+from fedchain.keccak import (
+    _MASK, _PACKED_MAX, _STRIDE, _packing, _permute, keccak256, keccak256_many,
+)
 
 
 def test_reference_is_pinned_by_known_vectors():
@@ -85,3 +89,55 @@ class TestKeccakMany:
     @given(st.lists(st.binary(max_size=700), max_size=24))
     def test_equals_scalar_keccak(self, messages):
         assert keccak256_many(messages) == [keccak256(m) for m in messages]
+
+
+class TestPackedPhase:
+    """The numpy phase hands the last ``_PACKED_MAX`` or fewer absorbing
+    messages to ``_permute`` on packed lane ints."""
+
+    @pytest.mark.parametrize(
+        "count", [_PACKED_MAX - 1, _PACKED_MAX, _PACKED_MAX + 1, 2 * _PACKED_MAX + 3]
+    )
+    def test_batch_widths_around_the_handoff(self, count):
+        lengths = (0, 135, 136, 271, 272)
+        rng = random.Random(count)
+        messages = [rng.randbytes(lengths[i % len(lengths)]) for i in range(count)]
+        rng.shuffle(messages)
+        assert keccak256_many(messages) == [keccak256_reference(m) for m in messages]
+
+    def test_messages_end_before_at_and_after_the_handoff_step(self, monkeypatch):
+        # 3 messages end at step 1 (numpy), 3 at step 2, which leaves _PACKED_MAX
+        # absorbing, so the handoff comes at step 2; the rest end on packed ints
+        rng = random.Random(3)
+        blocks = [1] * 3 + [2] * 3 + [3] * 4 + [4] * 8
+        blocks += [5 + i % 7 for i in range(_PACKED_MAX - 12)]
+        messages = [rng.randbytes(rng.randrange(136 * (b - 1), 136 * b)) for b in blocks]
+        rng.shuffle(messages)
+        handoffs = []
+
+        def spy(state, *rest):
+            handoffs.append((state.shape[1], rest[-1]))  # columns, step
+            return finish(state, *rest)
+
+        finish = keccak._finish_packed
+        monkeypatch.setattr(keccak, "_finish_packed", spy)
+        assert keccak256_many(messages) == [keccak256_reference(m) for m in messages]
+        assert handoffs == [(_PACKED_MAX, 2)]
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.binary(max_size=420), max_size=3 * _PACKED_MAX))
+    def test_equals_reference(self, messages):
+        assert keccak256_many(messages) == [keccak256_reference(m) for m in messages]
+
+    def test_permute_on_packed_lanes_equals_each_message_alone(self):
+        rng = random.Random(9)
+        states = [[rng.getrandbits(64) for _ in range(25)] for _ in range(4)]
+        states[1:1] = [[_MASK] * 25, [0] * 25, [_MASK] * 25]  # chi's NOT meets the gap bits
+        packed = [
+            sum(state[i] << _STRIDE * r for r, state in enumerate(states)) for i in range(25)
+        ]
+        mask, round_constants = _packing(len(states))
+        out = _permute(packed, mask, round_constants)
+        for r, state in enumerate(states):
+            assert [lane >> _STRIDE * r & _MASK for lane in out] == _permute(state)
+        assert all(0 <= lane and lane & ~mask == 0 for lane in out)  # every gap still clear

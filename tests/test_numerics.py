@@ -1,5 +1,6 @@
 """Fixed-point scalar and vector arithmetic."""
 import math
+import re
 from operator import add
 
 import numpy as np
@@ -323,6 +324,26 @@ class TestRawVectors:
             vec("1").scale_int(RAW_LIMIT)
         with pytest.raises(EmptyInput):
             GradientVector(())
+
+    @pytest.mark.parametrize("make", [GradientVector, GradientVector.from_raw])
+    @pytest.mark.parametrize("values, bad", [
+        ((1.5, 2), "1.5"),
+        ((1, True), "True"),
+        ((1, "3"), "'3'"),
+        ((2**70, None), "None"),  # a vector beyond int64 is type-checked too
+    ])
+    def test_a_component_that_is_not_an_int_raises_value_error(self, make, values, bad):
+        with pytest.raises(ValueError, match=f"^raw component {re.escape(bad)} is not an int$"):
+            make(values)
+
+    @pytest.mark.parametrize("make", [GradientVector, GradientVector.from_raw])
+    def test_ints_beyond_int64_take_the_range_check(self, make):
+        beyond = make((2**63, -(2**100)))
+        assert beyond.components == (2**63, -(2**100)) and lane_of(beyond) is None
+        with pytest.raises(OverflowError, match="128-bit magnitude"):
+            make((2**63, RAW_LIMIT))
+        with pytest.raises(OverflowError):
+            make((RAW_LIMIT, 1.5))  # the first bad component decides the error
 
     @pytest.mark.parametrize("make, values, error", [
         (GradientVector.from_raw, [2**200, "x"], OverflowError),

@@ -18,7 +18,7 @@ from fedchain import scenario as scenario_module
 from fedchain.errors import ConfigError, MissingRun
 from fedchain.flclients import ClientBehavior, make_client_id
 from fedchain.ledger import GasModel
-from fedchain.numerics import RAW_LIMIT, SCALE, Fixed
+from fedchain.numerics import RAW_LIMIT, SCALE, Fixed, GradientVector
 from fedchain.offchain import canonical_json_bytes
 from fedchain.scenario import (
     audit,
@@ -674,6 +674,24 @@ class TestArtifacts:
         assert scalar == header_preimages(result.ledger_doc)
         txs = sum(len(sealed) for sealed in result.ledger_doc["txs"])
         assert batches == [txs + rounds + 2, rounds + 2]
+
+    def test_run_decodes_each_submitted_batch_once(self, monkeypatch):
+        decoded = []
+        from_raw = GradientVector.from_raw.__func__
+
+        def counting(cls, raws):
+            decoded.append(list(raws))
+            return from_raw(cls, raws)
+
+        monkeypatch.setattr(GradientVector, "from_raw", classmethod(counting))
+        result = run_scenario(parse_config(base_doc(batch_size=3)))
+        monkeypatch.undo()
+        submitted = [
+            tx["args"]["components"]
+            for block in result.ledger_doc["txs"] for tx in block if tx["op"] == "submit_update"
+        ]
+        assert len(submitted) > 2 * 6  # two batches per dim-4 update
+        assert decoded == submitted
 
     def test_run_and_write_build_one_ledger_document_and_run_id(self, tmp_path, monkeypatch):
         calls = {"ledger_document": 0, "run_id": 0}
