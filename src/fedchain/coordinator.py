@@ -2,10 +2,10 @@
 submission, validation, scoring and reward payout, FedAvg aggregation, and
 periodic checkpoint anchoring.
 
-Each protocol round walks the phase machine open -> scored -> aggregated ->
-closed; no operation succeeds out of order. All numeric state is
-fixed-point, so two replays of the same transaction sequence produce
-identical state roots.
+Each protocol round walks the phase machine open -> validated -> scored ->
+aggregated -> closed, and every round call passes one guard (``_round``), so
+no operation succeeds out of order. All numeric state is fixed-point, so two
+replays of the same transaction sequence produce identical state roots.
 """
 from __future__ import annotations
 
@@ -76,9 +76,10 @@ _DIGEST_HEX = re.compile("[0-9a-f]{64}")
 
 class Phase(enum.IntEnum):
     OPEN = 0
-    SCORED = 1
-    AGGREGATED = 2
-    CLOSED = 3
+    VALIDATED = 1
+    SCORED = 2
+    AGGREGATED = 3
+    CLOSED = 4
 
 
 @dataclass
@@ -98,12 +99,16 @@ class RoundState:
     submissions: dict[bytes, GradientVector] = field(default_factory=dict)
     partial: dict[bytes, dict] = field(default_factory=dict)  # id -> {count, parts}
     verdicts: dict[bytes, str] = field(default_factory=dict)
-    accepted: list[bytes] = field(default_factory=list)
     scores: dict[bytes, Fixed] = field(default_factory=dict)
     payouts: dict[bytes, int] = field(default_factory=dict)
     aggregate: Optional[GradientVector] = None
     phi: Optional[dict[bytes, Fixed]] = None  # Shapley values, once computed
     multipliers: dict[bytes, Fixed] = field(default_factory=dict)  # id -> consistency multiplier
+
+    @property
+    def accepted(self) -> list[bytes]:
+        """The ids whose update passed validation, in id order."""
+        return sorted(cid for cid, verdict in self.verdicts.items() if verdict == VERDICT_ACCEPTED)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -150,9 +155,22 @@ class Coordinator:
         self.clients: dict[bytes, ClientRecord] = {}
         self.rounds: dict[int, RoundState] = {1: RoundState(round=1)}
         self.current_round = 1
-        self.last_checkpoint_round: Optional[int] = None
         self.checkpoints: dict[int, tuple[bytes, bytes]] = {}  # R -> (cid, H)
         self._events: list[tuple[str, dict]] = []
+
+    @property
+    def last_checkpoint_round(self) -> Optional[int]:
+        return max(self.checkpoints, default=None)
+
+    def _round(self, round_index: int, *phases: Phase, error=WrongPhase) -> RoundState:
+        """The current round if it is ``round_index``, in one of ``phases``; else ``error``."""
+        state = self.rounds[self.current_round]
+        if round_index != self.current_round:
+            raise error(f"round {round_index} is not current")
+        if state.phase not in phases:
+            needs = " or ".join(phase.name for phase in phases)
+            raise error(f"round {round_index} is {state.phase.name}, needs {needs}")
+        return state
 
     # -- event plumbing ------------------------------------------------------
 
@@ -200,15 +218,6 @@ class Coordinator:
         else:
             getattr(self, op)(args["round"])
 
-    def gas(self, op: str, args) -> tuple[str, int]:
-        """A call's gas class and the parameters it touches, for its charge.
-        An update whose args are not an object touches none: it is charged,
-        and ``execute`` reverts it with ``BadArgs``."""
-        op_class = gas_class(op)
-        if op_class == "submit":
-            return op_class, len(args.get("components", ())) if isinstance(args, dict) else 0
-        return op_class, self.dim if op_class in ("validate", "aggregate") else 0
-
     # -- client lifecycle ------------------------------------------------------
 
     def register(self, client_id: bytes, stake: int, n_samples: int) -> None:
@@ -240,7 +249,7 @@ class Coordinator:
         batch_index: int,
         batch_count: int,
     ) -> None:
-        state = self._round_for_submission(round_index)
+        state = self._round(round_index, Phase.OPEN, error=RoundClosed)
         record = self.clients.get(client_id)
         if record is None:
             raise NotRegistered(f"0x{client_id.hex()}")
@@ -272,43 +281,31 @@ class Coordinator:
             {"id": "0x" + client_id.hex(), "round": round_index, "batch_index": batch_index},
         )
 
-    def _round_for_submission(self, round_index: int) -> RoundState:
-        state = self.rounds.get(round_index)
-        if state is None or round_index != self.current_round or state.phase != Phase.OPEN:
-            raise RoundClosed(f"round {round_index} is not open")
-        if state.verdicts:  # a later update would get no verdict, score or payout
-            raise RoundClosed(f"round {round_index} is validated")
-        return state
-
     # -- validation ---------------------------------------------------------------
 
     def validate_round(self, round_index: int) -> list[tuple[bytes, str]]:
-        state = self._current_state(round_index, Phase.OPEN)
+        state = self._round(round_index, Phase.OPEN, Phase.VALIDATED)
         if not state.submissions:
             raise NothingToValidate(f"round {round_index} has no complete submissions")
         norm_bound = self.config.tau * self.config.tau
         verdicts: dict[bytes, str] = {}
-        accepted: list[bytes] = []
         for client_id in sorted(state.submissions):
             try:
                 within = norm_sq(state.submissions[client_id]) <= norm_bound
             except OverflowError:  # beyond the fixed-point range, so beyond tau * tau
                 within = False
             verdicts[client_id] = VERDICT_ACCEPTED if within else VERDICT_REJECTED_NORM
-            if within:
-                accepted.append(client_id)
-        state.verdicts = verdicts
-        state.accepted = accepted
-        return [(cid, verdicts[cid]) for cid in sorted(verdicts)]
+        state.verdicts, state.phase = verdicts, Phase.VALIDATED  # no later submission
+        return list(verdicts.items())
 
     # -- scoring and payout ----------------------------------------------------------
 
     def score_and_reward_round(self, round_index: int) -> dict[bytes, int]:
-        state = self._current_state(round_index, Phase.OPEN)
-        if not state.verdicts and state.submissions:
+        state = self._round(round_index, Phase.OPEN, Phase.VALIDATED)
+        if state.phase == Phase.OPEN and state.submissions:
             raise WrongPhase("validate the round before scoring")
 
-        accepted = list(state.accepted)
+        accepted = state.accepted
         scores: dict[bytes, Fixed] = {}
         if accepted:
             vectors = [state.submissions[cid] for cid in accepted]
@@ -403,7 +400,7 @@ class Coordinator:
     # -- aggregation -------------------------------------------------------------------
 
     def aggregate_round(self, round_index: int) -> GradientVector:
-        state = self._current_state(round_index, Phase.SCORED)
+        state = self._round(round_index, Phase.SCORED)
         if not state.accepted:
             raise NoAcceptedUpdates(f"round {round_index} accepted no updates")
         # committed value is the same FedAvg the scores were computed against
@@ -416,14 +413,12 @@ class Coordinator:
     # -- checkpoint anchoring ---------------------------------------------------------
 
     def record_checkpoint(self, through_round: int, cid: bytes, integrity_hash: bytes) -> None:
-        if through_round != self.current_round:
-            raise WrongRound(f"checkpoint for round {through_round} outside round")
+        self._round(through_round, *Phase, error=WrongRound)
         if through_round % self.config.fairness_interval != 0:
             raise WrongRound(
                 f"round {through_round} is not a multiple of {self.config.fairness_interval}"
             )
         self.checkpoints[through_round] = (cid, integrity_hash)
-        self.last_checkpoint_round = through_round
         self._emit(
             "FairnessCheckpoint",
             {"round": through_round, "cid": cid.hex(), "hash": integrity_hash.hex()},
@@ -432,25 +427,14 @@ class Coordinator:
     # -- close -----------------------------------------------------------------------
 
     def close_round(self, round_index: int) -> RoundState:
-        state = self.rounds.get(round_index)
-        if state is None or round_index != self.current_round:
-            raise WrongPhase(f"round {round_index} is not current")
-        empty_round = state.phase == Phase.SCORED and not state.accepted
-        if state.phase != Phase.AGGREGATED and not empty_round:
-            raise WrongPhase(f"cannot close round in phase {state.phase.name}")
+        state = self._round(round_index, Phase.AGGREGATED, Phase.SCORED)
+        if state.phase == Phase.SCORED and state.accepted:
+            raise WrongPhase(f"round {round_index} accepted updates: aggregate it first")
         for cid in state.accepted:
             self.clients[cid].rounds_participated += 1
         state.phase = Phase.CLOSED
         self.current_round = round_index + 1
         self.rounds[self.current_round] = RoundState(round=self.current_round)
-        return state
-
-    def _current_state(self, round_index: int, phase: Phase) -> RoundState:
-        state = self.rounds.get(round_index)
-        if state is None or round_index != self.current_round:
-            raise WrongPhase(f"round {round_index} is not current")
-        if state.phase != phase:
-            raise WrongPhase(f"round {round_index} is {state.phase.name}, needs {phase.name}")
         return state
 
     # -- canonical state -----------------------------------------------------------------
@@ -486,6 +470,16 @@ class Coordinator:
 def gas_class(op: str) -> str:
     """Gas class of an op: its ``CALLS`` class, ``deploy``, or else ``system``."""
     return CALLS[op].gas_class if op in CALLS else "deploy" if op == "deploy" else "system"
+
+
+def gas(op: str, args, dim: int) -> tuple[str, int]:
+    """A call's gas class and the parameters it touches in a contract of model
+    dimension ``dim``, for its charge. An update whose args are not an object
+    touches none: it is charged, and ``execute`` reverts it with ``BadArgs``."""
+    op_class = gas_class(op)
+    if op_class == "submit":
+        return op_class, len(args.get("components", ())) if isinstance(args, dict) else 0
+    return op_class, dim if op_class in ("validate", "aggregate") else 0
 
 
 def _check_args(op: str, args: dict) -> None:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .coordinator import SYSTEM_SENDER
+from .coordinator import SYSTEM_SENDER, gas
 from .errors import BadComponent, NonceError, SimulationError, UnknownSender
 from .keccak import keccak256, keccak256_many
 from .numerics import INT_LIMIT, GradientVector
@@ -207,13 +207,9 @@ class Ledger:
         self._hashed: list[tuple[Block, bytes]] = []  # each hashed block and its hash
         self._state_preimages: list[bytes] = []       # sealed blocks not yet hashed
         tx = Transaction(sender=SYSTEM_SENDER, op="deploy", args={}, nonce=0)
-        receipt = Receipt(
-            tx_preimage=tx.hash_preimage(),
-            block_height=0,
-            gas_used=gas_model.charge("deploy", 0),
-            events=[("ContractDeployed", {"size_bytes": 10_667})],
-            status="success",
-        )
+        gas_used = gas_model.charge(*gas(tx.op, tx.args, coordinator.dim))  # deploy_cost
+        events = [("ContractDeployed", {"size_bytes": 10_667})]
+        receipt = Receipt(tx.hash_preimage(), 0, gas_used, events, "success")
         self._pending: list[tuple[Transaction, Receipt]] = [(tx, receipt)]
         self._nonces: dict[bytes, int] = {SYSTEM_SENDER: 1}
         self.seal_block()
@@ -236,15 +232,15 @@ class Ledger:
             raise NonceError(f"nonce {tx.nonce} != expected {expected}")
         preimage, batch = tx.decode()
 
-        gas = self.gas_model.charge(*self.coordinator.gas(tx.op, tx.args))
+        gas_used = self.gas_model.charge(*gas(tx.op, tx.args, self.coordinator.dim))
         height = len(self._sealed)
         try:
             self.coordinator.execute(tx.op, tx.sender, tx.args, batch)
             events = self.coordinator.drain_events()
-            receipt = Receipt(preimage, height, gas, events, "success")
+            receipt = Receipt(preimage, height, gas_used, events, "success")
         except SimulationError as err:
             self.coordinator.drain_events()  # discard anything emitted pre-revert
-            receipt = Receipt(preimage, height, gas, [], "reverted", err.reason)
+            receipt = Receipt(preimage, height, gas_used, [], "reverted", err.reason)
         self._pending.append((tx, receipt))
         self._nonces[tx.sender] = expected + 1
         return receipt
@@ -307,9 +303,9 @@ def verify_chain(chain: dict, rounds: int) -> Optional[str]:
 
     The chain must hold genesis, the registration block, then one block per
     round, each with one tx list and one receipt list. Every height, parent
-    link, header hash, tx hash and receipts root is recomputed; the first
-    fault found, in block order, is returned as a message. A header, tx list,
-    tx or receipt list that cannot be read is ``malformed``.
+    link, header hash, tx hash and receipts root is recomputed, and receipt j
+    must record tx j at its block's height under ``Receipt``'s rules; the first
+    fault, in block order, is returned. Parts that cannot be read are ``malformed``.
     """
     blocks, txs, receipts = chain["blocks"], chain["txs"], chain["receipts"]
     if not len(blocks) == len(txs) == len(receipts):
@@ -327,8 +323,8 @@ def verify_chain(chain: dict, rounds: int) -> Optional[str]:
 def _hash_checks(blocks, txs, receipts) -> tuple[list, Optional[str]]:
     """The hash comparisons ``verify_chain`` makes, in its order, each as
     (message, preimages, expected hex digests); and the first fault that
-    needs no hash (a bad height or parent link, or a malformed part), where
-    building them stops, or None."""
+    needs no hash (a bad height, parent link or receipt, or a malformed part),
+    where building them stops, or None."""
     checks = []
     parent = GENESIS_PARENT.hex()
     for i, (header, block_txs, block_receipts) in enumerate(zip(blocks, txs, receipts)):
@@ -368,6 +364,17 @@ def _hash_checks(blocks, txs, receipts) -> tuple[list, Optional[str]]:
         checks.append((
             f"block {i}: receipts root mismatch", [preimage], [header["receipts_root"]],
         ))
+        try:  # one receipt per tx, in tx order, at this height, under Receipt's own rules
+            for j, (doc, tx_preimage) in enumerate(zip(block_receipts, tx_preimages)):
+                if doc["tx_hash"] != header["tx_hashes"][j] or doc["block_height"] != i:
+                    return checks, f"block {i}: receipt {j} does not record tx {j} of block {i}"
+                Receipt(tx_preimage, i, doc["gas_used"], doc["events"], doc["status"])
+            if len(block_receipts) != len(tx_preimages):
+                return checks, f"block {i}: {len(block_receipts)} receipts, {len(tx_preimages)} txs"
+        except ValueError as err:  # a rule that Receipt states
+            return checks, f"block {i}: receipt {j}: {err}"
+        except (LookupError, TypeError):  # a tx hash missing is a mismatch queued above
+            return checks, f"block {i}: malformed receipts"
     return checks, None
 
 

@@ -201,27 +201,19 @@ def _convert(values: Iterable, convert: Callable[[object], int]) -> tuple[int, .
         raise
 
 
-def _check_components(raws: tuple) -> None:
-    """Check raws that have no lane: each must be an int (not a bool, a float
-    or a string: ValueError) inside ``RAW_LIMIT``; the first bad component
-    decides the error."""
-    if set(map(type, raws)) <= {int}:
-        _check_range(raws)
-        return
-    for raw in raws:
-        if type(raw) is not int:
-            raise ValueError(f"raw component {raw!r} is not an int")
-        _check_raw(raw)
-
-
 def _int64(raws: tuple) -> Optional[np.ndarray]:
-    """``raws`` as an int64 array, or None when one is not an int or does not
-    fit (numpy would coerce a float, bool or numeric string)."""
+    """``raws`` as an int64 array, or None for ints beyond int64 that pass the
+    ``RAW_LIMIT`` check. A bool, float or string (numpy would coerce it) raises
+    ValueError; the first bad component decides between that and OverflowError."""
     if not set(map(type, raws)) <= {int}:
-        return None
+        for raw in raws:  # some raw is not an int, so this loop raises
+            if type(raw) is not int:
+                raise ValueError(f"raw component {raw!r} is not an int")
+            _check_raw(raw)
     try:
         return np.fromiter(raws, np.int64, len(raws))
     except OverflowError:
+        _check_range(raws)
         return None
 
 
@@ -234,10 +226,10 @@ class GradientVector:
     an int64 array, its lane; ``encode``, ``to_floats``, ``+``, ``dot`` and
     ``sample_weighted_mean`` run on lanes within their bounds (see the module
     docstring), which they check against ``_peak``, the largest magnitude,
-    taken in Python ints. A lane needs no range check: every int64 lies
-    inside ``RAW_LIMIT``. A vector without one has its components checked:
-    each must be an int (not a bool, a float or a string) inside
-    ``RAW_LIMIT``. A constructor that already holds the components
+    taken in Python ints. Each component must be an int (not a bool, a float
+    or a string) inside ``RAW_LIMIT``, checked in one pass (``_int64``); a
+    lane needs no range check, since every int64 lies inside that limit.
+    A constructor that already holds the components
     as int64 may pass that array as ``_lane``; it must equal ``components``.
     """
 
@@ -251,8 +243,6 @@ class GradientVector:
             raise EmptyInput("vector must have at least one component")
         if self._lane is None:
             object.__setattr__(self, "_lane", _int64(self.components))
-            if self._lane is None:
-                _check_components(self.components)
 
     @cached_property
     def _peak(self) -> Optional[int]:

@@ -19,7 +19,7 @@ from typing import Optional, get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import incentives
-from .coordinator import SYSTEM_SENDER, ContractConfig, Coordinator, gas_class
+from .coordinator import SYSTEM_SENDER, ContractConfig, Coordinator, gas, gas_class
 from .errors import ConfigError, MissingRun, SimulationError, UnreadableRun
 from .flclients import (
     STREAM_DROPOUT,
@@ -577,19 +577,30 @@ def load_run_dir(run_dir) -> tuple[dict, ContentStore]:
     return ledger_doc, ContentStore(blobs)
 
 
-def _recorded_config_fault(ledger_doc: dict) -> Optional[str]:
-    """Why the chain checks cannot trust the recorded config, or None: it must
-    be the canonical form of a valid config and hash to the recorded run id."""
+def _chain_fault(ledger_doc: dict) -> Optional[str]:
+    """Why the recorded chain fails the audit, or None: its config must be the canonical form
+    of a valid config and hash to the run id, and then its chain and gas must verify."""
     config = ledger_doc["config"]
     try:
-        canonical = parse_config(config).to_canonical_dict()
+        parsed = parse_config(config)
     except ConfigError as err:
         return f"recorded config is invalid: {err}"
-    if canonical != config:
+    if parsed.to_canonical_dict() != config:
         return "recorded config is not in canonical form"
     config_id = config_run_id(config)
     if config_id != ledger_doc.get("run_id"):
         return f"config hashes to run id {config_id}, not {ledger_doc.get('run_id')}"
+    return verify_chain(ledger_doc, parsed.rounds) or _gas_fault(ledger_doc, parsed)
+
+
+def _gas_fault(ledger_doc: dict, config: ScenarioConfig) -> Optional[str]:
+    """The first receipt not charged what the ledger charges its tx under ``config``."""
+    gas_model, dim = config.gas, config.dataset.dim
+    for i, (txs, receipts) in enumerate(zip(ledger_doc["txs"], ledger_doc["receipts"])):
+        for j, (tx, receipt) in enumerate(zip(txs, receipts)):
+            used, charge = receipt["gas_used"], gas_model.charge(*gas(tx["op"], tx["args"], dim))
+            if used != charge:
+                return f"block {i}: receipt {j} charged {used} gas, the gas model charges {charge}"
     return None
 
 
@@ -608,9 +619,7 @@ def audit_run(run_dir) -> dict:
             "checkpoints": [],
             "report_matches_ledger": None,
         }
-    chain_error = _recorded_config_fault(ledger_doc) or verify_chain(
-        ledger_doc, ledger_doc["config"]["rounds"]
-    )
+    chain_error = _chain_fault(ledger_doc)
     try:
         report = build_report(ledger_doc, store)
     except (SimulationError, ValueError, LookupError, TypeError, AttributeError):

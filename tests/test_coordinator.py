@@ -9,9 +9,11 @@ from fedchain.coordinator import (
     SYSTEM_SENDER,
     ContractConfig,
     Coordinator,
+    Phase,
     VERDICT_ACCEPTED,
     VERDICT_REJECTED_NORM,
     _largest_remainder_split,
+    gas,
 )
 from fedchain.errors import (
     AlreadyRegistered,
@@ -86,7 +88,7 @@ class TestCallTable:
         ("deploy", {}, ("deploy", 0)),
     ])
     def test_gas_is_the_class_and_the_parameters_touched(self, op, args, expected):
-        assert coord(dim=4).gas(op, args) == expected
+        assert gas(op, args, 4) == expected
 
     def test_admits_the_system_any_registration_and_registered_clients(self):
         c = registered(clients=[(C[0], 10)])
@@ -410,6 +412,30 @@ class TestPhaseMachine:
         with pytest.raises(WrongPhase):
             c.close_round(1)
 
+    def test_validation_moves_the_round_to_validated_and_may_repeat(self):
+        c = registered(clients=[(C[0], 1), (C[1], 1)])
+        submit_whole(c, C[0], ["1", "1"])
+        submit_whole(c, C[1], ["20", "0"])  # beyond tau
+        first = c.validate_round(1)
+        assert c.rounds[1].phase == Phase.VALIDATED
+        assert c.validate_round(1) == first == sorted(
+            [(C[0], VERDICT_ACCEPTED), (C[1], VERDICT_REJECTED_NORM)]
+        )
+        assert c.rounds[1].accepted == [C[0]]
+        c.score_and_reward_round(1)
+        with pytest.raises(WrongPhase, match="round 1 is SCORED, needs OPEN or VALIDATED"):
+            c.validate_round(1)
+
+    def test_checkpoints_are_the_one_record_of_the_last_checkpoint(self):
+        c = registered(clients=[(C[0], 1)], fairness_interval=1)
+        assert c.last_checkpoint_round is None
+        c.record_checkpoint(1, b"\x01" * 32, b"\x02" * 32)
+        run_round(c, {C[0]: ["1", "1"]})
+        c.record_checkpoint(2, b"\x03" * 32, b"\x04" * 32)
+        assert c.last_checkpoint_round == 2 == c.state_dict()["last_checkpoint_round"]
+        with pytest.raises(AttributeError):
+            c.last_checkpoint_round = 1
+
     def test_submit_after_validation_reverts(self):
         c = registered(clients=[(C[0], 1), (C[1], 1)])
         submit_whole(c, C[0], ["1", "1"])
@@ -447,7 +473,7 @@ class TestCheckpoints:
         c = registered(clients=[(C[0], 1)], fairness_interval=2)
         cid, digest = b"\x01" * 32, b"\x02" * 32
         c.drain_events()
-        with pytest.raises(WrongRound, match="outside round"):
+        with pytest.raises(WrongRound, match="round 2 is not current"):
             c.record_checkpoint(2, cid, digest)  # round 2 is not current yet
         with pytest.raises(WrongRound, match="not a multiple of 2"):
             c.record_checkpoint(1, cid, digest)  # round 1 is off the interval

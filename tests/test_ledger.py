@@ -526,7 +526,8 @@ class ContractMachine(RuleBasedStateMachine):
     receipt advances only its sender's nonce, once; a reverted call leaves
     the contract state as it was; a scored round pays out the whole pool
     when any payout basis value is positive, else nothing; no complete
-    submission in a validated round lacks a verdict."""
+    submission in a validated round lacks a verdict, and no round with
+    verdicts is OPEN."""
 
     @initialize(basis=st.sampled_from(["alignment", "shapley"]), interval=st.integers(1, 3),
                 registered=st.integers(0, len(CLIENTS)))
@@ -590,6 +591,13 @@ class ContractMachine(RuleBasedStateMachine):
         for state in self.coordinator.rounds.values():
             if state.verdicts or state.phase != Phase.OPEN:
                 assert state.submissions.keys() <= state.verdicts.keys()
+
+    @invariant()
+    def validated_rounds_leave_open(self):
+        """A round with verdicts is past OPEN: its phase, not its verdicts,
+        says that it takes no more submissions."""
+        for state in self.coordinator.rounds.values():
+            assert not (state.verdicts and state.phase == Phase.OPEN)
 
     def check_payout(self, round_index: int, receipt) -> None:
         config, state = self.coordinator.config, self.coordinator.rounds[round_index]

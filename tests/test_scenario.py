@@ -17,6 +17,7 @@ from fedchain import ledger as ledger_module
 from fedchain import scenario as scenario_module
 from fedchain.errors import ConfigError, MissingRun
 from fedchain.flclients import ClientBehavior, make_client_id
+from fedchain.keccak import keccak256
 from fedchain.ledger import GasModel
 from fedchain.numerics import RAW_LIMIT, SCALE, Fixed, GradientVector
 from fedchain.offchain import canonical_json_bytes
@@ -756,6 +757,15 @@ class TestArtifacts:
         assert lines[1].startswith(f"{result.config.dataset.dim},")
 
 
+def swap_first_two(receipts):
+    receipts[0], receipts[1] = receipts[1], receipts[0]
+
+
+def revert_keeping_events(receipts):
+    assert receipts[5]["events"]  # score_and_reward_round
+    receipts[5].update(status="reverted", revert_reason="WrongPhase")
+
+
 class TestAudit:
     @pytest.fixture()
     def run_dir(self, tmp_path):
@@ -981,6 +991,40 @@ class TestAudit:
         assert verdict["chain"] == "block 2: receipts root mismatch"
         assert verdict["report_matches_ledger"] is False
 
+    @pytest.mark.parametrize("forge, fault", [
+        (lambda receipts: receipts.pop(), "7 receipts, 8 txs"),
+        (lambda receipts: receipts[2].update(tx_hash="ab" * 32),
+         "receipt 2 does not record tx 2 of block 3"),
+        (lambda receipts: [r.update(block_height=7) for r in receipts],
+         "receipt 0 does not record tx 0 of block 3"),
+        (swap_first_two, "receipt 0 does not record tx 0 of block 3"),
+        (revert_keeping_events, "receipt 5: reverted transactions emit no events"),
+        (lambda receipts: receipts[3].update(gas_used=0),
+         "receipt 3: every executed transaction consumes gas"),
+        (lambda receipts: receipts[4].update(gas_used=receipts[4]["gas_used"] + 1_000),
+         "receipt 4 charged 388567 gas, the gas model charges 387567"),
+    ], ids=["dropped", "foreign_tx_hash", "wrong_height", "swapped", "reverted_with_events",
+            "zero_gas", "extra_gas"])
+    def test_resealed_receipt_forgery_fails(self, run_dir, forge, fault):
+        """Receipts edited in block 3 under recomputed roots, header hashes
+        and report: only the receipts' own checks can tell."""
+        reseal_ledger(run_dir, lambda doc: forge(doc["receipts"][3]))
+        report = build_report(*load_run_dir(run_dir))
+        (run_dir / REPORT_FILE).write_bytes(scenario_module._report_bytes(report))
+        verdict = audit(run_dir)[0]
+        assert verdict["report_matches_ledger"] is True
+        assert not verdict["ok"]
+        assert verdict["chain"] == f"block 3: {fault}"
+
+    def test_resealed_list_receipt_is_malformed(self, run_dir):
+        def listify(doc):
+            doc["receipts"][3][2] = list(doc["receipts"][3][2].values())
+
+        reseal_ledger(run_dir, listify)
+        verdict = audit(run_dir)[0]
+        assert not verdict["ok"]
+        assert verdict["chain"] == "block 3: malformed receipts"
+
     def test_bad_run_beside_a_good_one(self, run_dir):
         other = write_run(run_scenario(load_config(CONFIGS / "adversary.json")), run_dir.parent)
         bad, good = sorted([run_dir, other])
@@ -994,6 +1038,22 @@ def rewrite_ledger(run_dir, mutate) -> None:
     doc = json.loads(gzip.decompress((run_dir / LEDGER_FILE).read_bytes()))
     mutate(doc)
     (run_dir / LEDGER_FILE).write_bytes(gzip.compress(canonical_json_bytes(doc), mtime=0))
+
+
+def reseal_ledger(run_dir, mutate) -> None:
+    """``rewrite_ledger``, then recompute every receipts root, parent link and
+    header hash, as a forger would."""
+    def mutate_and_reseal(doc):
+        mutate(doc)
+        parent = ledger_module.GENESIS_PARENT
+        for block, receipts in zip(doc["blocks"], doc["receipts"]):
+            block["receipts_root"] = keccak256(ledger_module.receipts_preimage(receipts)).hex()
+            block["parent_hash"] = parent.hex()
+            del block["hash"]
+            parent = keccak256(canonical_json_bytes(block))
+            block["hash"] = parent.hex()
+
+    rewrite_ledger(run_dir, mutate_and_reseal)
 
 
 def header_preimages(ledger_doc: dict) -> list[bytes]:
