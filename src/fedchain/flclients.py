@@ -120,6 +120,15 @@ class ClientBehavior:
         if not 0 <= self.q <= 1:
             raise ValueError("dropout probability must lie in [0, 1]")
 
+    def stream(
+        self, seed: int, client_index: int, round_index: int
+    ) -> Optional[np.random.Generator]:
+        """The stream ``act`` draws from for this client and round, or None for
+        a behavior that draws nothing, so that no generator is built for it."""
+        if self.kind != "dropout":
+            return None
+        return rng_stream(seed, STREAM_DROPOUT, client_index, round_index)
+
 
 def act(
     behavior: ClientBehavior,
@@ -129,7 +138,7 @@ def act(
     """What actually goes on the wire for a client this round.
 
     Returns None when the client sits the round out (dropout). The dropout
-    draw comes from the caller-provided per-(client, round) stream.
+    draw comes from the per-(client, round) stream ``behavior.stream`` builds.
     """
     if behavior.kind == "honest":
         return honest_update

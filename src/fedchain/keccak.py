@@ -11,17 +11,20 @@ over the 24 round constants, with the 25 lanes and the theta and rho-pi
 temporaries in local variables, after the Keccak team's *Keccak
 implementation overview*: a local is much cheaper to read and write than a
 list slot, and the rho rotation offsets and pi positions become constants in
-the source. That one round body serves one message (``keccak256``) and k
-messages packed into each lane int, the overview's multi-instance form done
-on Python ints instead of SIMD registers: message r holds bits [128r,
-128r + 64) of every lane, and ``_permute`` takes the 64-bit mask and the round
-constants repeated in each slot. XOR, AND and chi's NOT act bit by bit, so
-they never mix slots, and NOT's set gap bits are cleared by the AND with a
-masked lane. Only a rotation reaches across a slot: its left shift carries up
-to 63 bits out of the top of a lane, and its right shift brings up to 63 low
-bits of the next message down below that message. A stride of at least 127
-bits leaves both in the gap above the lane, where the mask clears them; 128
-keeps each slot a whole 16 bytes.
+the source. It also applies the overview's lane-complementing transform
+(section 2.2): lanes x + 5*y in {1, 2, 8, 12, 17, 20} are held complemented
+from entry to exit, so chi takes an AND/OR form that complements one lane per
+plane, 5 complements a round instead of 25 NOTs. That one round body serves
+one message (``keccak256``) and k messages packed into each lane int, the
+overview's multi-instance form done on Python ints instead of SIMD registers:
+message r holds bits [128r, 128r + 64) of every lane, and ``_permute`` takes
+the 64-bit mask and the round constants repeated in each slot. XOR, AND and
+OR act bit by bit, so they never mix slots, and a complement is an XOR with
+the mask, never ``~``, so it sets no gap bit. Only a rotation reaches across
+a slot: its left shift carries up to 63 bits out of the top of a lane, and
+its right shift brings up to 63 low bits of the next message down below that
+message. A stride of at least 127 bits leaves both in the gap above the lane,
+where the mask clears them; 128 keeps each slot a whole 16 bytes.
 
 ``keccak256_many`` hashes a batch of independent messages at once. Messages
 are sorted by padded block count, longest first, and packed into one flat
@@ -73,6 +76,9 @@ def _permute(
         a03, a13, a23, a33, a43,
         a04, a14, a24, a34, a44,
     ) = lanes
+    # enter the lane-complemented representation (module docstring)
+    a10, a20, a31 = a10 ^ mask, a20 ^ mask, a31 ^ mask
+    a22, a23, a04 = a22 ^ mask, a23 ^ mask, a04 ^ mask
     for rc in round_constants:
         # theta
         c0 = a00 ^ a01 ^ a02 ^ a03 ^ a04
@@ -135,40 +141,43 @@ def _permute(
         b43 = (a34 << 56 | a34 >> 8) & mask
         a44 ^= d4
         b40 = (a44 << 14 | a44 >> 50) & mask
-        # chi
-        a00 = b00 ^ (~b10 & b20)
-        a10 = b10 ^ (~b20 & b30)
-        a20 = b20 ^ (~b30 & b40)
-        a30 = b30 ^ (~b40 & b00)
-        a40 = b40 ^ (~b00 & b10)
-        a01 = b01 ^ (~b11 & b21)
-        a11 = b11 ^ (~b21 & b31)
-        a21 = b21 ^ (~b31 & b41)
-        a31 = b31 ^ (~b41 & b01)
-        a41 = b41 ^ (~b01 & b11)
-        a02 = b02 ^ (~b12 & b22)
-        a12 = b12 ^ (~b22 & b32)
-        a22 = b22 ^ (~b32 & b42)
-        a32 = b32 ^ (~b42 & b02)
-        a42 = b42 ^ (~b02 & b12)
-        a03 = b03 ^ (~b13 & b23)
-        a13 = b13 ^ (~b23 & b33)
-        a23 = b23 ^ (~b33 & b43)
-        a33 = b33 ^ (~b43 & b03)
-        a43 = b43 ^ (~b03 & b13)
-        a04 = b04 ^ (~b14 & b24)
-        a14 = b14 ^ (~b24 & b34)
-        a24 = b24 ^ (~b34 & b44)
-        a34 = b34 ^ (~b44 & b04)
-        a44 = b44 ^ (~b04 & b14)
+        # chi, complemented: each plane NOTs one lane, as ``^ mask``
+        a00 = b00 ^ (b10 | b20)
+        a10 = b10 ^ ((b20 ^ mask) | b30)
+        a20 = b20 ^ (b30 & b40)
+        a30 = b30 ^ (b40 | b00)
+        a40 = b40 ^ (b00 & b10)
+        a01 = b01 ^ (b11 | b21)
+        a11 = b11 ^ (b21 & b31)
+        a21 = b21 ^ (b31 | (b41 ^ mask))
+        a31 = b31 ^ (b41 | b01)
+        a41 = b41 ^ (b01 & b11)
+        n32 = b32 ^ mask
+        a02 = b02 ^ (b12 | b22)
+        a12 = b12 ^ (b22 & b32)
+        a22 = b22 ^ (n32 & b42)
+        a32 = n32 ^ (b42 | b02)
+        a42 = b42 ^ (b02 & b12)
+        n33 = b33 ^ mask
+        a03 = b03 ^ (b13 & b23)
+        a13 = b13 ^ (b23 | b33)
+        a23 = b23 ^ (n33 | b43)
+        a33 = n33 ^ (b43 & b03)
+        a43 = b43 ^ (b03 | b13)
+        n14 = b14 ^ mask
+        a04 = b04 ^ (n14 & b24)
+        a14 = n14 ^ (b24 | b34)
+        a24 = b24 ^ (b34 & b44)
+        a34 = b34 ^ (b44 | b04)
+        a44 = b44 ^ (b04 & b14)
         # iota
         a00 ^= rc
-    return [
-        a00, a10, a20, a30, a40,
-        a01, a11, a21, a31, a41,
-        a02, a12, a22, a32, a42,
-        a03, a13, a23, a33, a43,
-        a04, a14, a24, a34, a44,
+    return [  # and leave it
+        a00, a10 ^ mask, a20 ^ mask, a30, a40,
+        a01, a11, a21, a31 ^ mask, a41,
+        a02, a12, a22 ^ mask, a32, a42,
+        a03, a13, a23 ^ mask, a33, a43,
+        a04 ^ mask, a14, a24, a34, a44,
     ]
 
 
@@ -233,10 +242,9 @@ def _permute_many(state: np.ndarray) -> np.ndarray:
 
 # -- the narrow phase: k messages packed into each lane int ----------------------
 
-# With this many absorbing messages or fewer, one packed-int permutation per
-# block beats the numpy one, whose cost is mostly fixed per-call overhead;
-# the two meet at a few dozen messages.
-_PACKED_MAX = 32
+# With this many absorbing messages or fewer, a packed-int step beats a numpy one,
+# whose cost is mostly fixed per call; on 40-block messages they meet at k = 40-48.
+_PACKED_MAX = 40
 # Message r holds bits [128r, 128r + 64) of each lane int (module docstring).
 _STRIDE = 128
 

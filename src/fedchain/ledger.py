@@ -15,10 +15,10 @@ a sealed tx, state or block: the flush that read runs first. ``submit_tx``
 builds each tx preimage (its args check), decoding a submitted batch once
 for both its commitment and the contract, and ``seal_block`` snapshots the
 state preimage; neither hashes. The flush hashes every sealed block not yet
-hashed: one ``keccak256_many`` pass over the tx and state preimages, which
-sets each receipt's ``tx_hash``, a second over the receipts-root preimages,
-which hold the tx hashes, then the headers in order through ``keccak256``,
-since each holds its parent's hash.
+hashed: one ``keccak256_many`` pass over the tx preimages, which sets each
+receipt's ``tx_hash``, a second over the state preimages and the
+receipts-root preimages, which hold the tx hashes, then the headers in order
+through ``keccak256``, since each holds its parent's hash.
 """
 from __future__ import annotations
 
@@ -147,6 +147,10 @@ class Receipt:
     def __post_init__(self) -> None:
         if self.gas_used <= 0:
             raise ValueError("every executed transaction consumes gas")
+        if self.status not in ("success", "reverted"):
+            raise ValueError(f"status {self.status!r} is neither success nor reverted")
+        if (self.revert_reason is None) == (self.status == "reverted"):
+            raise ValueError("a revert reason is given exactly when reverted")
         if self.status == "reverted" and self.events:
             raise ValueError("reverted transactions emit no events")
 
@@ -255,20 +259,19 @@ class Ledger:
         self._pending = []
 
     def _hash_sealed(self) -> None:
-        """Hash every sealed block not yet hashed, in two batched passes and
-        one chained pass over the headers."""
+        """Hash every sealed block not yet hashed: the tx preimages, then the
+        state and receipts-root preimages, in two batches; then the headers."""
         start = len(self._hashed)
         sealed = [[r for _, r in calls] for calls in self._sealed[start:]]
         if not sealed:
             return
         unhashed = [r for receipts in sealed for r in receipts]
-        digests = keccak256_many([r.tx_preimage for r in unhashed] + self._state_preimages)
-        for receipt, digest in zip(unhashed, digests):
+        for receipt, digest in zip(unhashed, keccak256_many([r.tx_preimage for r in unhashed])):
             receipt.tx_hash = digest
-        state_roots = digests[len(unhashed):]
-        roots = keccak256_many(
-            [receipts_preimage([r.to_dict() for r in receipts]) for receipts in sealed]
-        )
+        digests = keccak256_many(self._state_preimages + [
+            receipts_preimage([r.to_dict() for r in receipts]) for receipts in sealed
+        ])
+        state_roots, roots = digests[:len(sealed)], digests[len(sealed):]
         parent = self._hashed[-1][1] if self._hashed else GENESIS_PARENT
         for height, (receipts, root, state_root) in enumerate(
             zip(sealed, roots, state_roots), start
@@ -368,7 +371,8 @@ def _hash_checks(blocks, txs, receipts) -> tuple[list, Optional[str]]:
             for j, (doc, tx_preimage) in enumerate(zip(block_receipts, tx_preimages)):
                 if doc["tx_hash"] != header["tx_hashes"][j] or doc["block_height"] != i:
                     return checks, f"block {i}: receipt {j} does not record tx {j} of block {i}"
-                Receipt(tx_preimage, i, doc["gas_used"], doc["events"], doc["status"])
+                Receipt(tx_preimage, i, doc["gas_used"], doc["events"], doc["status"],
+                        doc["revert_reason"])
             if len(block_receipts) != len(tx_preimages):
                 return checks, f"block {i}: {len(block_receipts)} receipts, {len(tx_preimages)} txs"
         except ValueError as err:  # a rule that Receipt states

@@ -3,15 +3,16 @@
 The store is an in-process IPFS stand-in: blobs are addressed by the
 Keccak-256 of their bytes (a deliberate simplification of real CIDs, which
 are multihashes). Cumulative-score checkpoints are serialized canonically,
-stored as blobs, and anchored on-chain by (CID, integrity hash).
+stored as blobs, and anchored on-chain by (CID, integrity hash); a run's
+anchors are re-verified together, their blobs hashed in one batch.
 """
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
-from .keccak import keccak256
+from .keccak import keccak256, keccak256_many
 from .numerics import Fixed, GradientVector
 
 
@@ -49,7 +50,7 @@ class ContentStore:
     """Append-only content-addressed blob store; CID == keccak256(blob).
 
     ``blobs`` seeds the store as found on disk: each blob is keyed by the CID
-    it claims, unchecked, so that ``verify_checkpoint`` can detect tampering.
+    it claims, unchecked, so that ``verify_checkpoints`` can detect tampering.
     """
 
     def __init__(self, blobs: Optional[Mapping[bytes, bytes]] = None) -> None:
@@ -78,25 +79,30 @@ def publish_checkpoint(store: ContentStore, cumulative: Mapping[bytes, Fixed]) -
 
 
 def verify_checkpoint(
-    store: ContentStore,
-    cid: bytes,
-    integrity_hash: bytes,
-    cumulative: Optional[Mapping[bytes, Fixed]],
+    store: ContentStore, cid: bytes, integrity_hash: bytes, cumulative: Optional[Mapping]
 ) -> Optional[str]:
-    """Re-verify an anchored checkpoint: CID resolves, hashes agree, and the
-    blob holds ``cumulative`` (None: unknown, matches no blob).
+    """``verify_checkpoints`` on one anchor."""
+    return verify_checkpoints(store, [(cid, integrity_hash, cumulative)])[0]
 
-    None when intact, else the reason: NotFound, CidMismatch, HashMismatch
-    or ContentMismatch.
-    """
-    blob = store.get(cid)
-    if blob is None:
-        return "NotFound"
-    digest = keccak256(blob)
-    if digest != cid:
-        return "CidMismatch"
-    if digest != integrity_hash:
-        return "HashMismatch"
-    if cumulative is None or blob != canonical_serialize(cumulative):
-        return "ContentMismatch"
-    return None
+
+def verify_checkpoints(
+    store: ContentStore, anchors: Sequence[tuple[bytes, bytes, Optional[Mapping[bytes, Fixed]]]]
+) -> list[Optional[str]]:
+    """Re-verify (cid, integrity hash, cumulative) anchors, every blob found
+    hashed in one ``keccak256_many`` batch: the CID resolves, the hashes agree,
+    and the blob holds ``cumulative`` (None: unknown, matches no blob). One
+    verdict per anchor, in order: None when intact, else NotFound, CidMismatch,
+    HashMismatch or ContentMismatch."""
+    blobs = [store.get(cid) for cid, _, _ in anchors]
+    digests = iter(keccak256_many([blob for blob in blobs if blob is not None]))
+    verdicts: list[Optional[str]] = []
+    for (cid, integrity_hash, cumulative), blob in zip(anchors, blobs):
+        digest = None if blob is None else next(digests)
+        verdicts.append(
+            "NotFound" if blob is None
+            else "CidMismatch" if digest != cid
+            else "HashMismatch" if digest != integrity_hash
+            else "ContentMismatch" if cumulative is None or blob != canonical_serialize(cumulative)
+            else None
+        )
+    return verdicts

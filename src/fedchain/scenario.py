@@ -22,13 +22,11 @@ from . import incentives
 from .coordinator import SYSTEM_SENDER, ContractConfig, Coordinator, gas, gas_class
 from .errors import ConfigError, MissingRun, SimulationError, UnreadableRun
 from .flclients import (
-    STREAM_DROPOUT,
     ClientBehavior,
     SyntheticDataset,
     act,
     local_train,
     make_client_id,
-    rng_stream,
     sample_true_weights,
 )
 from .keccak import keccak256
@@ -38,7 +36,7 @@ from .offchain import (
     ContentStore,
     canonical_json_bytes,
     publish_checkpoint,
-    verify_checkpoint,
+    verify_checkpoints,
 )
 
 logger = logging.getLogger("fedchain")
@@ -294,7 +292,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
                 update = act(
                     client.behavior,
                     local_train(model, client.dataset, ds.epochs, ds.lr),
-                    rng_stream(config.seed, STREAM_DROPOUT, client.index, round_index),
+                    client.behavior.stream(config.seed, client.index, round_index),
                 )
             except (OverflowError, ValueError) as err:  # out of fixed-point range, or NaN
                 logger.warning(
@@ -467,19 +465,14 @@ def build_report(ledger_doc: dict, store: ContentStore) -> dict:
         r += 1
     final_cumulative = cumulative.get(rounds_count, {})
 
+    anchors = [payload for _, _, payload in _doc_events(ledger_doc, "FairnessCheckpoint")]
+    verdicts = verify_checkpoints(store, [  # cumulative None: the history cannot be summed
+        (bytes.fromhex(a["cid"]), bytes.fromhex(a["hash"]), cumulative.get(a["round"]))
+        for a in anchors
+    ])
     checkpoints = [
-        {
-            "round": payload["round"],
-            "cid": payload["cid"],
-            "hash": payload["hash"],
-            "verdict": verify_checkpoint(
-                store,
-                bytes.fromhex(payload["cid"]),
-                bytes.fromhex(payload["hash"]),
-                cumulative.get(payload["round"]),  # None: the history cannot be summed
-            ) or "ok",
-        }
-        for _, _, payload in _doc_events(ledger_doc, "FairnessCheckpoint")
+        {"round": a["round"], "cid": a["cid"], "hash": a["hash"], "verdict": verdict or "ok"}
+        for a, verdict in zip(anchors, verdicts)
     ]
 
     total_payout = sum(sum(rec["payouts"].values()) for rec in per_round.values())

@@ -141,3 +141,23 @@ class TestPackedPhase:
         for r, state in enumerate(states):
             assert [lane >> _STRIDE * r & _MASK for lane in out] == _permute(state)
         assert all(0 <= lane and lane & ~mask == 0 for lane in out)  # every gap still clear
+
+    def test_permute_at_full_width_with_extreme_complemented_lanes(self):
+        # the lanes the round body holds complemented, x + 5y in (1, 2, 8, 12,
+        # 17, 20), all ones or all zero in each slot; the other lanes random
+        rng = random.Random(20)
+        patterns = [0, 63] + [rng.getrandbits(6) for _ in range(_PACKED_MAX - 2)]
+        states = []
+        for pattern in patterns:
+            state = [rng.getrandbits(64) for _ in range(25)]
+            for bit, i in enumerate((1, 2, 8, 12, 17, 20)):
+                state[i] = _MASK if pattern >> bit & 1 else 0
+            states.append(state)
+        packed = [
+            sum(state[i] << _STRIDE * r for r, state in enumerate(states)) for i in range(25)
+        ]
+        mask, round_constants = _packing(_PACKED_MAX)
+        out = _permute(packed, mask, round_constants)
+        for r, state in enumerate(states):
+            assert [lane >> _STRIDE * r & _MASK for lane in out] == _permute(state)
+        assert all(0 <= lane and lane & ~mask == 0 for lane in out)  # every gap still clear

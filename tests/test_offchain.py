@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from fedchain import offchain
 from fedchain.keccak import keccak256
 from fedchain.numerics import Fixed
 from fedchain.offchain import (
@@ -11,6 +12,7 @@ from fedchain.offchain import (
     canonical_serialize,
     publish_checkpoint,
     verify_checkpoint,
+    verify_checkpoints,
 )
 
 
@@ -117,6 +119,34 @@ class TestCheckpoints:
     def test_content_mismatch_detected(self, cumulative):
         store, cid = self.make()
         assert verify_checkpoint(store, cid, cid, cumulative) == "ContentMismatch"
+
+
+    def test_many_anchors_take_one_batch_and_the_verdicts_one_at_a_time(self, monkeypatch):
+        store, cid = self.make()
+        other_cid = publish_checkpoint(store, {cid_of(1): Fixed(7)})
+        forged_cid = keccak256(b"forged")
+        store = ContentStore({
+            cid: store.get(cid), other_cid: store.get(other_cid), forged_cid: b"tampered",
+        })
+        anchors = [
+            (cid, cid, self.CUMULATIVE),
+            (keccak256(b"absent"), keccak256(b"absent"), self.CUMULATIVE),
+            (forged_cid, forged_cid, self.CUMULATIVE),
+            (cid, b"\xff" * 32, self.CUMULATIVE),
+            (other_cid, other_cid, self.CUMULATIVE),
+        ]
+        one_at_a_time = [verify_checkpoint(store, *anchor) for anchor in anchors]
+        assert one_at_a_time == [None, "NotFound", "CidMismatch", "HashMismatch", "ContentMismatch"]
+        batches = []
+        keccak256_many = offchain.keccak256_many
+
+        def recording(messages):
+            batches.append(list(messages))
+            return keccak256_many(messages)
+
+        monkeypatch.setattr(offchain, "keccak256_many", recording)
+        assert verify_checkpoints(store, anchors) == one_at_a_time
+        assert batches == [[store.get(cid), b"tampered", store.get(cid), store.get(other_cid)]]
 
 
 class TestCanonicalJson:

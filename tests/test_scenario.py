@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fedchain import flclients as flclients_module
 from fedchain import incentives
 from fedchain.coordinator import ContractConfig, gas_class
 from fedchain import ledger as ledger_module
@@ -674,7 +675,7 @@ class TestArtifacts:
         monkeypatch.undo()
         assert scalar == header_preimages(result.ledger_doc)
         txs = sum(len(sealed) for sealed in result.ledger_doc["txs"])
-        assert batches == [txs + rounds + 2, rounds + 2]
+        assert batches == [txs, 2 * (rounds + 2)]  # tx preimages; states and receipts roots
 
     def test_run_decodes_each_submitted_batch_once(self, monkeypatch):
         decoded = []
@@ -693,6 +694,25 @@ class TestArtifacts:
         ]
         assert len(submitted) > 2 * 6  # two batches per dim-4 update
         assert decoded == submitted
+
+    def test_run_builds_the_dropout_stream_once_per_round_the_client_is_active(
+        self, monkeypatch
+    ):
+        built = []
+        rng_stream = flclients_module.rng_stream
+
+        def recording(seed, purpose, a=0, b=0):
+            if purpose == flclients_module.STREAM_DROPOUT:
+                built.append((a, b))
+            return rng_stream(seed, purpose, a, b)
+
+        monkeypatch.setattr(flclients_module, "rng_stream", recording)
+        doc = base_doc()
+        doc["dataset"]["behaviors"] = ["honest", "dropout", "honest", "negator"]
+        result = run_scenario(parse_config(doc))
+        monkeypatch.undo()
+        assert not result.coordinator.clients[make_client_id(1)].banned  # active every round
+        assert built == [(1, r) for r in range(1, 7)]
 
     def test_run_and_write_build_one_ledger_document_and_run_id(self, tmp_path, monkeypatch):
         calls = {"ledger_document": 0, "run_id": 0}
@@ -1003,8 +1023,12 @@ class TestAudit:
          "receipt 3: every executed transaction consumes gas"),
         (lambda receipts: receipts[4].update(gas_used=receipts[4]["gas_used"] + 1_000),
          "receipt 4 charged 388567 gas, the gas model charges 387567"),
+        (lambda receipts: receipts[1].update(status="maybe"),
+         "receipt 1: status 'maybe' is neither success nor reverted"),
+        (lambda receipts: receipts[1].update(revert_reason="WrongPhase"),
+         "receipt 1: a revert reason is given exactly when reverted"),
     ], ids=["dropped", "foreign_tx_hash", "wrong_height", "swapped", "reverted_with_events",
-            "zero_gas", "extra_gas"])
+            "zero_gas", "extra_gas", "unknown_status", "success_with_revert_reason"])
     def test_resealed_receipt_forgery_fails(self, run_dir, forge, fault):
         """Receipts edited in block 3 under recomputed roots, header hashes
         and report: only the receipts' own checks can tell."""
@@ -1021,6 +1045,12 @@ class TestAudit:
             doc["receipts"][3][2] = list(doc["receipts"][3][2].values())
 
         reseal_ledger(run_dir, listify)
+        verdict = audit(run_dir)[0]
+        assert not verdict["ok"]
+        assert verdict["chain"] == "block 3: malformed receipts"
+
+    def test_resealed_receipt_without_revert_reason_is_malformed(self, run_dir):
+        reseal_ledger(run_dir, lambda doc: doc["receipts"][3][1].pop("revert_reason"))
         verdict = audit(run_dir)[0]
         assert not verdict["ok"]
         assert verdict["chain"] == "block 3: malformed receipts"
