@@ -68,6 +68,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             print(f"  checkpoint round {checkpoint['round']}: {checkpoint['verdict']}")
         if verdict["report_matches_ledger"] is not None:
             print(f"  report matches ledger: {verdict['report_matches_ledger']}")
+        for name, file_verdict in verdict["files"].items():
+            print(f"  {name}: {file_verdict}")
     return 0 if all_ok else 1
 
 

@@ -4,8 +4,10 @@ periodic checkpoint anchoring.
 
 Each protocol round walks the phase machine open -> validated -> scored ->
 aggregated -> closed, and every round call passes one guard (``_round``), so
-no operation succeeds out of order. All numeric state is fixed-point, so two
-replays of the same transaction sequence produce identical state roots.
+no operation succeeds out of order. A round on the fairness interval closes
+only once it is anchored, and no round is anchored twice. All numeric state
+is fixed-point, so two replays of the same transaction sequence produce
+identical state roots.
 """
 from __future__ import annotations
 
@@ -20,7 +22,9 @@ from .errors import (
     BadArgs,
     Banned,
     BadSampleCount,
+    CheckpointDue,
     DimMismatch,
+    DuplicateCheckpoint,
     DuplicateSubmission,
     InsufficientStake,
     NoAcceptedUpdates,
@@ -418,6 +422,8 @@ class Coordinator:
             raise WrongRound(
                 f"round {through_round} is not a multiple of {self.config.fairness_interval}"
             )
+        if through_round in self.checkpoints:
+            raise DuplicateCheckpoint(f"round {through_round} is already anchored")
         self.checkpoints[through_round] = (cid, integrity_hash)
         self._emit(
             "FairnessCheckpoint",
@@ -430,6 +436,9 @@ class Coordinator:
         state = self._round(round_index, Phase.AGGREGATED, Phase.SCORED)
         if state.phase == Phase.SCORED and state.accepted:
             raise WrongPhase(f"round {round_index} accepted updates: aggregate it first")
+        # the consistency multipliers of the next rounds count from this anchor
+        if round_index % self.config.fairness_interval == 0 and round_index not in self.checkpoints:
+            raise CheckpointDue(f"round {round_index} closes only once it is anchored")
         for cid in state.accepted:
             self.clients[cid].rounds_participated += 1
         state.phase = Phase.CLOSED

@@ -96,6 +96,14 @@ class WrongRound(SimulationError):
     pass
 
 
+class CheckpointDue(SimulationError):
+    """A round on the fairness interval closes only once it is anchored."""
+
+
+class DuplicateCheckpoint(SimulationError):
+    """A round is anchored at most once."""
+
+
 class NotAuthorized(SimulationError):
     """System-only call attempted by a regular client."""
 

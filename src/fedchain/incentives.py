@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import compress
+from bisect import bisect_left
+from functools import cache
+from itertools import accumulate
 from operator import mul
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -34,7 +36,7 @@ from .numerics import (
 )
 
 SHAPLEY_MAX_CLIENTS = 12  # 2^n subset enumeration budget
-_LANE_BLOCK_CELLS = 4096  # coalition x component cells per int64 block
+_LANE_BLOCK_CELLS = 2**15  # coalition x component cells per int64 block: 256 KB
 
 
 def alignment_score(
@@ -143,29 +145,40 @@ def _players(clients: Iterable[bytes]) -> list[bytes]:
 def _shapley_phi(ids: Sequence[bytes], values: Sequence[int]) -> dict[bytes, Fixed]:
     """Shapley values from raw coalition values indexed by bitmask over ``ids``.
 
-    phi_k * n! is sum over T containing k of |T-k|! (n-|T|)! * v(T), less the
-    sum over S not containing k of |S|! (n-|S|-1)! * v(S): the marginals
-    v(S+k) - v(S) of the definition regrouped by coalition. Both sums are
-    exact integer sums, taken by ``itertools.compress`` over one weighted
-    table each, so each phi carries the one truncation by n! the
-    per-marginal loop has.
+    With w(s) = s! (n-s-1)! and w(-1) = w(n) = 0, phi_k * n! is the sum over
+    coalitions m containing k of (w(|m|-1) + w(|m|)) * v(m), less the sum
+    over all m of w(|m|) * v(m): the marginals v(S+k) - v(S) of the
+    definition regrouped by coalition. Both are exact integer sums over
+    object arrays, so each phi carries the one truncation by n! the
+    per-marginal loop has. The sums over coalitions containing k are taken
+    by halving the weighted table from the top bit down.
     """
     n = len(ids)
+    joined, left, n_factorial = _phi_weights(n)
+    table = np.array(values, dtype=object)
+    base = (left * table).sum()
+    weighted = joined * table
+    accs = [0] * n
+    for k in reversed(range(n)):
+        # the masks from 2**k up are the ones with bit k; folded onto the
+        # masks below, they leave the table over bits 0..k-1
+        half = 1 << k
+        accs[k] = weighted[half:].sum() - base
+        weighted = weighted[:half] + weighted[half:]
+    return {cid: Fixed(div_toward_zero(acc, n_factorial)) for cid, acc in zip(ids, accs)}
+
+
+@cache
+def _phi_weights(n: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """``_shapley_phi``'s per-mask weights over n players, read-only object
+    arrays of w(|m|-1) + w(|m|) and of w(|m|), and n!."""
     factorial = [math.factorial(k) for k in range(n + 1)]
-    weight = [factorial[size] * factorial[n - size - 1] for size in range(n)]
+    weight = [0] + [factorial[s] * factorial[n - s - 1] for s in range(n)] + [0]  # w(s - 1)
     sizes = [mask.bit_count() for mask in range(1 << n)]
-    # the empty coalition never contains k and the grand one always does, so
-    # their zero weights are never selected
-    joined = [weight[s - 1] * v if s else 0 for s, v in zip(sizes, values)]
-    left = [weight[s] * v if s < n else 0 for s, v in zip(sizes, values)]
-    phi: dict[bytes, Fixed] = {}
-    for k, client_id in enumerate(ids):
-        run, repeats = 1 << k, 1 << (n - k - 1)
-        has_k = ([0] * run + [1] * run) * repeats
-        lacks_k = ([1] * run + [0] * run) * repeats
-        acc = sum(compress(joined, has_k)) - sum(compress(left, lacks_k))
-        phi[client_id] = Fixed(div_toward_zero(acc, factorial[n]))
-    return phi
+    joined = np.array([weight[s] + weight[s + 1] for s in sizes], dtype=object)
+    left = np.array([weight[s + 1] for s in sizes], dtype=object)
+    joined.flags.writeable = left.flags.writeable = False
+    return joined, left, factorial[n]
 
 
 def alignment_coalition_values(
@@ -180,64 +193,65 @@ def alignment_coalition_values(
     over the submissions and their counts in sorted-id order, as the
     contract keeps it on the round. When every coalition numerator and
     sample total fits in int64 (``numerics.weighted_sum_lanes``, the bound
-    ``sample_weighted_mean`` takes its lanes under) the coalition means are
-    computed on int64 lanes by ``_lane_coalition_values``; otherwise by the
-    depth-first ``_walk_coalition_values``, the path for values beyond int64.
-    Both give the per-coalition definition's values and raise its
-    ``OverflowError``s.
+    ``sample_weighted_mean`` takes its lanes under, so that FedAvg has a
+    lane too) the coalition means are computed on int64 lanes by
+    ``_lane_coalition_values``; otherwise by the depth-first
+    ``_walk_coalition_values``, the path for values beyond int64. Both give
+    the per-coalition definition's values and raise its ``OverflowError``s.
     """
     ids = sorted(submissions)
     if not ids:
         return [0]
     counts = [n_map[i] for i in ids]
     vectors = [submissions[i] for i in ids]
-    full = aggregate.components
     lanes = weighted_sum_lanes(vectors, counts)
-    if lanes is not None:
-        return _lane_coalition_values(lanes, counts, full)
-    return _walk_coalition_values([v.components for v in vectors], counts, full)
+    if lanes is not None and aggregate._lane is not None:
+        return _lane_coalition_values(lanes, counts, aggregate)
+    return _walk_coalition_values([v.components for v in vectors], counts, aggregate.components)
 
 
 def _lane_coalition_values(
-    lanes: np.ndarray, counts: Sequence[int], full: Sequence[int]
+    lanes: np.ndarray, counts: Sequence[int], aggregate: GradientVector
 ) -> list[int]:
     """``alignment_coalition_values`` with every coalition's truncated mean
     taken on whole int64 arrays, a block of components at a time.
 
     Only for ``lanes`` that ``weighted_sum_lanes`` admits, under
-    ``sum(n_i * max|raw_i|) < 2**63`` and ``sum(n_i) < 2**63``. Then no
-    coalition numerator sum(n_i * raw_i), sample total or mean leaves
-    int64, and no partial sum of a dot with the full FedAvg reaches
-    ACC_LIMIT: |mean| and |full| are below 2**63, so a partial sum is below
-    dim * 2**126, and dim < 2**129 for any vector that fits in memory. So
-    the walk's per-partial-sum checks cannot fail and are not repeated.
+    ``sum(n_i * max|raw_i|) < 2**63`` and ``sum(n_i) < 2**63``. Coalition
+    numerators sum(n_i * raw_i) and sample totals are subset sums, taken by
+    doubling (``_subset_sums``): every value formed is some coalition's, so
+    none leaves int64, and no partial sum of a dot with the full FedAvg
+    reaches ACC_LIMIT: |mean| and |full| are below 2**63, so a partial sum
+    is below dim * 2**126, and dim < 2**129 for any vector that fits in
+    memory. So the walk's per-partial-sum checks cannot fail and are not
+    repeated.
 
-    Each dot is exact: a block's products go into an int64 lane while the
-    sum of their bounds ``reach`` stays below 2**63, and into Python ints
-    otherwise. Each value gets the walk's terminal range check, in mask
-    order; it can fail only when dim * 2**126 / SCALE reaches 2**127, at a
-    dim above 2**30. Memory is O(2**n * n) for the membership table plus
-    one block of at most ``_LANE_BLOCK_CELLS`` coalition x component cells,
-    never a 2**n x dim table.
+    Each dot is exact. ``_blocks`` cuts the components where the sum of the
+    products' bounds ``reach`` would reach 2**63: a block below it is
+    summed on an int64 lane, which moves to Python ints before the blocks
+    it holds reach 2**63 together, and a run of components each beyond it
+    is summed in Python ints. Each value gets the walk's terminal range
+    check, in mask order; it can fail only when dim * 2**126 / SCALE
+    reaches 2**127, at a dim above 2**30. Memory is O(2**n) for the totals
+    plus one table that every block reuses and its signs, each of about
+    ``_LANE_BLOCK_CELLS`` coalition x component cells, never a 2**n x dim
+    table.
     """
-    n = len(counts)
-    members = (np.arange(1, 1 << n, dtype=np.int64)[:, None] >> np.arange(n)) & 1
-    totals = (members @ np.array(counts, dtype=np.int64))[:, None]
-    terms = lanes * np.array(counts, dtype=np.int64)[:, None]
+    full, full_lane = aggregate.components, aggregate._lane
+    counts_lane = np.array(counts, dtype=np.int64)
+    totals = _subset_sums(counts_lane, np.empty(1 << len(counts), np.int64))[1:, None]
+    terms = lanes * counts_lane[:, None]
     # |mean_c| <= max_i |raw_ic| for every coalition, so |mean_c * full_c| <= reach[c]
     reach = list(map(mul, np.abs(lanes).max(axis=0).tolist(), map(abs, full)))
-    full_lane = np.array(full, dtype=np.int64)
-    full_row = np.array(full, dtype=object)
-    width = max(1, _LANE_BLOCK_CELLS // len(members))
-    lane, lane_reach = np.zeros(len(members), dtype=np.int64), 0
+    rows, width = len(totals) + 1, max(1, _LANE_BLOCK_CELLS // len(totals))
+    buffer = np.empty(rows * min(width, len(full)), np.int64)  # every block's numerators
+    lane, lane_reach = np.zeros(len(totals), dtype=np.int64), 0
     spill = 0  # exact Python-int sums of what the lane cannot hold
-    for start in range(0, len(full), width):
-        block = slice(start, start + width)
-        numerators = members @ terms[:, block]
-        means = np.sign(numerators) * (np.abs(numerators) // totals)
-        block_reach = sum(reach[block])
+    for block, block_reach in _blocks(reach, width):
+        numerators = buffer[: rows * (block.stop - block.start)].reshape(rows, -1)
+        means = _truncate(_subset_sums(terms[:, block], numerators)[1:], totals)
         if block_reach >= LANE_LIMIT:
-            spill = spill + means.astype(object) @ full_row[block]
+            spill = spill + means.astype(object) @ np.array(full[block], dtype=object)
             continue
         if lane_reach + block_reach >= LANE_LIMIT:
             spill = spill + lane.astype(object)
@@ -246,9 +260,49 @@ def _lane_coalition_values(
         lane_reach += block_reach
     dots = lane if isinstance(spill, int) else spill + lane.astype(object)
     values = [0] + (np.sign(dots) * (np.abs(dots) // SCALE)).tolist()
-    if min(values) <= -RAW_LIMIT or max(values) >= RAW_LIMIT:
+    # a value from an int64 dot lies far inside RAW_LIMIT
+    if dots.dtype == object and (min(values) <= -RAW_LIMIT or max(values) >= RAW_LIMIT):
         list(map(_check_raw, values))  # the first value out of range, in mask order
     return values
+
+
+def _truncate(numerators: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """``numerators`` divided by ``totals`` and truncated toward zero, in
+    place; the one temporary, the signs, is freed on return."""
+    signs = np.sign(numerators)
+    np.abs(numerators, out=numerators)
+    numerators //= totals
+    numerators *= signs
+    return numerators
+
+
+def _subset_sums(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out`` filled with the sum of every subset of ``rows``, indexed by
+    bitmask (bit k: row k), by doubling: the sums with bit k set are those
+    below 2**k plus row k."""
+    out[0] = 0
+    for k, row in enumerate(rows):
+        np.add(out[: 1 << k], row, out=out[1 << k : 2 << k])
+    return out
+
+
+def _blocks(reach: Sequence[int], width: int) -> Iterator[tuple[slice, int]]:
+    """Runs of at most ``width`` components, each with its summed reach: the
+    longest run whose sum stays below LANE_LIMIT, or a run of components
+    each at or beyond it. Only the components beyond it are visited one by
+    one; the others are cut by bisecting the prefix sums."""
+    prefix = [0, *accumulate(reach)]
+    start = 0
+    while start < len(reach):
+        stop = min(start + width, len(reach))
+        end = start + 1
+        if reach[start] >= LANE_LIMIT:
+            while end < stop and reach[end] >= LANE_LIMIT:
+                end += 1
+        else:
+            end = min(stop, bisect_left(prefix, prefix[start] + LANE_LIMIT, end) - 1)
+        yield slice(start, end), prefix[end] - prefix[start]
+        start = end
 
 
 def _walk_coalition_values(

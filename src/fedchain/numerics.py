@@ -22,6 +22,8 @@ can reach ``LANE_LIMIT`` (2**63) in magnitude:
   products are summed in blocks small enough that no partial sum reaches
   2**63, and the block sums are added as Python ints;
 - ``+``: the two largest magnitudes sum below 2**63;
+- ``negate``: every magnitude is below 2**63 (INT64_MIN has no int64
+  negation), and ``scale_int(c)``: ``|c|`` and ``max|raw| * |c|`` are;
 - ``encode`` needs no bound, and ``to_floats`` needs every magnitude at most
   2**53, so each int64 converts to float64 exactly before its one division.
 
@@ -223,14 +225,15 @@ class GradientVector:
     ``components``. The range is checked once per vector, on construction.
 
     A vector whose components are all ints that fit int64 also keeps them as
-    an int64 array, its lane; ``encode``, ``to_floats``, ``+``, ``dot`` and
-    ``sample_weighted_mean`` run on lanes within their bounds (see the module
-    docstring), which they check against ``_peak``, the largest magnitude,
-    taken in Python ints. Each component must be an int (not a bool, a float
-    or a string) inside ``RAW_LIMIT``, checked in one pass (``_int64``); a
-    lane needs no range check, since every int64 lies inside that limit.
-    A constructor that already holds the components
-    as int64 may pass that array as ``_lane``; it must equal ``components``.
+    an int64 array, its lane; ``encode``, ``to_floats``, ``+``, ``negate``,
+    ``scale_int``, ``dot`` and ``sample_weighted_mean`` run on lanes within
+    their bounds (see the module docstring), which they check against
+    ``_peak``, the largest magnitude, taken in Python ints. Each component
+    must be an int (not a bool, a float or a string) inside ``RAW_LIMIT``,
+    checked in one pass (``_int64``); a lane needs no range check, since
+    every int64 lies inside that limit. A constructor that already holds the
+    components as int64 may pass that array as ``_lane``; it must equal
+    ``components``.
     """
 
     components: tuple[int, ...]
@@ -302,9 +305,14 @@ class GradientVector:
         return np.array([c / SCALE for c in self.components])
 
     def negate(self) -> "GradientVector":
+        if self._lane is not None and self._peak < LANE_LIMIT:
+            return GradientVector._from_lane(-self._lane)
         return GradientVector(tuple(map(neg, self.components)))
 
     def scale_int(self, factor: int) -> "GradientVector":
+        scale = abs(factor)  # must fit int64 itself, even when every component is zero
+        if self._lane is not None and scale < LANE_LIMIT and self._peak * scale < LANE_LIMIT:
+            return GradientVector._from_lane(self._lane * factor)
         return GradientVector(tuple(c * factor for c in self.components))
 
     def __add__(self, other: "GradientVector") -> "GradientVector":

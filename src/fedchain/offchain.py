@@ -78,13 +78,6 @@ def publish_checkpoint(store: ContentStore, cumulative: Mapping[bytes, Fixed]) -
     return store.put(canonical_serialize(cumulative))
 
 
-def verify_checkpoint(
-    store: ContentStore, cid: bytes, integrity_hash: bytes, cumulative: Optional[Mapping]
-) -> Optional[str]:
-    """``verify_checkpoints`` on one anchor."""
-    return verify_checkpoints(store, [(cid, integrity_hash, cumulative)])[0]
-
-
 def verify_checkpoints(
     store: ContentStore, anchors: Sequence[tuple[bytes, bytes, Optional[Mapping[bytes, Fixed]]]]
 ) -> list[Optional[str]]:

@@ -514,6 +514,16 @@ def rewards_csv_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def csv_texts(report: dict) -> dict[str, str]:
+    """Each CSV file a run writes, by name: views of the report, which
+    ``write_run`` writes and ``audit_run`` holds the files to."""
+    dim = report["config"]["dataset"]["dim"]
+    return {
+        GAS_FILE: gas_csv_text({dim: report["gas"]["table"][str(dim)]}),
+        REWARDS_FILE: rewards_csv_text(report),
+    }
+
+
 def write_run(result: RunResult, out_dir) -> Path:
     """Write all artifacts for a completed run under out/<run-id>/."""
     run_dir = Path(out_dir) / result.run_id
@@ -524,9 +534,8 @@ def write_run(result: RunResult, out_dir) -> Path:
         fh.write(gzip.compress(payload, mtime=0))
 
     (run_dir / REPORT_FILE).write_bytes(_report_bytes(result.report))
-    dim = result.config.dataset.dim
-    (run_dir / GAS_FILE).write_text(gas_csv_text({dim: result.config.gas.row(dim)}))
-    (run_dir / REWARDS_FILE).write_text(rewards_csv_text(result.report))
+    for name, text in csv_texts(result.report).items():
+        (run_dir / name).write_bytes(text.encode())
     incentives.write_attribution_log(run_dir / ATTRIBUTION_FILE, result.attribution)
 
     blob_dir = run_dir / BLOBS_DIR
@@ -600,7 +609,10 @@ def _gas_fault(ledger_doc: dict, config: ScenarioConfig) -> Optional[str]:
 def audit_run(run_dir) -> dict:
     """Re-verify a completed run from its persisted artifacts alone.
 
-    An unreadable run fails with the reason as its ``chain`` verdict.
+    An unreadable run fails with the reason as its ``chain`` verdict. Each
+    CSV file must hold the bytes ``csv_texts`` gives for the rebuilt report;
+    ``files`` names each as ``ok``, ``missing``, ``unreadable`` or
+    ``differs`` (empty when the report cannot be rebuilt).
     """
     try:
         ledger_doc, store = load_run_dir(run_dir)
@@ -611,6 +623,7 @@ def audit_run(run_dir) -> dict:
             "chain": str(err),
             "checkpoints": [],
             "report_matches_ledger": None,
+            "files": {},
         }
     chain_error = _chain_fault(ledger_doc)
     try:
@@ -625,12 +638,17 @@ def audit_run(run_dir) -> dict:
     report_match = None
     if report_path.exists():
         report_match = report is not None and _report_bytes(report) == report_path.read_bytes()
+    files = {} if report is None else {
+        name: _file_verdict(Path(run_dir) / name, text.encode())
+        for name, text in csv_texts(report).items()
+    }
 
     ok = (
         chain_error is None
         and report is not None
         and all(c["verdict"] == "ok" for c in checkpoints)
         and report_match is not False
+        and all(verdict == "ok" for verdict in files.values())
     )
     return {
         "run_id": ledger_doc.get("run_id"),
@@ -638,7 +656,17 @@ def audit_run(run_dir) -> dict:
         "chain": chain_error or "ok",
         "checkpoints": checkpoints,
         "report_matches_ledger": report_match,
+        "files": files,
     }
+
+
+def _file_verdict(path: Path, expected: bytes) -> str:
+    try:
+        return "ok" if path.read_bytes() == expected else "differs"
+    except FileNotFoundError:
+        return "missing"
+    except OSError:  # a directory in its place, or no permission to read it
+        return "unreadable"
 
 
 def audit(out_dir) -> list[dict]:

@@ -169,5 +169,15 @@ def test_audit_detects_tamper_exits_1(config_path, tmp_path, capsys):
     assert main(["audit", "--out", str(out)]) == 1
 
 
+def test_audit_names_a_tampered_csv(config_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    main(["run", "--config", str(config_path), "--out", str(out)])
+    (next(out.iterdir()) / "rewards.csv").write_text("round,client,score,payout\n")
+    capsys.readouterr()
+    assert main(["audit", "--out", str(out)]) == 1
+    printed = capsys.readouterr().out
+    assert "  rewards.csv: differs\n" in printed and "  gas.csv: ok\n" in printed
+
+
 def test_bad_sizes_exits_2(config_path, tmp_path):
     assert main(["gas-sweep", "--config", str(config_path), "--sizes", "ten"]) == 2

@@ -19,7 +19,9 @@ from fedchain.errors import (
     AlreadyRegistered,
     Banned,
     BadSampleCount,
+    CheckpointDue,
     DimMismatch,
+    DuplicateCheckpoint,
     DuplicateSubmission,
     InsufficientStake,
     NoAcceptedUpdates,
@@ -485,6 +487,36 @@ class TestCheckpoints:
         assert c.drain_events() == [
             ("FairnessCheckpoint", {"round": 2, "cid": cid.hex(), "hash": digest.hex()}),
         ]
+
+    def test_a_round_on_the_interval_closes_only_once_anchored(self):
+        c = registered(clients=[(C[0], 1)], fairness_interval=2)
+        run_round(c, {C[0]: ["1", "1"]})  # round 1 needs no anchor
+        submit_whole(c, C[0], ["1", "1"])
+        c.validate_round(2)
+        c.score_and_reward_round(2)
+        c.aggregate_round(2)
+        before = c.state_dict()
+        with pytest.raises(CheckpointDue, match="round 2 closes only once it is anchored"):
+            c.close_round(2)
+        assert c.state_dict() == before and c.rounds[2].phase == Phase.AGGREGATED
+        c.record_checkpoint(2, b"\x01" * 32, b"\x02" * 32)
+        c.close_round(2)
+        assert c.current_round == 3
+
+    def test_an_empty_round_on_the_interval_needs_its_anchor_too(self):
+        c = registered(clients=[(C[0], 1)], fairness_interval=1)
+        c.score_and_reward_round(1)  # nobody submitted
+        with pytest.raises(CheckpointDue):
+            c.close_round(1)
+
+    def test_a_round_is_anchored_once(self):
+        c = registered(clients=[(C[0], 1)], fairness_interval=1)
+        cid, digest = b"\x01" * 32, b"\x02" * 32
+        c.record_checkpoint(1, cid, digest)
+        c.drain_events()
+        with pytest.raises(DuplicateCheckpoint, match="round 1 is already anchored"):
+            c.record_checkpoint(1, b"\x03" * 32, b"\x04" * 32)
+        assert c.checkpoints == {1: (cid, digest)} and c.drain_events() == []
 
 
 class TestPenalties:

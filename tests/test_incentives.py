@@ -569,8 +569,23 @@ class TestCoalitionValuePaths:
         submissions, n_map = _cohort(rng.integers(-(2**31), 2**31, (10, 10)).tolist(),
                                      rng.integers(1, 500, 10).tolist())
         expected = _definition_values(submissions, n_map)
+        monkeypatch.setattr(incentives, "_LANE_BLOCK_CELLS", 4096)
         _forbid(monkeypatch, "_walk_coalition_values")
         assert coalition_values(submissions, n_map) == expected
+
+    @pytest.mark.parametrize("reach, width, blocks", [
+        # a run ends before the component that would take it to 2**63, and a
+        # run of components each at or beyond 2**63 ends before one below it
+        ([2**62, 2**62, 2**63, 2**64, 1, 2**63 - 2, 1, 5, 5], 3,
+         [(0, 1, 2**62), (1, 2, 2**62), (2, 4, 2**63 + 2**64), (4, 6, 2**63 - 1),
+          (6, 9, 11)]),
+        ([1] * 5, 2, [(0, 2, 2), (2, 4, 2), (4, 5, 1)]),
+        ([2**63] * 3, 2, [(0, 2, 2**64), (2, 3, 2**63)]),
+        ([0] * 7 + [2**66], 100, [(0, 7, 0), (7, 8, 2**66)]),
+    ], ids=["reach", "width", "beyond_width", "last_beyond"])
+    def test_blocks_are_cut_at_the_reach_budget_and_the_width(self, reach, width, blocks):
+        cuts = incentives._blocks(reach, width)
+        assert [(block.start, block.stop, total) for block, total in cuts] == blocks
 
     def test_memory_is_bounded_by_the_block(self):
         # a 1 023 x 256 int64 table of coalition means alone would be 2 MB

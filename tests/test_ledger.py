@@ -527,7 +527,8 @@ class ContractMachine(RuleBasedStateMachine):
     the contract state as it was; a scored round pays out the whole pool
     when any payout basis value is positive, else nothing; no complete
     submission in a validated round lacks a verdict, and no round with
-    verdicts is OPEN."""
+    verdicts is OPEN; every closed round on the fairness interval has
+    exactly one anchor."""
 
     @initialize(basis=st.sampled_from(["alignment", "shapley"]), interval=st.integers(1, 3),
                 registered=st.integers(0, len(CLIENTS)))
@@ -536,6 +537,7 @@ class ContractMachine(RuleBasedStateMachine):
                                                     fairness_interval=interval)
         for client in CLIENTS[:registered]:
             assert self.ledger.submit_tx(register_tx(self.ledger, client)).success
+        self.anchors = []  # the round of each FairnessCheckpoint event, in order
 
     @rule(data=st.data(), ops=st.lists(st.sampled_from(CLIENT_OPS), min_size=1, max_size=6))
     def client_calls(self, data, ops):
@@ -580,8 +582,10 @@ class ContractMachine(RuleBasedStateMachine):
         assert {who: self.ledger.next_nonce(who) for who in nonces} == nonces
         if receipt is None or not receipt.success:
             assert self.coordinator.state_dict() == state
-        elif op == "score_and_reward_round":
+            return
+        if op == "score_and_reward_round":
             self.check_payout(args["round"], receipt)
+        self.anchors += [p["round"] for name, p in receipt.events if name == "FairnessCheckpoint"]
 
     @invariant()
     def validated_rounds_judge_every_submission(self):
@@ -598,6 +602,17 @@ class ContractMachine(RuleBasedStateMachine):
         says that it takes no more submissions."""
         for state in self.coordinator.rounds.values():
             assert not (state.verdicts and state.phase == Phase.OPEN)
+
+    @invariant()
+    def closed_rounds_on_the_interval_have_one_anchor(self):
+        """Exactly one anchor for each closed round that is a multiple of the
+        interval, and none twice: the multiplier window cannot be moved by a
+        skipped or a second checkpoint."""
+        interval = self.coordinator.config.fairness_interval
+        closed = range(interval, self.coordinator.current_round, interval)
+        assert set(closed) <= set(self.anchors)
+        assert len(set(self.anchors)) == len(self.anchors)
+        assert sorted(self.anchors) == sorted(self.coordinator.checkpoints)
 
     def check_payout(self, round_index: int, receipt) -> None:
         config, state = self.coordinator.config, self.coordinator.rounds[round_index]

@@ -547,6 +547,40 @@ class TestPythonIntPath:
         out = sample_weighted_mean([GradientVector.from_raw([2**62, 1])], [2])
         assert calls == {"add_terms": 1} and out.components == (2**62, 1)
 
+    @pytest.fixture
+    def lane_results(self, monkeypatch):
+        """The lanes of the vectors built by ``GradientVector._from_lane``."""
+        built = []
+        from_lane = GradientVector._from_lane
+
+        def recording(cls, lane):
+            built.append(lane)
+            return from_lane(lane)
+
+        monkeypatch.setattr(GradientVector, "_from_lane", classmethod(recording))
+        return built
+
+    def test_negate(self, lane_results):
+        assert GradientVector.from_raw([2**63 - 1, -(2**63 - 1)]).negate().components == (
+            -(2**63 - 1), 2**63 - 1)
+        assert len(lane_results) == 1
+        beyond = GradientVector.from_raw([INT64_MIN, 5]).negate()  # -INT64_MIN is 2**63
+        assert len(lane_results) == 1
+        assert beyond.components == (2**63, -5) and lane_of(beyond) is None
+
+    @pytest.mark.parametrize("raws, factor, on_lane", [
+        ([2**62 - 1, -3], 2, True),  # peak * c == 2**63 - 2
+        ([2**62, -3], 2, False),  # peak * c == 2**63
+        ([-(2**62), 1], -2, False),
+        ([2**63 - 1, 0], 1, True),
+        ([1, 0], INT64_MIN, False),  # peak * |c| == 2**63
+        ([0, 0], 2**63, False),  # the factor itself is beyond int64
+    ])
+    def test_scale_int(self, lane_results, raws, factor, on_lane):
+        scaled = GradientVector.from_raw(raws).scale_int(factor)
+        assert scaled.components == tuple(raw * factor for raw in raws)
+        assert len(lane_results) == on_lane
+
     def test_dot(self, calls):
         a = GradientVector.from_raw([2**31] * 4)
         assert dot(a, a).raw == 2**64 // SCALE  # partial sums past 2**63, on the lane

@@ -11,7 +11,6 @@ from fedchain.offchain import (
     canonical_json_bytes,
     canonical_serialize,
     publish_checkpoint,
-    verify_checkpoint,
     verify_checkpoints,
 )
 
@@ -91,7 +90,7 @@ class TestCheckpoints:
 
     def test_round_trip_verifies(self):
         store, cid = self.make()
-        assert verify_checkpoint(store, cid, cid, self.CUMULATIVE) is None
+        assert verify_checkpoints(store, [(cid, cid, self.CUMULATIVE)])[0] is None
 
     def test_cid_equals_hash_of_blob(self):
         store, cid = self.make()
@@ -103,22 +102,23 @@ class TestCheckpoints:
         blob = bytearray(store.get(cid))
         blob[25] ^= 0x01
         tampered = ContentStore({cid: bytes(blob)})
-        assert verify_checkpoint(tampered, cid, cid, self.CUMULATIVE) == "CidMismatch"
+        assert verify_checkpoints(tampered, [(cid, cid, self.CUMULATIVE)])[0] == "CidMismatch"
 
     def test_missing_blob_detected(self):
         _, cid = self.make()
         other = ContentStore({keccak256(b"other"): b"other"})
-        assert verify_checkpoint(other, cid, cid, self.CUMULATIVE) == "NotFound"
+        assert verify_checkpoints(other, [(cid, cid, self.CUMULATIVE)])[0] == "NotFound"
 
     def test_onchain_hash_mismatch_detected(self):
         store, cid = self.make()
-        assert verify_checkpoint(store, cid, b"\xff" * 32, self.CUMULATIVE) == "HashMismatch"
+        anchor = (cid, b"\xff" * 32, self.CUMULATIVE)
+        assert verify_checkpoints(store, [anchor])[0] == "HashMismatch"
 
     @pytest.mark.parametrize("cumulative", [{cid_of(1): Fixed(100)}, None],
                              ids=["other_scores", "unknown_scores"])
     def test_content_mismatch_detected(self, cumulative):
         store, cid = self.make()
-        assert verify_checkpoint(store, cid, cid, cumulative) == "ContentMismatch"
+        assert verify_checkpoints(store, [(cid, cid, cumulative)])[0] == "ContentMismatch"
 
 
     def test_many_anchors_take_one_batch_and_the_verdicts_one_at_a_time(self, monkeypatch):
@@ -135,7 +135,7 @@ class TestCheckpoints:
             (cid, b"\xff" * 32, self.CUMULATIVE),
             (other_cid, other_cid, self.CUMULATIVE),
         ]
-        one_at_a_time = [verify_checkpoint(store, *anchor) for anchor in anchors]
+        one_at_a_time = [verify_checkpoints(store, [anchor])[0] for anchor in anchors]
         assert one_at_a_time == [None, "NotFound", "CidMismatch", "HashMismatch", "ContentMismatch"]
         batches = []
         keccak256_many = offchain.keccak256_many

@@ -798,6 +798,26 @@ class TestAudit:
         assert verdicts[0]["chain"] == "ok"
         assert all(c["verdict"] == "ok" for c in verdicts[0]["checkpoints"])
         assert verdicts[0]["report_matches_ledger"] is True
+        assert verdicts[0]["files"] == {GAS_FILE: "ok", REWARDS_FILE: "ok"}
+
+    @pytest.mark.parametrize("name", [REWARDS_FILE, GAS_FILE])
+    def test_edited_csv_line_fails(self, run_dir, name):
+        path = run_dir / name
+        lines = path.read_bytes().split(b"\n")
+        lines[1] += b"0"  # the first data row's last field, ten times over
+        path.write_bytes(b"\n".join(lines))
+        verdict = audit(run_dir)[0]
+        assert not verdict["ok"] and verdict["chain"] == "ok"
+        assert verdict["files"] == {GAS_FILE: "ok", REWARDS_FILE: "ok", name: "differs"}
+
+    @pytest.mark.parametrize("name", [REWARDS_FILE, GAS_FILE])
+    def test_missing_or_unreadable_csv_fails(self, run_dir, name):
+        (run_dir / name).unlink()
+        verdict = audit(run_dir)[0]
+        assert not verdict["ok"] and verdict["files"][name] == "missing"
+        (run_dir / name).mkdir()
+        verdict = audit(run_dir)[0]
+        assert not verdict["ok"] and verdict["files"][name] == "unreadable"
 
     def test_base_directory_discovers_runs(self, run_dir):
         verdicts = audit(run_dir.parent)
