@@ -28,7 +28,8 @@ def print_verdicts(verdicts):
         print(f"  chain: {verdict['chain']}")
         for checkpoint in verdict["checkpoints"]:
             print(f"  checkpoint @ round {checkpoint['round']}: {checkpoint['verdict']}")
-        print(f"  report matches ledger: {verdict['report_matches_ledger']}")
+        for name, file_verdict in verdict["files"].items():
+            print(f"  {name}: {file_verdict}")
         print(f"  => {'OK' if verdict['ok'] else 'FAILED'}")
 
 

@@ -65,7 +65,8 @@ def main():
     chain = ledger.chain_document()
     block = chain["blocks"][-1]
     print("block", block["height"], "hash:", block["hash"][:16], "...")
-    fault = verify_chain(chain, rounds=1)
+    # the chain re-derived under the gas model and dimension it was charged with
+    fault = verify_chain(chain, 1, ledger.gas_model, coordinator.dim)
     print("chain verifies." if fault is None else f"chain fault: {fault}")
 
 

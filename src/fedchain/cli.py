@@ -59,18 +59,14 @@ def _cmd_gas_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     verdicts = scenario.audit(args.out)
-    all_ok = True
     for verdict in verdicts:
         status = "ok" if verdict["ok"] else "FAILED"
-        all_ok = all_ok and verdict["ok"]
         print(f"run {verdict['run_id']}: {status} (chain: {verdict['chain']})")
         for checkpoint in verdict["checkpoints"]:
             print(f"  checkpoint round {checkpoint['round']}: {checkpoint['verdict']}")
-        if verdict["report_matches_ledger"] is not None:
-            print(f"  report matches ledger: {verdict['report_matches_ledger']}")
         for name, file_verdict in verdict["files"].items():
             print(f"  {name}: {file_verdict}")
-    return 0 if all_ok else 1
+    return 0 if all(verdict["ok"] for verdict in verdicts) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,7 +6,6 @@ reproducible bit-for-bit and safe to recompute off-chain from the event log.
 """
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_left
 from functools import cache
@@ -376,10 +375,3 @@ def attribution_record(
         "cumulative": cumulative.to_decimal(),
         "multiplier": multiplier.to_decimal(),
     }
-
-
-def write_attribution_log(path, records: Iterable[dict]) -> None:
-    """JSON-lines export, one record per (round, client)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")

@@ -18,7 +18,9 @@ state preimage; neither hashes. The flush hashes every sealed block not yet
 hashed: one ``keccak256_many`` pass over the tx preimages, which sets each
 receipt's ``tx_hash``, a second over the state preimages and the
 receipts-root preimages, which hold the tx hashes, then the headers in order
-through ``keccak256``, since each holds its parent's hash.
+through ``keccak256``, since each holds its parent's hash, and kept as the
+dicts the chain document holds. ``verify_chain`` re-derives the chain with the
+same ``header_preimage`` and charges each tx with the same ``tx_gas``.
 """
 from __future__ import annotations
 
@@ -127,11 +129,8 @@ class Transaction:
         except (SimulationError, TypeError, ValueError, OverflowError) as err:
             raise BadComponent(f"{self.op} args cannot be hashed: {err}") from err
 
-    def hash_preimage(self) -> bytes:
-        return self.decode()[0]
-
     def tx_hash(self) -> bytes:
-        return keccak256(self.hash_preimage())
+        return keccak256(self.decode()[0])
 
 
 @dataclass
@@ -169,25 +168,18 @@ class Receipt:
         }
 
 
-@dataclass(frozen=True)
-class Block:
-    height: int
-    parent_hash: bytes
-    tx_hashes: tuple[bytes, ...]
-    receipts_root: bytes
-    state_root: bytes
+def tx_gas(gas_model: GasModel, tx: Transaction, dim: int) -> int:
+    """The gas the ledger charges ``tx`` in a contract of model dimension ``dim``."""
+    return gas_model.charge(*gas(tx.op, tx.args, dim))
 
-    def header(self) -> dict:
-        return {
-            "height": self.height,
-            "parent_hash": self.parent_hash.hex(),
-            "tx_hashes": [h.hex() for h in self.tx_hashes],
-            "receipts_root": self.receipts_root.hex(),
-            "state_root": self.state_root.hex(),
-        }
 
-    def hash_preimage(self) -> bytes:
-        return canonical_json_bytes(self.header())
+# the header fields a block hash commits to; the header dict also holds that "hash"
+HEADER_FIELDS = ("height", "parent_hash", "tx_hashes", "receipts_root", "state_root")
+
+
+def header_preimage(header: dict) -> bytes:
+    """The bytes a block hash hashes: the header's fields without its hash."""
+    return canonical_json_bytes({name: header[name] for name in HEADER_FIELDS})
 
 
 def receipts_preimage(receipt_docs: list[dict]) -> bytes:
@@ -208,12 +200,12 @@ class Ledger:
         self.gas_model = gas_model
         self.coordinator = coordinator
         self._sealed: list[list[tuple[Transaction, Receipt]]] = []  # hashed or not
-        self._hashed: list[tuple[Block, bytes]] = []  # each hashed block and its hash
-        self._state_preimages: list[bytes] = []       # sealed blocks not yet hashed
+        self._headers: list[dict] = []           # each hashed block's header, with its hash
+        self._state_preimages: list[bytes] = []  # sealed blocks not yet hashed
         tx = Transaction(sender=SYSTEM_SENDER, op="deploy", args={}, nonce=0)
-        gas_used = gas_model.charge(*gas(tx.op, tx.args, coordinator.dim))  # deploy_cost
+        gas_used = tx_gas(gas_model, tx, coordinator.dim)  # deploy_cost
         events = [("ContractDeployed", {"size_bytes": 10_667})]
-        receipt = Receipt(tx.hash_preimage(), 0, gas_used, events, "success")
+        receipt = Receipt(tx.decode()[0], 0, gas_used, events, "success")
         self._pending: list[tuple[Transaction, Receipt]] = [(tx, receipt)]
         self._nonces: dict[bytes, int] = {SYSTEM_SENDER: 1}
         self.seal_block()
@@ -236,7 +228,7 @@ class Ledger:
             raise NonceError(f"nonce {tx.nonce} != expected {expected}")
         preimage, batch = tx.decode()
 
-        gas_used = self.gas_model.charge(*gas(tx.op, tx.args, self.coordinator.dim))
+        gas_used = tx_gas(self.gas_model, tx, self.coordinator.dim)
         height = len(self._sealed)
         try:
             self.coordinator.execute(tx.op, tx.sender, tx.args, batch)
@@ -261,7 +253,7 @@ class Ledger:
     def _hash_sealed(self) -> None:
         """Hash every sealed block not yet hashed: the tx preimages, then the
         state and receipts-root preimages, in two batches; then the headers."""
-        start = len(self._hashed)
+        start = len(self._headers)
         sealed = [[r for _, r in calls] for calls in self._sealed[start:]]
         if not sealed:
             return
@@ -272,13 +264,19 @@ class Ledger:
             receipts_preimage([r.to_dict() for r in receipts]) for receipts in sealed
         ])
         state_roots, roots = digests[:len(sealed)], digests[len(sealed):]
-        parent = self._hashed[-1][1] if self._hashed else GENESIS_PARENT
+        parent = self._headers[-1]["hash"] if self._headers else GENESIS_PARENT.hex()
         for height, (receipts, root, state_root) in enumerate(
             zip(sealed, roots, state_roots), start
         ):
-            block = Block(height, parent, tuple(r.tx_hash for r in receipts), root, state_root)
-            parent = keccak256(block.hash_preimage())
-            self._hashed.append((block, parent))
+            header = {
+                "height": height,
+                "parent_hash": parent,
+                "tx_hashes": [r.tx_hash.hex() for r in receipts],
+                "receipts_root": root.hex(),
+                "state_root": state_root.hex(),
+            }
+            parent = header["hash"] = keccak256(header_preimage(header)).hex()
+            self._headers.append(header)
         self._state_preimages = []
 
     def state_root(self) -> bytes:
@@ -292,30 +290,28 @@ class Ledger:
         new dicts and lists, though tx args and event payloads are shared."""
         self._hash_sealed()
         return {
-            "blocks": [
-                {**block.header(), "hash": block_hash.hex()}
-                for block, block_hash in self._hashed
-            ],
+            "blocks": [{**h, "tx_hashes": list(h["tx_hashes"])} for h in self._headers],
             "txs": [[tx.to_dict() for tx, _ in calls] for calls in self._sealed],
             "receipts": [[r.to_dict() for _, r in calls] for calls in self._sealed],
         }
 
 
-def verify_chain(chain: dict, rounds: int) -> Optional[str]:
+def verify_chain(chain: dict, rounds: int, gas_model: GasModel, dim: int) -> Optional[str]:
     """Re-derive a persisted chain (``Ledger.chain_document``); None when intact.
 
     The chain must hold genesis, the registration block, then one block per
     round, each with one tx list and one receipt list. Every height, parent
     link, header hash, tx hash and receipts root is recomputed, and receipt j
-    must record tx j at its block's height under ``Receipt``'s rules; the first
-    fault, in block order, is returned. Parts that cannot be read are ``malformed``.
+    must record tx j at its block's height, charged ``tx_gas`` under
+    ``gas_model`` and ``dim``, under ``Receipt``'s rules; the first fault, in
+    block order, is returned. Parts that cannot be read are ``malformed``.
     """
     blocks, txs, receipts = chain["blocks"], chain["txs"], chain["receipts"]
     if not len(blocks) == len(txs) == len(receipts):
         return f"{len(blocks)} blocks, {len(txs)} tx lists, {len(receipts)} receipt lists"
     if len(blocks) != rounds + 2:
         return f"{len(blocks)} blocks for {rounds} rounds, expected {rounds + 2}"
-    checks, fault = _hash_checks(blocks, txs, receipts)
+    checks, fault = _hash_checks(blocks, txs, receipts, gas_model, dim)
     digests = iter(keccak256_many([m for _, preimages, _ in checks for m in preimages]))
     for message, preimages, expected in checks:
         if [next(digests).hex() for _ in preimages] != expected:
@@ -323,11 +319,11 @@ def verify_chain(chain: dict, rounds: int) -> Optional[str]:
     return fault
 
 
-def _hash_checks(blocks, txs, receipts) -> tuple[list, Optional[str]]:
+def _hash_checks(blocks, txs, receipts, gas_model, dim) -> tuple[list, Optional[str]]:
     """The hash comparisons ``verify_chain`` makes, in its order, each as
     (message, preimages, expected hex digests); and the first fault that
-    needs no hash (a bad height, parent link or receipt, or a malformed part),
-    where building them stops, or None."""
+    needs no hash (a bad height, parent link, charge or receipt, or a
+    malformed part), where building them stops, or None."""
     checks = []
     parent = GENESIS_PARENT.hex()
     for i, (header, block_txs, block_receipts) in enumerate(zip(blocks, txs, receipts)):
@@ -336,25 +332,23 @@ def _hash_checks(blocks, txs, receipts) -> tuple[list, Optional[str]]:
                 return checks, f"block {i}: bad height {header['height']}"
             if header["parent_hash"] != parent:
                 return checks, f"block {i}: broken parent link"
-            rebuilt = Block(
-                height=i,
-                parent_hash=bytes.fromhex(header["parent_hash"]),
-                tx_hashes=tuple(bytes.fromhex(h) for h in header["tx_hashes"]),
-                receipts_root=bytes.fromhex(header["receipts_root"]),
-                state_root=bytes.fromhex(header["state_root"]),
-            )
+            for digest in (header["receipts_root"], header["state_root"], *header["tx_hashes"]):
+                bytes.fromhex(digest)
+            preimage = header_preimage(header)
             parent = header["hash"]
         except (KeyError, TypeError, ValueError):
             return checks, f"block {i}: malformed header"
-        checks.append((f"block {i}: header hash mismatch", [rebuilt.hash_preimage()], [parent]))
+        checks.append((f"block {i}: header hash mismatch", [preimage], [parent]))
         try:
             tx_docs = iter(block_txs)
         except TypeError:
             return checks, f"block {i}: malformed tx list"
-        tx_preimages = []
-        for j, tx in enumerate(tx_docs):
+        tx_preimages, charges = [], []
+        for j, doc in enumerate(tx_docs):
             try:
-                tx_preimages.append(Transaction.from_dict(tx).hash_preimage())
+                tx = Transaction.from_dict(doc)
+                tx_preimages.append(tx.decode()[0])
+                charges.append(tx_gas(gas_model, tx, dim))
             except (KeyError, TypeError, ValueError, SimulationError):
                 return checks, f"block {i}: malformed tx {j}"
         checks.append((
@@ -367,12 +361,17 @@ def _hash_checks(blocks, txs, receipts) -> tuple[list, Optional[str]]:
         checks.append((
             f"block {i}: receipts root mismatch", [preimage], [header["receipts_root"]],
         ))
-        try:  # one receipt per tx, in tx order, at this height, under Receipt's own rules
-            for j, (doc, tx_preimage) in enumerate(zip(block_receipts, tx_preimages)):
+        try:  # one receipt per tx, in tx order, at this height, charged, under Receipt's rules
+            for j, (doc, tx_preimage, charge) in enumerate(
+                zip(block_receipts, tx_preimages, charges)
+            ):
                 if doc["tx_hash"] != header["tx_hashes"][j] or doc["block_height"] != i:
                     return checks, f"block {i}: receipt {j} does not record tx {j} of block {i}"
-                Receipt(tx_preimage, i, doc["gas_used"], doc["events"], doc["status"],
-                        doc["revert_reason"])
+                used = doc["gas_used"]
+                if type(used) is not int or used != charge:
+                    return checks, (f"block {i}: receipt {j} charged {used!r} gas, "
+                                    f"the gas model charges {charge}")
+                Receipt(tx_preimage, i, used, doc["events"], doc["status"], doc["revert_reason"])
             if len(block_receipts) != len(tx_preimages):
                 return checks, f"block {i}: {len(block_receipts)} receipts, {len(tx_preimages)} txs"
         except ValueError as err:  # a rule that Receipt states

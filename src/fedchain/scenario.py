@@ -19,7 +19,7 @@ from typing import Optional, get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import incentives
-from .coordinator import SYSTEM_SENDER, ContractConfig, Coordinator, gas, gas_class
+from .coordinator import SYSTEM_SENDER, ContractConfig, Coordinator, gas_class
 from .errors import ConfigError, MissingRun, SimulationError, UnreadableRun
 from .flclients import (
     ClientBehavior,
@@ -425,9 +425,11 @@ def build_report(ledger_doc: dict, store: ContentStore) -> dict:
         }
         for r in range(1, rounds_count + 1)
     }
+    anchors = []  # every FairnessCheckpoint payload, whatever its round
     for _, name, payload in _doc_events(ledger_doc):
-        r = payload.get("round")
-        record = per_round.get(r)
+        if name == "FairnessCheckpoint":
+            anchors.append(payload)
+        record = per_round.get(payload.get("round"))
         if record is None:
             continue
         if name == "UpdateSubmitted":
@@ -441,14 +443,12 @@ def build_report(ledger_doc: dict, store: ContentStore) -> dict:
             record["checkpoint"] = {"cid": payload["cid"], "hash": payload["hash"]}
 
     gas_by_class: dict[str, int] = {}
-    total_gas = 0
     for block_receipts, block_txs in zip(ledger_doc["receipts"], ledger_doc["txs"]):
         for receipt, tx in zip(block_receipts, block_txs):
-            total_gas += receipt["gas_used"]
             op_class = gas_class(tx["op"])
             gas_by_class[op_class] = gas_by_class.get(op_class, 0) + receipt["gas_used"]
-        height = block_receipts[0]["block_height"] if block_receipts else None
-        if height is not None and height >= 2 and height - 1 in per_round:
+        height = block_receipts[0]["block_height"] if block_receipts else 0
+        if height - 1 in per_round:  # round r is sealed in block r + 1
             per_round[height - 1]["gas_used"] = sum(r["gas_used"] for r in block_receipts)
 
     history = scores_from_ledger(ledger_doc)
@@ -465,7 +465,6 @@ def build_report(ledger_doc: dict, store: ContentStore) -> dict:
         r += 1
     final_cumulative = cumulative.get(rounds_count, {})
 
-    anchors = [payload for _, _, payload in _doc_events(ledger_doc, "FairnessCheckpoint")]
     verdicts = verify_checkpoints(store, [  # cumulative None: the history cannot be summed
         (bytes.fromhex(a["cid"]), bytes.fromhex(a["hash"]), cumulative.get(a["round"]))
         for a in anchors
@@ -482,7 +481,7 @@ def build_report(ledger_doc: dict, store: ContentStore) -> dict:
         "config": config,
         "rounds": [per_round[r] for r in sorted(per_round)],
         "gas": {
-            "total": total_gas,
+            "total": sum(gas_by_class.values()),
             "by_class": dict(sorted(gas_by_class.items())),
             "table": {str(dim): gas_model.row(dim)},
         },
@@ -501,10 +500,6 @@ def build_report(ledger_doc: dict, store: ContentStore) -> dict:
     }
 
 
-def _report_bytes(report: dict) -> bytes:
-    return json.dumps(report, sort_keys=True, indent=2).encode() + b"\n"
-
-
 def rewards_csv_text(report: dict) -> str:
     """Per-round, per-client scores and payouts, as the report holds them."""
     lines = ["round,client,score,payout"]
@@ -514,13 +509,15 @@ def rewards_csv_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def csv_texts(report: dict) -> dict[str, str]:
-    """Each CSV file a run writes, by name: views of the report, which
-    ``write_run`` writes and ``audit_run`` holds the files to."""
+def report_files(report: dict) -> dict[str, bytes]:
+    """Each file a run writes from its report, by name, as its bytes: the
+    report itself and its two CSV views. ``write_run`` writes them and
+    ``audit_run`` holds the files to them."""
     dim = report["config"]["dataset"]["dim"]
     return {
-        GAS_FILE: gas_csv_text({dim: report["gas"]["table"][str(dim)]}),
-        REWARDS_FILE: rewards_csv_text(report),
+        REPORT_FILE: json.dumps(report, sort_keys=True, indent=2).encode() + b"\n",
+        GAS_FILE: gas_csv_text({dim: report["gas"]["table"][str(dim)]}).encode(),
+        REWARDS_FILE: rewards_csv_text(report).encode(),
     }
 
 
@@ -530,13 +527,11 @@ def write_run(result: RunResult, out_dir) -> Path:
     run_dir.mkdir(parents=True, exist_ok=True)
 
     payload = canonical_json_bytes(result.ledger_doc)
-    with open(run_dir / LEDGER_FILE, "wb") as fh:
-        fh.write(gzip.compress(payload, mtime=0))
-
-    (run_dir / REPORT_FILE).write_bytes(_report_bytes(result.report))
-    for name, text in csv_texts(result.report).items():
-        (run_dir / name).write_bytes(text.encode())
-    incentives.write_attribution_log(run_dir / ATTRIBUTION_FILE, result.attribution)
+    (run_dir / LEDGER_FILE).write_bytes(gzip.compress(payload, mtime=0))
+    for name, data in report_files(result.report).items():
+        (run_dir / name).write_bytes(data)
+    lines = [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in result.attribution]
+    (run_dir / ATTRIBUTION_FILE).write_bytes("".join(f"{line}\n" for line in lines).encode())
 
     blob_dir = run_dir / BLOBS_DIR
     blob_dir.mkdir(exist_ok=True)
@@ -551,7 +546,7 @@ def load_run_dir(run_dir) -> tuple[dict, ContentStore]:
     """A run's ledger document and blob store as found on disk.
 
     ``MissingRun`` without a ledger; ``UnreadableRun`` when the ledger is no
-    gzipped chain document or a blob cannot be read under a hex CID name.
+    gzipped chain document or a blob cannot be read under its lowercase hex CID.
     """
     run_dir = Path(run_dir)
     ledger_path = run_dir / LEDGER_FILE
@@ -573,7 +568,10 @@ def load_run_dir(run_dir) -> tuple[dict, ContentStore]:
     blob_dir = run_dir / BLOBS_DIR
     for path in sorted(blob_dir.iterdir()) if blob_dir.is_dir() else []:
         try:
-            blobs[bytes.fromhex(path.name)] = path.read_bytes()
+            cid = bytes.fromhex(path.name)
+            if cid.hex() != path.name:  # else two files could claim one CID
+                raise ValueError("not named by a CID in lowercase hex")
+            blobs[cid] = path.read_bytes()
         except (OSError, ValueError) as err:
             raise UnreadableRun(f"{BLOBS_DIR}/{path.name}: {err}") from err
     return ledger_doc, ContentStore(blobs)
@@ -581,7 +579,7 @@ def load_run_dir(run_dir) -> tuple[dict, ContentStore]:
 
 def _chain_fault(ledger_doc: dict) -> Optional[str]:
     """Why the recorded chain fails the audit, or None: its config must be the canonical form
-    of a valid config and hash to the run id, and then its chain and gas must verify."""
+    of a valid config and hash to the run id, and then its chain must verify under it."""
     config = ledger_doc["config"]
     try:
         parsed = parse_config(config)
@@ -592,70 +590,45 @@ def _chain_fault(ledger_doc: dict) -> Optional[str]:
     config_id = config_run_id(config)
     if config_id != ledger_doc.get("run_id"):
         return f"config hashes to run id {config_id}, not {ledger_doc.get('run_id')}"
-    return verify_chain(ledger_doc, parsed.rounds) or _gas_fault(ledger_doc, parsed)
-
-
-def _gas_fault(ledger_doc: dict, config: ScenarioConfig) -> Optional[str]:
-    """The first receipt not charged what the ledger charges its tx under ``config``."""
-    gas_model, dim = config.gas, config.dataset.dim
-    for i, (txs, receipts) in enumerate(zip(ledger_doc["txs"], ledger_doc["receipts"])):
-        for j, (tx, receipt) in enumerate(zip(txs, receipts)):
-            used, charge = receipt["gas_used"], gas_model.charge(*gas(tx["op"], tx["args"], dim))
-            if used != charge:
-                return f"block {i}: receipt {j} charged {used} gas, the gas model charges {charge}"
-    return None
+    return verify_chain(ledger_doc, parsed.rounds, parsed.gas, parsed.dataset.dim)
 
 
 def audit_run(run_dir) -> dict:
     """Re-verify a completed run from its persisted artifacts alone.
 
     An unreadable run fails with the reason as its ``chain`` verdict. Each
-    CSV file must hold the bytes ``csv_texts`` gives for the rebuilt report;
-    ``files`` names each as ``ok``, ``missing``, ``unreadable`` or
-    ``differs`` (empty when the report cannot be rebuilt).
+    file ``report_files`` gives for the rebuilt report must hold its bytes,
+    and every blob must be one the chain anchors: ``files`` names each file
+    ``ok``, ``missing``, ``unreadable`` or ``differs``, and each blob that no
+    anchor names ``unexpected`` (empty when the report cannot be rebuilt).
     """
+    run_dir = Path(run_dir)
     try:
         ledger_doc, store = load_run_dir(run_dir)
     except UnreadableRun as err:
-        return {
-            "run_id": None,
-            "ok": False,
-            "chain": str(err),
-            "checkpoints": [],
-            "report_matches_ledger": None,
-            "files": {},
-        }
+        return {"run_id": None, "ok": False, "chain": str(err), "checkpoints": [], "files": {}}
     chain_error = _chain_fault(ledger_doc)
     try:
         report = build_report(ledger_doc, store)
     except (SimulationError, ValueError, LookupError, TypeError, AttributeError):
         report = None
-    checkpoints = [] if report is None else [
-        {"round": c["round"], "verdict": c["verdict"]} for c in report["checkpoints"]
-    ]
+    checkpoints, files = [], {}
+    if report is not None:
+        checkpoints = [{"round": c["round"], "verdict": c["verdict"]}
+                       for c in report["checkpoints"]]
+        files = {name: _file_verdict(run_dir / name, data)
+                 for name, data in report_files(report).items()}
+        anchored = {c["cid"] for c in report["checkpoints"]}  # a run writes no other blob
+        files.update({f"{BLOBS_DIR}/{cid.hex()}": "unexpected"
+                      for cid in store.cids() if cid.hex() not in anchored})
 
-    report_path = Path(run_dir) / REPORT_FILE
-    report_match = None
-    if report_path.exists():
-        report_match = report is not None and _report_bytes(report) == report_path.read_bytes()
-    files = {} if report is None else {
-        name: _file_verdict(Path(run_dir) / name, text.encode())
-        for name, text in csv_texts(report).items()
-    }
-
-    ok = (
-        chain_error is None
-        and report is not None
-        and all(c["verdict"] == "ok" for c in checkpoints)
-        and report_match is not False
-        and all(verdict == "ok" for verdict in files.values())
-    )
+    verdicts = [c["verdict"] for c in checkpoints] + list(files.values())
+    ok = chain_error is None and report is not None and all(v == "ok" for v in verdicts)
     return {
         "run_id": ledger_doc.get("run_id"),
         "ok": ok,
         "chain": chain_error or "ok",
         "checkpoints": checkpoints,
-        "report_matches_ledger": report_match,
         "files": files,
     }
 

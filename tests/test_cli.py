@@ -1,5 +1,9 @@
 """Command-line interface: subcommands, exit codes, outputs."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -181,3 +185,30 @@ def test_audit_names_a_tampered_csv(config_path, tmp_path, capsys):
 
 def test_bad_sizes_exits_2(config_path, tmp_path):
     assert main(["gas-sweep", "--config", str(config_path), "--sizes", "ten"]) == 2
+
+
+def test_audit_names_a_missing_report(config_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    main(["run", "--config", str(config_path), "--out", str(out)])
+    (next(out.iterdir()) / "report.json").unlink()
+    capsys.readouterr()
+    assert main(["audit", "--out", str(out)]) == 1
+    printed = capsys.readouterr().out
+    assert "FAILED (chain: ok)" in printed and "  report.json: missing\n" in printed
+
+
+def test_module_entry_point_runs_and_audits(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+
+    def fedchain(*args):
+        return subprocess.run([sys.executable, "-m", "fedchain", *args], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    out = tmp_path / "out"
+    done = fedchain("run", "--config", "configs/baseline.json", "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    assert fedchain("audit", "--out", str(out)).returncode == 0
+    (next(out.iterdir()) / "report.json").unlink()
+    done = fedchain("audit", "--out", str(out))
+    assert done.returncode == 1 and "report.json: missing" in done.stdout

@@ -21,11 +21,11 @@ from fedchain.keccak import keccak256
 from fedchain.ledger import (
     GENESIS_PARENT,
     OP_CLASSES,
-    Block,
     GasModel,
     Ledger,
     Transaction,
     gas_csv_text,
+    header_preimage,
     verify_chain,
 )
 from fedchain.numerics import ONE, SCALE
@@ -336,14 +336,9 @@ class TestFailedSubmitLeavesLedgerUnchanged:
         assert ledger.submit_tx(tx).revert_reason == "SimulationError"
 
 
-def block_from_header(header: dict) -> Block:
-    return Block(
-        height=header["height"],
-        parent_hash=bytes.fromhex(header["parent_hash"]),
-        tx_hashes=tuple(bytes.fromhex(h) for h in header["tx_hashes"]),
-        receipts_root=bytes.fromhex(header["receipts_root"]),
-        state_root=bytes.fromhex(header["state_root"]),
-    )
+def verify(chain: dict, rounds: int = 1, gas_model: GasModel = GasModel()):
+    """``verify_chain`` at the model dimension ``make_ledger`` builds with."""
+    return verify_chain(chain, rounds, gas_model, 2)
 
 
 class TestChain:
@@ -356,22 +351,32 @@ class TestChain:
         return ledger  # genesis, registration, one (empty) round
 
     def test_intact_chain_verifies(self):
-        assert verify_chain(self.run_small_chain().chain_document(), rounds=1) is None
+        assert verify(self.run_small_chain().chain_document(), rounds=1) is None
 
     def test_parent_links(self):
         chain = self.run_small_chain().chain_document()
         for prev, block in zip(chain["blocks"], chain["blocks"][1:]):
             assert block["parent_hash"] == prev["hash"]
         chain["blocks"][2]["parent_hash"] = "00" * 32
-        assert verify_chain(chain, rounds=1) == "block 2: broken parent link"
+        assert verify(chain, rounds=1) == "block 2: broken parent link"
 
-    def test_replace_does_not_carry_cached_block_hash(self):
+    def test_block_hash_is_the_keccak_of_its_header_fields(self):
         header = self.run_small_chain().chain_document()["blocks"][1]
-        block = block_from_header(header)
-        assert keccak256(block.hash_preimage()).hex() == header["hash"]
-        fresh = block_from_header({**header, "state_root": "01" * 32})
-        assert replace(block, state_root=b"\x01" * 32).hash_preimage() == fresh.hash_preimage()
-        assert fresh.hash_preimage() != block.hash_preimage()
+        assert keccak256(header_preimage(header)).hex() == header["hash"]
+        assert header_preimage({**header, "hash": "00" * 32}) == header_preimage(header)
+        assert header_preimage({**header, "state_root": "01" * 32}) != header_preimage(header)
+        with pytest.raises(KeyError):
+            header_preimage({k: v for k, v in header.items() if k != "receipts_root"})
+
+    def test_each_receipt_is_charged_the_gas_model(self):
+        chain = self.run_small_chain().chain_document()
+        dearer = GasModel(register_base=GasModel().register_base + 1)
+        assert verify(chain, gas_model=dearer) == (
+            "block 1: receipt 0 charged 45373 gas, the gas model charges 45374"
+        )
+        assert verify(chain, gas_model=GasModel(deploy_cost=1)) == (
+            "block 0: receipt 0 charged 2371244 gas, the gas model charges 1"
+        )
 
     def test_empty_block(self):
         assert self.run_small_chain().chain_document()["blocks"][-1]["tx_hashes"] == []
@@ -379,19 +384,19 @@ class TestChain:
     def test_receipt_tamper_detected(self):
         chain = self.run_small_chain().chain_document()
         chain["receipts"][1][0]["gas_used"] += 1
-        assert verify_chain(chain, rounds=1) == "block 1: receipts root mismatch"
+        assert verify(chain, rounds=1) == "block 1: receipts root mismatch"
 
     def test_block_count_must_match_rounds(self):
         chain = self.run_small_chain().chain_document()
-        assert verify_chain(chain, rounds=2) == "3 blocks for 2 rounds, expected 4"
+        assert verify(chain, rounds=2) == "3 blocks for 2 rounds, expected 4"
         for part in ("blocks", "txs", "receipts"):
             chain[part].pop()
-        assert verify_chain(chain, rounds=1) == "2 blocks for 1 rounds, expected 3"
+        assert verify(chain, rounds=1) == "2 blocks for 1 rounds, expected 3"
 
     def test_height_must_equal_index(self):
         chain = self.run_small_chain().chain_document()
         chain["blocks"][1]["height"] = 2
-        assert verify_chain(chain, rounds=1) == "block 1: bad height 2"
+        assert verify(chain, rounds=1) == "block 1: bad height 2"
 
     @pytest.mark.parametrize("break_later_block", [
         lambda chain: chain["blocks"][2].update(hash="00" * 32),
@@ -401,18 +406,18 @@ class TestChain:
         chain = self.run_small_chain().chain_document()
         chain["receipts"][1][0]["gas_used"] += 1
         break_later_block(chain)
-        assert verify_chain(chain, rounds=1) == "block 1: receipts root mismatch"
+        assert verify(chain, rounds=1) == "block 1: receipts root mismatch"
 
     def test_header_hash_checked_before_malformed_tx(self):
         chain = self.run_small_chain().chain_document()
         chain["blocks"][1]["state_root"] = "00" * 32
         del chain["txs"][1][2]["nonce"]
-        assert verify_chain(chain, rounds=1) == "block 1: header hash mismatch"
+        assert verify(chain, rounds=1) == "block 1: header hash mismatch"
 
     def test_unserializable_receipts_are_malformed(self):
         chain = self.run_small_chain().chain_document()
         chain["receipts"][1][0]["gas_used"] = b"\x01"
-        assert verify_chain(chain, rounds=1) == "block 1: malformed receipts"
+        assert verify(chain, rounds=1) == "block 1: malformed receipts"
 
     def test_replay_is_bit_identical(self):
         chain_a = self.run_small_chain().chain_document()

@@ -32,6 +32,7 @@ from fedchain.scenario import (
     load_config,
     load_run_dir,
     parse_config,
+    report_files,
     run_scenario,
     scores_from_ledger,
     write_run,
@@ -797,8 +798,7 @@ class TestAudit:
         assert verdicts[0]["ok"]
         assert verdicts[0]["chain"] == "ok"
         assert all(c["verdict"] == "ok" for c in verdicts[0]["checkpoints"])
-        assert verdicts[0]["report_matches_ledger"] is True
-        assert verdicts[0]["files"] == {GAS_FILE: "ok", REWARDS_FILE: "ok"}
+        assert verdicts[0]["files"] == {REPORT_FILE: "ok", GAS_FILE: "ok", REWARDS_FILE: "ok"}
 
     @pytest.mark.parametrize("name", [REWARDS_FILE, GAS_FILE])
     def test_edited_csv_line_fails(self, run_dir, name):
@@ -808,10 +808,12 @@ class TestAudit:
         path.write_bytes(b"\n".join(lines))
         verdict = audit(run_dir)[0]
         assert not verdict["ok"] and verdict["chain"] == "ok"
-        assert verdict["files"] == {GAS_FILE: "ok", REWARDS_FILE: "ok", name: "differs"}
+        assert verdict["files"] == {
+            REPORT_FILE: "ok", GAS_FILE: "ok", REWARDS_FILE: "ok", name: "differs",
+        }
 
-    @pytest.mark.parametrize("name", [REWARDS_FILE, GAS_FILE])
-    def test_missing_or_unreadable_csv_fails(self, run_dir, name):
+    @pytest.mark.parametrize("name", [REPORT_FILE, REWARDS_FILE, GAS_FILE])
+    def test_missing_or_unreadable_report_file_fails(self, run_dir, name):
         (run_dir / name).unlink()
         verdict = audit(run_dir)[0]
         assert not verdict["ok"] and verdict["files"][name] == "missing"
@@ -974,7 +976,7 @@ class TestAudit:
         verdict = audit(run_dir)[0]
         assert not verdict["ok"]
         assert verdict["chain"].startswith(reason)
-        assert verdict["checkpoints"] == [] and verdict["report_matches_ledger"] is None
+        assert verdict["checkpoints"] == [] and verdict["files"] == {}
 
     @pytest.mark.parametrize("part", ["config", "blocks"])
     def test_ledger_without_part_fails(self, run_dir, part):
@@ -1024,12 +1026,23 @@ class TestAudit:
         assert not verdict["ok"]
         assert verdict["chain"].startswith("blobs/README: ")
 
+    @pytest.mark.parametrize("spell", [str.upper, lambda cid: f"{cid[:2]} {cid[2:]}"],
+                             ids=["upper_case", "spaced"])
+    def test_blob_named_by_another_spelling_of_its_cid_fails(self, run_dir, spell):
+        """A second file under an anchored CID, which ``bytes.fromhex`` also reads."""
+        anchored = sorted(path.name for path in (run_dir / BLOBS_DIR).iterdir())[0]
+        name = spell(anchored)
+        (run_dir / BLOBS_DIR / name).write_text("notes")
+        verdict = audit(run_dir)[0]
+        assert not verdict["ok"]
+        assert verdict["chain"] == f"blobs/{name}: not named by a CID in lowercase hex"
+
     def test_non_object_event_payload_fails(self, run_dir):
         rewrite_ledger(run_dir, lambda doc: doc["receipts"][2][0]["events"][0].__setitem__(1, []))
         verdict = audit(run_dir)[0]
         assert not verdict["ok"]
         assert verdict["chain"] == "block 2: receipts root mismatch"
-        assert verdict["report_matches_ledger"] is False
+        assert verdict["files"] == {}  # no report can be rebuilt from it
 
     @pytest.mark.parametrize("forge, fault", [
         (lambda receipts: receipts.pop(), "7 receipts, 8 txs"),
@@ -1040,25 +1053,54 @@ class TestAudit:
         (swap_first_two, "receipt 0 does not record tx 0 of block 3"),
         (revert_keeping_events, "receipt 5: reverted transactions emit no events"),
         (lambda receipts: receipts[3].update(gas_used=0),
-         "receipt 3: every executed transaction consumes gas"),
+         "receipt 3 charged 0 gas, the gas model charges 252369"),
         (lambda receipts: receipts[4].update(gas_used=receipts[4]["gas_used"] + 1_000),
          "receipt 4 charged 388567 gas, the gas model charges 387567"),
+        (lambda receipts: receipts[4].update(gas_used=387567.0),
+         "receipt 4 charged 387567.0 gas, the gas model charges 387567"),
         (lambda receipts: receipts[1].update(status="maybe"),
          "receipt 1: status 'maybe' is neither success nor reverted"),
         (lambda receipts: receipts[1].update(revert_reason="WrongPhase"),
          "receipt 1: a revert reason is given exactly when reverted"),
     ], ids=["dropped", "foreign_tx_hash", "wrong_height", "swapped", "reverted_with_events",
-            "zero_gas", "extra_gas", "unknown_status", "success_with_revert_reason"])
+            "zero_gas", "extra_gas", "float_gas", "unknown_status",
+            "success_with_revert_reason"])
     def test_resealed_receipt_forgery_fails(self, run_dir, forge, fault):
         """Receipts edited in block 3 under recomputed roots, header hashes
-        and report: only the receipts' own checks can tell."""
+        and report files: only the receipts' own checks can tell."""
         reseal_ledger(run_dir, lambda doc: forge(doc["receipts"][3]))
-        report = build_report(*load_run_dir(run_dir))
-        (run_dir / REPORT_FILE).write_bytes(scenario_module._report_bytes(report))
+        rewrite_report_files(run_dir)
         verdict = audit(run_dir)[0]
-        assert verdict["report_matches_ledger"] is True
+        assert verdict["files"] == {REPORT_FILE: "ok", GAS_FILE: "ok", REWARDS_FILE: "ok"}
         assert not verdict["ok"]
         assert verdict["chain"] == f"block 3: {fault}"
+
+    def test_charge_fault_is_found_in_block_order(self, run_dir):
+        """An over-charged receipt in block 3 is named before a wrong header
+        hash in block 5, as any other receipt fault would be."""
+        def overcharge_then_break_a_later_hash(doc):
+            receipt = doc["receipts"][3][4]
+            receipt["gas_used"] += 1_000
+            reseal(doc)
+            doc["blocks"][5]["hash"] = "00" * 32
+
+        rewrite_ledger(run_dir, overcharge_then_break_a_later_hash)
+        verdict = audit(run_dir)[0]
+        assert not verdict["ok"]
+        assert verdict["chain"] == (
+            "block 3: receipt 4 charged 388567 gas, the gas model charges 387567"
+        )
+
+    def test_blob_no_anchor_names_fails(self, run_dir):
+        stray = "ab" * 32
+        (run_dir / BLOBS_DIR / stray).write_bytes(b"{}")
+        verdict = audit(run_dir)[0]
+        assert not verdict["ok"] and verdict["chain"] == "ok"
+        assert all(c["verdict"] == "ok" for c in verdict["checkpoints"])
+        assert verdict["files"] == {
+            REPORT_FILE: "ok", GAS_FILE: "ok", REWARDS_FILE: "ok",
+            f"{BLOBS_DIR}/{stray}": "unexpected",
+        }
 
     def test_resealed_list_receipt_is_malformed(self, run_dir):
         def listify(doc):
@@ -1068,6 +1110,20 @@ class TestAudit:
         verdict = audit(run_dir)[0]
         assert not verdict["ok"]
         assert verdict["chain"] == "block 3: malformed receipts"
+
+    def test_resealed_tx_with_a_list_op_is_malformed(self, run_dir):
+        """A tx the gas model cannot class is a fault, not a crash, even
+        under a recomputed tx hash."""
+        def listify_op(doc):
+            tx, receipt = doc["txs"][3][0], doc["receipts"][3][0]
+            tx["op"] = [tx["op"]]
+            digest = keccak256(ledger_module.Transaction.from_dict(tx).decode()[0]).hex()
+            doc["blocks"][3]["tx_hashes"][0] = receipt["tx_hash"] = digest
+
+        reseal_ledger(run_dir, listify_op)
+        verdict = audit(run_dir)[0]
+        assert not verdict["ok"]
+        assert verdict["chain"] == "block 3: malformed tx 0"
 
     def test_resealed_receipt_without_revert_reason_is_malformed(self, run_dir):
         reseal_ledger(run_dir, lambda doc: doc["receipts"][3][1].pop("revert_reason"))
@@ -1090,28 +1146,34 @@ def rewrite_ledger(run_dir, mutate) -> None:
     (run_dir / LEDGER_FILE).write_bytes(gzip.compress(canonical_json_bytes(doc), mtime=0))
 
 
+def reseal(doc: dict) -> None:
+    """Recompute every receipts root, parent link and header hash of a ledger
+    document, as a forger would."""
+    parent = ledger_module.GENESIS_PARENT.hex()
+    for block, receipts in zip(doc["blocks"], doc["receipts"]):
+        block["receipts_root"] = keccak256(ledger_module.receipts_preimage(receipts)).hex()
+        block["parent_hash"] = parent
+        parent = block["hash"] = keccak256(ledger_module.header_preimage(block)).hex()
+
+
 def reseal_ledger(run_dir, mutate) -> None:
-    """``rewrite_ledger``, then recompute every receipts root, parent link and
-    header hash, as a forger would."""
+    """``rewrite_ledger``, then ``reseal``."""
     def mutate_and_reseal(doc):
         mutate(doc)
-        parent = ledger_module.GENESIS_PARENT
-        for block, receipts in zip(doc["blocks"], doc["receipts"]):
-            block["receipts_root"] = keccak256(ledger_module.receipts_preimage(receipts)).hex()
-            block["parent_hash"] = parent.hex()
-            del block["hash"]
-            parent = keccak256(canonical_json_bytes(block))
-            block["hash"] = parent.hex()
+        reseal(doc)
 
     rewrite_ledger(run_dir, mutate_and_reseal)
 
 
+def rewrite_report_files(run_dir) -> None:
+    """Write the report files of the ledger and blobs as found, as a forger would."""
+    for name, data in report_files(build_report(*load_run_dir(run_dir))).items():
+        (run_dir / name).write_bytes(data)
+
+
 def header_preimages(ledger_doc: dict) -> list[bytes]:
-    """Each persisted header's hash preimage: the header without its hash."""
-    return [
-        canonical_json_bytes({key: value for key, value in block.items() if key != "hash"})
-        for block in ledger_doc["blocks"]
-    ]
+    """Each persisted header's hash preimage."""
+    return [ledger_module.header_preimage(block) for block in ledger_doc["blocks"]]
 
 
 class TestGasCharges:
