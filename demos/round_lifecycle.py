@@ -36,14 +36,14 @@ def main():
         vector = GradientVector.from_decimals(values)
         tx = Transaction(cid, "submit_update", {
             "round": 1, "batch_index": 0, "batch_count": 1,
-            "components": list(vector.components),
+            "components": vector.raw.tolist(),
         }, ledger.next_nonce(cid))
         show(**vars(ledger.submit_tx(tx)))
 
     print("\n== a duplicate submission reverts ==")
     tx = Transaction(alice, "submit_update", {
         "round": 1, "batch_index": 0, "batch_count": 1,
-        "components": list(GradientVector.from_decimals(["9", "9"]).components),
+        "components": GradientVector.from_decimals(["9", "9"]).raw.tolist(),
     }, ledger.next_nonce(alice))
     show(**vars(ledger.submit_tx(tx)))
 
@@ -60,7 +60,7 @@ def main():
     print("phase:", state.phase.name)
     print("scores:", {hex_id(cid): s.to_decimal() for cid, s in sorted(state.scores.items())})
     print("payouts:", {hex_id(cid): p for cid, p in sorted(state.payouts.items())})
-    print("aggregate:", [Fixed(c).to_decimal() for c in state.aggregate.components],
+    print("aggregate:", [Fixed(c).to_decimal() for c in state.aggregate.raw.tolist()],
           "(sample-weighted mean: bob holds 3/4 of the data)")
     chain = ledger.chain_document()
     block = chain["blocks"][-1]

@@ -116,7 +116,7 @@ class ClientBehavior:
         if self.kind not in BEHAVIOR_KINDS:
             raise ValueError(f"unknown behavior {self.kind!r}")
         check_int(self.c, "c", minimum=1)
-        check_number(self.q, "q")
+        object.__setattr__(self, "q", check_number(self.q, "q"))
         if not 0 <= self.q <= 1:
             raise ValueError("dropout probability must lie in [0, 1]")
 

@@ -192,8 +192,8 @@ def alignment_coalition_values(
     over the submissions and their counts in sorted-id order, as the
     contract keeps it on the round. When every coalition numerator and
     sample total fits in int64 (``numerics.weighted_sum_lanes``, the bound
-    ``sample_weighted_mean`` takes its lanes under, so that FedAvg has a
-    lane too) the coalition means are computed on int64 lanes by
+    ``sample_weighted_mean`` takes int64 under, so that FedAvg is int64
+    too) the coalition means are computed on int64 lanes by
     ``_lane_coalition_values``; otherwise by the depth-first
     ``_walk_coalition_values``, the path for values beyond int64. Both give
     the per-coalition definition's values and raise its ``OverflowError``s.
@@ -204,16 +204,16 @@ def alignment_coalition_values(
     counts = [n_map[i] for i in ids]
     vectors = [submissions[i] for i in ids]
     lanes = weighted_sum_lanes(vectors, counts)
-    if lanes is not None and aggregate._lane is not None:
-        return _lane_coalition_values(lanes, counts, aggregate)
-    return _walk_coalition_values([v.components for v in vectors], counts, aggregate.components)
+    if lanes is not None and aggregate.raw.dtype == np.int64:
+        return _lane_coalition_values(lanes, counts, aggregate.raw)
+    wide = [v.raw.astype(object) for v in vectors]
+    return _walk_coalition_values(wide, counts, aggregate.raw.astype(object))
 
 
-def _lane_coalition_values(
-    lanes: np.ndarray, counts: Sequence[int], aggregate: GradientVector
-) -> list[int]:
+def _lane_coalition_values(lanes: np.ndarray, counts: Sequence[int], full: np.ndarray) -> list[int]:
     """``alignment_coalition_values`` with every coalition's truncated mean
-    taken on whole int64 arrays, a block of components at a time.
+    taken on whole int64 arrays, a block of components at a time; ``full``
+    is the int64 FedAvg.
 
     Only for ``lanes`` that ``weighted_sum_lanes`` admits, under
     ``sum(n_i * max|raw_i|) < 2**63`` and ``sum(n_i) < 2**63``. Coalition
@@ -236,12 +236,11 @@ def _lane_coalition_values(
     ``_LANE_BLOCK_CELLS`` coalition x component cells, never a 2**n x dim
     table.
     """
-    full, full_lane = aggregate.components, aggregate._lane
     counts_lane = np.array(counts, dtype=np.int64)
     totals = _subset_sums(counts_lane, np.empty(1 << len(counts), np.int64))[1:, None]
     terms = lanes * counts_lane[:, None]
     # |mean_c| <= max_i |raw_ic| for every coalition, so |mean_c * full_c| <= reach[c]
-    reach = list(map(mul, np.abs(lanes).max(axis=0).tolist(), map(abs, full)))
+    reach = list(map(mul, np.abs(lanes).max(axis=0).tolist(), map(abs, full.tolist())))
     rows, width = len(totals) + 1, max(1, _LANE_BLOCK_CELLS // len(totals))
     buffer = np.empty(rows * min(width, len(full)), np.int64)  # every block's numerators
     lane, lane_reach = np.zeros(len(totals), dtype=np.int64), 0
@@ -250,12 +249,12 @@ def _lane_coalition_values(
         numerators = buffer[: rows * (block.stop - block.start)].reshape(rows, -1)
         means = _truncate(_subset_sums(terms[:, block], numerators)[1:], totals)
         if block_reach >= LANE_LIMIT:
-            spill = spill + means.astype(object) @ np.array(full[block], dtype=object)
+            spill = spill + means.astype(object) @ full[block].astype(object)
             continue
         if lane_reach + block_reach >= LANE_LIMIT:
             spill = spill + lane.astype(object)
             lane, lane_reach = np.zeros_like(lane), 0
-        lane += means @ full_lane[block]
+        lane += means @ full[block]
         lane_reach += block_reach
     dots = lane if isinstance(spill, int) else spill + lane.astype(object)
     values = [0] + (np.sign(dots) * (np.abs(dots) // SCALE)).tolist()
@@ -305,10 +304,11 @@ def _blocks(reach: Sequence[int], width: int) -> Iterator[tuple[slice, int]]:
 
 
 def _walk_coalition_values(
-    raws: Sequence[Sequence[int]], counts: Sequence[int], full: Sequence[int]
+    raws: Sequence[np.ndarray], counts: Sequence[int], full: np.ndarray
 ) -> list[int]:
-    """``alignment_coalition_values`` by a depth-first walk over Python ints:
-    the path for raws or counts whose coalition numerators leave int64.
+    """``alignment_coalition_values`` by a depth-first walk over Python ints,
+    raws and ``full`` as object arrays: the path for raws or counts whose
+    coalition numerators leave int64.
 
     Coalitions are walked depth first, adding members in sorted-id order, so
     each coalition's integer numerator sum(n_i * raw_i) is its parent's plus
@@ -318,9 +318,9 @@ def _walk_coalition_values(
     vector per depth, O(n * dim) integers, never one vector per coalition.
     """
     values = [0] * (1 << len(counts))
-    terms = [[n * raw for raw in r] for n, r in zip(counts, raws)]
+    terms = [r * n for n, r in zip(counts, raws)]
 
-    def visit(mask: int, numerators: list[int], total: int, first: int) -> None:
+    def visit(mask: int, numerators: np.ndarray, total: int, first: int) -> None:
         for j in range(first, len(counts)):
             child = mask | 1 << j
             child_numerators = add_terms(numerators, terms[j])
@@ -328,7 +328,7 @@ def _walk_coalition_values(
             values[child] = raw_dot(truncated_mean(child_numerators, total + counts[j]), full)
             visit(child, child_numerators, total + counts[j], j + 1)
 
-    visit(0, [0] * len(full), 0, 0)
+    visit(0, np.zeros(len(full), dtype=object), 0, 0)
     return values
 
 

@@ -9,39 +9,44 @@ Rounding discipline: wide-integer accumulation, a single terminal rescale
 per result, truncation toward zero (integer-division semantics). Overflow
 raises instead of wrapping or saturating.
 
-Int64 lanes: a vector whose components all fit int64 also keeps them as
-one int64 array, its lane. Vector arithmetic runs on lanes in numpy when
-the operation's bound, checked first in Python ints, says no value it forms
-can reach ``LANE_LIMIT`` (2**63) in magnitude:
+One array per vector: a ``GradientVector`` holds its raws as one read-only
+array, ``raw``: int64 exactly when every component fits int64, else an
+object array of Python ints, range-checked against ``RAW_LIMIT`` once, on
+construction. An operation first checks its bound in Python ints against
+``_peak``, the largest magnitude; the bound picks the array its one
+expression runs on: int64 when no value formed can reach ``LANE_LIMIT``
+(2**63) in magnitude, Python ints otherwise. A result that fits is int64.
 
-- ``GradientVector.from_floats``: every scaled float is finite and below
-  2**63, so ``np.rint`` of it is an exact int64;
-- ``sample_weighted_mean``: ``sum(n_i * max|raw_i|)`` and ``sum(n_i)`` are
-  below 2**63 (``weighted_sum_lanes``);
-- ``dot``: every product's bound ``max|a| * max|b|`` is below 2**63;
-  products are summed in blocks small enough that no partial sum reaches
-  2**63, and the block sums are added as Python ints;
-- ``+``: the two largest magnitudes sum below 2**63;
-- ``negate``: every magnitude is below 2**63 (INT64_MIN has no int64
-  negation), and ``scale_int(c)``: ``|c|`` and ``max|raw| * |c|`` are;
-- ``encode`` needs no bound, and ``to_floats`` needs every magnitude at most
-  2**53, so each int64 converts to float64 exactly before its one division.
+- ``+``: the two largest magnitudes sum below 2**63; ``negate``: every
+  magnitude is below 2**63 (INT64_MIN has no int64 negation);
+  ``scale_int(c)``: ``|c|`` and ``max|raw| * |c|`` are;
+- ``to_floats``: every magnitude is at most 2**53, so each int64 converts
+  to float64 exactly before its one division; ``concatenate`` needs none.
 
-So "overflow raises, never wraps" holds on lanes too: a lane result cannot
-wrap, because a bound that would let it is refused before numpy runs, and
-each lane result is the Python-int result bit for bit. Magnitudes are taken
-in Python ints, so INT64_MIN (whose ``np.abs`` wraps) counts as 2**63 and
-fails every bound. Values beyond the bounds take the Python-int path, which
-raises ``OverflowError`` past ``RAW_LIMIT`` and ``ACC_LIMIT`` as before.
+Four keep two algorithms, as their paths differ in more than dtype:
+``from_floats`` (``np.rint`` of scaled values finite and below 2**63, or
+``Fixed.from_float``'s quantizing, one value at a time, with its errors),
+``encode`` (a sign-extension word beside each int64, or ``int.to_bytes``),
+``dot`` (products bounded by ``max|a| * max|b|`` < 2**63, summed in int64
+blocks no partial sum of which reaches 2**63, or checked Python-int partial
+sums: ``raw_dot``) and ``sample_weighted_mean`` (one int64 matrix product
+when ``sum(n_i * max|raw_i|)`` and ``sum(n_i)`` are below 2**63, as
+``weighted_sum_lanes`` checks, or checked Python-int partial sums:
+``add_terms``, ``truncated_mean``).
+
+So "overflow raises, never wraps" holds in int64 too: a bound that would let
+an int64 expression wrap is refused before numpy runs, and each int64 result
+is the Python-int result bit for bit. Magnitudes are taken in Python ints,
+so INT64_MIN (whose ``np.abs`` wraps) counts as 2**63 and fails every bound,
+as does every vector beyond int64. Python ints raise ``OverflowError`` past
+``RAW_LIMIT`` and ``ACC_LIMIT``.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
 from numbers import Real
-from operator import add, mul, neg
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -191,94 +196,94 @@ def _check_range(raws: Sequence[int], check: Callable[[int], int] = _check_raw) 
     check(max(raws))
 
 
-def _convert(values: Iterable, convert: Callable[[object], int]) -> tuple[int, ...]:
+def _convert(values: Iterable, convert: Callable[[object], int]) -> list[int]:
     """``convert`` mapped over ``values``, failing with the error that converting
     and range-checking them one by one would raise first."""
     values = list(values)
     try:
-        return tuple(map(convert, values))
+        return list(map(convert, values))
     except (TypeError, ValueError):
         for value in values:
             _check_raw(convert(value))
         raise
 
 
-def _int64(raws: tuple) -> Optional[np.ndarray]:
-    """``raws`` as an int64 array, or None for ints beyond int64 that pass the
-    ``RAW_LIMIT`` check. A bool, float or string (numpy would coerce it) raises
-    ValueError; the first bad component decides between that and OverflowError."""
-    if not set(map(type, raws)) <= {int}:
-        for raw in raws:  # some raw is not an int, so this loop raises
-            if type(raw) is not int:
-                raise ValueError(f"raw component {raw!r} is not an int")
-            _check_raw(raw)
-    try:
-        return np.fromiter(raws, np.int64, len(raws))
-    except OverflowError:
-        _check_range(raws)
-        return None
+def _raw_array(values) -> np.ndarray:
+    """``values`` as one read-only array: a 1-D int64 array copied; other
+    values int64 when every one fits, else Python ints in an object array,
+    range-checked. A bool, float or string (numpy would coerce it) raises
+    ValueError; the first bad component decides between that and
+    OverflowError."""
+    if isinstance(values, np.ndarray) and values.dtype == np.int64 and values.ndim == 1:
+        raw = values.copy()
+    else:
+        values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+        if not set(map(type, values)) <= {int}:
+            for value in values:  # some value is not an int, so this loop raises
+                if type(value) is not int:
+                    raise ValueError(f"raw component {value!r} is not an int")
+                _check_raw(value)
+        try:
+            raw = np.fromiter(values, np.int64, len(values))
+        except OverflowError:
+            _check_range(values)
+            raw = np.array(values, dtype=object)
+    if len(raw) == 0:
+        raise EmptyInput("vector must have at least one component")
+    raw.setflags(write=False)
+    return raw
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GradientVector:
-    """Fixed-point vector of raw nano-unit ints; dimension is the length of
-    ``components``. The range is checked once per vector, on construction.
+    """Fixed-point vector of raw nano-unit ints, held as one read-only array
+    ``raw`` (see the module docstring); dimension is its length. Each
+    component must be an int (not a bool, a float or a string) inside
+    ``RAW_LIMIT``, checked once per vector, on construction."""
 
-    A vector whose components are all ints that fit int64 also keeps them as
-    an int64 array, its lane; ``encode``, ``to_floats``, ``+``, ``negate``,
-    ``scale_int``, ``dot`` and ``sample_weighted_mean`` run on lanes within
-    their bounds (see the module docstring), which they check against
-    ``_peak``, the largest magnitude, taken in Python ints. Each component
-    must be an int (not a bool, a float or a string) inside ``RAW_LIMIT``,
-    checked in one pass (``_int64``); a lane needs no range check, since
-    every int64 lies inside that limit. A constructor that already holds the
-    components as int64 may pass that array as ``_lane``; it must equal
-    ``components``.
-    """
-
-    components: tuple[int, ...]
-    _lane: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    raw: np.ndarray
 
     def __post_init__(self) -> None:
-        if not isinstance(self.components, tuple):
-            object.__setattr__(self, "components", tuple(self.components))
-        if len(self.components) == 0:
-            raise EmptyInput("vector must have at least one component")
-        if self._lane is None:
-            object.__setattr__(self, "_lane", _int64(self.components))
+        object.__setattr__(self, "raw", _raw_array(self.raw))
 
     @cached_property
-    def _peak(self) -> Optional[int]:
-        """Largest component magnitude when the vector has a lane. Python ints:
-        np.abs(INT64_MIN) wraps, and -INT64_MIN is 2**63, past every lane bound."""
-        if self._lane is None:
-            return None
-        return max(int(self._lane.max()), -int(self._lane.min()))
+    def _peak(self) -> int:
+        """Largest component magnitude. Python ints: np.abs(INT64_MIN) wraps,
+        and -INT64_MIN is 2**63, past every int64 bound."""
+        return max(int(self.raw.max()), -int(self.raw.min()))
 
-    @classmethod
-    def _from_lane(cls, lane: np.ndarray) -> "GradientVector":
-        return cls(tuple(lane.tolist()), lane)
+    def _ints(self, fits: bool) -> np.ndarray:
+        """``raw`` when an operation's bound fits int64, else as Python ints."""
+        return self.raw if fits else self.raw.astype(object)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GradientVector):
+            return NotImplemented
+        return self.raw.dtype == other.raw.dtype and np.array_equal(self.raw, other.raw)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.raw.tolist()))
 
     @property
     def dim(self) -> int:
-        return len(self.components)
+        return len(self.raw)
 
     @classmethod
     def zeros(cls, dim: int) -> "GradientVector":
-        return cls((0,) * dim, np.zeros(dim, dtype=np.int64))
+        return cls(np.zeros(dim, dtype=np.int64))
 
     @classmethod
     def from_raw(cls, raws: Iterable[int]) -> "GradientVector":
         """A vector of raw ints; any other component (a bool, a float, a
         string) raises ValueError."""
-        return cls(tuple(raws))
+        return cls(raws)
 
     @classmethod
     def from_floats(cls, values: Iterable[float]) -> "GradientVector":
         """Quantize floats half-to-even, as ``Fixed.from_float`` does each one.
 
         A 1-D float64 array whose scaled values are all finite and below
-        ``LANE_LIMIT`` in magnitude is quantized on a lane: ``np.rint`` rounds
+        ``LANE_LIMIT`` in magnitude is quantized in int64: ``np.rint`` rounds
         the same float64 products half to even, and each result is an exact
         integer-valued float that fits int64. Anything else is quantized one
         value at a time, so NaN, infinities, out-of-range and non-numeric
@@ -290,7 +295,7 @@ class GradientVector:
                     scaled = values * SCALE
                     fits = np.abs(scaled).max() < LANE_LIMIT  # False for NaN
                 if fits:
-                    return cls._from_lane(np.rint(scaled).astype(np.int64))
+                    return cls(np.rint(scaled).astype(np.int64))
             values = values.tolist()
         return cls(_convert(values, _quantize))
 
@@ -300,62 +305,52 @@ class GradientVector:
 
     def to_floats(self) -> np.ndarray:
         """Each component / SCALE as a float64, correctly rounded."""
-        if self._lane is not None and self._peak <= _FLOAT_EXACT:
-            return self._lane / SCALE  # each int64 is exactly a float64: one rounding
-        return np.array([c / SCALE for c in self.components])
+        return (self._ints(self._peak <= _FLOAT_EXACT) / SCALE).astype(np.float64, copy=False)
 
     def negate(self) -> "GradientVector":
-        if self._lane is not None and self._peak < LANE_LIMIT:
-            return GradientVector._from_lane(-self._lane)
-        return GradientVector(tuple(map(neg, self.components)))
+        return GradientVector(-self._ints(self._peak < LANE_LIMIT))
 
     def scale_int(self, factor: int) -> "GradientVector":
         scale = abs(factor)  # must fit int64 itself, even when every component is zero
-        if self._lane is not None and scale < LANE_LIMIT and self._peak * scale < LANE_LIMIT:
-            return GradientVector._from_lane(self._lane * factor)
-        return GradientVector(tuple(c * factor for c in self.components))
+        fits = scale < LANE_LIMIT and self._peak * scale < LANE_LIMIT
+        return GradientVector(self._ints(fits) * factor)
 
     def __add__(self, other: "GradientVector") -> "GradientVector":
         if self.dim != other.dim:
             raise DimMismatch(f"dim {self.dim} != dim {other.dim}")
-        if self._lane is not None and other._lane is not None:
-            if self._peak + other._peak < LANE_LIMIT:
-                return GradientVector._from_lane(self._lane + other._lane)
-        return GradientVector(tuple(map(add, self.components, other.components)))
+        fits = self._peak + other._peak < LANE_LIMIT
+        return GradientVector(self._ints(fits) + other._ints(fits))
 
     def encode(self) -> bytes:
         """Canonical byte form: each component as signed 128-bit big-endian."""
-        if self._lane is not None:  # a sign-extension word, then the int64 word
-            words = np.empty((self.dim, 2), dtype=">i8")
-            words[:, 0] = self._lane >> 63
-            words[:, 1] = self._lane
-            return words.tobytes()
-        return b"".join(c.to_bytes(16, "big", signed=True) for c in self.components)
+        if self.raw.dtype == object:
+            return b"".join(c.to_bytes(16, "big", signed=True) for c in self.raw)
+        words = np.empty((self.dim, 2), dtype=">i8")  # a sign-extension word, then the int64 word
+        words[:, 0] = self.raw >> 63
+        words[:, 1] = self.raw
+        return words.tobytes()
 
 
 def concatenate(vectors: Sequence[GradientVector]) -> GradientVector:
-    """The vectors' components end to end, joining their lanes when all have one."""
+    """The vectors' components end to end."""
     if len(vectors) == 1:
         return vectors[0]
-    components = tuple(chain.from_iterable(v.components for v in vectors))
-    lanes = [v._lane for v in vectors]
-    whole = all(lane is not None for lane in lanes)
-    return GradientVector(components, np.concatenate(lanes) if whole else None)
+    return GradientVector(np.concatenate([v.raw for v in vectors]))
 
 
 def weighted_sum_lanes(
     vectors: Sequence[GradientVector], counts: Sequence[int]
 ) -> Optional[np.ndarray]:
-    """The vectors' lanes as one (len(vectors), dim) int64 array when every
+    """The vectors' raws as one (len(vectors), dim) int64 array when every
     weighted sum ``sum(n_i * raw_i)`` over any subset of them, and every
-    sample total, stays inside int64: each vector has a lane, and
-    ``sum(n_i * max|raw_i|)`` and ``sum(n_i)`` are below ``LANE_LIMIT``.
-    Otherwise None, and the caller takes Python ints. Vectors of one dim."""
-    if any(v._lane is None for v in vectors) or sum(counts) >= LANE_LIMIT:
+    sample total, stays inside int64: ``sum(n_i * max|raw_i|)`` and
+    ``sum(n_i)`` are below ``LANE_LIMIT``, which no vector beyond int64
+    passes. Otherwise None, and the caller takes Python ints. Vectors of one
+    dim, positive counts."""
+    peaks = sum(n * v._peak for n, v in zip(counts, vectors))
+    if sum(counts) >= LANE_LIMIT or peaks >= LANE_LIMIT:
         return None
-    if sum(n * v._peak for n, v in zip(counts, vectors)) >= LANE_LIMIT:
-        return None
-    return np.stack([v._lane for v in vectors])
+    return np.stack([v.raw for v in vectors])
 
 
 def _check_acc(acc: int) -> int:
@@ -364,30 +359,31 @@ def _check_acc(acc: int) -> int:
     return acc
 
 
-def add_terms(numerators: Sequence[int], terms: Sequence[int]) -> list[int]:
-    """Elementwise numerators + terms: the next partial sums of a weighted sum,
-    each bounded by ACC_LIMIT."""
-    out = list(map(add, numerators, terms))
+def add_terms(numerators: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Elementwise numerators + terms, object arrays of Python ints: the next
+    partial sums of a weighted sum, each bounded by ACC_LIMIT."""
+    out = numerators + terms
     _check_range(out, _check_acc)
     return out
 
 
-def truncated_mean(numerators: Sequence[int], total: int) -> list[int]:
-    """Each numerator / total, truncated toward zero once."""
-    out = [div_toward_zero(a, total) for a in numerators]
+def truncated_mean(numerators: np.ndarray, total: int) -> np.ndarray:
+    """Each numerator (Python ints) / total > 0, truncated toward zero once."""
+    out = np.sign(numerators) * (abs(numerators) // total)
     _check_range(out)
     return out
 
 
-def raw_dot(a: Sequence[int], b: Sequence[int]) -> int:
-    """Raw inner product of equal-length raws: every partial sum bounded, one rescale."""
-    partial_sums = list(accumulate(map(mul, a, b)))
+def raw_dot(a: np.ndarray, b: np.ndarray) -> int:
+    """Raw inner product of equal-length object arrays of Python ints: every
+    partial sum bounded, one rescale."""
+    partial_sums = np.cumsum(a * b)
     _check_range(partial_sums, _check_acc)
     return _check_raw(div_toward_zero(partial_sums[-1], SCALE))
 
 
 def _lane_dot(a: np.ndarray, b: np.ndarray, reach: int) -> int:
-    """Exact inner product of int64 lanes whose products are each at most
+    """Exact inner product of int64 arrays whose products are each at most
     ``reach`` < LANE_LIMIT in magnitude: products are summed in int64 in
     blocks of ``(LANE_LIMIT - 1) // reach``, so no partial sum of a block
     reaches 2**63 in any order numpy adds them, and the block sums are added
@@ -402,15 +398,16 @@ def _lane_dot(a: np.ndarray, b: np.ndarray, reach: int) -> int:
 def dot(a: GradientVector, b: GradientVector) -> Fixed:
     """Inner product with exact wide accumulation and one terminal rescale.
 
-    On the lanes when every product's bound ``max|a| * max|b|`` is below
-    2**63; the exact sum then lies far inside ACC_LIMIT, so no partial-sum
-    check can fail."""
+    In int64 when every product's bound ``max|a| * max|b|`` is below 2**63;
+    the exact sum then lies far inside ACC_LIMIT, so no partial-sum check
+    can fail. (A vector beyond int64 passes only beside a zero vector, and
+    its products are then Python-int zeros.)"""
     if a.dim != b.dim:
         raise DimMismatch(f"dim {a.dim} != dim {b.dim}")
-    if a._lane is not None and b._lane is not None and a._peak * b._peak < LANE_LIMIT:
-        acc = _lane_dot(a._lane, b._lane, a._peak * b._peak)
-        return Fixed(div_toward_zero(acc, SCALE))
-    return Fixed(raw_dot(a.components, b.components))
+    reach = a._peak * b._peak
+    if reach < LANE_LIMIT:
+        return Fixed(div_toward_zero(_lane_dot(a.raw, b.raw, reach), SCALE))
+    return Fixed(raw_dot(a.raw.astype(object), b.raw.astype(object)))
 
 
 def norm_sq(v: GradientVector) -> Fixed:
@@ -424,7 +421,7 @@ def sample_weighted_mean(vectors: Sequence[GradientVector], counts: Sequence[int
     Computes sum(n_i * v_i) / N with integer numerators and a single
     truncation per component, so no precision is lost to pre-quantized
     weights. This is the aggregation path used for the global model. It runs
-    on the vectors' lanes when ``weighted_sum_lanes`` admits them.
+    in int64 when ``weighted_sum_lanes`` admits the vectors.
     """
     if len(vectors) == 0:
         raise EmptyInput("sample_weighted_mean needs at least one vector")
@@ -439,8 +436,8 @@ def sample_weighted_mean(vectors: Sequence[GradientVector], counts: Sequence[int
     lanes = weighted_sum_lanes(vectors, counts)
     if lanes is not None:  # every numerator, and the total, inside int64
         numerators = np.array(counts, dtype=np.int64) @ lanes
-        return GradientVector._from_lane(np.sign(numerators) * (np.abs(numerators) // sum(counts)))
-    numerators = [0] * dim
+        return GradientVector(np.sign(numerators) * (np.abs(numerators) // sum(counts)))
+    numerators = np.zeros(dim, dtype=object)
     for n, v in zip(counts, vectors):
-        numerators = add_terms(numerators, [n * c for c in v.components])
+        numerators = add_terms(numerators, v.raw.astype(object) * n)
     return GradientVector(truncated_mean(numerators, sum(counts)))

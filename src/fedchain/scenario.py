@@ -215,7 +215,7 @@ def load_config(path) -> ScenarioConfig:
             doc = json.load(fh)
     except OSError as err:  # absent, a directory, or otherwise unreadable
         raise ConfigError(f"config file cannot be read: {err}") from err
-    except ValueError as err:  # bad JSON or UTF-8, or an integer over json's digit limit
+    except (ValueError, RecursionError) as err:  # bad JSON or UTF-8, a huge int, deep nesting
         raise ConfigError(f"config is not valid JSON: {err}") from err
     return parse_config(doc)
 
@@ -243,7 +243,7 @@ class RunResult:
     true_weights: np.ndarray
 
 
-def _chunked(components: tuple, size: int) -> list[tuple]:
+def _chunked(components: list, size: int) -> list[list]:
     return [components[i : i + size] for i in range(0, len(components), size)]
 
 
@@ -302,7 +302,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
                 continue
             if update is None:
                 continue
-            batches = _chunked(update.components, config.batch_size)
+            batches = _chunked(update.raw.tolist(), config.batch_size)
             for batch_index, batch in enumerate(batches):
                 tx = Transaction(
                     client.id,
@@ -311,7 +311,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
                         "round": round_index,
                         "batch_index": batch_index,
                         "batch_count": len(batches),
-                        "components": list(batch),
+                        "components": batch,
                     },
                     ledger.next_nonce(client.id),
                 )
@@ -555,7 +555,7 @@ def load_run_dir(run_dir) -> tuple[dict, ContentStore]:
     try:
         with gzip.open(ledger_path, "rb") as fh:
             ledger_doc = json.loads(fh.read().decode())
-    except (OSError, EOFError, zlib.error, ValueError) as err:
+    except (OSError, EOFError, zlib.error, ValueError, RecursionError) as err:
         raise UnreadableRun(f"{LEDGER_FILE} is not gzipped JSON: {err}") from err
     chain_parts = ("blocks", "txs", "receipts")
     if not (

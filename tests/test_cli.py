@@ -112,7 +112,8 @@ def test_malformed_json_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("content", [
     b'{"seed": 1, "min_stake": ' + b"9" * 5000 + b"}",  # over json's integer-digit limit
     b'{"seed": 1, "rounds": "\xff"}',  # not UTF-8
-], ids=["5000_digit_int", "not_utf8"])
+    b"[" * 100_000 + b"]" * 100_000,  # nested past the recursion limit
+], ids=["5000_digit_int", "not_utf8", "nested_100000_deep"])
 def test_undecodable_config_exits_2(tmp_path, capsys, content):
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)

@@ -151,7 +151,7 @@ class TestSubmission:
             c.submit_update(C[0], 1, batch, index, 3)
         recorded = c.rounds[1].submissions[C[0]]
         assert recorded.dim == 25
-        assert recorded.components == tuple(range(25))
+        assert recorded.raw.tolist() == list(range(25))
 
     def test_out_of_order_batch(self):
         c = registered(dim=4, clients=[(C[0], 5)])
@@ -188,7 +188,7 @@ class TestSubmission:
         assert c.rounds[1].partial == {}
         c.submit_update(C[0], 1, GradientVector.from_raw([1, 2]), 0, 2)
         c.submit_update(C[0], 1, GradientVector.from_raw([3, 4]), 1, 2)
-        assert c.rounds[1].submissions[C[0]].components == (1, 2, 3, 4)
+        assert c.rounds[1].submissions[C[0]].raw.tolist() == [1, 2, 3, 4]
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 3),
@@ -362,7 +362,7 @@ class TestAggregation:
         submit_whole(c, C[1], ["-2", "1"])
         c.validate_round(1)
         c.score_and_reward_round(1)
-        assert c.aggregate_round(1).components == (0, 0)
+        assert c.aggregate_round(1).raw.tolist() == [0, 0]
 
     def test_no_accepted_updates(self):
         c = registered(clients=[(C[0], 5)])

@@ -85,15 +85,15 @@ class TestBehaviors:
         assert act(ClientBehavior("honest"), self.honest) is self.honest
 
     def test_negator(self):
-        assert act(ClientBehavior("negator"), self.honest).components == (-(10**9), -2 * 10**9)
+        assert act(ClientBehavior("negator"), self.honest).raw.tolist() == [-(10**9), -2 * 10**9]
 
     def test_freerider_zero_vector(self):
         out = act(ClientBehavior("freerider"), self.honest)
-        assert out.components == (0, 0)
+        assert out.raw.tolist() == [0, 0]
 
     def test_scaler_scales(self):
         out = act(ClientBehavior("scaler", c=100), self.honest)
-        assert out.components == (100 * 10**9, 200 * 10**9)
+        assert out.raw.tolist() == [100 * 10**9, 200 * 10**9]
 
     def test_dropout_is_seed_deterministic(self):
         behavior = ClientBehavior("dropout", q=0.5)

@@ -467,7 +467,7 @@ def _definition_values(submissions, n_map) -> list[int]:
 
 def _takes_lanes(submissions, n_map) -> bool:
     """The lanes path's bound: sum(n_i * max|raw_i|) and sum(n_i) below 2**63."""
-    peak = sum(n_map[c] * max(map(abs, v.components)) for c, v in submissions.items())
+    peak = sum(n_map[c] * max(map(abs, v.raw.tolist())) for c, v in submissions.items())
     return peak < 2**63 and sum(n_map.values()) < 2**63
 
 
@@ -518,8 +518,8 @@ class TestCoalitionValuePaths:
             # called directly on the inputs the lanes took, the walk agrees
             ids = sorted(submissions)
             vectors, counts = [submissions[c] for c in ids], [n_map[c] for c in ids]
-            full = incentives.sample_weighted_mean(vectors, counts).components
-            raws = [v.components for v in vectors]
+            full = incentives.sample_weighted_mean(vectors, counts).raw.astype(object)
+            raws = [v.raw.astype(object) for v in vectors]
             assert incentives._walk_coalition_values(raws, counts, full) == outcome
 
     def test_shapley_cohort_shape_takes_the_lanes(self, monkeypatch):

@@ -146,7 +146,7 @@ class TestWeightedSum:
     def test_symmetry_cancels(self):
         v = vec("1.5", "-0.25")
         out = sample_weighted_mean([v, v.negate()], [2, 2])
-        assert out.components == (0, 0)
+        assert out.raw.tolist() == [0, 0]
 
     def test_weighted_mean_arithmetic(self):
         out = sample_weighted_mean([vec("2", "-1"), vec("-2", "3")], [3, 1])
@@ -182,7 +182,7 @@ class TestSampleWeightedMean:
     def test_equal_counts_cancel(self):
         v = vec("3", "-1")
         out = sample_weighted_mean([v, v.negate()], [5, 5])
-        assert out.components == (0, 0)
+        assert out.raw.tolist() == [0, 0]
 
     def test_rejects_nonpositive_counts(self):
         with pytest.raises(EmptyInput):
@@ -207,7 +207,7 @@ class TestSampleWeightedMean:
         total = sum(counts)
         for j in range(3):
             oracle = sum(n * (r[j] / SCALE) for n, r in zip(counts, raws)) / total
-            assert abs(out.components[j] / SCALE - oracle) <= 2 * 3 / SCALE
+            assert abs(out.raw.tolist()[j] / SCALE - oracle) <= 2 * 3 / SCALE
 
 
 class TestVectorBasics:
@@ -218,14 +218,14 @@ class TestVectorBasics:
         # each component as signed 128-bit big-endian, nothing else
         v = vec("1.5", "-0.000000001", "0")
         data = v.encode()
-        assert data == b"".join(raw.to_bytes(16, "big", signed=True) for raw in v.components)
+        assert data == b"".join(raw.to_bytes(16, "big", signed=True) for raw in v.raw.tolist())
         decoded = [int.from_bytes(data[i : i + 16], "big", signed=True) for i in range(0, 48, 16)]
         assert GradientVector.from_raw(decoded) == v
 
     def test_scale_and_negate(self):
         v = vec("1", "2")
-        assert v.negate().components == (-SCALE, -2 * SCALE)
-        assert v.scale_int(100).components == (100 * SCALE, 200 * SCALE)
+        assert v.negate().raw.tolist() == [-SCALE, -2 * SCALE]
+        assert v.scale_int(100).raw.tolist() == [100 * SCALE, 200 * SCALE]
 
 
 # --- raw-int vectors against the per-component formulation ------------------
@@ -313,7 +313,34 @@ class TestRawVectors:
             sample_weighted_mean([vec("1", "2"), vec("3", "-1")], [1, 2]),
         ]
         for v in vectors:
-            assert all(type(c) is int for c in v.components)
+            assert v.raw.dtype == np.int64
+
+    def test_raw_is_read_only(self):
+        for v in (GradientVector.from_raw([1, 2]), GradientVector.from_raw([2**63, 1])):
+            with pytest.raises(ValueError):
+                v.raw[0] = 5
+        lane = np.array([1, 2], dtype=np.int64)
+        v = GradientVector(lane)
+        lane[0] = 7  # the vector holds its own copy
+        assert v.raw.tolist() == [1, 2]
+
+    def test_a_result_that_fits_int64_is_int64(self):
+        beyond = GradientVector.from_raw([2**63])
+        assert beyond.raw.dtype == object
+        out = beyond + GradientVector.from_raw([-1])
+        assert out.raw.dtype == np.int64 and out.raw.tolist() == [2**63 - 1]
+        assert beyond.scale_int(0).raw.dtype == np.int64
+        assert dot(beyond, GradientVector.zeros(1)).raw == 0  # products bounded by 0
+        joined = numerics.concatenate([beyond, GradientVector.from_raw([1])])
+        assert joined.raw.dtype == object and joined.raw.tolist() == [2**63, 1]
+
+    def test_equality_and_hash_follow_the_components(self):
+        a, b = GradientVector.from_raw([1, 2**63]), GradientVector.from_raw([1, 2**63])
+        assert a == b and hash(a) == hash(b)
+        assert GradientVector.from_raw([1, 2]) == GradientVector.from_floats(np.array([1e-9, 2e-9]))
+        assert GradientVector.from_raw([1, 2]) != GradientVector.from_raw([1, 3])
+        assert GradientVector.from_raw([1, 2]) != GradientVector.from_raw([1, 2, 0])
+        assert GradientVector.from_raw([1]) != (1,)
 
     def test_range_checked_on_construction(self):
         with pytest.raises(OverflowError):
@@ -339,7 +366,8 @@ class TestRawVectors:
     @pytest.mark.parametrize("make", [GradientVector, GradientVector.from_raw])
     def test_ints_beyond_int64_take_the_range_check(self, make):
         beyond = make((2**63, -(2**100)))
-        assert beyond.components == (2**63, -(2**100)) and lane_of(beyond) is None
+        assert beyond.raw.tolist() == [2**63, -(2**100)] and beyond.raw.dtype == object
+        assert all(type(c) is int for c in beyond.raw)
         with pytest.raises(OverflowError, match="128-bit magnitude"):
             make((2**63, RAW_LIMIT))
         with pytest.raises(OverflowError):
@@ -364,7 +392,7 @@ class TestRawVectors:
     @example([2.5e-9, -2.5e-9, 1 / 1024, 3 / 1024])
     def test_from_floats_matches_fixed_from_float(self, xs):
         expected = outcome(lambda: [Fixed.from_float(x).raw for x in xs])
-        actual = outcome(lambda: list(GradientVector.from_floats(xs).components))
+        actual = outcome(lambda: GradientVector.from_floats(xs).raw.tolist())
         assert actual == expected
 
     @given(
@@ -389,9 +417,9 @@ class TestRawVectors:
     def test_sample_weighted_mean_matches_per_component_oracle(self, instance):
         raws, counts = instance
         expected = outcome(lambda: mean_oracle(raws, counts))
-        actual = outcome(lambda: list(sample_weighted_mean(
+        actual = outcome(lambda: sample_weighted_mean(
             [GradientVector.from_raw(r) for r in raws], counts
-        ).components))
+        ).raw.tolist())
         assert actual == expected
 
     @given(
@@ -418,11 +446,7 @@ class TestRawVectors:
         assert actual == expected
 
 
-# --- int64 lanes against the scalar reference --------------------------------
-
-
-def lane_of(vector: GradientVector):
-    return vector._lane
+# --- int64 arrays against the scalar reference -------------------------------
 
 
 class TestLanes:
@@ -442,7 +466,7 @@ class TestLanes:
     @example([1e300, math.nan])  # the scaled 1e300 overflows before the NaN
     def test_from_floats_array_matches_fixed_from_float(self, xs):
         expected = outcome(lambda: [Fixed.from_float(x).raw for x in xs])
-        actual = outcome(lambda: list(GradientVector.from_floats(np.array(xs)).components))
+        actual = outcome(lambda: GradientVector.from_floats(np.array(xs)).raw.tolist())
         assert actual == expected
 
     # failing as Fixed.from_float fails on the first bad value, never coerced
@@ -498,17 +522,22 @@ class TestLanes:
     def test_add_negate_scale_match_per_component(self, triple):
         a, b, factor = triple
         u, v = GradientVector.from_raw(a), GradientVector.from_raw(b)
-        assert outcome(lambda: (u + v).components) == outcome(
-            lambda: tuple(map(checked_raw, map(add, a, b))))
-        assert outcome(lambda: u.negate().components) == tuple(-x for x in a)
-        assert outcome(lambda: u.scale_int(factor).components) == outcome(
-            lambda: tuple(checked_raw(x * factor) for x in a))
+        assert outcome(lambda: (u + v).raw.tolist()) == outcome(
+            lambda: list(map(checked_raw, map(add, a, b))))
+        assert outcome(lambda: u.negate().raw.tolist()) == [-x for x in a]
+        assert outcome(lambda: u.scale_int(factor).raw.tolist()) == outcome(
+            lambda: [checked_raw(x * factor) for x in a])
+        for compute in (lambda: u + v, u.negate, lambda: u.scale_int(factor)):
+            w = outcome(compute)
+            if isinstance(w, GradientVector):  # int64 exactly when every component fits
+                fits = all(INT64_MIN <= x < 2**63 for x in w.raw.tolist())
+                assert (w.raw.dtype == np.int64) == fits
 
     def test_lanes_keep_every_component_a_raw_int(self):
         v = GradientVector.from_floats(np.array([0.5, -0.25]))
         for w in (v, v + v, v.negate(), v.scale_int(3), sample_weighted_mean([v, v], [1, 2])):
-            assert lane_of(w) is not None
-            assert all(type(c) is int for c in w.components)
+            assert w.raw.dtype == np.int64
+            assert all(type(c) is int for c in w.raw.tolist())
 
 
 class TestPythonIntPath:
@@ -533,40 +562,42 @@ class TestPythonIntPath:
         GradientVector.from_floats(np.array([(2.0**63 - 1024) / SCALE, -1.5]))
         assert calls == {}
         big = GradientVector.from_floats(np.array([2.0**63 / SCALE, -1.5]))
-        assert calls == {"_quantize": 2} and big.components == (2**63, -1_500_000_000)
+        assert calls == {"_quantize": 2} and big.raw.tolist() == [2**63, -1_500_000_000]
 
     def test_encode(self):
-        assert lane_of(GradientVector.from_raw([2**63 - 1, INT64_MIN])) is not None
+        assert GradientVector.from_raw([2**63 - 1, INT64_MIN]).raw.dtype == np.int64
         beyond = GradientVector.from_raw([2**63, 1])
-        assert lane_of(beyond) is None
+        assert beyond.raw.dtype == object
         assert beyond.encode() == (2**63).to_bytes(16, "big", signed=True) + (1).to_bytes(16, "big")
 
     def test_fedavg(self, calls):
         sample_weighted_mean([GradientVector.from_raw([2**62 - 1, 1])], [2])
         assert calls == {}
         out = sample_weighted_mean([GradientVector.from_raw([2**62, 1])], [2])
-        assert calls == {"add_terms": 1} and out.components == (2**62, 1)
+        assert calls == {"add_terms": 1} and out.raw.tolist() == [2**62, 1]
 
     @pytest.fixture
     def lane_results(self, monkeypatch):
-        """The lanes of the vectors built by ``GradientVector._from_lane``."""
+        """The int64 arrays that vectors are built from: the results of
+        expressions that ran in int64."""
         built = []
-        from_lane = GradientVector._from_lane
+        raw_array = numerics._raw_array
 
-        def recording(cls, lane):
-            built.append(lane)
-            return from_lane(lane)
+        def recording(values):
+            if isinstance(values, np.ndarray) and values.dtype == np.int64:
+                built.append(values)
+            return raw_array(values)
 
-        monkeypatch.setattr(GradientVector, "_from_lane", classmethod(recording))
+        monkeypatch.setattr(numerics, "_raw_array", recording)
         return built
 
     def test_negate(self, lane_results):
-        assert GradientVector.from_raw([2**63 - 1, -(2**63 - 1)]).negate().components == (
-            -(2**63 - 1), 2**63 - 1)
+        assert GradientVector.from_raw([2**63 - 1, -(2**63 - 1)]).negate().raw.tolist() == [
+            -(2**63 - 1), 2**63 - 1]
         assert len(lane_results) == 1
         beyond = GradientVector.from_raw([INT64_MIN, 5]).negate()  # -INT64_MIN is 2**63
         assert len(lane_results) == 1
-        assert beyond.components == (2**63, -5) and lane_of(beyond) is None
+        assert beyond.raw.tolist() == [2**63, -5] and beyond.raw.dtype == object
 
     @pytest.mark.parametrize("raws, factor, on_lane", [
         ([2**62 - 1, -3], 2, True),  # peak * c == 2**63 - 2
@@ -578,7 +609,7 @@ class TestPythonIntPath:
     ])
     def test_scale_int(self, lane_results, raws, factor, on_lane):
         scaled = GradientVector.from_raw(raws).scale_int(factor)
-        assert scaled.components == tuple(raw * factor for raw in raws)
+        assert scaled.raw.tolist() == [raw * factor for raw in raws]
         assert len(lane_results) == on_lane
 
     def test_dot(self, calls):

@@ -189,6 +189,17 @@ class TestConfigValidation:
     def test_run_id_depends_on_seed(self):
         assert parse_config(base_doc()).run_id() != parse_config(base_doc(seed=43)).run_id()
 
+    def test_an_integer_q_parses_as_its_float(self):
+        configs = []
+        for q in (1, 1.0):
+            doc = json.loads((CONFIGS / "baseline.json").read_text())
+            doc["dataset"]["behaviors"][0] = {"kind": "dropout", "q": q}
+            configs.append(parse_config(doc))
+        assert type(configs[0].dataset.behaviors[0].q) is float
+        assert configs[0] == configs[1]
+        assert configs[0].to_canonical_dict() == configs[1].to_canonical_dict()
+        assert configs[0].run_id() == configs[1].run_id()
+
     @pytest.mark.parametrize(
         "dataset_edit",
         [
@@ -348,7 +359,7 @@ def apply_edit(doc: dict, path: tuple, value) -> None:
     for step in parents:
         if isinstance(target, dict):
             target = target.setdefault(step, {}) if step == "gas" else target.get(step)
-        elif isinstance(target, list) and step < len(target):
+        elif isinstance(target, list) and isinstance(step, int) and step < len(target):
             if isinstance(target[step], str):
                 target[step] = {"kind": target[step]}
             target = target[step]
@@ -364,6 +375,7 @@ class TestConfigDocuments:
     @example(0, [(("alpha",), 10**40)])
     @example(1, [(("tau",), "1" + "0" * 40)])
     @example(0, [(("reward_pool_per_round",), 10**5000)])
+    @example(0, [(("dataset",), []), (("dataset", "behaviors", 0, "kind"), None)])
     def test_parse_is_total_and_the_canonical_form_a_fixed_point(self, base, edits):
         doc = copy.deepcopy(BASE_DOCS[base])
         for path, value in edits:
@@ -970,7 +982,8 @@ class TestAudit:
         (b"not gzip", "ledger.bin is not gzipped JSON"),
         (gzip.compress(b"{nope", mtime=0), "ledger.bin is not gzipped JSON"),
         (gzip.compress(b"[]", mtime=0), "ledger.bin holds no config with blocks"),
-    ], ids=["not_gzip", "not_json", "json_list"])
+        (gzip.compress(b"[" * 100_000 + b"]" * 100_000, mtime=0), "ledger.bin is not gzipped JSON"),
+    ], ids=["not_gzip", "not_json", "json_list", "nested_100000_deep"])
     def test_unreadable_ledger_fails(self, run_dir, payload, reason):
         (run_dir / LEDGER_FILE).write_bytes(payload)
         verdict = audit(run_dir)[0]
