@@ -32,7 +32,8 @@ blocks no partial sum of which reaches 2**63, or checked Python-int partial
 sums: ``raw_dot``) and ``sample_weighted_mean`` (one int64 matrix product
 when ``sum(n_i * max|raw_i|)`` and ``sum(n_i)`` are below 2**63, as
 ``weighted_sum_lanes`` checks, or checked Python-int partial sums:
-``add_terms``, ``truncated_mean``).
+``add_terms``, ``truncated_mean``), and so does ``coalition_dots``, every
+subset's FedAvg dot for exact Shapley. ``_truncate`` truncates every array.
 
 So "overflow raises, never wraps" holds in int64 too: a bound that would let
 an int64 expression wrap is refused before numpy runs, and each int64 result
@@ -43,11 +44,15 @@ as does every vector beyond int64. Python ints raise ``OverflowError`` past
 """
 from __future__ import annotations
 
+import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from numbers import Real
-from typing import Callable, Iterable, Optional, Sequence
+from operator import mul
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -58,6 +63,7 @@ RAW_LIMIT = 2**127          # |raw| must stay below this
 ACC_LIMIT = 2**255          # wide accumulator bound for dot/weighted sums
 INT_LIMIT = 2**256          # |config integer| must stay below this: the contract's uint256
 LANE_LIMIT = 2**63          # a lane result's magnitude bound: int64 holds every value below it
+_LANE_BLOCK_CELLS = 2**15   # subset x component cells per int64 block of coalition_dots: 256 KB
 _FLOAT_EXACT = 2**53        # every int of at most this magnitude is exactly a float64
 
 _DECIMAL_RE = re.compile(r"^[+-]?(?:\d+(?:\.\d+)?|\.\d+)$")
@@ -86,12 +92,17 @@ def check_int(value, name: str, minimum: Optional[int] = None) -> None:
 
 def check_number(value, name: str) -> float:
     """The config rule for a number: a non-bool int or float that a float can
-    hold; returns it as a float."""
+    hold, not an infinity; returns it as a float. A NaN passes here and
+    fails the field's own range check."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
-            return float(value)
+            number = float(value)
         except OverflowError:
             pass
+        else:
+            if number in (math.inf, -math.inf):
+                raise ValueError(f"{name} must be finite")
+            return number
     raise ValueError(f"{name} must be a number")
 
 
@@ -359,6 +370,17 @@ def _check_acc(acc: int) -> int:
     return acc
 
 
+def _truncate(numerators: np.ndarray, divisor) -> np.ndarray:
+    """``numerators`` (int64 with no INT64_MIN, or Python ints) divided by
+    ``divisor`` > 0, a scalar or a column of one per row, truncated toward
+    zero in place; the one temporary, the signs, is freed on return."""
+    signs = np.sign(numerators)
+    np.abs(numerators, out=numerators)
+    numerators //= divisor
+    numerators *= signs
+    return numerators
+
+
 def add_terms(numerators: np.ndarray, terms: np.ndarray) -> np.ndarray:
     """Elementwise numerators + terms, object arrays of Python ints: the next
     partial sums of a weighted sum, each bounded by ACC_LIMIT."""
@@ -368,8 +390,9 @@ def add_terms(numerators: np.ndarray, terms: np.ndarray) -> np.ndarray:
 
 
 def truncated_mean(numerators: np.ndarray, total: int) -> np.ndarray:
-    """Each numerator (Python ints) / total > 0, truncated toward zero once."""
-    out = np.sign(numerators) * (abs(numerators) // total)
+    """Each numerator (Python ints) / total > 0, truncated toward zero once,
+    in place, and range-checked."""
+    out = _truncate(numerators, total)
     _check_range(out)
     return out
 
@@ -435,9 +458,136 @@ def sample_weighted_mean(vectors: Sequence[GradientVector], counts: Sequence[int
             raise DimMismatch(f"dim {v.dim} != dim {dim}")
     lanes = weighted_sum_lanes(vectors, counts)
     if lanes is not None:  # every numerator, and the total, inside int64
-        numerators = np.array(counts, dtype=np.int64) @ lanes
-        return GradientVector(np.sign(numerators) * (np.abs(numerators) // sum(counts)))
+        return GradientVector(_truncate(np.array(counts, dtype=np.int64) @ lanes, sum(counts)))
     numerators = np.zeros(dim, dtype=object)
     for n, v in zip(counts, vectors):
         numerators = add_terms(numerators, v.raw.astype(object) * n)
     return GradientVector(truncated_mean(numerators, sum(counts)))
+
+
+def coalition_dots(
+    vectors: Sequence[GradientVector], counts: Sequence[int], full: GradientVector
+) -> list[int]:
+    """Raw ``dot(sample_weighted_mean(S), full)`` of every subset S of the
+    vectors and their counts, indexed by bitmask (bit k: ``vectors[k]``), 0
+    for the empty one; no vectors give ``[0]`` and read no ``full``. On int64
+    lanes when ``weighted_sum_lanes`` admits the vectors and ``full`` is
+    int64, else by the Python-int walk; both raise the per-subset
+    ``OverflowError``s."""
+    if not vectors:
+        return [0]
+    lanes = weighted_sum_lanes(vectors, counts)
+    if lanes is not None and full.raw.dtype == np.int64:
+        return _lane_coalition_dots(lanes, counts, full.raw)
+    wide = [v.raw.astype(object) for v in vectors]
+    return _walk_coalition_dots(wide, counts, full.raw.astype(object))
+
+
+def _lane_coalition_dots(lanes: np.ndarray, counts: Sequence[int], full: np.ndarray) -> list[int]:
+    """``coalition_dots`` with every subset's truncated mean taken on whole
+    int64 arrays, a block of components at a time; ``full`` is int64.
+
+    Only for ``lanes`` that ``weighted_sum_lanes`` admits, under
+    ``sum(n_i * max|raw_i|) < 2**63`` and ``sum(n_i) < 2**63``. Subset
+    numerators sum(n_i * raw_i) and sample totals are subset sums, taken by
+    doubling (``_subset_sums``): every value formed is some subset's, so
+    none leaves int64, and no partial sum of a dot with ``full`` reaches
+    ACC_LIMIT: |mean| and |full| are below 2**63, so a partial sum is below
+    dim * 2**126, and dim < 2**129 for any vector that fits in memory. So
+    the walk's per-partial-sum checks cannot fail and are not repeated.
+
+    Each dot is exact. ``_blocks`` cuts the components where the sum of the
+    products' bounds ``reach`` would reach 2**63: a block below it is
+    summed on an int64 lane, which moves to Python ints before the blocks
+    it holds reach 2**63 together, and a run of components each beyond it
+    is summed in Python ints. Each value gets the walk's terminal range
+    check, in mask order; it can fail only when dim * 2**126 / SCALE
+    reaches 2**127, at a dim above 2**30. Memory is O(2**n) for the totals
+    plus one table that every block reuses and its signs, each of about
+    ``_LANE_BLOCK_CELLS`` subset x component cells, never a 2**n x dim
+    table.
+    """
+    counts_lane = np.array(counts, dtype=np.int64)
+    totals = _subset_sums(counts_lane, np.empty(1 << len(counts), np.int64))[1:, None]
+    terms = lanes * counts_lane[:, None]
+    # |mean_c| <= max_i |raw_ic| for every subset, so |mean_c * full_c| <= reach[c]
+    reach = list(map(mul, np.abs(lanes).max(axis=0).tolist(), map(abs, full.tolist())))
+    rows, width = len(totals) + 1, max(1, _LANE_BLOCK_CELLS // len(totals))
+    buffer = np.empty(rows * min(width, len(full)), np.int64)  # every block's numerators
+    lane, lane_reach = np.zeros(len(totals), dtype=np.int64), 0
+    spill = 0  # exact Python-int sums of what the lane cannot hold
+    for block, block_reach in _blocks(reach, width):
+        numerators = buffer[: rows * (block.stop - block.start)].reshape(rows, -1)
+        means = _truncate(_subset_sums(terms[:, block], numerators)[1:], totals)
+        if block_reach >= LANE_LIMIT:
+            spill = spill + means.astype(object) @ full[block].astype(object)
+            continue
+        if lane_reach + block_reach >= LANE_LIMIT:
+            spill = spill + lane.astype(object)
+            lane, lane_reach = np.zeros_like(lane), 0
+        lane += means @ full[block]
+        lane_reach += block_reach
+    dots = lane if isinstance(spill, int) else spill + lane.astype(object)
+    values = [0] + _truncate(dots, SCALE).tolist()
+    # a value from an int64 dot lies far inside RAW_LIMIT
+    if dots.dtype == object and (min(values) <= -RAW_LIMIT or max(values) >= RAW_LIMIT):
+        list(map(_check_raw, values))  # the first value out of range, in mask order
+    return values
+
+
+def _subset_sums(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out`` filled with the sum of every subset of ``rows``, indexed by
+    bitmask (bit k: row k), by doubling: the sums with bit k set are those
+    below 2**k plus row k."""
+    out[0] = 0
+    for k, row in enumerate(rows):
+        np.add(out[: 1 << k], row, out=out[1 << k : 2 << k])
+    return out
+
+
+def _blocks(reach: Sequence[int], width: int) -> Iterator[tuple[slice, int]]:
+    """Runs of at most ``width`` components, each with its summed reach: the
+    longest run whose sum stays below LANE_LIMIT, or a run of components
+    each at or beyond it. Only the components beyond it are visited one by
+    one; the others are cut by bisecting the prefix sums."""
+    prefix = [0, *accumulate(reach)]
+    start = 0
+    while start < len(reach):
+        stop = min(start + width, len(reach))
+        end = start + 1
+        if reach[start] >= LANE_LIMIT:
+            while end < stop and reach[end] >= LANE_LIMIT:
+                end += 1
+        else:
+            end = min(stop, bisect_left(prefix, prefix[start] + LANE_LIMIT, end) - 1)
+        yield slice(start, end), prefix[end] - prefix[start]
+        start = end
+
+
+def _walk_coalition_dots(
+    raws: Sequence[np.ndarray], counts: Sequence[int], full: np.ndarray
+) -> list[int]:
+    """``coalition_dots`` by a depth-first walk over Python ints, raws and
+    ``full`` as object arrays: the path for raws or counts whose subset
+    numerators leave int64.
+
+    Subsets are walked depth first, adding members in index order, so each
+    subset's integer numerator sum(n_i * raw_i) is its parent's plus one
+    member's term. The numerator, mean and dot steps are the ones
+    ``sample_weighted_mean`` and ``dot`` take, so values and overflows agree
+    with them. The walk keeps each member's term and at most one numerator
+    vector per depth, O(n * dim) integers, never one vector per subset.
+    """
+    values = [0] * (1 << len(counts))
+    terms = [r * n for n, r in zip(counts, raws)]
+
+    def visit(mask: int, numerators: np.ndarray, total: int, first: int) -> None:
+        for j in range(first, len(counts)):
+            child = mask | 1 << j
+            child_numerators = add_terms(numerators, terms[j])
+            # the mean, truncated in place on a copy, is freed before the walk descends
+            values[child] = raw_dot(truncated_mean(child_numerators.copy(), total + counts[j]), full)
+            visit(child, child_numerators, total + counts[j], j + 1)
+
+    visit(0, np.zeros(len(full), dtype=object), 0, 0)
+    return values

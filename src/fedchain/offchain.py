@@ -17,8 +17,9 @@ from .numerics import Fixed, GradientVector
 
 
 def canonical_json_bytes(obj) -> bytes:
-    """Deterministic JSON encoding: sorted keys, no whitespace, ASCII only."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True).encode()
+    """Deterministic JSON encoding: sorted keys, no whitespace, ASCII only. A
+    NaN or infinity, which JSON cannot hold, raises ValueError."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False).encode()
 
 
 def vector_commit(vector: GradientVector) -> str:

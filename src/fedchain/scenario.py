@@ -370,12 +370,14 @@ def _attribution_for_round(
     for cid in sorted(round_state.scores):
         score = round_state.scores[cid]
         cumulative[cid] = cumulative.get(cid, Fixed(0)) + score
-        records.append(
-            incentives.attribution_record(
-                round_state.round, cid, score, cumulative[cid], round_state.multipliers[cid],
-                phi=phi.get(cid),
-            )
-        )
+        records.append({
+            "round": round_state.round,
+            "client": "0x" + cid.hex(),
+            "S": score.to_decimal(),
+            "phi": phi[cid].to_decimal() if cid in phi else None,
+            "cumulative": cumulative[cid].to_decimal(),
+            "multiplier": round_state.multipliers[cid].to_decimal(),
+        })
     return records
 
 
@@ -515,7 +517,7 @@ def report_files(report: dict) -> dict[str, bytes]:
     ``audit_run`` holds the files to them."""
     dim = report["config"]["dataset"]["dim"]
     return {
-        REPORT_FILE: json.dumps(report, sort_keys=True, indent=2).encode() + b"\n",
+        REPORT_FILE: json.dumps(report, sort_keys=True, indent=2, allow_nan=False).encode() + b"\n",
         GAS_FILE: gas_csv_text({dim: report["gas"]["table"][str(dim)]}).encode(),
         REWARDS_FILE: rewards_csv_text(report).encode(),
     }
@@ -530,8 +532,8 @@ def write_run(result: RunResult, out_dir) -> Path:
     (run_dir / LEDGER_FILE).write_bytes(gzip.compress(payload, mtime=0))
     for name, data in report_files(result.report).items():
         (run_dir / name).write_bytes(data)
-    lines = [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in result.attribution]
-    (run_dir / ATTRIBUTION_FILE).write_bytes("".join(f"{line}\n" for line in lines).encode())
+    lines = [canonical_json_bytes(record) + b"\n" for record in result.attribution]
+    (run_dir / ATTRIBUTION_FILE).write_bytes(b"".join(lines))
 
     blob_dir = run_dir / BLOBS_DIR
     blob_dir.mkdir(exist_ok=True)

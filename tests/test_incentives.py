@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fedchain import coordinator, incentives
+from fedchain import coordinator, incentives, numerics
 
 from fedchain.errors import (
     BadParticipation,
@@ -475,7 +475,7 @@ def _forbid(monkeypatch, name: str) -> None:
     def forbidden(*args):
         raise AssertionError(f"{name} ran")
 
-    monkeypatch.setattr(incentives, name, forbidden)
+    monkeypatch.setattr(numerics, name, forbidden)
 
 
 def _cohort(raw_rows, counts) -> tuple[dict, dict]:
@@ -518,16 +518,16 @@ class TestCoalitionValuePaths:
             # called directly on the inputs the lanes took, the walk agrees
             ids = sorted(submissions)
             vectors, counts = [submissions[c] for c in ids], [n_map[c] for c in ids]
-            full = incentives.sample_weighted_mean(vectors, counts).raw.astype(object)
+            full = sample_weighted_mean(vectors, counts).raw.astype(object)
             raws = [v.raw.astype(object) for v in vectors]
-            assert incentives._walk_coalition_values(raws, counts, full) == outcome
+            assert numerics._walk_coalition_dots(raws, counts, full) == outcome
 
     def test_shapley_cohort_shape_takes_the_lanes(self, monkeypatch):
         # 12 clients x dim 16 with 40 samples each, raws at gradient scale
         rng = np.random.default_rng(5)
         submissions, n_map = _cohort(rng.integers(-(2**30), 2**30, (12, 16)).tolist(), [40] * 12)
         expected = _definition_values(submissions, n_map)
-        _forbid(monkeypatch, "_walk_coalition_values")
+        _forbid(monkeypatch, "_walk_coalition_dots")
         assert coalition_values(submissions, n_map) == expected
         assert one_pass_phi(submissions, n_map) == shapley_phi_loop(sorted(submissions), expected)
 
@@ -539,7 +539,7 @@ class TestCoalitionValuePaths:
     def test_at_the_bound_takes_the_walk(self, monkeypatch, raw_rows, counts):
         submissions, n_map = _cohort(raw_rows, counts)
         expected = _definition_values(submissions, n_map)
-        _forbid(monkeypatch, "_lane_coalition_values")
+        _forbid(monkeypatch, "_lane_coalition_dots")
         assert coalition_values(submissions, n_map) == expected
 
     # column magnitudes that keep every block's dot on the int64 lane, fill the
@@ -551,15 +551,15 @@ class TestCoalitionValuePaths:
         [2**40] * 9,
         [2**40, 2**10, 3 * 2**29, 3 * 2**29, 2**10, 3 * 2**29, 2**40, 2**10, 3 * 2**29],
     ], ids=["lane", "lane_spills", "python_ints", "mixed"])
-    @pytest.mark.parametrize("cells", [14, incentives._LANE_BLOCK_CELLS])
+    @pytest.mark.parametrize("cells", [14, numerics._LANE_BLOCK_CELLS])
     def test_blocks_with_a_short_last_block(self, monkeypatch, magnitudes, cells):
         # 3 clients: 7 coalitions, so 14 cells make blocks of 2, 2, 2, 2 and 1
         rng = np.random.default_rng(len(magnitudes) + cells)
         rows = [[int(m) - int(rng.integers(0, 99)) for m in magnitudes] for _ in range(3)]
         submissions, n_map = _cohort(rows, [1, 2, 3])
         expected = _definition_values(submissions, n_map)
-        monkeypatch.setattr(incentives, "_LANE_BLOCK_CELLS", cells)
-        _forbid(monkeypatch, "_walk_coalition_values")
+        monkeypatch.setattr(numerics, "_LANE_BLOCK_CELLS", cells)
+        _forbid(monkeypatch, "_walk_coalition_dots")
         assert coalition_values(submissions, n_map) == expected
         assert one_pass_phi(submissions, n_map) == shapley_phi_loop(sorted(submissions), expected)
 
@@ -569,8 +569,8 @@ class TestCoalitionValuePaths:
         submissions, n_map = _cohort(rng.integers(-(2**31), 2**31, (10, 10)).tolist(),
                                      rng.integers(1, 500, 10).tolist())
         expected = _definition_values(submissions, n_map)
-        monkeypatch.setattr(incentives, "_LANE_BLOCK_CELLS", 4096)
-        _forbid(monkeypatch, "_walk_coalition_values")
+        monkeypatch.setattr(numerics, "_LANE_BLOCK_CELLS", 4096)
+        _forbid(monkeypatch, "_walk_coalition_dots")
         assert coalition_values(submissions, n_map) == expected
 
     @pytest.mark.parametrize("reach, width, blocks", [
@@ -584,7 +584,7 @@ class TestCoalitionValuePaths:
         ([0] * 7 + [2**66], 100, [(0, 7, 0), (7, 8, 2**66)]),
     ], ids=["reach", "width", "beyond_width", "last_beyond"])
     def test_blocks_are_cut_at_the_reach_budget_and_the_width(self, reach, width, blocks):
-        cuts = incentives._blocks(reach, width)
+        cuts = numerics._blocks(reach, width)
         assert [(block.start, block.stop, total) for block, total in cuts] == blocks
 
     def test_memory_is_bounded_by_the_block(self):

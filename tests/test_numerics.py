@@ -408,6 +408,8 @@ class TestRawVectors:
         )
     )
     @example(([[RAW_LIMIT - 1]], [2**129]))  # one weighted term beyond the accumulator
+    # a first weighted term beyond the accumulator that the second cancels
+    @example(([[RAW_LIMIT - 1], [1 - RAW_LIMIT]], [2**129, 2**129]))
     @example(([[2**62 - 1]], [2]))  # n * |raw| just below 2**63: the int64 lane
     @example(([[2**62]], [2]))  # n * |raw| == 2**63: Python ints
     @example(([[INT64_MIN]], [1]))  # |INT64_MIN| is 2**63

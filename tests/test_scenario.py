@@ -249,14 +249,17 @@ class TestConfigTypes:
         ("dim", 0, 0, "dim must be >= 1, got 0"),
         ("noise", -1, -1, "noise must be >= 0"),
         ("noise", math.nan, math.nan, "noise must be >= 0"),
+        ("noise", math.inf, math.inf, "noise must be finite"),
         ("lr", 0, 0, "lr must be positive"),
         ("lr", math.nan, math.nan, "lr must be positive"),
+        ("lr", math.inf, math.inf, "lr must be finite"),
         ("epochs", 0, 0, "epochs must be >= 1, got 0"),
         ("seed", True, True, "dataset seed must be an integer"),
         ("behaviors", (ClientBehavior("honest"),) * 3, ["honest"] * 3,
          "behaviors must list one entry per client"),
     ], ids=["zero_clients", "bool_sample_count", "zero_dim", "negative_noise", "nan_noise",
-            "zero_lr", "nan_lr", "zero_epochs", "bool_seed", "short_behaviors"])
+            "inf_noise", "zero_lr", "nan_lr", "inf_lr", "zero_epochs", "bool_seed",
+            "short_behaviors"])
     def test_invalid_dataset_field(self, key, direct_value, doc_value, message):
         doc = base_doc()
         doc["dataset"][key] = doc_value
