@@ -27,13 +27,17 @@ Four keep two algorithms, as their paths differ in more than dtype:
 ``from_floats`` (``np.rint`` of scaled values finite and below 2**63, or
 ``Fixed.from_float``'s quantizing, one value at a time, with its errors),
 ``encode`` (a sign-extension word beside each int64, or ``int.to_bytes``),
-``dot`` (products bounded by ``max|a| * max|b|`` < 2**63, summed in int64
-blocks no partial sum of which reaches 2**63, or checked Python-int partial
-sums: ``raw_dot``) and ``sample_weighted_mean`` (one int64 matrix product
+``dot`` (on two int64 vectors, products summed in int64 blocks no partial
+sum of which reaches 2**63; once ``max|a| * max|b|`` reaches 2**63, the
+same on the nine limb pairs of each vector's three 21-bit limbs, shifted
+and added as Python ints; beyond int64, checked Python-int partial sums:
+``raw_dot``) and ``sample_weighted_mean`` (one int64 matrix product
 when ``sum(n_i * max|raw_i|)`` and ``sum(n_i)`` are below 2**63, as
 ``weighted_sum_lanes`` checks, or checked Python-int partial sums:
 ``add_terms``, ``truncated_mean``), and so does ``coalition_dots``, every
-subset's FedAvg dot for exact Shapley. ``_truncate`` truncates every array.
+subset's FedAvg dot for exact Shapley; its int64 blocks are cut on a
+float64 bound of their products, at 2**62 so that the margin to 2**63
+covers the bound's rounding. ``_truncate`` truncates every array.
 
 So "overflow raises, never wraps" holds in int64 too: a bound that would let
 an int64 expression wrap is refused before numpy runs, and each int64 result
@@ -46,12 +50,9 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 from numbers import Real
-from operator import mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -64,7 +65,10 @@ ACC_LIMIT = 2**255          # wide accumulator bound for dot/weighted sums
 INT_LIMIT = 2**256          # |config integer| must stay below this: the contract's uint256
 LANE_LIMIT = 2**63          # a lane result's magnitude bound: int64 holds every value below it
 _LANE_BLOCK_CELLS = 2**15   # subset x component cells per int64 block of coalition_dots: 256 KB
+_REACH_CUT = 2**62          # an int64 lane's float reach budget in coalition_dots: a rounding margin
 _FLOAT_EXACT = 2**53        # every int of at most this magnitude is exactly a float64
+_LIMB_BITS = 21             # an int64 as three limbs of at most 2**21 in magnitude
+_LIMB_REACH = 2**42         # bound on a limb-pair product
 
 _DECIMAL_RE = re.compile(r"^[+-]?(?:\d+(?:\.\d+)?|\.\d+)$")
 
@@ -405,12 +409,32 @@ def raw_dot(a: np.ndarray, b: np.ndarray) -> int:
     return _check_raw(div_toward_zero(partial_sums[-1], SCALE))
 
 
+def _limbs(x: np.ndarray) -> list[np.ndarray]:
+    """The int64 array ``x`` as three limbs, lowest first, with
+    ``x == sum(limb_k << (k * _LIMB_BITS))``: two unsigned below 2**21 and
+    the signed top ``x >> 42`` in [-2**21, 2**21), so every limb is at most
+    2**21 in magnitude, INT64_MIN's too."""
+    mask = (1 << _LIMB_BITS) - 1
+    return [x & mask, (x >> _LIMB_BITS) & mask, x >> (2 * _LIMB_BITS)]
+
+
 def _lane_dot(a: np.ndarray, b: np.ndarray, reach: int) -> int:
     """Exact inner product of int64 arrays whose products are each at most
-    ``reach`` < LANE_LIMIT in magnitude: products are summed in int64 in
-    blocks of ``(LANE_LIMIT - 1) // reach``, so no partial sum of a block
-    reaches 2**63 in any order numpy adds them, and the block sums are added
-    as Python ints."""
+    ``reach`` in magnitude, in int64 whatever the reach.
+
+    Below 2**63, products are summed in int64 in blocks of
+    ``(LANE_LIMIT - 1) // reach``, so no partial sum of a block reaches
+    2**63 in any order numpy adds them, and the block sums are added as
+    Python ints. At or beyond it, ``a`` and ``b`` are split into limbs
+    (``_limbs``, schoolbook multi-precision): each of the nine limb-pair dots
+    has products of at most ``_LIMB_REACH`` = 2**42 and is summed by the same
+    block rule, then shifted by its limbs' weight and added as Python ints."""
+    if reach >= LANE_LIMIT:
+        return sum(
+            _lane_dot(x, y, _LIMB_REACH) << (_LIMB_BITS * (i + j))
+            for i, x in enumerate(_limbs(a))
+            for j, y in enumerate(_limbs(b))
+        )
     products = a * b
     width = (LANE_LIMIT - 1) // reach if reach else len(products)
     if width >= len(products):
@@ -421,16 +445,19 @@ def _lane_dot(a: np.ndarray, b: np.ndarray, reach: int) -> int:
 def dot(a: GradientVector, b: GradientVector) -> Fixed:
     """Inner product with exact wide accumulation and one terminal rescale.
 
-    In int64 when every product's bound ``max|a| * max|b|`` is below 2**63;
-    the exact sum then lies far inside ACC_LIMIT, so no partial-sum check
-    can fail. (A vector beyond int64 passes only beside a zero vector, and
-    its products are then Python-int zeros.)"""
+    Two int64 vectors take ``_lane_dot``, exact in int64 whatever their
+    magnitudes: products are summed as they are while ``max|a| * max|b|``
+    is below 2**63, and as 21-bit limb-pair products past it. No partial sum
+    of such a dot can reach ACC_LIMIT (|product| <= 2**126, so a partial sum
+    is below dim * 2**126 < 2**255), so the exact sum and ``Fixed``'s
+    terminal range check give ``raw_dot``'s values and ``OverflowError``s.
+    ``raw_dot``'s checked Python-int partial sums are left to vectors beyond
+    int64."""
     if a.dim != b.dim:
         raise DimMismatch(f"dim {a.dim} != dim {b.dim}")
-    reach = a._peak * b._peak
-    if reach < LANE_LIMIT:
-        return Fixed(div_toward_zero(_lane_dot(a.raw, b.raw, reach), SCALE))
-    return Fixed(raw_dot(a.raw.astype(object), b.raw.astype(object)))
+    if a.raw.dtype == object or b.raw.dtype == object:
+        return Fixed(raw_dot(a.raw.astype(object), b.raw.astype(object)))
+    return Fixed(div_toward_zero(_lane_dot(a.raw, b.raw, a._peak * b._peak), SCALE))
 
 
 def norm_sq(v: GradientVector) -> Fixed:
@@ -496,11 +523,15 @@ def _lane_coalition_dots(lanes: np.ndarray, counts: Sequence[int], full: np.ndar
     dim * 2**126, and dim < 2**129 for any vector that fits in memory. So
     the walk's per-partial-sum checks cannot fail and are not repeated.
 
-    Each dot is exact. ``_blocks`` cuts the components where the sum of the
-    products' bounds ``reach`` would reach 2**63: a block below it is
-    summed on an int64 lane, which moves to Python ints before the blocks
-    it holds reach 2**63 together, and a run of components each beyond it
-    is summed in Python ints. Each value gets the walk's terminal range
+    Each dot is exact. Each component's product bound ``reach``,
+    max_i |raw_ic| * |full_c|, is taken in float64 with numpy, and
+    ``_blocks`` cuts the components where the blocks' float bounds would
+    pass ``_REACH_CUT`` = 2**62; the margin to 2**63 covers the rounding
+    (the proof is ``_blocks``'). A block within the cut is summed on an
+    int64 lane, which moves to Python ints before the bounds of the blocks
+    it holds pass the cut together, and a run of components each beyond it
+    is summed in Python ints. Cut positions depend on the bound, values do
+    not. Each value gets the walk's terminal range
     check, in mask order; it can fail only when dim * 2**126 / SCALE
     reaches 2**127, at a dim above 2**30. Memory is O(2**n) for the totals
     plus one table that every block reuses and its signs, each of about
@@ -510,23 +541,24 @@ def _lane_coalition_dots(lanes: np.ndarray, counts: Sequence[int], full: np.ndar
     counts_lane = np.array(counts, dtype=np.int64)
     totals = _subset_sums(counts_lane, np.empty(1 << len(counts), np.int64))[1:, None]
     terms = lanes * counts_lane[:, None]
-    # |mean_c| <= max_i |raw_ic| for every subset, so |mean_c * full_c| <= reach[c]
-    reach = list(map(mul, np.abs(lanes).max(axis=0).tolist(), map(abs, full.tolist())))
+    # |mean_c| <= max_i |raw_ic| for every subset, so |mean_c * full_c| <= reach[c]; no
+    # admitted lane holds INT64_MIN, and |full| is taken after the cast, where it cannot wrap
+    reach = np.abs(lanes).max(axis=0).astype(np.float64) * np.abs(full.astype(np.float64))
     rows, width = len(totals) + 1, max(1, _LANE_BLOCK_CELLS // len(totals))
     buffer = np.empty(rows * min(width, len(full)), np.int64)  # every block's numerators
-    lane, lane_reach = np.zeros(len(totals), dtype=np.int64), 0
+    lane, lane_bound = np.zeros(len(totals), dtype=np.int64), 0
     spill = 0  # exact Python-int sums of what the lane cannot hold
-    for block, block_reach in _blocks(reach, width):
+    for block, bound in _blocks(reach, width):
         numerators = buffer[: rows * (block.stop - block.start)].reshape(rows, -1)
         means = _truncate(_subset_sums(terms[:, block], numerators)[1:], totals)
-        if block_reach >= LANE_LIMIT:
+        if bound > _REACH_CUT:
             spill = spill + means.astype(object) @ full[block].astype(object)
             continue
-        if lane_reach + block_reach >= LANE_LIMIT:
+        if lane_bound + bound > _REACH_CUT:
             spill = spill + lane.astype(object)
-            lane, lane_reach = np.zeros_like(lane), 0
+            lane, lane_bound = np.zeros_like(lane), 0
         lane += means @ full[block]
-        lane_reach += block_reach
+        lane_bound += bound
     dots = lane if isinstance(spill, int) else spill + lane.astype(object)
     values = [0] + _truncate(dots, SCALE).tolist()
     # a value from an int64 dot lies far inside RAW_LIMIT
@@ -545,23 +577,39 @@ def _subset_sums(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _blocks(reach: Sequence[int], width: int) -> Iterator[tuple[slice, int]]:
-    """Runs of at most ``width`` components, each with its summed reach: the
-    longest run whose sum stays below LANE_LIMIT, or a run of components
-    each at or beyond it. Only the components beyond it are visited one by
-    one; the others are cut by bisecting the prefix sums."""
-    prefix = [0, *accumulate(reach)]
-    start = 0
-    while start < len(reach):
-        stop = min(start + width, len(reach))
-        end = start + 1
-        if reach[start] >= LANE_LIMIT:
-            while end < stop and reach[end] >= LANE_LIMIT:
-                end += 1
-        else:
-            end = min(stop, bisect_left(prefix, prefix[start] + LANE_LIMIT, end) - 1)
-        yield slice(start, end), prefix[end] - prefix[start]
-        start = end
+def _blocks(reach: np.ndarray, width: int) -> Iterator[tuple[slice, int]]:
+    """Runs of at most ``width`` components, each with ``bound``, a bound on
+    its summed reach: the longest run whose bound stays within
+    ``_REACH_CUT``, or a run of components each beyond it, whose bound
+    exceeds the cut.
+
+    ``reach`` holds float64 bounds, each a component's exact reach r_c
+    rounded at most three times (two casts and a product), so
+    r_c <= reach_c / (1 - 2**-53)**3. With 2**g > len(reach), each is taken
+    up to whole units of 2**g, ceil(reach_c / 2**g) (exact: a power-of-two
+    scale and a ceil), capped at twice the cut K = _REACH_CUT / 2**g (a
+    power of two, so exact too). The int64 prefix sums are then exact: they
+    are at most (2**g - 1) * 2 * K = 2**63 - 2 * K, so a prefix sum plus K
+    stays in int64 too. A run's bound is its units times 2**g. So runs, or
+    a lane of runs, whose bounds sum to at most ``_REACH_CUT`` = 2**62 have
+    an exact summed reach of at most 2**62 / (1 - 2**-53)**3 < 2**63: the
+    margin covers the rounding. Each run is cut by one ``searchsorted`` on
+    the prefix sums, which finds no room at a component beyond the cut."""
+    shift = len(reach).bit_length()
+    cut = _REACH_CUT >> shift
+    units = np.minimum(np.ceil(reach * 2.0**-shift), 2.0 * cut).astype(np.int64)
+    ends = units.cumsum()  # ends[i]: the units of components 0 to i
+    within = None  # how many components up to each index are within the cut: built at need
+    start = base = 0
+    while start < len(units):
+        end = min(start + width, int(ends.searchsorted(base + cut, "right")))
+        if end == start:  # beyond the cut: the run goes up to the next component within it
+            if within is None:
+                within = (units <= cut).cumsum()
+            end = min(start + width, int(within.searchsorted(within[start] + 1)))
+        top = int(ends[end - 1])
+        yield slice(start, end), (top - base) << shift
+        start, base = end, top
 
 
 def _walk_coalition_dots(

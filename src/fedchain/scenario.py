@@ -612,7 +612,7 @@ def audit_run(run_dir) -> dict:
     chain_error = _chain_fault(ledger_doc)
     try:
         report = build_report(ledger_doc, store)
-    except (SimulationError, ValueError, LookupError, TypeError, AttributeError):
+    except (SimulationError, ValueError, LookupError, TypeError, AttributeError, OverflowError):
         report = None
     checkpoints, files = [], {}
     if report is not None:

@@ -502,6 +502,55 @@ def _bound_games(draw):
     return _cohort(rows, counts)
 
 
+def _recorded_blocks(monkeypatch) -> list:
+    """Every ``(block, bound)`` that ``numerics._blocks`` yields, with the
+    width it was asked for, recorded as the lanes take it."""
+    recorded, blocks = [], numerics._blocks
+
+    def recording(reach, width):
+        for cut in blocks(reach, width):
+            recorded.append((cut, width))
+            yield cut
+
+    monkeypatch.setattr(numerics, "_blocks", recording)
+    return recorded
+
+
+def _checked_blocks(recorded, submissions, n_map) -> list[bool]:
+    """Checks the recorded blocks against the exact reach max_i |raw_ic| *
+    |full_c| in Python ints: each block covers at most its width, and one
+    whose bound is within the cut, summed on the int64 lane, has exact
+    summed reach below 2**63. Returns which blocks took the lane."""
+    full = fedavg(submissions, n_map).raw.tolist()
+    rows = [v.raw.tolist() for v in submissions.values()]
+    reach = [max(abs(row[c]) for row in rows) * abs(f) for c, f in enumerate(full)]
+    lane = []
+    for (block, bound), width in recorded:
+        assert 0 < block.stop - block.start <= width
+        lane.append(bound <= numerics._REACH_CUT)
+        if lane[-1]:
+            assert sum(reach[block]) < 2**63
+    return lane
+
+
+@st.composite
+def _straddling_lanes(draw):
+    """Lanes and a ``full`` whose per-component reach max_i |raw_ic| *
+    |full_c| lies within a few units of |full_c| of 2**61, 2**62 or 2**63:
+    on both sides of the float cut, alone and in pairs, and of the lane limit."""
+    dim = draw(st.integers(1, 10))
+    raw_bits = draw(st.integers(1, 59))  # 3 counts of 3 at 2**59 stay below 2**63: lanes
+    rows = draw(st.lists(st.lists(st.integers(-(2**raw_bits), 2**raw_bits),
+                                  min_size=dim, max_size=dim), min_size=1, max_size=3))
+    counts = draw(st.lists(st.integers(1, 3), min_size=len(rows), max_size=len(rows)))
+    full = []
+    for c in range(dim):
+        peak = max(abs(row[c]) for row in rows) or 1
+        near = draw(st.sampled_from([2**61, 2**62, 2**63])) // peak + draw(st.integers(-2, 2))
+        full.append(min(max(draw(st.sampled_from([1, -1])) * near, -(2**63)), 2**63 - 1))
+    return [GradientVector.from_raw(row) for row in rows], counts, GradientVector.from_raw(full)
+
+
 class TestCoalitionValuePaths:
     """Each path of ``alignment_coalition_values`` against the per-coalition
     definition: the int64 lanes under the bound, the walk beyond it."""
@@ -560,32 +609,68 @@ class TestCoalitionValuePaths:
         expected = _definition_values(submissions, n_map)
         monkeypatch.setattr(numerics, "_LANE_BLOCK_CELLS", cells)
         _forbid(monkeypatch, "_walk_coalition_dots")
+        recorded = _recorded_blocks(monkeypatch)
         assert coalition_values(submissions, n_map) == expected
+        lane = _checked_blocks(recorded, submissions, n_map)
+        assert any(lane) == (magnitudes != [2**40] * 9)  # 2**80 per component: Python ints
+        assert all(lane) == (2**40 not in magnitudes)
+        if cells == 14 and magnitudes == [2**20] * 9:
+            assert [block.stop - block.start for (block, _), _ in recorded] == [2, 2, 2, 2, 1]
         assert one_pass_phi(submissions, n_map) == shapley_phi_loop(sorted(submissions), expected)
 
     def test_ten_clients_in_blocks_of_four_components(self, monkeypatch):
-        # 1 023 coalitions: 4 096 cells make blocks of 4, 4 and 2 components
+        # 1 023 coalitions: 4 096 cells make blocks of at most 4 components;
+        # products near 2**62 reach the cut first, after 3, 3 and 4
         rng = np.random.default_rng(11)
         submissions, n_map = _cohort(rng.integers(-(2**31), 2**31, (10, 10)).tolist(),
                                      rng.integers(1, 500, 10).tolist())
         expected = _definition_values(submissions, n_map)
         monkeypatch.setattr(numerics, "_LANE_BLOCK_CELLS", 4096)
         _forbid(monkeypatch, "_walk_coalition_dots")
+        recorded = _recorded_blocks(monkeypatch)
         assert coalition_values(submissions, n_map) == expected
+        assert all(_checked_blocks(recorded, submissions, n_map))
+        assert [block.stop - block.start for (block, _), _ in recorded] == [3, 3, 4]
 
+    @settings(max_examples=150, deadline=None)
+    @given(_straddling_lanes())
+    @example(([GradientVector.from_raw([1, 1, 1])], [1],
+              GradientVector.from_raw([2**62, 2**62 - 1, -(2**63)])))
+    @example(([GradientVector.from_raw([2**31, -(2**31)]), GradientVector.from_raw([3, 5])],
+              [3, 1], GradientVector.from_raw([2**31, 2**31 + 1])))
+    def test_reach_straddling_the_float_cut_matches_the_walk(self, lanes):
+        vectors, counts, full = lanes
+        assert numerics.weighted_sum_lanes(vectors, counts) is not None  # the lanes path
+        expected = _outcome(numerics._walk_coalition_dots,
+                            [v.raw.astype(object) for v in vectors], counts,
+                            full.raw.astype(object))
+        assert _outcome(numerics.coalition_dots, vectors, counts, full) == expected
+
+    # bounds are whole units of 2**g, 2**g > len(reach): 16 for 9 components,
+    # 8 for 5 or 7, 4 for 3; a component beyond the cut counts as twice the cut
     @pytest.mark.parametrize("reach, width, blocks", [
-        # a run ends before the component that would take it to 2**63, and a
-        # run of components each at or beyond 2**63 ends before one below it
+        # a run ends before the component that would take its bound past
+        # 2**62, and a run of components each beyond 2**62 ends before one
+        # within it; 2**63 - 2 is 2**63 as a float64
         ([2**62, 2**62, 2**63, 2**64, 1, 2**63 - 2, 1, 5, 5], 3,
-         [(0, 1, 2**62), (1, 2, 2**62), (2, 4, 2**63 + 2**64), (4, 6, 2**63 - 1),
-          (6, 9, 11)]),
-        ([1] * 5, 2, [(0, 2, 2), (2, 4, 2), (4, 5, 1)]),
+         [(0, 1, 2**62), (1, 2, 2**62), (2, 4, 2**64), (4, 5, 16), (5, 6, 2**63),
+          (6, 9, 48)]),
+        # a bound of exactly 2**62 is within the cut
+        ([2**61, 2**61 - 2**10, 2**10, 1, 2**61, 2**61 + 2**10, 0], 7,
+         [(0, 3, 2**62), (3, 5, 2**61 + 8), (5, 7, 2**61 + 2**10)]),
+        ([1] * 5, 2, [(0, 2, 16), (2, 4, 16), (4, 5, 8)]),
         ([2**63] * 3, 2, [(0, 2, 2**64), (2, 3, 2**63)]),
-        ([0] * 7 + [2**66], 100, [(0, 7, 0), (7, 8, 2**66)]),
-    ], ids=["reach", "width", "beyond_width", "last_beyond"])
+        ([0] * 7 + [2**66], 100, [(0, 7, 0), (7, 8, 2**63)]),
+    ], ids=["reach", "cut", "width", "beyond_width", "last_beyond"])
     def test_blocks_are_cut_at_the_reach_budget_and_the_width(self, reach, width, blocks):
-        cuts = numerics._blocks(reach, width)
-        assert [(block.start, block.stop, total) for block, total in cuts] == blocks
+        cuts = list(numerics._blocks(np.array(reach, dtype=np.float64), width))
+        assert [(block.start, block.stop, bound) for block, bound in cuts] == blocks
+        for block, bound in cuts:
+            assert block.stop - block.start <= width
+            if bound <= numerics._REACH_CUT:  # on the int64 lane
+                assert sum(reach[block]) < 2**63
+            else:
+                assert min(reach[block]) > numerics._REACH_CUT
 
     def test_memory_is_bounded_by_the_block(self):
         # a 1 023 x 256 int64 table of coalition means alone would be 2 MB

@@ -20,6 +20,7 @@ from fedchain.numerics import (
     norm_sq,
     sample_weighted_mean,
 )
+from fedchain.scenario import parse_config, run_scenario
 
 
 def vec(*values: str) -> GradientVector:
@@ -253,6 +254,14 @@ LANE_EDGES = [
     -(2**62 - 1), -(2**62), INT64_MIN + 1, INT64_MIN,
     2**53 - 1, 2**53, 2**53 + 1, -(2**53 + 1),
 ]
+SQRT_LANE = math.isqrt(2**63)  # SQRT_LANE**2 < 2**63 < (SQRT_LANE + 1)**2
+INT64S = st.one_of(
+    st.integers(INT64_MIN, 2**63 - 1),
+    st.sampled_from([INT64_MIN, INT64_MIN + 1, 2**63 - 1, 0, 2**21, -(2**21), 2**42]),
+    # magnitudes whose products land on either side of 2**63
+    st.integers(SQRT_LANE - 3, SQRT_LANE + 3).flatmap(lambda m: st.sampled_from([m, -m])),
+    st.integers(1, 62).flatmap(lambda e: st.integers(-(2**e), 2**e)),
+)
 RAWS = st.one_of(
     st.integers(-(RAW_LIMIT - 1), RAW_LIMIT - 1),
     st.integers(-(10**12), 10**12),
@@ -487,6 +496,26 @@ class TestLanes:
         assert outcome(lambda: [Fixed.from_float(x).raw for x in list(values)]) == error
         assert outcome(lambda: GradientVector.from_floats(values)) == error
 
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda dim: st.tuples(
+                st.lists(INT64S, min_size=dim, max_size=dim),
+                st.lists(INT64S, min_size=dim, max_size=dim),
+            )
+        )
+    )
+    @example(([SQRT_LANE] * 3, [-SQRT_LANE] * 3))  # max|a| * max|b| just below 2**63: one limb
+    @example(([SQRT_LANE + 1] * 3, [SQRT_LANE + 1, -(SQRT_LANE + 1), 1]))  # just past it
+    @example(([INT64_MIN] * 2, [INT64_MIN, 2**63 - 1]))
+    @example(([2**63 - 1, -(2**63 - 1)], [2**63 - 1, 2**63 - 1]))
+    @example(([INT64_MIN, -1, 2**42, -(2**21)], [2**21 - 1, INT64_MIN, -(2**42), 2**21]))
+    def test_int64_dot_matches_raw_dot(self, pair):
+        # on each side of max|a| * max|b| = 2**63, where the int64 dot takes limbs
+        va, vb = (GradientVector.from_raw(raws) for raws in pair)
+        assert va.raw.dtype == vb.raw.dtype == np.int64
+        expected = numerics.raw_dot(*(np.array(raws, dtype=object) for raws in pair))
+        assert dot(va, vb).raw == expected
+
     @given(st.lists(RAWS, min_size=1, max_size=8))
     @example([2**62 - 1, -(2**62 - 1)])
     @example([2**62, -(2**62)])
@@ -617,7 +646,29 @@ class TestPythonIntPath:
     def test_dot(self, calls):
         a = GradientVector.from_raw([2**31] * 4)
         assert dot(a, a).raw == 2**64 // SCALE  # partial sums past 2**63, on the lane
-        assert calls == {}
         b = GradientVector.from_raw([2**32] * 4)
-        assert dot(b, b).raw == 2**66 // SCALE
+        assert dot(b, b).raw == 2**66 // SCALE  # products past 2**63: int64 limbs
+        assert calls == {}
+        c = GradientVector.from_raw([2**63] * 4)  # beyond int64
+        assert dot(c, c).raw == 2**128 // SCALE
         assert calls == {"raw_dot": 1}
+
+    def test_wide_model_norm_checks_stay_in_int64(self, calls, monkeypatch):
+        # a scaler (c = 100) at dim 2 000: some update's max|a| * max|a| passes 2**63
+        reaches = []
+        int64_dot = numerics.dot
+
+        def recording(a, b):
+            reaches.append(a._peak * b._peak)
+            return int64_dot(a, b)
+
+        monkeypatch.setattr(numerics, "dot", recording)
+        run_scenario(parse_config({
+            "seed": 0, "rounds": 2, "fairness_interval": 2, "tau": "100",
+            "dataset": {
+                "n_clients": 4, "samples_per_client": [50] * 4, "dim": 2_000, "noise": 0.1,
+                "lr": 0.001, "behaviors": ["honest", "honest", "negator", {"kind": "scaler", "c": 100}],
+            },
+        }))
+        assert max(reaches) >= 2**63
+        assert "raw_dot" not in calls

@@ -16,6 +16,7 @@ from fedchain import incentives
 from fedchain.coordinator import ContractConfig, gas_class
 from fedchain import ledger as ledger_module
 from fedchain import scenario as scenario_module
+from fedchain.cli import main as cli_main
 from fedchain.errors import ConfigError, MissingRun
 from fedchain.flclients import ClientBehavior, make_client_id
 from fedchain.keccak import keccak256
@@ -890,6 +891,20 @@ class TestAudit:
         assert [(c["round"], c["verdict"]) for c in verdict["checkpoints"]] == [
             (3, "ContentMismatch"), (6, "ContentMismatch"),
         ]
+
+    def test_score_beyond_fixed_point_range_fails_the_audit(self, run_dir, capsys):
+        def score_past_raw_limit(doc):
+            events = (payload for sealed in doc["receipts"] for receipt in sealed
+                      for name, payload in receipt["events"] if name == "AlignmentScoresUpdated")
+            next(events)["scores"][0][1] = 2**200
+
+        rewrite_ledger(run_dir, score_past_raw_limit)
+        verdict = audit(run_dir)[0]
+        assert not verdict["ok"] and verdict["files"] == {}
+        assert verdict["chain"].endswith("receipts root mismatch")
+        assert cli_main(["audit", "--out", str(run_dir)]) == 1
+        printed = capsys.readouterr()
+        assert "FAILED (chain: " in printed.out and printed.err == ""
 
     @pytest.mark.parametrize("part", ["txs", "receipts"])
     def test_dropped_block_list_detected(self, run_dir, part):
