@@ -55,6 +55,9 @@ VERDICT_ACCEPTED = "accepted"
 VERDICT_REJECTED_NORM = "rejected_norm"
 
 SYSTEM_SENDER = b"\x00" * 20  # reserved id for coordinator-initiated calls
+# n_samples bound: with n_i < 2**64, |raw| < 2**127 and fewer than 2**64 clients,
+# every FedAvg and coalition numerator stays below ACC_LIMIT = 2**255
+SAMPLES_LIMIT = 2**64
 
 
 class Call(NamedTuple):
@@ -231,8 +234,8 @@ class Coordinator:
             raise NotAuthorized("invalid client id")
         if stake < self.config.min_stake:
             raise InsufficientStake(f"stake {stake} < minimum {self.config.min_stake}")
-        if n_samples <= 0:
-            raise BadSampleCount(f"n_samples must be positive, got {n_samples}")
+        if not 0 < n_samples < SAMPLES_LIMIT:
+            raise BadSampleCount(f"n_samples must lie in [1, 2**64), got {n_samples}")
         self.clients[client_id] = ClientRecord(
             stake=stake,
             n_samples=n_samples,

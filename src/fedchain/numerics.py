@@ -164,9 +164,6 @@ class Fixed:
             return f"{sign}{whole}"
         return f"{sign}{whole}.{frac:09d}".rstrip("0")
 
-    def to_float(self) -> float:
-        return self.raw / SCALE
-
     def __add__(self, other: "Fixed") -> "Fixed":
         return Fixed(self.raw + other.raw)
 
@@ -275,9 +272,6 @@ class GradientVector:
         if not isinstance(other, GradientVector):
             return NotImplemented
         return self.raw.dtype == other.raw.dtype and np.array_equal(self.raw, other.raw)
-
-    def __hash__(self) -> int:
-        return hash(tuple(self.raw.tolist()))
 
     @property
     def dim(self) -> int:

@@ -392,66 +392,61 @@ def ledger_document(config: ScenarioConfig, ledger: Ledger) -> dict:
     }
 
 
-def _doc_events(ledger_doc: dict, name: Optional[str] = None):
-    for sealed in ledger_doc["receipts"]:
-        for receipt in sealed:
-            for event_name, payload in receipt["events"]:
-                if name is None or event_name == name:
-                    yield receipt["block_height"], event_name, payload
-
-
 def scores_from_ledger(ledger_doc: dict) -> dict[int, dict[bytes, Fixed]]:
-    """Per-round alignment scores recovered from the persisted event log."""
+    """Per-round alignment scores recovered from the persisted event log,
+    keyed by the round each score event names."""
     return {
         payload["round"]: {bytes.fromhex(cid[2:]): Fixed(raw) for cid, raw in payload["scores"]}
-        for _, _, payload in _doc_events(ledger_doc, "AlignmentScoresUpdated")
+        for block_receipts in ledger_doc["receipts"]
+        for receipt in block_receipts
+        for name, payload in receipt["events"]
+        if name == "AlignmentScoresUpdated"
     }
 
 
 def build_report(ledger_doc: dict, store: ContentStore) -> dict:
-    """Pure view of a persisted ledger; byte-identical on rebuild."""
+    """Pure view of a persisted ledger; byte-identical on rebuild.
+
+    Its rounds are the chain's, not the recorded config's: round r seals in
+    block r + 1, after genesis and registration. One walk of each block's
+    txs and receipts takes the gas and every round event.
+    """
     config = ledger_doc["config"]
-    rounds_count = config["rounds"]
+    rounds_count = len(ledger_doc["blocks"]) - 2
     dim = config["dataset"]["dim"]
     gas_model = GasModel(**config["gas"])
 
     per_round: dict[int, dict] = {
-        r: {
-            "round": r,
-            "submitted": [],
-            "scores": {},
-            "payouts": {},
-            "banned": [],
-            "checkpoint": None,
-            "gas_used": 0,
-        }
+        r: {"round": r, "submitted": [], "scores": {}, "payouts": {}, "banned": [],
+            "checkpoint": None, "gas_used": 0}
         for r in range(1, rounds_count + 1)
     }
     anchors = []  # every FairnessCheckpoint payload, whatever its round
-    for _, name, payload in _doc_events(ledger_doc):
-        if name == "FairnessCheckpoint":
-            anchors.append(payload)
-        record = per_round.get(payload.get("round"))
-        if record is None:
-            continue
-        if name == "UpdateSubmitted":
-            if payload["id"] not in record["submitted"]:
-                record["submitted"].append(payload["id"])
-        elif name == "RewardsDistributed":
-            record["payouts"] = {cid: amount for cid, amount in payload["payouts"]}
-        elif name == "ClientBanned":
-            record["banned"].append(payload["id"])
-        elif name == "FairnessCheckpoint":
-            record["checkpoint"] = {"cid": payload["cid"], "hash": payload["hash"]}
-
     gas_by_class: dict[str, int] = {}
-    for block_receipts, block_txs in zip(ledger_doc["receipts"], ledger_doc["txs"]):
-        for receipt, tx in zip(block_receipts, block_txs):
+    for block_txs, block_receipts in zip(ledger_doc["txs"], ledger_doc["receipts"]):
+        block_gas = 0
+        for tx, receipt in zip(block_txs, block_receipts):
             op_class = gas_class(tx["op"])
             gas_by_class[op_class] = gas_by_class.get(op_class, 0) + receipt["gas_used"]
+            block_gas += receipt["gas_used"]
+            for name, payload in receipt["events"]:
+                if name == "FairnessCheckpoint":
+                    anchors.append(payload)
+                record = per_round.get(payload.get("round"))
+                if record is None:
+                    continue
+                if name == "UpdateSubmitted":
+                    if payload["id"] not in record["submitted"]:
+                        record["submitted"].append(payload["id"])
+                elif name == "RewardsDistributed":
+                    record["payouts"] = {cid: amount for cid, amount in payload["payouts"]}
+                elif name == "ClientBanned":
+                    record["banned"].append(payload["id"])
+                elif name == "FairnessCheckpoint":
+                    record["checkpoint"] = {"cid": payload["cid"], "hash": payload["hash"]}
         height = block_receipts[0]["block_height"] if block_receipts else 0
         if height - 1 in per_round:  # round r is sealed in block r + 1
-            per_round[height - 1]["gas_used"] = sum(r["gas_used"] for r in block_receipts)
+            per_round[height - 1]["gas_used"] = block_gas
 
     history = scores_from_ledger(ledger_doc)
     for r, scores in history.items():
@@ -548,7 +543,8 @@ def load_run_dir(run_dir) -> tuple[dict, ContentStore]:
     """A run's ledger document and blob store as found on disk.
 
     ``MissingRun`` without a ledger; ``UnreadableRun`` when the ledger is no
-    gzipped chain document or a blob cannot be read under its lowercase hex CID.
+    gzipped chain document, holds a ``NaN`` or ``Infinity`` (no JSON number),
+    or a blob cannot be read under its lowercase hex CID.
     """
     run_dir = Path(run_dir)
     ledger_path = run_dir / LEDGER_FILE
@@ -556,7 +552,7 @@ def load_run_dir(run_dir) -> tuple[dict, ContentStore]:
         raise MissingRun(f"no {LEDGER_FILE} under {run_dir}")
     try:
         with gzip.open(ledger_path, "rb") as fh:
-            ledger_doc = json.loads(fh.read().decode())
+            ledger_doc = json.loads(fh.read().decode(), parse_constant=_refuse_constant)
     except (OSError, EOFError, zlib.error, ValueError, RecursionError) as err:
         raise UnreadableRun(f"{LEDGER_FILE} is not gzipped JSON: {err}") from err
     chain_parts = ("blocks", "txs", "receipts")
@@ -579,6 +575,10 @@ def load_run_dir(run_dir) -> tuple[dict, ContentStore]:
     return ledger_doc, ContentStore(blobs)
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"non-finite number {name}")
+
+
 def _chain_fault(ledger_doc: dict) -> Optional[str]:
     """Why the recorded chain fails the audit, or None: its config must be the canonical form
     of a valid config and hash to the run id, and then its chain must verify under it."""
@@ -598,11 +598,12 @@ def _chain_fault(ledger_doc: dict) -> Optional[str]:
 def audit_run(run_dir) -> dict:
     """Re-verify a completed run from its persisted artifacts alone.
 
-    An unreadable run fails with the reason as its ``chain`` verdict. Each
-    file ``report_files`` gives for the rebuilt report must hold its bytes,
-    and every blob must be one the chain anchors: ``files`` names each file
-    ``ok``, ``missing``, ``unreadable`` or ``differs``, and each blob that no
-    anchor names ``unexpected`` (empty when the report cannot be rebuilt).
+    An unreadable run fails with the reason as its ``chain`` verdict. The
+    report is rebuilt from the chain and serialized under one guard; each
+    file ``report_files`` gives must hold its bytes, and every blob must be
+    one the chain anchors: ``files`` names each file ``ok``, ``missing``,
+    ``unreadable`` or ``differs``, and each blob that no anchor names
+    ``unexpected`` (empty when no report, or no bytes for one, can be built).
     """
     run_dir = Path(run_dir)
     try:
@@ -610,16 +611,16 @@ def audit_run(run_dir) -> dict:
     except UnreadableRun as err:
         return {"run_id": None, "ok": False, "chain": str(err), "checkpoints": [], "files": {}}
     chain_error = _chain_fault(ledger_doc)
-    try:
+    try:  # a report that cannot be written as its files is no report
         report = build_report(ledger_doc, store)
+        expected = report_files(report)
     except (SimulationError, ValueError, LookupError, TypeError, AttributeError, OverflowError):
         report = None
     checkpoints, files = [], {}
     if report is not None:
         checkpoints = [{"round": c["round"], "verdict": c["verdict"]}
                        for c in report["checkpoints"]]
-        files = {name: _file_verdict(run_dir / name, data)
-                 for name, data in report_files(report).items()}
+        files = {name: _file_verdict(run_dir / name, data) for name, data in expected.items()}
         anchored = {c["cid"] for c in report["checkpoints"]}  # a run writes no other blob
         files.update({f"{BLOBS_DIR}/{cid.hex()}": "unexpected"
                       for cid in store.cids() if cid.hex() not in anchored})

@@ -137,21 +137,23 @@ def test_criterion_3_round_math_matches_double_oracle():
             score = alignment_score(v, aggregate, n, total)
             scores.append(score)
             oracle_score = float(f @ aggregate_floats) * n / total
-            assert abs(score.to_float() - oracle_score) * SCALE <= 4
+            assert abs(score.raw / SCALE - oracle_score) * SCALE <= 4
 
         # cumulative scores: split the scores into pseudo-rounds (4 ulps)
         history = {r + 1: {make_client_id(0): s} for r, s in enumerate(scores)}
         cumulative = cumulative_scores(history, len(scores))[make_client_id(0)]
-        oracle_cumulative = sum(s.to_float() for s in scores)
-        assert abs(cumulative.to_float() - oracle_cumulative) * SCALE <= 4
+        oracle_cumulative = sum(s.raw / SCALE for s in scores)
+        assert abs(cumulative.raw / SCALE - oracle_cumulative) * SCALE <= 4
 
         # consistency-adjusted rewards vs double oracle (4 ulps)
         alpha = Fixed(int(rng.integers(0, 2 * SCALE)))
         participation = Fixed(int(rng.integers(0, SCALE + 1)))
         for s in scores:
             adjusted = consistency_adjusted_reward(s, alpha, participation)
-            oracle_adjusted = s.to_float() * (1 + alpha.to_float() * participation.to_float())
-            assert abs(adjusted.to_float() - oracle_adjusted) * SCALE <= 4
+            oracle_adjusted = (s.raw / SCALE) * (
+                1 + (alpha.raw / SCALE) * (participation.raw / SCALE)
+            )
+            assert abs(adjusted.raw / SCALE - oracle_adjusted) * SCALE <= 4
 
     elapsed = time.monotonic() - started
     assert elapsed < 5.0, f"oracle comparison took {elapsed:.1f}s"
@@ -189,7 +191,7 @@ def test_criterion_4_shapley_exactness():
         attribution = shapley_exact(players, fixed_table.__getitem__)
         oracle = permutation_oracle(players, table)
         for cid in players:
-            assert abs(attribution[cid].to_float() - oracle[cid]) <= 4 * n / SCALE
+            assert abs(attribution[cid].raw / SCALE - oracle[cid]) <= 4 * n / SCALE
         # efficiency axiom
         total = sum(v.raw for v in attribution.values())
         assert abs(total - table[frozenset(players)]) <= 4 * n

@@ -283,7 +283,7 @@ class TestShapley:
             attribution = shapley_exact(ids, table.__getitem__)
             oracle = shapley_permutation_oracle(ids, table.__getitem__)
             for cid in ids:
-                assert abs(attribution[cid].to_float() - oracle[cid]) <= 4 * n / SCALE
+                assert abs(attribution[cid].raw / SCALE - oracle[cid]) <= 4 * n / SCALE
 
     def test_efficiency_on_random_games(self):
         rng = np.random.default_rng(29)

@@ -2,11 +2,12 @@
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from fedchain.coordinator import (
     CALLS,
+    SAMPLES_LIMIT,
     SYSTEM_SENDER,
     ContractConfig,
     Coordinator,
@@ -28,7 +29,7 @@ from fedchain.ledger import (
     header_preimage,
     verify_chain,
 )
-from fedchain.numerics import ONE, SCALE
+from fedchain.numerics import ONE, SCALE, Fixed
 from fedchain.offchain import canonical_json_bytes
 
 # Reference gas measurements by parameter size (register and distribute are
@@ -464,6 +465,11 @@ def contract_calls(draw):
     return sender, op, args, draw(st.sampled_from([0, 0, 0, 1, -1])), draw(st.booleans())
 
 
+WIDE_TAU = Fixed(2**76)  # near the widest tau the payout check admits at the default alpha
+WIDE_COMPONENT = WIDE_TAU.raw // 2  # a 2-component update this wide lies within tau
+WIDEST_UPDATES = [(SAMPLES_LIMIT - 1, [WIDE_COMPONENT, -WIDE_COMPONENT])] * 12
+
+
 class TestContractBoundary:
     @settings(max_examples=60, deadline=None)
     @given(calls=st.lists(contract_calls(), min_size=1, max_size=4))
@@ -498,6 +504,37 @@ class TestContractBoundary:
         ledger.seal_block()
         ledger.chain_document()
         assert [receipt.tx_hash for _, receipt in recorded] == [tx.tx_hash() for tx, _ in recorded]
+
+    def test_registration_beyond_the_sample_bound_reverts(self):
+        ledger, coordinator = make_ledger()
+        client = make_client_id(0)
+        for n_samples in (SAMPLES_LIMIT, 2**300):
+            receipt = ledger.submit_tx(register_tx(ledger, client, n_samples=n_samples))
+            assert receipt.revert_reason == "BadSampleCount"
+        assert client not in coordinator.clients
+        assert ledger.submit_tx(register_tx(ledger, client, n_samples=SAMPLES_LIMIT - 1)).success
+
+    @settings(max_examples=30, deadline=None)
+    @given(basis=st.sampled_from(["alignment", "shapley"]), clients=st.lists(
+        st.tuples(st.integers(1, SAMPLES_LIMIT - 1),
+                  st.lists(st.integers(-WIDE_COMPONENT, WIDE_COMPONENT), min_size=2, max_size=2)),
+        min_size=1, max_size=5))
+    @example(basis="alignment", clients=WIDEST_UPDATES)
+    @example(basis="shapley", clients=WIDEST_UPDATES)
+    def test_system_calls_hold_every_registrable_sample_count(self, basis, clients):
+        """Registered sample counts below the bound, and updates within tau
+        (beyond int64 here), never take a system call past the contract's
+        arithmetic: each returns a successful receipt."""
+        ledger, _ = make_ledger(tau=WIDE_TAU, reward_basis=basis)
+        for i, (n_samples, components) in enumerate(clients):
+            client = make_client_id(i)
+            assert ledger.submit_tx(register_tx(ledger, client, n_samples=n_samples)).success
+            args = {"round": 1, "batch_index": 0, "batch_count": 1, "components": components}
+            tx = Transaction(client, "submit_update", args, ledger.next_nonce(client))
+            assert ledger.submit_tx(tx).success
+        for op in ("validate_round", "score_and_reward_round", "aggregate_round"):
+            tx = Transaction(SYSTEM_SENDER, op, {"round": 1}, ledger.next_nonce(SYSTEM_SENDER))
+            assert ledger.submit_tx(tx).success, op
 
 
 CLIENTS = [make_client_id(i) for i in range(3)]

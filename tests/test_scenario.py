@@ -6,6 +6,7 @@ import logging
 import math
 import tempfile
 from dataclasses import fields
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from fedchain.numerics import RAW_LIMIT, SCALE, Fixed, GradientVector
 from fedchain.offchain import canonical_json_bytes
 from fedchain.scenario import (
     audit,
+    audit_run,
     build_report,
     config_run_id,
     gas_sweep,
@@ -902,9 +904,7 @@ class TestAudit:
         verdict = audit(run_dir)[0]
         assert not verdict["ok"] and verdict["files"] == {}
         assert verdict["chain"].endswith("receipts root mismatch")
-        assert cli_main(["audit", "--out", str(run_dir)]) == 1
-        printed = capsys.readouterr()
-        assert "FAILED (chain: " in printed.out and printed.err == ""
+        assert_audit_cli_fails_quietly(run_dir, capsys)
 
     @pytest.mark.parametrize("part", ["txs", "receipts"])
     def test_dropped_block_list_detected(self, run_dir, part):
@@ -1169,6 +1169,132 @@ class TestAudit:
         verdicts = audit(run_dir.parent)
         assert [v["ok"] for v in verdicts] == [False, True]
         assert verdicts[1]["run_id"] == good.name
+
+    @pytest.mark.parametrize("spoil", [
+        lambda doc: doc["receipts"][1][0].update(gas_used=math.nan),
+        lambda doc: next(payload for name, payload in doc["receipts"][2][0]["events"]
+                         if name == "UpdateSubmitted").update(id=math.nan),
+    ], ids=["receipt_gas", "submitter_id"])
+    def test_nan_makes_the_ledger_unreadable(self, run_dir, capsys, spoil):
+        doc = json.loads(gzip.decompress((run_dir / LEDGER_FILE).read_bytes()))
+        spoil(doc)
+        (run_dir / LEDGER_FILE).write_bytes(gzip.compress(json.dumps(doc).encode(), mtime=0))
+        verdict = audit(run_dir)[0]
+        assert not verdict["ok"] and verdict["files"] == {}
+        assert verdict["chain"] == "ledger.bin is not gzipped JSON: non-finite number NaN"
+        assert_audit_cli_fails_quietly(run_dir, capsys)
+
+    def test_resealed_report_that_cannot_be_serialized_fails(self, run_dir, capsys):
+        """A payout keyed by an int beside str keys, under recomputed roots
+        and header hashes: the chain verifies, and only the report's bytes,
+        which cannot sort those keys, can tell."""
+        def int_payout_id(doc):
+            for receipt in doc["receipts"][2]:
+                for name, payload in receipt["events"]:
+                    if name == "RewardsDistributed":
+                        payload["payouts"][0][0] = 0
+
+        reseal_ledger(run_dir, int_payout_id)
+        verdict = audit(run_dir)[0]
+        assert verdict["chain"] == "ok"
+        assert not verdict["ok"] and verdict["checkpoints"] == [] and verdict["files"] == {}
+        assert_audit_cli_fails_quietly(run_dir, capsys)
+
+
+def assert_audit_cli_fails_quietly(run_dir, capsys) -> None:
+    """``fedchain audit`` reports the run FAILED and exits 1, with nothing on stderr."""
+    capsys.readouterr()
+    assert cli_main(["audit", "--out", str(run_dir)]) == 1
+    printed = capsys.readouterr()
+    assert "FAILED (chain: " in printed.out and printed.err == ""
+
+
+@cache
+def adversary_run():
+    """``configs/adversary.json``'s run, whose ledger records every event
+    kind, a ban and two checkpoints among them."""
+    return run_scenario(load_config(CONFIGS / "adversary.json"))
+
+
+@cache
+def adversary_ledger_bytes() -> bytes:
+    return canonical_json_bytes(adversary_run().ledger_doc)
+
+
+def json_paths(node, prefix=()):
+    """The path of ``node`` and of every value inside it, as keys and indices."""
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from json_paths(child, prefix + (key,))
+
+
+DELETE = "<delete>"  # the mutation that removes the value at a path
+LEDGER_PATHS = st.deferred(
+    lambda: st.sampled_from(list(json_paths(json.loads(adversary_ledger_bytes()))))
+)
+REPLACEMENTS = st.sampled_from([DELETE, None, True, 0, -1, 2**200, 1.5, "x", [], {}, math.nan])
+
+
+class TestHostileRunDirectories:
+    """A run directory with one value of its ledger changed, or one report
+    file or blob spoiled, fails the audit; it never raises."""
+
+    @pytest.fixture(scope="module")
+    def run_dir(self, tmp_path_factory):
+        return write_run(adversary_run(), tmp_path_factory.mktemp("adversary"))
+
+    @settings(max_examples=100, deadline=None)
+    @given(path=LEDGER_PATHS, value=REPLACEMENTS)
+    @example(path=("config", "rounds"), value=2**200)
+    @example(path=("config", "rounds"), value=300_000)
+    def test_ledger_value_changed_fails_the_audit(self, run_dir, path, value):
+        doc = json.loads(adversary_ledger_bytes())
+        if not path:
+            doc = doc if value is DELETE else value
+        else:
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+        payload = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+        ledger = run_dir / LEDGER_FILE
+        try:
+            ledger.write_bytes(gzip.compress(payload, mtime=0))
+            verdict = audit_run(run_dir)
+        finally:
+            ledger.write_bytes(gzip.compress(adversary_ledger_bytes(), mtime=0))
+        # bytes, not values: True == 1, yet a bool in place of an int is a change
+        assert verdict["ok"] == (payload == adversary_ledger_bytes()), verdict
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from([REPORT_FILE, GAS_FILE, REWARDS_FILE, BLOBS_DIR]),
+           data=st.data())
+    def test_run_file_spoiled_fails_the_audit(self, run_dir, name, data):
+        path = run_dir / name
+        if name == BLOBS_DIR:
+            path = sorted(path.iterdir())[0]
+        original = path.read_bytes()
+        at = data.draw(st.integers(0, len(original) - 1), label="at")
+        if data.draw(st.booleans(), label="truncate"):
+            spoiled = original[:at]
+        else:
+            flipped = original[at] ^ data.draw(st.integers(1, 255), label="mask")
+            spoiled = original[:at] + bytes([flipped]) + original[at + 1:]
+        try:
+            path.write_bytes(spoiled)
+            verdict = audit_run(run_dir)
+        finally:
+            path.write_bytes(original)
+        assert not verdict["ok"], verdict
 
 
 def rewrite_ledger(run_dir, mutate) -> None:
