@@ -109,7 +109,7 @@ class RoundState:
     scores: dict[bytes, Fixed] = field(default_factory=dict)
     payouts: dict[bytes, int] = field(default_factory=dict)
     aggregate: Optional[GradientVector] = None
-    phi: Optional[dict[bytes, Fixed]] = None  # Shapley values, once computed
+    phi: Optional[dict[bytes, Fixed]] = None  # Shapley values of a scored cohort within the cap
     multipliers: dict[bytes, Fixed] = field(default_factory=dict)  # id -> consistency multiplier
 
     @property
@@ -152,7 +152,8 @@ class ContractConfig:
 
 
 class Coordinator:
-    """Contract state machine; executes only inside the ledger's tx loop."""
+    """Contract state machine; executes only inside the ledger's tx loop. Scoring
+    a round records its alignment Shapley values, under either basis, as ``phi``."""
 
     def __init__(self, dim: int, config: ContractConfig = ContractConfig()):
         self.dim = dim
@@ -318,10 +319,14 @@ class Coordinator:
             vectors = [state.submissions[cid] for cid in accepted]
             counts = [self.clients[cid].n_samples for cid in accepted]
             total_samples = sum(counts)
-            aggregate = sample_weighted_mean(vectors, counts)
-            state.aggregate = aggregate
+            state.aggregate = aggregate = sample_weighted_mean(vectors, counts)
             for cid, vec, n_i in zip(accepted, vectors, counts):
                 scores[cid] = incentives.alignment_score(vec, aggregate, n_i, total_samples)
+            cap = incentives.SHAPLEY_MAX_CLIENTS  # no phi beyond it: the shapley basis reverts
+            if len(accepted) <= cap or self.config.reward_basis == "shapley":
+                state.phi = incentives.shapley_alignment(
+                    dict(zip(accepted, vectors)), dict(zip(accepted, counts)), aggregate
+                )
         state.scores = scores
 
         basis = self._payout_basis(state, scores)
@@ -349,13 +354,11 @@ class Coordinator:
         return dict(payouts)
 
     def _payout_basis(self, state: RoundState, scores: dict[bytes, Fixed]) -> dict[bytes, Fixed]:
-        """Positive payout weights: alignment scores (or Shapley values),
+        """Positive payout weights: the scores (or phi, under the shapley basis),
         consistency-adjusted in the ``fairness_interval`` rounds after the
         last fairness checkpoint. Each scored client's multiplier, ``ONE``
         outside that window, is kept on the round as ``multipliers``."""
-        raw_basis = scores
-        if self.config.reward_basis == "shapley" and scores:
-            raw_basis = self.shapley_values(state)
+        raw_basis = state.phi if self.config.reward_basis == "shapley" and scores else scores
         last = self.last_checkpoint_round
         window = last is not None and last < state.round <= last + self.config.fairness_interval
         alpha = self.config.alpha
@@ -369,17 +372,6 @@ class Coordinator:
             state.multipliers[cid] = multiplier
             basis[cid] = value
         return basis
-
-    def shapley_values(self, state: RoundState) -> dict[bytes, Fixed]:
-        """Exact alignment Shapley values over the round's accepted updates,
-        against its FedAvg; computed once per round and kept as ``phi``."""
-        if state.phi is None:
-            state.phi = incentives.shapley_alignment(
-                {cid: state.submissions[cid] for cid in state.accepted},
-                {cid: self.clients[cid].n_samples for cid in state.accepted},
-                state.aggregate,
-            )
-        return state.phi
 
     def _apply_negative_score_policy(self, round_index: int, scores: dict[bytes, Fixed]) -> None:
         """Streak bookkeeping: consistently negative scorers are slashed and

@@ -5,6 +5,11 @@ Training runs in ordinary float arithmetic; fixed-point quantization happens
 once, at the submission boundary. All randomness flows from a root seed
 through counter-based Philox streams keyed by (purpose, client, round), so
 no global RNG state exists anywhere.
+
+Training floats (BLAS ``@``) are not bit-identical across BLAS kernels or
+thread counts. ROADMAP measures another OpenBLAS kernel changing 76 169 of
+``wide_model``'s 160 000 update floats by up to 2.5e-7 nano units, and two
+threads changing a gemv's bits: replays match only as no quantized value moved.
 """
 from __future__ import annotations
 

@@ -112,14 +112,15 @@ def shapley_alignment(
 ) -> dict[bytes, Fixed]:
     """Exact Shapley values under the alignment characteristic, in one pass.
 
-    ``aggregate`` is the cohort's FedAvg, as ``alignment_coalition_values``
-    takes it. Bit-identical to ``shapley_exact`` over
+    ``aggregate`` must be the cohort's FedAvg over the sorted ids, as the
+    contract scores against it. Bit-identical to ``shapley_exact`` over
     ``coalition_value_alignment``, including which inputs raise
-    ``OverflowError`` once that FedAvg exists, but the coalition values come
-    from ``alignment_coalition_values`` instead of one FedAvg per coalition.
+    ``OverflowError`` once that FedAvg exists, but every coalition's value
+    comes from one ``numerics.coalition_dots`` call instead of one FedAvg
+    per coalition.
     """
     ids = _players(submissions)
-    values = alignment_coalition_values(submissions, n_map, aggregate)
+    values = coalition_dots([submissions[i] for i in ids], [n_map[i] for i in ids], aggregate)
     return _shapley_phi(ids, values)
 
 
@@ -171,19 +172,6 @@ def _phi_weights(n: int) -> tuple[np.ndarray, np.ndarray, int]:
     return joined, left, factorial[n]
 
 
-def alignment_coalition_values(
-    submissions: Mapping[bytes, GradientVector],
-    n_map: Mapping[bytes, int],
-    aggregate: GradientVector,
-) -> list[int]:
-    """Raw ``coalition_value_alignment`` of every coalition, indexed by bitmask
-    over the sorted client ids (bit k set means the k-th id is a member), with
-    the same ``OverflowError``s, by ``numerics.coalition_dots``. ``aggregate``
-    must be the full-cohort FedAvg over the sorted ids, as the round keeps it."""
-    ids = sorted(submissions)
-    return coalition_dots([submissions[i] for i in ids], [n_map[i] for i in ids], aggregate)
-
-
 def coalition_value_alignment(
     subset: Iterable[bytes],
     submissions: Mapping[bytes, GradientVector],
@@ -194,8 +182,8 @@ def coalition_value_alignment(
     An inner-product proxy that needs no validation dataset: for a singleton
     it reduces to the client's alignment with the full aggregate, and for
     the grand coalition it is the squared norm of the aggregate. v({}) = 0.
-    This is the per-coalition definition; ``alignment_coalition_values``
-    computes it for every coalition at once.
+    This is the per-coalition definition; ``shapley_alignment`` takes every
+    coalition's value at once from ``numerics.coalition_dots``.
     """
     members = sorted(subset)
     if not members:

@@ -3,7 +3,8 @@
 Every quantity the simulated contract touches lives here as an integer
 multiple of 10^-9 ("nano" units), mirroring integer-only contract
 arithmetic: no floats ever enter contract state, every operation is
-referentially transparent, and replays are bit-identical on any platform.
+referentially transparent, and the contract's arithmetic is bit-identical
+on any platform (client training is not: see ``flclients``).
 
 Rounding discipline: wide-integer accumulation, a single terminal rescale
 per result, truncation toward zero (integer-division semantics). Overflow

@@ -330,7 +330,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         if round_state.accepted:
             call(SYSTEM_SENDER, "aggregate_round", {"round": round_index})
 
-        attribution.extend(_attribution_for_round(coordinator, round_state, cumulative))
+        attribution.extend(_attribution_for_round(round_state, cumulative))
 
         if round_index % config.fairness_interval == 0:
             # the running sums already hold rounds 1..round_index
@@ -358,14 +358,10 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     )
 
 
-def _attribution_for_round(
-    coordinator: Coordinator, round_state, cumulative: dict[bytes, Fixed]
-) -> list[dict]:
+def _attribution_for_round(round_state, cumulative: dict[bytes, Fixed]) -> list[dict]:
     """Attribution-log records for one scored round; updates running sums.
-    phi and the multipliers are the contract's, computed once per round."""
-    phi = {}
-    if 0 < len(round_state.accepted) <= incentives.SHAPLEY_MAX_CLIENTS:
-        phi = coordinator.shapley_values(round_state)
+    phi and the multipliers are the contract's, recorded while it scored."""
+    phi = round_state.phi or {}
     records = []
     for cid in sorted(round_state.scores):
         score = round_state.scores[cid]
@@ -581,7 +577,7 @@ def _refuse_constant(name: str):
 
 def _chain_fault(ledger_doc: dict) -> Optional[str]:
     """Why the recorded chain fails the audit, or None: its config must be the canonical form
-    of a valid config and hash to the run id, and then its chain must verify under it."""
+    of a valid config hashing to the run id; its chain must verify and anchor under it."""
     config = ledger_doc["config"]
     try:
         parsed = parse_config(config)
@@ -592,7 +588,24 @@ def _chain_fault(ledger_doc: dict) -> Optional[str]:
     config_id = config_run_id(config)
     if config_id != ledger_doc.get("run_id"):
         return f"config hashes to run id {config_id}, not {ledger_doc.get('run_id')}"
-    return verify_chain(ledger_doc, parsed.rounds, parsed.gas, parsed.dataset.dim)
+    return verify_chain(ledger_doc, parsed.rounds, parsed.gas, parsed.dataset.dim) or \
+        _anchor_fault(ledger_doc["receipts"], parsed.rounds, parsed.fairness_interval)
+
+
+def _anchor_fault(receipts: list, rounds: int, interval: int) -> Optional[str]:
+    """Why a verified chain's ``FairnessCheckpoint`` events are not one anchor of each
+    multiple of ``interval`` through ``rounds``, each in the block that seals it, or None."""
+    due = {r: r + 1 for r in range(interval, rounds + 1, interval)}  # round r seals in r + 1
+    for height, block_receipts in enumerate(receipts):
+        try:
+            anchored = [payload["round"] for receipt in block_receipts
+                        for name, payload in receipt["events"] if name == "FairnessCheckpoint"]
+        except (LookupError, TypeError, ValueError):
+            return f"block {height}: malformed events"
+        for r in anchored:
+            if type(r) is not int or due.pop(r, None) != height:
+                return f"block {height}: anchors round {r!r}, which is not due there"
+    return f"round {min(due)} is never anchored" if due else None
 
 
 def audit_run(run_dir) -> dict:

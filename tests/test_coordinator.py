@@ -30,10 +30,12 @@ from fedchain.errors import (
     OutOfOrderBatch,
     RoundClosed,
     SimulationError,
+    TooManyClients,
     WrongPhase,
     WrongRound,
 )
 from fedchain.flclients import make_client_id
+from fedchain.incentives import SHAPLEY_MAX_CLIENTS
 from fedchain.ledger import OP_CLASSES
 from fedchain.numerics import RAW_LIMIT, Fixed, GradientVector, SCALE
 
@@ -302,6 +304,20 @@ class TestScoringAndRewards:
         names = [name for name, _ in c.drain_events()]
         assert "AlignmentScoresUpdated" in names
         assert "RewardsDistributed" in names
+
+    @pytest.mark.parametrize("basis", ["alignment", "shapley"])
+    def test_a_cohort_beyond_the_shapley_cap_has_no_phi(self, basis):
+        ids = [make_client_id(i) for i in range(SHAPLEY_MAX_CLIENTS + 1)]
+        c = registered(clients=[(cid, 1) for cid in ids], reward_basis=basis)
+        for cid in ids:
+            submit_whole(c, cid, ["1", "1"])
+        c.validate_round(1)
+        if basis == "shapley":  # its payout needs phi: the score reverts
+            with pytest.raises(TooManyClients):
+                c.score_and_reward_round(1)
+        else:
+            assert sum(c.score_and_reward_round(1).values()) == c.config.reward_pool_per_round
+        assert c.rounds[1].phi is None
 
     def test_score_requires_validation(self):
         c = registered(clients=[(C[0], 1)])

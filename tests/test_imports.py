@@ -1,6 +1,9 @@
-"""Package layering: importing one module loads only what it imports, and a
-module uses only the public names of another."""
+"""Package layering: importing one module loads only what it imports, a
+module uses only the public names of another, and the runner drives the
+contract only through the chain."""
 import ast
+import functools
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -66,3 +69,34 @@ def test_incentives_leaves_exact_integer_arithmetic_to_numerics():
     owned = {name for name in vars(numerics) if name.endswith("_LIMIT")}
     owned |= {"add_terms", "raw_dot", "truncated_mean", "weighted_sum_lanes"}
     assert not imported_names("incentives").get("numerics", set()) & owned
+
+
+def test_the_runner_calls_no_contract_method(monkeypatch, tmp_path):
+    # the runner may read the contract's state, but every contract call it
+    # makes goes through the ledger's tx loop, where it is charged and recorded
+    from fedchain import scenario
+    from fedchain.coordinator import Coordinator
+
+    callers = []
+
+    def recorded(name, method):
+        @functools.wraps(method)
+        def call(*args, **kwargs):
+            callers.append((sys._getframe(1).f_globals["__name__"], name))
+            return method(*args, **kwargs)
+        return call
+
+    for name, method in vars(Coordinator).items():
+        if inspect.isfunction(method) and name != "__init__":
+            monkeypatch.setattr(Coordinator, name, recorded(name, method))
+    for basis in ("alignment", "shapley"):
+        config = scenario.parse_config({
+            "seed": 3, "rounds": 2, "fairness_interval": 2, "reward_basis": basis,
+            "dataset": {"n_clients": 3, "samples_per_client": [10, 20, 30], "dim": 3,
+                        "noise": 0.05},
+        })
+        run_dir = scenario.write_run(scenario.run_scenario(config), tmp_path)
+        assert scenario.audit_run(run_dir)["ok"]
+    assert {"execute", "state_dict"} <= {name for module, name in callers
+                                         if module == "fedchain.ledger"}
+    assert [name for module, name in callers if module == "fedchain.scenario"] == []

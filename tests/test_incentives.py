@@ -18,7 +18,6 @@ from fedchain.errors import (
 )
 from fedchain.coordinator import _largest_remainder_split
 from fedchain.incentives import (
-    alignment_coalition_values,
     alignment_score,
     coalition_value_alignment,
     consistency_adjusted_reward,
@@ -352,7 +351,11 @@ def fedavg(submissions, n_map) -> GradientVector:
 
 
 def coalition_values(submissions, n_map) -> list[int]:
-    return alignment_coalition_values(submissions, n_map, fedavg(submissions, n_map))
+    """Every coalition's raw value by bitmask over the sorted ids, as
+    ``shapley_alignment`` reads them from ``numerics.coalition_dots``."""
+    ids = sorted(submissions)
+    vectors, counts = [submissions[i] for i in ids], [n_map[i] for i in ids]
+    return numerics.coalition_dots(vectors, counts, fedavg(submissions, n_map))
 
 
 def one_pass_phi(submissions, n_map) -> dict:
@@ -439,7 +442,7 @@ class TestShapleyAlignment:
 
     def test_no_clients(self):
         # an empty cohort has no FedAvg, and none is read
-        assert alignment_coalition_values({}, {}, None) == [0]
+        assert numerics.coalition_dots([], [], None) == [0]
         assert shapley_alignment({}, {}, None) == {}
 
     def test_too_many_clients(self):
@@ -552,7 +555,7 @@ def _straddling_lanes(draw):
 
 
 class TestCoalitionValuePaths:
-    """Each path of ``alignment_coalition_values`` against the per-coalition
+    """Each path of ``numerics.coalition_dots`` against the per-coalition
     definition: the int64 lanes under the bound, the walk beyond it."""
 
     @settings(max_examples=150, deadline=None)
@@ -676,11 +679,13 @@ class TestCoalitionValuePaths:
         # a 1 023 x 256 int64 table of coalition means alone would be 2 MB
         rng = np.random.default_rng(13)
         submissions, n_map = _cohort(rng.integers(-(2**30), 2**30, (10, 256)).tolist(), [40] * 10)
+        ids = sorted(submissions)
+        vectors, counts = [submissions[i] for i in ids], [n_map[i] for i in ids]
         aggregate = fedavg(submissions, n_map)
-        alignment_coalition_values(submissions, n_map, aggregate)
+        numerics.coalition_dots(vectors, counts, aggregate)
         tracemalloc.start()
         try:
-            alignment_coalition_values(submissions, n_map, aggregate)
+            numerics.coalition_dots(vectors, counts, aggregate)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -18,6 +18,7 @@ from fedchain.coordinator import (
 from fedchain import ledger as ledger_module
 from fedchain.errors import BadComponent, NonceError, UnknownSender
 from fedchain.flclients import make_client_id
+from fedchain.incentives import SHAPLEY_MAX_CLIENTS, coalition_value_alignment, shapley_exact
 from fedchain.keccak import keccak256
 from fedchain.ledger import (
     GENESIS_PARENT,
@@ -570,7 +571,9 @@ class ContractMachine(RuleBasedStateMachine):
     when any payout basis value is positive, else nothing; no complete
     submission in a validated round lacks a verdict, and no round with
     verdicts is OPEN; every closed round on the fairness interval has
-    exactly one anchor."""
+    exactly one anchor; a round scored with 1 to ``SHAPLEY_MAX_CLIENTS``
+    accepted updates holds its cohort's exact Shapley values, and no other
+    round holds any."""
 
     @initialize(basis=st.sampled_from(["alignment", "shapley"]), interval=st.integers(1, 3),
                 registered=st.integers(0, len(CLIENTS)))
@@ -580,6 +583,7 @@ class ContractMachine(RuleBasedStateMachine):
         for client in CLIENTS[:registered]:
             assert self.ledger.submit_tx(register_tx(self.ledger, client)).success
         self.anchors = []  # the round of each FairnessCheckpoint event, in order
+        self.phi = {}  # round -> the Shapley oracle's values, once the round is scored
 
     @rule(data=st.data(), ops=st.lists(st.sampled_from(CLIENT_OPS), min_size=1, max_size=6))
     def client_calls(self, data, ops):
@@ -655,6 +659,23 @@ class ContractMachine(RuleBasedStateMachine):
         assert set(closed) <= set(self.anchors)
         assert len(set(self.anchors)) == len(self.anchors)
         assert sorted(self.anchors) == sorted(self.coordinator.checkpoints)
+
+    @invariant()
+    def scored_rounds_hold_their_shapley_values(self):
+        """Under either basis, phi is the per-coalition oracle's over the
+        cohort the round scored, for the payout and the log to read."""
+        for r, state in self.coordinator.rounds.items():
+            accepted = state.accepted
+            if state.phase < Phase.SCORED or not 0 < len(accepted) <= SHAPLEY_MAX_CLIENTS:
+                assert state.phi is None
+                continue
+            if r not in self.phi:
+                submissions = {cid: state.submissions[cid] for cid in accepted}
+                n_map = {cid: self.coordinator.clients[cid].n_samples for cid in accepted}
+                self.phi[r] = shapley_exact(
+                    accepted, lambda s: coalition_value_alignment(s, submissions, n_map)
+                )
+            assert state.phi == self.phi[r]
 
     def check_payout(self, round_index: int, receipt) -> None:
         config, state = self.coordinator.config, self.coordinator.rounds[round_index]

@@ -23,7 +23,7 @@ from fedchain.flclients import ClientBehavior, make_client_id
 from fedchain.keccak import keccak256
 from fedchain.ledger import GasModel
 from fedchain.numerics import RAW_LIMIT, SCALE, Fixed, GradientVector
-from fedchain.offchain import canonical_json_bytes
+from fedchain.offchain import ContentStore, canonical_json_bytes, publish_checkpoint
 from fedchain.scenario import (
     audit,
     audit_run,
@@ -439,6 +439,21 @@ class TestRun:
         # with <= 12 accepted clients, phi is reported
         assert any(r["phi"] is not None for r in result.attribution)
 
+    def test_cohort_beyond_the_shapley_cap_has_no_phi(self):
+        n = incentives.SHAPLEY_MAX_CLIENTS + 1
+        doc = base_doc(rounds=3)
+        doc["dataset"].update(n_clients=n, samples_per_client=[10] * n, behaviors=["honest"] * n)
+        config = parse_config(doc)
+        result = run_scenario(config)
+        states = [result.coordinator.rounds[r] for r in range(1, config.rounds + 1)]
+        assert all(len(state.accepted) == n for state in states)
+        assert all(state.phi is None for state in states)
+        assert len(result.attribution) == n * config.rounds
+        assert all(record["phi"] is None for record in result.attribution)
+        paid = [state for state in states if any(s.raw > 0 for s in state.scores.values())]
+        assert paid
+        assert all(sum(state.payouts.values()) == config.reward_pool_per_round for state in paid)
+
     def test_multiplier_kicks_in_after_checkpoint(self):
         result = run_scenario(parse_config(base_doc(rounds=6, fairness_interval=3)))
         before = [r for r in result.attribution if r["round"] <= 3]
@@ -803,6 +818,60 @@ def swap_first_two(receipts):
 def revert_keeping_events(receipts):
     assert receipts[5]["events"]  # score_and_reward_round
     receipts[5].update(status="reverted", revert_reason="WrongPhase")
+
+
+def anchor_position(doc: dict, height: int) -> int:
+    """Where the ``record_checkpoint`` tx of block ``height`` stands in it."""
+    (j,) = [j for j, tx in enumerate(doc["txs"][height]) if tx["op"] == "record_checkpoint"]
+    return j
+
+
+def drop_round_5_anchor(doc: dict, blob_dir: Path) -> None:
+    j = anchor_position(doc, 6)
+    doc["receipts"][6].pop(j)
+    (blob_dir / doc["txs"][6].pop(j)["args"]["cid"]).unlink()
+
+
+def anchor_round_5_again(doc: dict, blob_dir: Path) -> None:
+    j = anchor_position(doc, 6)
+    for part in ("txs", "receipts"):  # before round 6's close_round
+        doc[part][7].insert(-1, copy.deepcopy(doc[part][6][j]))
+
+
+def move_round_5_anchor(doc: dict, blob_dir: Path) -> None:
+    j = anchor_position(doc, 6)
+    for part in ("txs", "receipts"):
+        doc[part][7].insert(-1, doc[part][6].pop(j))
+
+
+def anchor_round_3(doc: dict, blob_dir: Path) -> None:
+    """A round-3 anchor, before round 3's close_round, of a blob of the sums
+    through round 3."""
+    j = anchor_position(doc, 6)
+    tx, receipt = copy.deepcopy(doc["txs"][6][j]), copy.deepcopy(doc["receipts"][6][j])
+    store = ContentStore()
+    cid = publish_checkpoint(store, incentives.cumulative_scores(scores_from_ledger(doc), 3))
+    (blob_dir / cid.hex()).write_bytes(store.get(cid))
+    anchor = {"round": 3, "cid": cid.hex(), "hash": cid.hex()}
+    tx["args"], receipt["events"] = dict(anchor), [["FairnessCheckpoint", anchor]]
+    doc["txs"][4].insert(-1, tx)
+    doc["receipts"][4].insert(-1, receipt)
+
+
+def renumber_and_reseal(doc: dict) -> None:
+    """Number the system sender's txs in chain order, recompute every tx hash
+    and each receipt's height, then ``reseal``."""
+    system, nonce = "0x" + "00" * 20, 0
+    for height, (block, txs, receipts) in enumerate(
+        zip(doc["blocks"], doc["txs"], doc["receipts"])
+    ):
+        for tx, receipt in zip(txs, receipts, strict=True):
+            if tx["sender"] == system:
+                tx["nonce"], nonce = nonce, nonce + 1
+            preimage = ledger_module.Transaction.from_dict(tx).decode()[0]
+            receipt.update(tx_hash=keccak256(preimage).hex(), block_height=height)
+        block["tx_hashes"] = [receipt["tx_hash"] for receipt in receipts]
+    reseal(doc)
 
 
 class TestAudit:
@@ -1183,6 +1252,38 @@ class TestAudit:
         assert not verdict["ok"] and verdict["files"] == {}
         assert verdict["chain"] == "ledger.bin is not gzipped JSON: non-finite number NaN"
         assert_audit_cli_fails_quietly(run_dir, capsys)
+
+    @pytest.fixture()
+    def baseline_dir(self, tmp_path):
+        return write_run(run_scenario(load_config(CONFIGS / "baseline.json")), tmp_path)
+
+    @pytest.mark.parametrize("forge, fault", [
+        (drop_round_5_anchor, "round 5 is never anchored"),
+        (anchor_round_5_again, "block 7: anchors round 5, which is not due there"),
+        (move_round_5_anchor, "block 7: anchors round 5, which is not due there"),
+        (anchor_round_3, "block 4: anchors round 3, which is not due there"),
+    ], ids=["dropped", "twice", "moved", "off_the_interval"])
+    def test_anchor_set_the_contract_refuses_fails(self, baseline_dir, forge, fault):
+        """Anchors (interval 5) dropped, repeated, moved or added under re-numbered
+        system nonces, recomputed tx hashes, roots and headers, with the blobs
+        and report files to match: every check but the anchor set passes."""
+        def forge_and_reseal(doc):
+            forge(doc, baseline_dir / BLOBS_DIR)
+            renumber_and_reseal(doc)
+
+        rewrite_ledger(baseline_dir, forge_and_reseal)
+        rewrite_report_files(baseline_dir)
+        verdict = audit(baseline_dir)[0]
+        assert verdict["files"] == {REPORT_FILE: "ok", GAS_FILE: "ok", REWARDS_FILE: "ok"}
+        assert all(c["verdict"] == "ok" for c in verdict["checkpoints"])
+        assert not verdict["ok"]
+        assert verdict["chain"] == fault
+
+    def test_resealed_malformed_event_list_fails(self, run_dir):
+        reseal_ledger(run_dir, lambda doc: doc["receipts"][3][0].update(events=7))
+        verdict = audit(run_dir)[0]
+        assert not verdict["ok"]
+        assert verdict["chain"] == "block 3: malformed events"
 
     def test_resealed_report_that_cannot_be_serialized_fails(self, run_dir, capsys):
         """A payout keyed by an int beside str keys, under recomputed roots
