@@ -152,8 +152,10 @@ class ContractConfig:
 
 
 class Coordinator:
-    """Contract state machine; executes only inside the ledger's tx loop. Scoring
-    a round records its alignment Shapley values, under either basis, as ``phi``."""
+    """Contract state machine; executes only inside the ledger's tx loop. Each
+    call checks all that can revert it before it writes or emits, so a revert
+    leaves every round, client and checkpoint as it was. Scoring a round
+    records its alignment Shapley values, under either basis, as ``phi``."""
 
     def __init__(self, dim: int, config: ContractConfig = ContractConfig()):
         self.dim = dim
@@ -185,10 +187,6 @@ class Coordinator:
     def _emit(self, name: str, payload: dict) -> None:
         self._events.append((name, payload))
 
-    def drain_events(self) -> list[tuple[str, dict]]:
-        events, self._events = self._events, []
-        return events
-
     def admits(self, sender: bytes, op: str) -> bool:
         """Whether the chain executes a call from ``sender`` at all: the
         system, any registration, or a registered client."""
@@ -198,17 +196,18 @@ class Coordinator:
 
     def execute(
         self, op: str, sender: bytes, args: dict, batch: Optional[GradientVector]
-    ) -> None:
-        """Run one call. ``batch`` is the ``components`` arg as the ledger
-        decoded it for the tx preimage (``Transaction.decode``), None when
-        the args carry none; a ``submit_update`` that passes its args check
-        always has one."""
+    ) -> list[tuple[str, dict]]:
+        """Run one call and return the events it emitted. ``batch`` is the
+        ``components`` arg as the ledger decoded it for the tx preimage
+        (``Transaction.decode``), None when the args carry none; a
+        ``submit_update`` that passes its args check always has one."""
         call = CALLS.get(op)
         if sender != SYSTEM_SENDER and not (call and call.client):
             raise NotAuthorized(f"{op} is a coordinator-initiated call")
         if call is None:
             raise SimulationError(f"unknown contract call {op!r}")
         _check_args(op, args)
+        self._events = events = []
         if op == "register":
             self.register(sender, args["stake"], args["n_samples"])
         elif op == "submit_update":
@@ -225,6 +224,7 @@ class Coordinator:
             )
         else:
             getattr(self, op)(args["round"])
+        return events
 
     # -- client lifecycle ------------------------------------------------------
 
@@ -257,6 +257,9 @@ class Coordinator:
         batch_index: int,
         batch_count: int,
     ) -> None:
+        """Buffer one batch of an update, in order; the last one completes it.
+        A batch that reverts, ``DimMismatch`` included, leaves the earlier
+        batches buffered, so the client may send it again."""
         state = self._round(round_index, Phase.OPEN, error=RoundClosed)
         record = self.clients.get(client_id)
         if record is None:
@@ -274,16 +277,15 @@ class Coordinator:
                 f"expected batch {len(buffer['parts'])} of {buffer['count']}, "
                 f"got {batch_index} of {batch_count}"
             )
-        state.partial[client_id] = buffer  # only once the batch is in order
-        buffer["parts"].append(batch)
-
-        if len(buffer["parts"]) == buffer["count"]:
-            update = concatenate(buffer["parts"])
+        parts = [*buffer["parts"], batch]
+        if len(parts) < batch_count:
+            state.partial[client_id] = {"count": batch_count, "parts": parts}
+        else:
+            update = concatenate(parts)
             if update.dim != self.dim:
-                # leave the buffer exhausted; the client cannot complete this round
                 raise DimMismatch(f"update dim {update.dim} != model dim {self.dim}")
             state.submissions[client_id] = update
-            del state.partial[client_id]
+            state.partial.pop(client_id, None)
         self._emit(
             "UpdateSubmitted",
             {"id": "0x" + client_id.hex(), "round": round_index, "batch_index": batch_index},
@@ -314,24 +316,24 @@ class Coordinator:
             raise WrongPhase("validate the round before scoring")
 
         accepted = state.accepted
-        scores: dict[bytes, Fixed] = {}
+        aggregate, scores, phi = None, {}, None
         if accepted:
             vectors = [state.submissions[cid] for cid in accepted]
             counts = [self.clients[cid].n_samples for cid in accepted]
             total_samples = sum(counts)
-            state.aggregate = aggregate = sample_weighted_mean(vectors, counts)
+            aggregate = sample_weighted_mean(vectors, counts)
             for cid, vec, n_i in zip(accepted, vectors, counts):
                 scores[cid] = incentives.alignment_score(vec, aggregate, n_i, total_samples)
             cap = incentives.SHAPLEY_MAX_CLIENTS  # no phi beyond it: the shapley basis reverts
             if len(accepted) <= cap or self.config.reward_basis == "shapley":
-                state.phi = incentives.shapley_alignment(
+                phi = incentives.shapley_alignment(
                     dict(zip(accepted, vectors)), dict(zip(accepted, counts)), aggregate
                 )
-        state.scores = scores
-
-        basis = self._payout_basis(state, scores)
+        raw_basis = phi if self.config.reward_basis == "shapley" and scores else scores
+        basis, multipliers = self._payout_basis(round_index, raw_basis)
         payouts = _largest_remainder_split(self.config.reward_pool_per_round, basis)
-        state.payouts = payouts
+        state.aggregate, state.scores, state.phi = aggregate, scores, phi  # nothing reverts now
+        state.multipliers, state.payouts, state.phase = multipliers, payouts, Phase.SCORED
 
         self._emit(
             "AlignmentScoresUpdated",
@@ -350,28 +352,25 @@ class Coordinator:
                 ],
             },
         )
-        state.phase = Phase.SCORED
         return dict(payouts)
 
-    def _payout_basis(self, state: RoundState, scores: dict[bytes, Fixed]) -> dict[bytes, Fixed]:
-        """Positive payout weights: the scores (or phi, under the shapley basis),
-        consistency-adjusted in the ``fairness_interval`` rounds after the
-        last fairness checkpoint. Each scored client's multiplier, ``ONE``
-        outside that window, is kept on the round as ``multipliers``."""
-        raw_basis = state.phi if self.config.reward_basis == "shapley" and scores else scores
+    def _payout_basis(self, round_index: int, raw_basis: dict[bytes, Fixed]) -> tuple[dict, dict]:
+        """Positive payout weights and each scored client's multiplier: the
+        scores (or phi, under the shapley basis), consistency-adjusted in the
+        ``fairness_interval`` rounds after the last fairness checkpoint, and
+        ``ONE`` outside that window."""
         last = self.last_checkpoint_round
-        window = last is not None and last < state.round <= last + self.config.fairness_interval
+        window = last is not None and last < round_index <= last + self.config.fairness_interval
         alpha = self.config.alpha
-        basis: dict[bytes, Fixed] = {}
+        basis, multipliers = {}, {}
         for cid, value in raw_basis.items():
             multiplier = ONE
             if window:
                 participation = self.participation(cid)
                 multiplier = incentives.consistency_multiplier(alpha, participation)
                 value = incentives.consistency_adjusted_reward(value, alpha, participation)
-            state.multipliers[cid] = multiplier
-            basis[cid] = value
-        return basis
+            basis[cid], multipliers[cid] = value, multiplier
+        return basis, multipliers
 
     def _apply_negative_score_policy(self, round_index: int, scores: dict[bytes, Fixed]) -> None:
         """Streak bookkeeping: consistently negative scorers are slashed and

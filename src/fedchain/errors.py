@@ -1,9 +1,10 @@
 """Exception hierarchy shared across the simulator.
 
 Any ``SimulationError`` raised while a contract call executes is turned into
-a reverted receipt by the ledger; errors raised before execution starts
-(nonce, unknown sender, unhashable args, config problems) propagate to the
-caller.
+a reverted receipt by the ledger. The contract raises before it writes or
+emits, so a revert changes no contract state and the receipt holds no events.
+Errors raised before execution starts (nonce, unknown sender, unhashable
+args, config problems) propagate to the caller.
 """
 
 

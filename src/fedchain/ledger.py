@@ -8,7 +8,9 @@ measurements of a reference contract deployment; registration and reward
 distribution are parameter-independent, so their slopes are structurally
 zero. This module owns the gas model and the class order ``OP_CLASSES``;
 the contract's ``coordinator.CALLS`` table owns which class each call is
-charged as, and which senders the chain admits.
+charged as, and which senders the chain admits. A call that reverts is
+charged and recorded with its reason; the contract changed nothing and
+emitted nothing, so there is nothing to undo.
 
 The chain has one read, ``Ledger.chain_document``, and one place that hashes
 a sealed tx, state or block: the flush that read runs first. ``submit_tx``
@@ -231,11 +233,9 @@ class Ledger:
         gas_used = tx_gas(self.gas_model, tx, self.coordinator.dim)
         height = len(self._sealed)
         try:
-            self.coordinator.execute(tx.op, tx.sender, tx.args, batch)
-            events = self.coordinator.drain_events()
+            events = self.coordinator.execute(tx.op, tx.sender, tx.args, batch)
             receipt = Receipt(preimage, height, gas_used, events, "success")
         except SimulationError as err:
-            self.coordinator.drain_events()  # discard anything emitted pre-revert
             receipt = Receipt(preimage, height, gas_used, [], "reverted", err.reason)
         self._pending.append((tx, receipt))
         self._nonces[tx.sender] = expected + 1

@@ -57,6 +57,11 @@ def submit_whole(c: Coordinator, cid: bytes, values) -> None:
     c.submit_update(cid, c.current_round, GradientVector.from_decimals(values), 0, 1)
 
 
+def system_call(c: Coordinator, op: str, **args) -> list:
+    """The events of one system call, dispatched as the ledger dispatches it."""
+    return c.execute(op, SYSTEM_SENDER, args, None)
+
+
 def run_round(c: Coordinator, updates: dict) -> dict:
     r = c.current_round
     for cid, values in sorted(updates.items()):
@@ -104,9 +109,9 @@ class TestCallTable:
 class TestRegistration:
     def test_fresh_registration(self):
         c = coord()
-        c.register(C[0], stake=100, n_samples=5)
+        events = c.execute("register", C[0], {"stake": 100, "n_samples": 5}, None)
         assert c.clients[C[0]].stake == 100
-        assert c.drain_events()[0][0] == "ClientRegistered"
+        assert events[0][0] == "ClientRegistered"
 
     def test_duplicate_rejected(self):
         c = registered(clients=[(C[0], 5)])
@@ -176,6 +181,10 @@ class TestSubmission:
         assert c.rounds[1].submissions == {}
         with pytest.raises(NothingToValidate):
             c.validate_round(1)
+        # the first batch is still buffered: the client resends the last one
+        c.submit_update(C[0], 1, GradientVector.from_raw([3]), 1, 2)
+        assert c.rounds[1].submissions[C[0]].raw.tolist() == [1, 2, 3]
+        assert c.rounds[1].partial == {}
 
     def test_banned_client_rejected(self):
         c = registered(clients=[(C[0], 5)])
@@ -197,6 +206,7 @@ class TestSubmission:
                               st.lists(st.integers(-5, 5), min_size=1, max_size=3)),
                     max_size=8))
     @example([(1, 3, [1]), (0, 2, [1, 2]), (1, 2, [3, 4])])
+    @example([(0, 2, [1, 2]), (1, 2, [3]), (1, 2, [3, 4])])  # resent after DimMismatch
     def test_a_reverted_batch_leaves_the_round_unchanged(self, calls):
         c = registered(dim=4, clients=[(C[0], 5)])
         state = c.rounds[1]
@@ -209,8 +219,6 @@ class TestSubmission:
             before = snapshot()
             try:
                 c.submit_update(C[0], 1, GradientVector.from_raw(raws), index, count)
-            except DimMismatch:
-                pass  # exhausts the buffer on purpose: the client cannot complete the round
             except SimulationError:
                 assert snapshot() == before
 
@@ -298,10 +306,8 @@ class TestScoringAndRewards:
         submit_whole(c, C[0], ["1", "0"])
         submit_whole(c, C[1], ["-1", "0"])  # aggregate is zero; all scores 0
         c.validate_round(1)
-        c.drain_events()
-        payouts = c.score_and_reward_round(1)
-        assert all(p == 0 for p in payouts.values())
-        names = [name for name, _ in c.drain_events()]
+        names = [name for name, _ in system_call(c, "score_and_reward_round", round=1)]
+        assert all(p == 0 for p in c.rounds[1].payouts.values())
         assert "AlignmentScoresUpdated" in names
         assert "RewardsDistributed" in names
 
@@ -315,6 +321,9 @@ class TestScoringAndRewards:
         if basis == "shapley":  # its payout needs phi: the score reverts
             with pytest.raises(TooManyClients):
                 c.score_and_reward_round(1)
+            state = c.rounds[1]  # as validation left it
+            assert state.phase == Phase.VALIDATED and state.aggregate is None
+            assert state.scores == state.multipliers == state.payouts == {}
         else:
             assert sum(c.score_and_reward_round(1).values()) == c.config.reward_pool_per_round
         assert c.rounds[1].phi is None
@@ -490,17 +499,15 @@ class TestCheckpoints:
     def test_interval_gate(self):
         c = registered(clients=[(C[0], 1)], fairness_interval=2)
         cid, digest = b"\x01" * 32, b"\x02" * 32
-        c.drain_events()
         with pytest.raises(WrongRound, match="round 2 is not current"):
             c.record_checkpoint(2, cid, digest)  # round 2 is not current yet
         with pytest.raises(WrongRound, match="not a multiple of 2"):
             c.record_checkpoint(1, cid, digest)  # round 1 is off the interval
-        assert c.drain_events() == [] and c.checkpoints == {}
+        assert c.checkpoints == {}
         run_round(c, {C[0]: ["1", "1"]})
-        c.drain_events()
-        c.record_checkpoint(2, cid, digest)
+        events = system_call(c, "record_checkpoint", round=2, cid=cid.hex(), hash=digest.hex())
         assert c.checkpoints == {2: (cid, digest)} and c.last_checkpoint_round == 2
-        assert c.drain_events() == [
+        assert events == [
             ("FairnessCheckpoint", {"round": 2, "cid": cid.hex(), "hash": digest.hex()}),
         ]
 
@@ -529,10 +536,9 @@ class TestCheckpoints:
         c = registered(clients=[(C[0], 1)], fairness_interval=1)
         cid, digest = b"\x01" * 32, b"\x02" * 32
         c.record_checkpoint(1, cid, digest)
-        c.drain_events()
         with pytest.raises(DuplicateCheckpoint, match="round 1 is already anchored"):
-            c.record_checkpoint(1, b"\x03" * 32, b"\x04" * 32)
-        assert c.checkpoints == {1: (cid, digest)} and c.drain_events() == []
+            system_call(c, "record_checkpoint", round=1, cid="03" * 32, hash="04" * 32)
+        assert c.checkpoints == {1: (cid, digest)}
 
 
 class TestPenalties:
@@ -565,9 +571,7 @@ class TestPenalties:
         for cid, values in sorted({**self.HONEST, C[2]: ["-1", "-1"]}.items()):
             submit_whole(c, cid, values)
         c.validate_round(1)
-        c.drain_events()
-        c.score_and_reward_round(1)
-        names = [name for name, _ in c.drain_events()]
+        names = [name for name, _ in system_call(c, "score_and_reward_round", round=1)]
         assert "ClientBanned" in names
 
 

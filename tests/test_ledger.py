@@ -1,9 +1,12 @@
 """Gas model calibration, transaction execution, and chain integrity."""
+import copy
 from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+from hypothesis.stateful import (
+    RuleBasedStateMachine, initialize, invariant, precondition, rule,
+)
 
 from fedchain.coordinator import (
     CALLS,
@@ -16,7 +19,7 @@ from fedchain.coordinator import (
     gas_class,
 )
 from fedchain import ledger as ledger_module
-from fedchain.errors import BadComponent, NonceError, UnknownSender
+from fedchain.errors import BadComponent, NonceError, SimulationError, UnknownSender
 from fedchain.flclients import make_client_id
 from fedchain.incentives import SHAPLEY_MAX_CLIENTS, coalition_value_alignment, shapley_exact
 from fedchain.keccak import keccak256
@@ -177,6 +180,25 @@ class TestExecution:
         assert receipt.revert_reason == "AlreadyRegistered"
         assert receipt.events == []
         assert receipt.gas_used > 0
+
+    def test_a_revert_hands_on_none_of_its_events(self, monkeypatch):
+        """What a call emitted before it reverted reaches no receipt, the next
+        call's included: only a completed call's events leave the contract."""
+        ledger, coordinator = make_ledger()
+        client = make_client_id(0)
+
+        def emit_then_revert(client_id, stake, n_samples):
+            coordinator._emit("ClientRegistered", {"id": "0x" + client_id.hex()})
+            raise SimulationError("after an event")
+
+        monkeypatch.setattr(coordinator, "register", emit_then_revert)
+        receipt = ledger.submit_tx(register_tx(ledger, client))
+        assert receipt.revert_reason == "SimulationError" and receipt.events == []
+        monkeypatch.undo()
+        receipt = ledger.submit_tx(register_tx(ledger, client))
+        assert receipt.success and receipt.events == [
+            ("ClientRegistered", {"id": "0x" + client.hex(), "stake": 100, "n_samples": 10}),
+        ]
 
     def test_client_system_call_not_authorized(self):
         ledger, coordinator = make_ledger()
@@ -553,6 +575,9 @@ USUAL_ARGS = {  # a well-formed call, at the current round
     "cid": DIGESTS,
     "hash": DIGESTS,
 }
+BATCHES = st.lists(  # (batch_index, batch_count, components) into a model of dim 2
+    st.tuples(st.integers(0, 2), st.integers(1, 2), st.lists(COMPONENTS, min_size=1, max_size=2)),
+    min_size=1, max_size=4)
 ANY_ARGS = {  # round is drawn around the current round
     **USUAL_ARGS,
     "stake": st.sampled_from([99, 100]),
@@ -563,15 +588,24 @@ ANY_ARGS = {  # round is drawn around the current round
 }
 
 
+def contract_memory(coordinator: Coordinator) -> dict:
+    """A value copy of all the contract keeps between calls: every field of
+    every ``RoundState`` (batch buffers, verdicts, scores, phi, multipliers,
+    payouts, aggregate), the clients, the checkpoints and the model. Only the
+    event list of the last call is left out: ``execute`` returns it."""
+    return copy.deepcopy({k: v for k, v in vars(coordinator).items() if k != "_events"})
+
+
 class ContractMachine(RuleBasedStateMachine):
     """Calls drawn from ``CALLS``: most well-formed from their usual sender,
-    the rest from any sender with any values, and a seal now and then. Each
-    receipt advances only its sender's nonce, once; a reverted call leaves
-    the contract state as it was; a scored round pays out the whole pool
-    when any payout basis value is positive, else nothing; no complete
-    submission in a validated round lacks a verdict, and no round with
-    verdicts is OPEN; every closed round on the fairness interval has
-    exactly one anchor; a round scored with 1 to ``SHAPLEY_MAX_CLIENTS``
+    the rest from any sender with any values, a registered client's batches
+    into an open round, and a seal now and then. Each receipt advances only
+    its sender's nonce, once; a reverted call leaves all of the contract's
+    memory as it was, its state document included; a scored round pays out
+    the whole pool when any payout basis value is positive, else nothing;
+    no complete submission in a validated round lacks a verdict, and no
+    round with verdicts is OPEN; every closed round on the fairness interval
+    has exactly one anchor; a round scored with 1 to ``SHAPLEY_MAX_CLIENTS``
     accepted updates holds its cohort's exact Shapley values, and no other
     round holds any."""
 
@@ -602,6 +636,18 @@ class ContractMachine(RuleBasedStateMachine):
             if op not in skip:
                 self.call(data, op, [SYSTEM_SENDER])
 
+    @precondition(lambda self: self.coordinator.clients
+                  and self.coordinator.rounds[self.coordinator.current_round].phase == Phase.OPEN)
+    @rule(data=st.data(), batches=BATCHES)
+    def batched_submission(self, data, batches):
+        """One registered client's batches, split in two or whole, in order or
+        not, and of lengths that may not add up to the model dimension."""
+        client = data.draw(st.sampled_from(sorted(self.coordinator.clients)))
+        for index, count, components in batches:
+            args = {"round": self.coordinator.current_round, "batch_index": index,
+                    "batch_count": count, "components": components}
+            self.submit(client, "submit_update", args)
+
     @rule()
     def seal(self):
         self.ledger.seal_block()
@@ -617,8 +663,11 @@ class ContractMachine(RuleBasedStateMachine):
             name: data.draw(st.sampled_from(rounds) if name == "round" else values[name])
             for name in CALLS[op].args
         }
+        self.submit(sender, op, args)
+
+    def submit(self, sender, op, args):
         nonces = {who: self.ledger.next_nonce(who) for who in [SYSTEM_SENDER] + CLIENTS}
-        state = self.coordinator.state_dict()
+        state, memory = self.coordinator.state_dict(), contract_memory(self.coordinator)
         try:
             receipt = self.ledger.submit_tx(Transaction(sender, op, args, nonces[sender]))
         except (UnknownSender, BadComponent):  # refused before execution: no receipt
@@ -628,6 +677,7 @@ class ContractMachine(RuleBasedStateMachine):
         assert {who: self.ledger.next_nonce(who) for who in nonces} == nonces
         if receipt is None or not receipt.success:
             assert self.coordinator.state_dict() == state
+            assert contract_memory(self.coordinator) == memory
             return
         if op == "score_and_reward_round":
             self.check_payout(args["round"], receipt)
