@@ -36,9 +36,9 @@ and added as Python ints; beyond int64, checked Python-int partial sums:
 when ``sum(n_i * max|raw_i|)`` and ``sum(n_i)`` are below 2**63, as
 ``weighted_sum_lanes`` checks, or checked Python-int partial sums:
 ``add_terms``, ``truncated_mean``), and so does ``coalition_dots``, every
-subset's FedAvg dot for exact Shapley; its int64 blocks are cut on a
-float64 bound of their products, at 2**62 so that the margin to 2**63
-covers the bound's rounding. ``_truncate`` truncates every array.
+subset's FedAvg dot for exact Shapley, whose int64 dots take ``dot``'s
+rule with each block's sums carried as quotient and remainder by SCALE.
+``_truncate`` truncates every array.
 
 So "overflow raises, never wraps" holds in int64 too: a bound that would let
 an int64 expression wrap is refused before numpy runs, and each int64 result
@@ -53,8 +53,9 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from numbers import Real
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -66,7 +67,7 @@ ACC_LIMIT = 2**255          # wide accumulator bound for dot/weighted sums
 INT_LIMIT = 2**256          # |config integer| must stay below this: the contract's uint256
 LANE_LIMIT = 2**63          # a lane result's magnitude bound: int64 holds every value below it
 _LANE_BLOCK_CELLS = 2**15   # subset x component cells per int64 block of coalition_dots: 256 KB
-_REACH_CUT = 2**62          # an int64 lane's float reach budget in coalition_dots: a rounding margin
+_LANE_DIM_LIMIT = 2**29     # coalition_dots' lanes take fewer components: their carries fit int64
 _FLOAT_EXACT = 2**53        # every int of at most this magnitude is exactly a float64
 _LIMB_BITS = 21             # an int64 as three limbs of at most 2**21 in magnitude
 _LIMB_REACH = 2**42         # bound on a limb-pair product
@@ -493,73 +494,80 @@ def coalition_dots(
     """Raw ``dot(sample_weighted_mean(S), full)`` of every subset S of the
     vectors and their counts, indexed by bitmask (bit k: ``vectors[k]``), 0
     for the empty one; no vectors give ``[0]`` and read no ``full``. On int64
-    lanes when ``weighted_sum_lanes`` admits the vectors and ``full`` is
-    int64, else by the Python-int walk; both raise the per-subset
-    ``OverflowError``s."""
+    lanes, every dot exact in int64, when ``weighted_sum_lanes`` admits the
+    vectors, ``full`` is int64 and its dim is below ``_LANE_DIM_LIMIT`` =
+    2**29, which bounds the lanes' carries; else by the Python-int walk,
+    which raises the per-subset ``OverflowError``s (no lane value can)."""
     if not vectors:
         return [0]
     lanes = weighted_sum_lanes(vectors, counts)
-    if lanes is not None and full.raw.dtype == np.int64:
-        return _lane_coalition_dots(lanes, counts, full.raw)
+    if lanes is not None and full.raw.dtype == np.int64 and full.dim < _LANE_DIM_LIMIT:
+        reach = max(v._peak for v in vectors) * full._peak
+        return _lane_coalition_dots(lanes, counts, full.raw, reach)
     wide = [v.raw.astype(object) for v in vectors]
     return _walk_coalition_dots(wide, counts, full.raw.astype(object))
 
 
-def _lane_coalition_dots(lanes: np.ndarray, counts: Sequence[int], full: np.ndarray) -> list[int]:
+def _lane_coalition_dots(
+    lanes: np.ndarray, counts: Sequence[int], full: np.ndarray, reach: int
+) -> list[int]:
     """``coalition_dots`` with every subset's truncated mean taken on whole
-    int64 arrays, a block of components at a time; ``full`` is int64.
+    int64 arrays, a block of components at a time; ``full`` is int64 with
+    fewer than ``_LANE_DIM_LIMIT`` = 2**29 components, and ``reach``, in
+    Python ints, is max|lanes| * max|full|.
 
     Only for ``lanes`` that ``weighted_sum_lanes`` admits, under
     ``sum(n_i * max|raw_i|) < 2**63`` and ``sum(n_i) < 2**63``. Subset
     numerators sum(n_i * raw_i) and sample totals are subset sums, taken by
     doubling (``_subset_sums``): every value formed is some subset's, so
-    none leaves int64, and no partial sum of a dot with ``full`` reaches
-    ACC_LIMIT: |mean| and |full| are below 2**63, so a partial sum is below
-    dim * 2**126, and dim < 2**129 for any vector that fits in memory. So
-    the walk's per-partial-sum checks cannot fail and are not repeated.
+    none leaves int64. |mean_c| <= max_i |raw_ic| for every subset, so each
+    product of a dot with ``full`` is at most ``reach`` <= 2**126 in
+    magnitude, a partial sum is below 2**29 * 2**126 < ACC_LIMIT and a
+    value below 2**155 / SCALE < RAW_LIMIT: the walk's checks cannot fail
+    and are not repeated.
 
-    Each dot is exact. Each component's product bound ``reach``,
-    max_i |raw_ic| * |full_c|, is taken in float64 with numpy, and
-    ``_blocks`` cuts the components where the blocks' float bounds would
-    pass ``_REACH_CUT`` = 2**62; the margin to 2**63 covers the rounding
-    (the proof is ``_blocks``'). A block within the cut is summed on an
-    int64 lane, which moves to Python ints before the bounds of the blocks
-    it holds pass the cut together, and a run of components each beyond it
-    is summed in Python ints. Cut positions depend on the bound, values do
-    not. Each value gets the walk's terminal range
-    check, in mask order; it can fail only when dim * 2**126 / SCALE
-    reaches 2**127, at a dim above 2**30. Memory is O(2**n) for the totals
-    plus one table that every block reuses and its signs, each of about
-    ``_LANE_BLOCK_CELLS`` subset x component cells, never a 2**n x dim
-    table.
+    Each dot is exact in int64, by ``dot``'s rule. Below 2**63, each block's
+    products are summed in int64 in sub-blocks of ``(2**63 - 1) // reach``
+    components, so no partial sum reaches 2**63, and each sub-block sum is
+    carried as its floor quotient and remainder by SCALE. At most dim <
+    2**29 sub-blocks add quotients of at most 2**63 / SCALE + 1 in magnitude
+    and remainders below SCALE, so neither carry leaves int64, and the dot,
+    quotient * SCALE + remainder, is truncated toward zero once. At or
+    beyond 2**63 the same sums run on the nine limb pairs of the means' and
+    ``full``'s 21-bit limbs (``_limbs``, products of at most 2**42), whose
+    carries are shifted by their limbs' weight and added as Python ints
+    before the truncation. Memory is O(2**n) for the totals and the carries
+    plus one table that every block reuses and a few temporaries its size
+    (signs, products, limbs), each of about ``_LANE_BLOCK_CELLS`` subset x
+    component cells, never a 2**n x dim table.
     """
     counts_lane = np.array(counts, dtype=np.int64)
     totals = _subset_sums(counts_lane, np.empty(1 << len(counts), np.int64))[1:, None]
     terms = lanes * counts_lane[:, None]
-    # |mean_c| <= max_i |raw_ic| for every subset, so |mean_c * full_c| <= reach[c]; no
-    # admitted lane holds INT64_MIN, and |full| is taken after the cast, where it cannot wrap
-    reach = np.abs(lanes).max(axis=0).astype(np.float64) * np.abs(full.astype(np.float64))
+    limbs = reach >= LANE_LIMIT
+    split = _limbs if limbs else lambda x: [x]
+    fulls = split(full)
+    sub = (LANE_LIMIT - 1) // max(1, _LIMB_REACH if limbs else reach)
     rows, width = len(totals) + 1, max(1, _LANE_BLOCK_CELLS // len(totals))
     buffer = np.empty(rows * min(width, len(full)), np.int64)  # every block's numerators
-    lane, lane_bound = np.zeros(len(totals), dtype=np.int64), 0
-    spill = 0  # exact Python-int sums of what the lane cannot hold
-    for block, bound in _blocks(reach, width):
-        numerators = buffer[: rows * (block.stop - block.start)].reshape(rows, -1)
+    carries = np.zeros((len(fulls) ** 2, 2, len(totals)), np.int64)  # quotients, remainders
+    for start in range(0, len(full), width):
+        block = slice(start, start + width)
+        numerators = buffer[: rows * len(full[block])].reshape(rows, -1)
         means = _truncate(_subset_sums(terms[:, block], numerators)[1:], totals)
-        if bound > _REACH_CUT:
-            spill = spill + means.astype(object) @ full[block].astype(object)
-            continue
-        if lane_bound + bound > _REACH_CUT:
-            spill = spill + lane.astype(object)
-            lane, lane_bound = np.zeros_like(lane), 0
-        lane += means @ full[block]
-        lane_bound += bound
-    dots = lane if isinstance(spill, int) else spill + lane.astype(object)
-    values = [0] + _truncate(dots, SCALE).tolist()
-    # a value from an int64 dot lies far inside RAW_LIMIT
-    if dots.dtype == object and (min(values) <= -RAW_LIMIT or max(values) >= RAW_LIMIT):
-        list(map(_check_raw, values))  # the first value out of range, in mask order
-    return values
+        starts = np.arange(0, means.shape[1], sub)
+        for carry, (x, y) in zip(carries, product(split(means), fulls)):
+            if len(starts) == 1:  # one sub-block: a matrix product sums it fastest
+                carry += np.divmod(x @ y[block], SCALE)
+            else:
+                sums = np.add.reduceat(x * y[block], starts, axis=1)
+                carry += np.sum(np.divmod(sums, SCALE), axis=2)
+    if limbs:  # each limb pair's carries shifted by its limbs' weight, in Python ints
+        pairs = product(range(3), repeat=2)
+        carries = [c.astype(object) << (_LIMB_BITS * (i + j)) for c, (i, j) in zip(carries, pairs)]
+    quotients, remainders = sum(carries)
+    floors = quotients + remainders // SCALE  # remainders are never negative
+    return [0] + (floors + ((floors < 0) & (remainders % SCALE > 0))).tolist()
 
 
 def _subset_sums(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -570,41 +578,6 @@ def _subset_sums(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     for k, row in enumerate(rows):
         np.add(out[: 1 << k], row, out=out[1 << k : 2 << k])
     return out
-
-
-def _blocks(reach: np.ndarray, width: int) -> Iterator[tuple[slice, int]]:
-    """Runs of at most ``width`` components, each with ``bound``, a bound on
-    its summed reach: the longest run whose bound stays within
-    ``_REACH_CUT``, or a run of components each beyond it, whose bound
-    exceeds the cut.
-
-    ``reach`` holds float64 bounds, each a component's exact reach r_c
-    rounded at most three times (two casts and a product), so
-    r_c <= reach_c / (1 - 2**-53)**3. With 2**g > len(reach), each is taken
-    up to whole units of 2**g, ceil(reach_c / 2**g) (exact: a power-of-two
-    scale and a ceil), capped at twice the cut K = _REACH_CUT / 2**g (a
-    power of two, so exact too). The int64 prefix sums are then exact: they
-    are at most (2**g - 1) * 2 * K = 2**63 - 2 * K, so a prefix sum plus K
-    stays in int64 too. A run's bound is its units times 2**g. So runs, or
-    a lane of runs, whose bounds sum to at most ``_REACH_CUT`` = 2**62 have
-    an exact summed reach of at most 2**62 / (1 - 2**-53)**3 < 2**63: the
-    margin covers the rounding. Each run is cut by one ``searchsorted`` on
-    the prefix sums, which finds no room at a component beyond the cut."""
-    shift = len(reach).bit_length()
-    cut = _REACH_CUT >> shift
-    units = np.minimum(np.ceil(reach * 2.0**-shift), 2.0 * cut).astype(np.int64)
-    ends = units.cumsum()  # ends[i]: the units of components 0 to i
-    within = None  # how many components up to each index are within the cut: built at need
-    start = base = 0
-    while start < len(units):
-        end = min(start + width, int(ends.searchsorted(base + cut, "right")))
-        if end == start:  # beyond the cut: the run goes up to the next component within it
-            if within is None:
-                within = (units <= cut).cumsum()
-            end = min(start + width, int(within.searchsorted(within[start] + 1)))
-        top = int(ends[end - 1])
-        yield slice(start, end), (top - base) << shift
-        start, base = end, top
 
 
 def _walk_coalition_dots(

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -505,52 +506,24 @@ def _bound_games(draw):
     return _cohort(rows, counts)
 
 
-def _recorded_blocks(monkeypatch) -> list:
-    """Every ``(block, bound)`` that ``numerics._blocks`` yields, with the
-    width it was asked for, recorded as the lanes take it."""
-    recorded, blocks = [], numerics._blocks
-
-    def recording(reach, width):
-        for cut in blocks(reach, width):
-            recorded.append((cut, width))
-            yield cut
-
-    monkeypatch.setattr(numerics, "_blocks", recording)
-    return recorded
-
-
-def _checked_blocks(recorded, submissions, n_map) -> list[bool]:
-    """Checks the recorded blocks against the exact reach max_i |raw_ic| *
-    |full_c| in Python ints: each block covers at most its width, and one
-    whose bound is within the cut, summed on the int64 lane, has exact
-    summed reach below 2**63. Returns which blocks took the lane."""
-    full = fedavg(submissions, n_map).raw.tolist()
-    rows = [v.raw.tolist() for v in submissions.values()]
-    reach = [max(abs(row[c]) for row in rows) * abs(f) for c, f in enumerate(full)]
-    lane = []
-    for (block, bound), width in recorded:
-        assert 0 < block.stop - block.start <= width
-        lane.append(bound <= numerics._REACH_CUT)
-        if lane[-1]:
-            assert sum(reach[block]) < 2**63
-    return lane
-
-
 @st.composite
 def _straddling_lanes(draw):
-    """Lanes and a ``full`` whose per-component reach max_i |raw_ic| *
-    |full_c| lies within a few units of |full_c| of 2**61, 2**62 or 2**63:
-    on both sides of the float cut, alone and in pairs, and of the lane limit."""
+    """Lanes and a ``full`` whose reach max|lanes| * max|full| lies within a
+    few units of ``peak`` of 2**63 / k, k from 1 to 4: a sub-block of k
+    components fits or holds one fewer, and at k = 1 the reach straddles
+    2**63, the limb split. The first lane is the peak, of one sign, at every
+    component, so the first client's products meet the reach wherever
+    ``full`` is at its top, and a sub-block's sum comes within k * peak of
+    2**63."""
     dim = draw(st.integers(1, 10))
-    raw_bits = draw(st.integers(1, 59))  # 3 counts of 3 at 2**59 stay below 2**63: lanes
-    rows = draw(st.lists(st.lists(st.integers(-(2**raw_bits), 2**raw_bits),
-                                  min_size=dim, max_size=dim), min_size=1, max_size=3))
+    peak = 2 ** draw(st.integers(0, 59))  # 3 counts of 3 at 2**59 stay below 2**63: lanes
+    top = 2**63 // draw(st.integers(1, 4)) // peak + draw(st.integers(-2, 2))
+    rows = [[draw(st.sampled_from([1, -1])) * peak] * dim]
+    rows += draw(st.lists(st.lists(st.integers(-peak, peak), min_size=dim, max_size=dim),
+                          max_size=2))
     counts = draw(st.lists(st.integers(1, 3), min_size=len(rows), max_size=len(rows)))
-    full = []
-    for c in range(dim):
-        peak = max(abs(row[c]) for row in rows) or 1
-        near = draw(st.sampled_from([2**61, 2**62, 2**63])) // peak + draw(st.integers(-2, 2))
-        full.append(min(max(draw(st.sampled_from([1, -1])) * near, -(2**63)), 2**63 - 1))
+    full = [draw(st.sampled_from([top, -top, draw(st.integers(-top, top))])) for _ in range(dim)]
+    full = [min(max(f, -(2**63)), 2**63 - 1) for f in full]
     return [GradientVector.from_raw(row) for row in rows], counts, GradientVector.from_raw(full)
 
 
@@ -559,29 +532,63 @@ class TestCoalitionValuePaths:
     definition: the int64 lanes under the bound, the walk beyond it."""
 
     @settings(max_examples=150, deadline=None)
-    @given(_bound_games())
-    @example(_cohort([[2**62]], [2]))  # n * |raw| == 2**63: the walk
-    @example(_cohort([[-(2**63 - 1)]], [1]))  # just under: the lanes
-    def test_both_sides_of_the_bound_match_the_definition(self, game):
+    @given(_bound_games(), st.integers(2, 64), st.none())
+    @example(_cohort([[2**62]], [2]), 64, None)  # n * |raw| == 2**63: the walk
+    @example(_cohort([[-(2**63 - 1)]], [1]), 64, None)  # just under: the lanes
+    # every coalition's dot negative, with a nonzero remainder by SCALE in
+    # every block of one component, and past int64 in all: carried
+    @example(_cohort([[2**40 + 3, 2**40 + 17, 2**40 + 29], [2**40 + 5, 2**40 + 11, 2**40 + 2]],
+                     [1, 2]), 2, GradientVector.from_raw([-(2**22 + 1)] * 3))
+    # a dot of -SCALE from sub-blocks of one product each: -1 and 1 - SCALE
+    # leave remainders of SCALE - 1 and 1, and +-2**31 * 5**9 * 2**11 none
+    @example(_cohort([[1, 1, 2**31, 2**31]], [1]), 2,
+             GradientVector.from_raw([-1, 1 - SCALE, 5**9 * 2**11, -(5**9) * 2**11]))
+    # FedAvg [5, 7]: reach (2**63 - 1) // 7 * 7 == 2**63 - 1, sub-blocks of one
+    @example(_cohort([[(2**63 - 1) // 7, 7], [10 - (2**63 - 1) // 7, 7]], [1, 1]), 2, None)
+    # FedAvg [3, 4]: reach 2**61 * 4 == 2**63, the limb split
+    @example(_cohort([[2**61, 1], [6 - 2**61, 7]], [1, 1]), 2, None)
+    @example(_cohort([[1, -1, 3]], [1]), 2, GradientVector.from_raw([5, -(2**63), 7]))
+    def test_both_sides_of_the_bound_match_the_definition(self, game, cells, full):
+        # blocks of 2 to 64 cells, so a dot spans many blocks; without a
+        # ``full`` the dots are with the cohort's FedAvg, and the definition holds
         submissions, n_map = game
-        outcome = _outcome(coalition_values, submissions, n_map)
-        assert outcome == _outcome(_definition_values, submissions, n_map)
+        ids = sorted(submissions)
+        vectors, counts = [submissions[c] for c in ids], [n_map[c] for c in ids]
+        with mock.patch.object(numerics, "_LANE_BLOCK_CELLS", cells):
+            if full is None:
+                outcome = _outcome(coalition_values, submissions, n_map)
+                assert outcome == _outcome(_definition_values, submissions, n_map)
+            else:
+                outcome = _outcome(numerics.coalition_dots, vectors, counts, full)
         if _takes_lanes(submissions, n_map):
             # called directly on the inputs the lanes took, the walk agrees
-            ids = sorted(submissions)
-            vectors, counts = [submissions[c] for c in ids], [n_map[c] for c in ids]
-            full = sample_weighted_mean(vectors, counts).raw.astype(object)
+            if full is None:
+                full = sample_weighted_mean(vectors, counts)
             raws = [v.raw.astype(object) for v in vectors]
-            assert numerics._walk_coalition_dots(raws, counts, full) == outcome
+            assert numerics._walk_coalition_dots(raws, counts, full.raw.astype(object)) == outcome
+
+    @staticmethod
+    def _takes_int64_only(monkeypatch, submissions, n_map):
+        """Values and phi as the definition has them, with neither the walk nor
+        the limb split run."""
+        expected = _definition_values(submissions, n_map)
+        _forbid(monkeypatch, "_walk_coalition_dots")
+        _forbid(monkeypatch, "_limbs")
+        assert coalition_values(submissions, n_map) == expected
+        assert one_pass_phi(submissions, n_map) == shapley_phi_loop(sorted(submissions), expected)
 
     def test_shapley_cohort_shape_takes_the_lanes(self, monkeypatch):
         # 12 clients x dim 16 with 40 samples each, raws at gradient scale
         rng = np.random.default_rng(5)
         submissions, n_map = _cohort(rng.integers(-(2**30), 2**30, (12, 16)).tolist(), [40] * 12)
-        expected = _definition_values(submissions, n_map)
-        _forbid(monkeypatch, "_walk_coalition_dots")
-        assert coalition_values(submissions, n_map) == expected
-        assert one_pass_phi(submissions, n_map) == shapley_phi_loop(sorted(submissions), expected)
+        self._takes_int64_only(monkeypatch, submissions, n_map)
+
+    def test_wide_model_shape_takes_the_lanes(self, monkeypatch):
+        # 3 clients x dim 10 000 with 50 samples each: the whole dot passes
+        # 2**63, so it is carried across sub-blocks
+        rng = np.random.default_rng(7)
+        submissions, n_map = _cohort(rng.integers(-(2**30), 2**30, (3, 10_000)).tolist(), [50] * 3)
+        self._takes_int64_only(monkeypatch, submissions, n_map)
 
     @pytest.mark.parametrize("raw_rows, counts", [
         ([[2**62]], [2]),  # n * |raw| == 2**63
@@ -594,15 +601,23 @@ class TestCoalitionValuePaths:
         _forbid(monkeypatch, "_lane_coalition_dots")
         assert coalition_values(submissions, n_map) == expected
 
-    # column magnitudes that keep every block's dot on the int64 lane, fill the
-    # lane so it spills to Python ints between blocks, or overflow it in one
-    # column so the block is summed in Python ints, and a mix of all three
+    def test_a_dim_at_the_lane_limit_takes_the_walk(self, monkeypatch):
+        # 2**29 components would take 4 GB a vector, so the limit is lowered
+        submissions, n_map = _cohort([[1, -2, 3], [4, 5, -6]], [1, 2])
+        expected = _definition_values(submissions, n_map)
+        monkeypatch.setattr(numerics, "_LANE_DIM_LIMIT", 3)
+        _forbid(monkeypatch, "_lane_coalition_dots")
+        assert coalition_values(submissions, n_map) == expected
+
+    # column magnitudes whose reach keeps each block's dot one int64 sum,
+    # carries it across sub-blocks of three components, or takes the limb
+    # split, alone or mixed
     @pytest.mark.parametrize("magnitudes", [
         [2**20] * 9,
         [3 * 2**29] * 9,
         [2**40] * 9,
         [2**40, 2**10, 3 * 2**29, 3 * 2**29, 2**10, 3 * 2**29, 2**40, 2**10, 3 * 2**29],
-    ], ids=["lane", "lane_spills", "python_ints", "mixed"])
+    ], ids=["one_sum", "carried", "limbs", "mixed"])
     @pytest.mark.parametrize("cells", [14, numerics._LANE_BLOCK_CELLS])
     def test_blocks_with_a_short_last_block(self, monkeypatch, magnitudes, cells):
         # 3 clients: 7 coalitions, so 14 cells make blocks of 2, 2, 2, 2 and 1
@@ -612,28 +627,22 @@ class TestCoalitionValuePaths:
         expected = _definition_values(submissions, n_map)
         monkeypatch.setattr(numerics, "_LANE_BLOCK_CELLS", cells)
         _forbid(monkeypatch, "_walk_coalition_dots")
-        recorded = _recorded_blocks(monkeypatch)
+        if 2**40 not in magnitudes:  # reach 2**80 splits into limbs
+            _forbid(monkeypatch, "_limbs")
         assert coalition_values(submissions, n_map) == expected
-        lane = _checked_blocks(recorded, submissions, n_map)
-        assert any(lane) == (magnitudes != [2**40] * 9)  # 2**80 per component: Python ints
-        assert all(lane) == (2**40 not in magnitudes)
-        if cells == 14 and magnitudes == [2**20] * 9:
-            assert [block.stop - block.start for (block, _), _ in recorded] == [2, 2, 2, 2, 1]
         assert one_pass_phi(submissions, n_map) == shapley_phi_loop(sorted(submissions), expected)
 
     def test_ten_clients_in_blocks_of_four_components(self, monkeypatch):
         # 1 023 coalitions: 4 096 cells make blocks of at most 4 components;
-        # products near 2**62 reach the cut first, after 3, 3 and 4
+        # a reach near 2**61 makes sub-blocks of 3, so a block of 4 takes two
         rng = np.random.default_rng(11)
         submissions, n_map = _cohort(rng.integers(-(2**31), 2**31, (10, 10)).tolist(),
                                      rng.integers(1, 500, 10).tolist())
         expected = _definition_values(submissions, n_map)
         monkeypatch.setattr(numerics, "_LANE_BLOCK_CELLS", 4096)
         _forbid(monkeypatch, "_walk_coalition_dots")
-        recorded = _recorded_blocks(monkeypatch)
+        _forbid(monkeypatch, "_limbs")
         assert coalition_values(submissions, n_map) == expected
-        assert all(_checked_blocks(recorded, submissions, n_map))
-        assert [block.stop - block.start for (block, _), _ in recorded] == [3, 3, 4]
 
     @settings(max_examples=150, deadline=None)
     @given(_straddling_lanes())
@@ -641,7 +650,7 @@ class TestCoalitionValuePaths:
               GradientVector.from_raw([2**62, 2**62 - 1, -(2**63)])))
     @example(([GradientVector.from_raw([2**31, -(2**31)]), GradientVector.from_raw([3, 5])],
               [3, 1], GradientVector.from_raw([2**31, 2**31 + 1])))
-    def test_reach_straddling_the_float_cut_matches_the_walk(self, lanes):
+    def test_reach_straddling_a_sub_block_matches_the_walk(self, lanes):
         vectors, counts, full = lanes
         assert numerics.weighted_sum_lanes(vectors, counts) is not None  # the lanes path
         expected = _outcome(numerics._walk_coalition_dots,
@@ -649,31 +658,29 @@ class TestCoalitionValuePaths:
                             full.raw.astype(object))
         assert _outcome(numerics.coalition_dots, vectors, counts, full) == expected
 
-    # bounds are whole units of 2**g, 2**g > len(reach): 16 for 9 components,
-    # 8 for 5 or 7, 4 for 3; a component beyond the cut counts as twice the cut
-    @pytest.mark.parametrize("reach, width, blocks", [
-        # a run ends before the component that would take its bound past
-        # 2**62, and a run of components each beyond 2**62 ends before one
-        # within it; 2**63 - 2 is 2**63 as a float64
-        ([2**62, 2**62, 2**63, 2**64, 1, 2**63 - 2, 1, 5, 5], 3,
-         [(0, 1, 2**62), (1, 2, 2**62), (2, 4, 2**64), (4, 5, 16), (5, 6, 2**63),
-          (6, 9, 48)]),
-        # a bound of exactly 2**62 is within the cut
-        ([2**61, 2**61 - 2**10, 2**10, 1, 2**61, 2**61 + 2**10, 0], 7,
-         [(0, 3, 2**62), (3, 5, 2**61 + 8), (5, 7, 2**61 + 2**10)]),
-        ([1] * 5, 2, [(0, 2, 16), (2, 4, 16), (4, 5, 8)]),
-        ([2**63] * 3, 2, [(0, 2, 2**64), (2, 3, 2**63)]),
-        ([0] * 7 + [2**66], 100, [(0, 7, 0), (7, 8, 2**63)]),
-    ], ids=["reach", "cut", "width", "beyond_width", "last_beyond"])
-    def test_blocks_are_cut_at_the_reach_budget_and_the_width(self, reach, width, blocks):
-        cuts = list(numerics._blocks(np.array(reach, dtype=np.float64), width))
-        assert [(block.start, block.stop, bound) for block, bound in cuts] == blocks
-        for block, bound in cuts:
-            assert block.stop - block.start <= width
-            if bound <= numerics._REACH_CUT:  # on the int64 lane
-                assert sum(reach[block]) < 2**63
-            else:
-                assert min(reach[block]) > numerics._REACH_CUT
+    # two equal clients, so every coalition's mean is ``raw`` and each of the
+    # 7 products is reach = raw * full, of one sign: a sub-block one
+    # component wider than (2**63 - 1) // reach would wrap int64
+    @pytest.mark.parametrize("raw, full", [
+        (2**20, 2**30),  # reach 2**50: the dot is one int64 sum
+        (2**31, (2**63 - 1) // 3 // 2**31),  # sub-blocks of three
+        (2**31 + 1, -((2**63 - 1) // 3 // (2**31 + 1))),  # of three, dots negative
+        ((2**63 - 1) // 7, 7),  # reach 2**63 - 1: sub-blocks of one
+        (2**61, 4),  # reach 2**63: the limb split
+    ], ids=["one_sum", "three", "three_negative", "one", "limbs"])
+    def test_sub_blocks_are_cut_at_the_reach_budget(self, monkeypatch, raw, full):
+        vectors = [GradientVector.from_raw([raw] * 7)] * 2
+        full = GradientVector.from_raw([full] * 7)
+        dot = numerics.div_toward_zero(7 * raw * full.raw[0].item(), SCALE)
+        walk = numerics._walk_coalition_dots([v.raw.astype(object) for v in vectors], [1, 1],
+                                             full.raw.astype(object))
+        assert walk == [0, dot, dot, dot]
+        # blocks of 5 and 2 components, each cut into sub-blocks
+        monkeypatch.setattr(numerics, "_LANE_BLOCK_CELLS", 15)
+        _forbid(monkeypatch, "_walk_coalition_dots")
+        if raw * abs(full.raw[0].item()) < 2**63:
+            _forbid(monkeypatch, "_limbs")
+        assert numerics.coalition_dots(vectors, [1, 1], full) == walk
 
     def test_memory_is_bounded_by_the_block(self):
         # a 1 023 x 256 int64 table of coalition means alone would be 2 MB
