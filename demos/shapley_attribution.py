@@ -5,8 +5,8 @@ unique contributor earns alone.
 
 Run: python demos/shapley_attribution.py
 """
-from fedchain.incentives import coalition_value_alignment, shapley_alignment
-from fedchain.numerics import GradientVector, sample_weighted_mean
+from fedchain.incentives import shapley_alignment
+from fedchain.numerics import Fixed, GradientVector, coalition_dots, sample_weighted_mean
 
 CLIENTS = {
     b"\x01" * 20: ("redundant-a", GradientVector.from_decimals(["1", "0", "0"])),
@@ -20,11 +20,13 @@ def main():
     submissions = {cid: vec for cid, (_, vec) in CLIENTS.items()}
     n_map = {cid: 10 for cid in submissions}
 
-    aggregate_value = coalition_value_alignment(list(submissions), submissions, n_map)
-    print("grand-coalition value (||aggregate||^2):", aggregate_value.to_decimal())
-
     ids = sorted(submissions)  # the FedAvg in sorted-id order, as the contract keeps it
-    aggregate = sample_weighted_mean([submissions[i] for i in ids], [n_map[i] for i in ids])
+    vectors, counts = [submissions[i] for i in ids], [n_map[i] for i in ids]
+    aggregate = sample_weighted_mean(vectors, counts)
+    # every coalition's value by bitmask, as the contract scores them: the last is everyone's
+    grand_value = Fixed(coalition_dots(vectors, counts, aggregate)[-1])
+    print("grand-coalition value (||aggregate||^2):", grand_value.to_decimal())
+
     phi = shapley_alignment(submissions, n_map, aggregate)
     print("\nper-client Shapley values:")
     for cid, value in sorted(phi.items()):

@@ -34,10 +34,12 @@ same on the nine limb pairs of each vector's three 21-bit limbs, shifted
 and added as Python ints; beyond int64, checked Python-int partial sums:
 ``raw_dot``) and ``sample_weighted_mean`` (one int64 matrix product
 when ``sum(n_i * max|raw_i|)`` and ``sum(n_i)`` are below 2**63, as
-``weighted_sum_lanes`` checks, or checked Python-int partial sums:
-``add_terms``, ``truncated_mean``), and so does ``coalition_dots``, every
-subset's FedAvg dot for exact Shapley, whose int64 dots take ``dot``'s
-rule with each block's sums carried as quotient and remainder by SCALE.
+``weighted_sum_lanes`` checks, or checked Python-int partial sums,
+``add_terms``, truncated once). ``coalition_dots``, every subset's FedAvg
+dot for exact Shapley, takes int64 lanes under that same check, its dots
+exact by ``dot``'s rule with each block's sums carried as quotient and
+remainder by SCALE; beyond the lanes it is its definition,
+``dot(sample_weighted_mean(S), full)`` for each subset S in turn.
 ``_truncate`` truncates every array.
 
 So "overflow raises, never wraps" holds in int64 too: a bound that would let
@@ -389,14 +391,6 @@ def add_terms(numerators: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return out
 
 
-def truncated_mean(numerators: np.ndarray, total: int) -> np.ndarray:
-    """Each numerator (Python ints) / total > 0, truncated toward zero once,
-    in place, and range-checked."""
-    out = _truncate(numerators, total)
-    _check_range(out)
-    return out
-
-
 def raw_dot(a: np.ndarray, b: np.ndarray) -> int:
     """Raw inner product of equal-length object arrays of Python ints: every
     partial sum bounded, one rescale."""
@@ -467,7 +461,9 @@ def sample_weighted_mean(vectors: Sequence[GradientVector], counts: Sequence[int
     Computes sum(n_i * v_i) / N with integer numerators and a single
     truncation per component, so no precision is lost to pre-quantized
     weights. This is the aggregation path used for the global model. It runs
-    in int64 when ``weighted_sum_lanes`` admits the vectors.
+    in int64 when ``weighted_sum_lanes`` admits the vectors, else on checked
+    Python-int partial sums; the means are range-checked as the vector is
+    built.
     """
     if len(vectors) == 0:
         raise EmptyInput("sample_weighted_mean needs at least one vector")
@@ -485,7 +481,7 @@ def sample_weighted_mean(vectors: Sequence[GradientVector], counts: Sequence[int
     numerators = np.zeros(dim, dtype=object)
     for n, v in zip(counts, vectors):
         numerators = add_terms(numerators, v.raw.astype(object) * n)
-    return GradientVector(truncated_mean(numerators, sum(counts)))
+    return GradientVector(_truncate(numerators, sum(counts)))
 
 
 def coalition_dots(
@@ -496,16 +492,21 @@ def coalition_dots(
     for the empty one; no vectors give ``[0]`` and read no ``full``. On int64
     lanes, every dot exact in int64, when ``weighted_sum_lanes`` admits the
     vectors, ``full`` is int64 and its dim is below ``_LANE_DIM_LIMIT`` =
-    2**29, which bounds the lanes' carries; else by the Python-int walk,
-    which raises the per-subset ``OverflowError``s (no lane value can)."""
+    2**29, which bounds the lanes' carries; else by that definition, one
+    subset at a time in ascending mask order, so the first subset to overflow
+    raises its ``OverflowError`` (no lane value can)."""
     if not vectors:
         return [0]
     lanes = weighted_sum_lanes(vectors, counts)
     if lanes is not None and full.raw.dtype == np.int64 and full.dim < _LANE_DIM_LIMIT:
         reach = max(v._peak for v in vectors) * full._peak
         return _lane_coalition_dots(lanes, counts, full.raw, reach)
-    wide = [v.raw.astype(object) for v in vectors]
-    return _walk_coalition_dots(wide, counts, full.raw.astype(object))
+    values = [0]
+    for mask in range(1, 1 << len(vectors)):
+        members = [k for k in range(len(vectors)) if mask >> k & 1]
+        mean = sample_weighted_mean([vectors[k] for k in members], [counts[k] for k in members])
+        values.append(dot(mean, full).raw)
+    return values
 
 
 def _lane_coalition_dots(
@@ -523,8 +524,8 @@ def _lane_coalition_dots(
     none leaves int64. |mean_c| <= max_i |raw_ic| for every subset, so each
     product of a dot with ``full`` is at most ``reach`` <= 2**126 in
     magnitude, a partial sum is below 2**29 * 2**126 < ACC_LIMIT and a
-    value below 2**155 / SCALE < RAW_LIMIT: the walk's checks cannot fail
-    and are not repeated.
+    value below 2**155 / SCALE < RAW_LIMIT: the definition's checks cannot
+    fail and are not repeated.
 
     Each dot is exact in int64, by ``dot``'s rule. Below 2**63, each block's
     products are summed in int64 in sub-blocks of ``(2**63 - 1) // reach``
@@ -578,32 +579,3 @@ def _subset_sums(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     for k, row in enumerate(rows):
         np.add(out[: 1 << k], row, out=out[1 << k : 2 << k])
     return out
-
-
-def _walk_coalition_dots(
-    raws: Sequence[np.ndarray], counts: Sequence[int], full: np.ndarray
-) -> list[int]:
-    """``coalition_dots`` by a depth-first walk over Python ints, raws and
-    ``full`` as object arrays: the path for raws or counts whose subset
-    numerators leave int64.
-
-    Subsets are walked depth first, adding members in index order, so each
-    subset's integer numerator sum(n_i * raw_i) is its parent's plus one
-    member's term. The numerator, mean and dot steps are the ones
-    ``sample_weighted_mean`` and ``dot`` take, so values and overflows agree
-    with them. The walk keeps each member's term and at most one numerator
-    vector per depth, O(n * dim) integers, never one vector per subset.
-    """
-    values = [0] * (1 << len(counts))
-    terms = [r * n for n, r in zip(counts, raws)]
-
-    def visit(mask: int, numerators: np.ndarray, total: int, first: int) -> None:
-        for j in range(first, len(counts)):
-            child = mask | 1 << j
-            child_numerators = add_terms(numerators, terms[j])
-            # the mean, truncated in place on a copy, is freed before the walk descends
-            values[child] = raw_dot(truncated_mean(child_numerators.copy(), total + counts[j]), full)
-            visit(child, child_numerators, total + counts[j], j + 1)
-
-    visit(0, np.zeros(len(full), dtype=object), 0, 0)
-    return values

@@ -66,8 +66,9 @@ def test_incentives_leaves_exact_integer_arithmetic_to_numerics():
     # reads coalition values from numerics.coalition_dots
     from fedchain import numerics
 
-    owned = {name for name in vars(numerics) if name.endswith("_LIMIT")}
-    owned |= {"add_terms", "raw_dot", "truncated_mean", "weighted_sum_lanes"}
+    named = {"add_terms", "raw_dot", "weighted_sum_lanes"}
+    assert named <= set(vars(numerics))  # a stale name would silently weaken the check
+    owned = {name for name in vars(numerics) if name.endswith("_LIMIT")} | named
     assert not imported_names("incentives").get("numerics", set()) & owned
 
 

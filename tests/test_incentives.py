@@ -1,8 +1,10 @@
 """Alignment scores, Shapley attribution, cumulative scores, multipliers."""
 import itertools
+import json
 import math
 import random
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -36,9 +38,10 @@ from fedchain.numerics import (
     dot,
     sample_weighted_mean,
 )
-from fedchain.scenario import parse_config, run_scenario
+from fedchain.scenario import audit_run, parse_config, run_scenario, write_run
 
 IDS = [bytes([i]) * 20 for i in range(1, 13)]
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def fx(text: str) -> Fixed:
@@ -452,27 +455,28 @@ class TestShapleyAlignment:
             one_pass_phi({cid: vec("1") for cid in ids}, {cid: 1 for cid in ids})
 
 
-def _walk_order(n: int) -> list[int]:
-    """Non-empty coalition masks in the depth-first walk's order: member
-    index lists in lexicographic order."""
-    return sorted(range(1, 1 << n), key=lambda mask: [k for k in range(n) if mask >> k & 1])
-
-
 def _definition_values(submissions, n_map) -> list[int]:
     """Every coalition's raw value by the per-coalition definition; raises the
-    OverflowError of the first coalition, in the walk's order, that has one."""
+    OverflowError of the first coalition, in ascending mask order, that has
+    one."""
     ids = sorted(submissions)
-    values = [0] * (1 << len(ids))
-    for mask in _walk_order(len(ids)):
+    values = [0]
+    for mask in range(1, 1 << len(ids)):
         subset = [ids[k] for k in range(len(ids)) if mask >> k & 1]
-        values[mask] = coalition_value_alignment(subset, submissions, n_map).raw
+        values.append(coalition_value_alignment(subset, submissions, n_map).raw)
     return values
 
 
-def _takes_lanes(submissions, n_map) -> bool:
-    """The lanes path's bound: sum(n_i * max|raw_i|) and sum(n_i) below 2**63."""
-    peak = sum(n_map[c] * max(map(abs, v.raw.tolist())) for c, v in submissions.items())
-    return peak < 2**63 and sum(n_map.values()) < 2**63
+def _definition_dots(vectors, counts, full) -> list[int]:
+    """``coalition_value_alignment``'s steps with a given ``full``: the raw
+    ``dot(sample_weighted_mean(S), full)`` of every subset S by bitmask, in
+    ascending mask order."""
+    values = [0]
+    for mask in range(1, 1 << len(vectors)):
+        members = [k for k in range(len(vectors)) if mask >> k & 1]
+        mean = sample_weighted_mean([vectors[k] for k in members], [counts[k] for k in members])
+        values.append(dot(mean, full).raw)
+    return values
 
 
 def _forbid(monkeypatch, name: str) -> None:
@@ -480,6 +484,13 @@ def _forbid(monkeypatch, name: str) -> None:
         raise AssertionError(f"{name} ran")
 
     monkeypatch.setattr(numerics, name, forbidden)
+
+
+def _forbid_definition(monkeypatch) -> None:
+    """Fail if ``coalition_dots`` leaves the lanes: beyond them it calls
+    ``sample_weighted_mean`` as ``numerics`` looks it up, which nothing else
+    in ``numerics`` does (other modules hold their own reference)."""
+    _forbid(monkeypatch, "sample_weighted_mean")
 
 
 def _cohort(raw_rows, counts) -> tuple[dict, dict]:
@@ -529,11 +540,12 @@ def _straddling_lanes(draw):
 
 class TestCoalitionValuePaths:
     """Each path of ``numerics.coalition_dots`` against the per-coalition
-    definition: the int64 lanes under the bound, the walk beyond it."""
+    definition: the int64 lanes under the bound, the definition itself
+    beyond it."""
 
     @settings(max_examples=150, deadline=None)
     @given(_bound_games(), st.integers(2, 64), st.none())
-    @example(_cohort([[2**62]], [2]), 64, None)  # n * |raw| == 2**63: the walk
+    @example(_cohort([[2**62]], [2]), 64, None)  # n * |raw| == 2**63: the definition
     @example(_cohort([[-(2**63 - 1)]], [1]), 64, None)  # just under: the lanes
     # every coalition's dot negative, with a nonzero remainder by SCALE in
     # every block of one component, and past int64 in all: carried
@@ -548,6 +560,9 @@ class TestCoalitionValuePaths:
     # FedAvg [3, 4]: reach 2**61 * 4 == 2**63, the limb split
     @example(_cohort([[2**61, 1], [6 - 2**61, 7]], [1, 1]), 2, None)
     @example(_cohort([[1, -1, 3]], [1]), 2, GradientVector.from_raw([5, -(2**63), 7]))
+    # every coalition's dot leaves RAW_LIMIT with its own bit length: the
+    # first in mask order, {0}, names its 131 bits
+    @example(_cohort([[2**100], [2**102]], [1, 1]), 2, GradientVector.from_raw([2**60]))
     def test_both_sides_of_the_bound_match_the_definition(self, game, cells, full):
         # blocks of 2 to 64 cells, so a dot spans many blocks; without a
         # ``full`` the dots are with the cohort's FedAvg, and the definition holds
@@ -560,19 +575,14 @@ class TestCoalitionValuePaths:
                 assert outcome == _outcome(_definition_values, submissions, n_map)
             else:
                 outcome = _outcome(numerics.coalition_dots, vectors, counts, full)
-        if _takes_lanes(submissions, n_map):
-            # called directly on the inputs the lanes took, the walk agrees
-            if full is None:
-                full = sample_weighted_mean(vectors, counts)
-            raws = [v.raw.astype(object) for v in vectors]
-            assert numerics._walk_coalition_dots(raws, counts, full.raw.astype(object)) == outcome
+                assert outcome == _outcome(_definition_dots, vectors, counts, full)
 
     @staticmethod
     def _takes_int64_only(monkeypatch, submissions, n_map):
-        """Values and phi as the definition has them, with neither the walk nor
-        the limb split run."""
+        """Values and phi as the definition has them, with neither the
+        definition's own path nor the limb split run."""
         expected = _definition_values(submissions, n_map)
-        _forbid(monkeypatch, "_walk_coalition_dots")
+        _forbid_definition(monkeypatch)
         _forbid(monkeypatch, "_limbs")
         assert coalition_values(submissions, n_map) == expected
         assert one_pass_phi(submissions, n_map) == shapley_phi_loop(sorted(submissions), expected)
@@ -595,13 +605,14 @@ class TestCoalitionValuePaths:
         ([[2**61, 1], [-(2**61), 3]], [2, 2]),  # sum(n_i * max|raw_i|) == 2**63
         ([[0, 0], [0, 0]], [2**62, 2**62]),  # sum(n_i) == 2**63
     ], ids=["one_client", "sum_of_peaks", "sum_of_counts"])
-    def test_at_the_bound_takes_the_walk(self, monkeypatch, raw_rows, counts):
+    def test_at_the_bound_takes_the_definition(self, monkeypatch, raw_rows, counts):
         submissions, n_map = _cohort(raw_rows, counts)
         expected = _definition_values(submissions, n_map)
         _forbid(monkeypatch, "_lane_coalition_dots")
         assert coalition_values(submissions, n_map) == expected
+        assert one_pass_phi(submissions, n_map) == shapley_phi_loop(sorted(submissions), expected)
 
-    def test_a_dim_at_the_lane_limit_takes_the_walk(self, monkeypatch):
+    def test_a_dim_at_the_lane_limit_takes_the_definition(self, monkeypatch):
         # 2**29 components would take 4 GB a vector, so the limit is lowered
         submissions, n_map = _cohort([[1, -2, 3], [4, 5, -6]], [1, 2])
         expected = _definition_values(submissions, n_map)
@@ -626,7 +637,7 @@ class TestCoalitionValuePaths:
         submissions, n_map = _cohort(rows, [1, 2, 3])
         expected = _definition_values(submissions, n_map)
         monkeypatch.setattr(numerics, "_LANE_BLOCK_CELLS", cells)
-        _forbid(monkeypatch, "_walk_coalition_dots")
+        _forbid_definition(monkeypatch)
         if 2**40 not in magnitudes:  # reach 2**80 splits into limbs
             _forbid(monkeypatch, "_limbs")
         assert coalition_values(submissions, n_map) == expected
@@ -640,7 +651,7 @@ class TestCoalitionValuePaths:
                                      rng.integers(1, 500, 10).tolist())
         expected = _definition_values(submissions, n_map)
         monkeypatch.setattr(numerics, "_LANE_BLOCK_CELLS", 4096)
-        _forbid(monkeypatch, "_walk_coalition_dots")
+        _forbid_definition(monkeypatch)
         _forbid(monkeypatch, "_limbs")
         assert coalition_values(submissions, n_map) == expected
 
@@ -650,12 +661,10 @@ class TestCoalitionValuePaths:
               GradientVector.from_raw([2**62, 2**62 - 1, -(2**63)])))
     @example(([GradientVector.from_raw([2**31, -(2**31)]), GradientVector.from_raw([3, 5])],
               [3, 1], GradientVector.from_raw([2**31, 2**31 + 1])))
-    def test_reach_straddling_a_sub_block_matches_the_walk(self, lanes):
+    def test_reach_straddling_a_sub_block_matches_the_definition(self, lanes):
         vectors, counts, full = lanes
         assert numerics.weighted_sum_lanes(vectors, counts) is not None  # the lanes path
-        expected = _outcome(numerics._walk_coalition_dots,
-                            [v.raw.astype(object) for v in vectors], counts,
-                            full.raw.astype(object))
+        expected = _outcome(_definition_dots, vectors, counts, full)
         assert _outcome(numerics.coalition_dots, vectors, counts, full) == expected
 
     # two equal clients, so every coalition's mean is ``raw`` and each of the
@@ -672,15 +681,28 @@ class TestCoalitionValuePaths:
         vectors = [GradientVector.from_raw([raw] * 7)] * 2
         full = GradientVector.from_raw([full] * 7)
         dot = numerics.div_toward_zero(7 * raw * full.raw[0].item(), SCALE)
-        walk = numerics._walk_coalition_dots([v.raw.astype(object) for v in vectors], [1, 1],
-                                             full.raw.astype(object))
-        assert walk == [0, dot, dot, dot]
+        expected = _definition_dots(vectors, [1, 1], full)
+        assert expected == [0, dot, dot, dot]
         # blocks of 5 and 2 components, each cut into sub-blocks
         monkeypatch.setattr(numerics, "_LANE_BLOCK_CELLS", 15)
-        _forbid(monkeypatch, "_walk_coalition_dots")
+        _forbid_definition(monkeypatch)
         if raw * abs(full.raw[0].item()) < 2**63:
             _forbid(monkeypatch, "_limbs")
-        assert numerics.coalition_dots(vectors, [1, 1], full) == walk
+        assert numerics.coalition_dots(vectors, [1, 1], full) == expected
+
+    @pytest.mark.parametrize("name", ["baseline", "adversary"])
+    def test_the_shipped_configs_never_leave_the_lanes(self, monkeypatch, tmp_path, name):
+        # every round's attribution takes the lanes end to end; a config that
+        # needs the definition's path fails here
+        lane_calls = []
+        lanes = numerics._lane_coalition_dots
+        monkeypatch.setattr(numerics, "_lane_coalition_dots",
+                            lambda *args: lane_calls.append(args) or lanes(*args))
+        _forbid_definition(monkeypatch)
+        config = parse_config(json.loads((CONFIGS / f"{name}.json").read_text()))
+        run_dir = write_run(run_scenario(config), tmp_path)
+        assert len(lane_calls) == config.rounds
+        assert audit_run(run_dir)["ok"]
 
     def test_memory_is_bounded_by_the_block(self):
         # a 1 023 x 256 int64 table of coalition means alone would be 2 MB
