@@ -4,7 +4,8 @@ and scripted adversarial behaviors.
 Training runs in ordinary float arithmetic; fixed-point quantization happens
 once, at the submission boundary. All randomness flows from a root seed
 through counter-based Philox streams keyed by (purpose, client, round), so
-no global RNG state exists anywhere.
+no global RNG state exists anywhere: ``act`` builds a dropout client's
+stream for each round it is asked about.
 
 Training floats (BLAS ``@``) are not bit-identical across BLAS kernels or
 thread counts. ROADMAP measures another OpenBLAS kernel changing 76 169 of
@@ -125,25 +126,18 @@ class ClientBehavior:
         if not 0 <= self.q <= 1:
             raise ValueError("dropout probability must lie in [0, 1]")
 
-    def stream(
-        self, seed: int, client_index: int, round_index: int
-    ) -> Optional[np.random.Generator]:
-        """The stream ``act`` draws from for this client and round, or None for
-        a behavior that draws nothing, so that no generator is built for it."""
-        if self.kind != "dropout":
-            return None
-        return rng_stream(seed, STREAM_DROPOUT, client_index, round_index)
-
 
 def act(
     behavior: ClientBehavior,
     honest_update: GradientVector,
-    rng: Optional[np.random.Generator] = None,
+    seed: int,
+    client_index: int,
+    round_index: int,
 ) -> Optional[GradientVector]:
     """What actually goes on the wire for a client this round.
 
-    Returns None when the client sits the round out (dropout). The dropout
-    draw comes from the per-(client, round) stream ``behavior.stream`` builds.
+    Returns None when the client sits the round out (dropout). Only dropout
+    draws: from the client's per-round stream under ``seed``, built here.
     """
     if behavior.kind == "honest":
         return honest_update
@@ -154,7 +148,6 @@ def act(
     if behavior.kind == "freerider":
         return GradientVector.zeros(honest_update.dim)
     if behavior.kind == "dropout":
-        if rng is None:
-            raise ValueError("dropout behavior needs an rng stream")
+        rng = rng_stream(seed, STREAM_DROPOUT, client_index, round_index)
         return honest_update if rng.random() < behavior.q else None
     raise AssertionError(behavior.kind)

@@ -171,12 +171,6 @@ class Fixed:
     def __add__(self, other: "Fixed") -> "Fixed":
         return Fixed(self.raw + other.raw)
 
-    def __sub__(self, other: "Fixed") -> "Fixed":
-        return Fixed(self.raw - other.raw)
-
-    def __neg__(self) -> "Fixed":
-        return Fixed(-self.raw)
-
     def __mul__(self, other: "Fixed") -> "Fixed":
         # single rescale, truncating toward zero
         return Fixed(div_toward_zero(self.raw * other.raw, SCALE))

@@ -223,14 +223,6 @@ def load_config(path) -> ScenarioConfig:
 # --- the runner -----------------------------------------------------------------
 
 @dataclass
-class SimClient:
-    index: int
-    id: bytes
-    behavior: ClientBehavior
-    dataset: SyntheticDataset
-
-
-@dataclass
 class RunResult:
     config: ScenarioConfig
     run_id: str
@@ -243,39 +235,34 @@ class RunResult:
     true_weights: np.ndarray
 
 
-def _chunked(components: list, size: int) -> list[list]:
-    return [components[i : i + size] for i in range(0, len(components), size)]
-
-
 def run_scenario(config: ScenarioConfig) -> RunResult:
-    """Execute the full round loop for one scenario, deterministically."""
+    """Execute the full round loop for one scenario, deterministically.
+
+    Every transaction goes through ``call``. For a config ``parse_config``
+    accepts, no call the runner makes can revert, so a revert is a fault: it
+    stops the run with ``SimulationError`` naming the op, sender and reason.
+    """
     ds = config.dataset
     true_weights = sample_true_weights(ds.seed, ds.dim)
-    clients = [
-        SimClient(
-            index=i,
-            id=make_client_id(i),
-            behavior=ds.behaviors[i],
-            dataset=SyntheticDataset.generate(
-                ds.seed, ds.samples_per_client[i], ds.dim, ds.noise,
-                true_weights=true_weights, client_index=i,
-            ),
-        )
+    clients = [  # (id, index, dataset)
+        (make_client_id(i), i, SyntheticDataset.generate(
+            ds.seed, ds.samples_per_client[i], ds.dim, ds.noise,
+            true_weights=true_weights, client_index=i,
+        ))
         for i in range(ds.n_clients)
     ]
-    clients.sort(key=lambda c: c.id)  # submission order is client-id order
+    clients.sort(key=lambda client: client[0])  # submission order is client-id order
 
     ledger = Ledger(config.gas, Coordinator(ds.dim, config))
     coordinator, store = ledger.coordinator, ContentStore()
 
-    def call(sender: bytes, op: str, args: dict) -> None:
+    def call(sender: bytes, op: str, **args) -> None:
         receipt = ledger.submit_tx(Transaction(sender, op, args, ledger.next_nonce(sender)))
         if not receipt.success:
             raise SimulationError(f"{op} by 0x{sender.hex()} reverted: {receipt.revert_reason}")
 
-    for client in clients:
-        call(client.id, "register",
-             {"stake": config.min_stake, "n_samples": client.dataset.n_samples})
+    for cid, _, dataset in clients:
+        call(cid, "register", stake=config.min_stake, n_samples=dataset.n_samples)
     ledger.seal_block()
 
     model = GradientVector.zeros(ds.dim)
@@ -285,60 +272,57 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
 
     for round_index in range(1, config.rounds + 1):
         logger.info("round %d", round_index)
-        for client in clients:
-            if coordinator.clients[client.id].banned:
+        for cid, index, dataset in clients:
+            if coordinator.clients[cid].banned:
                 continue
             try:
                 update = act(
-                    client.behavior,
-                    local_train(model, client.dataset, ds.epochs, ds.lr),
-                    client.behavior.stream(config.seed, client.index, round_index),
+                    ds.behaviors[index],
+                    local_train(model, dataset, ds.epochs, ds.lr),
+                    config.seed, index, round_index,
                 )
             except (OverflowError, ValueError) as err:  # out of fixed-point range, or NaN
                 logger.warning(
                     "client 0x%s sits out round %d: its update cannot be encoded: %s",
-                    client.id.hex(), round_index, err,
+                    cid.hex(), round_index, err,
                 )
                 continue
             if update is None:
                 continue
-            batches = _chunked(update.raw.tolist(), config.batch_size)
-            for batch_index, batch in enumerate(batches):
-                tx = Transaction(
-                    client.id,
-                    "submit_update",
-                    {
-                        "round": round_index,
-                        "batch_index": batch_index,
-                        "batch_count": len(batches),
-                        "components": batch,
-                    },
-                    ledger.next_nonce(client.id),
-                )
-                receipt = ledger.submit_tx(tx)
-                if not receipt.success:
-                    logger.warning(
-                        "submission by 0x%s reverted: %s",
-                        client.id.hex(), receipt.revert_reason,
-                    )
-                    break
+            starts = range(0, update.dim, config.batch_size)
+            for batch_index, start in enumerate(starts):
+                call(cid, "submit_update", round=round_index, batch_index=batch_index,
+                     batch_count=len(starts),
+                     components=update.raw[start : start + config.batch_size].tolist())
 
         round_state = coordinator.rounds[round_index]
         if round_state.submissions:
-            call(SYSTEM_SENDER, "validate_round", {"round": round_index})
-        call(SYSTEM_SENDER, "score_and_reward_round", {"round": round_index})
+            call(SYSTEM_SENDER, "validate_round", round=round_index)
+        call(SYSTEM_SENDER, "score_and_reward_round", round=round_index)
         if round_state.accepted:
-            call(SYSTEM_SENDER, "aggregate_round", {"round": round_index})
+            call(SYSTEM_SENDER, "aggregate_round", round=round_index)
 
-        attribution.extend(_attribution_for_round(round_state, cumulative))
+        # attribution-log records: phi and the multipliers are the contract's,
+        # recorded while it scored
+        phi = round_state.phi or {}
+        for cid in sorted(round_state.scores):
+            score = round_state.scores[cid]
+            cumulative[cid] = cumulative.get(cid, Fixed(0)) + score
+            attribution.append({
+                "round": round_index,
+                "client": "0x" + cid.hex(),
+                "S": score.to_decimal(),
+                "phi": phi[cid].to_decimal() if cid in phi else None,
+                "cumulative": cumulative[cid].to_decimal(),
+                "multiplier": round_state.multipliers[cid].to_decimal(),
+            })
 
         if round_index % config.fairness_interval == 0:
             # the running sums already hold rounds 1..round_index
             cid = publish_checkpoint(store, cumulative).hex()
-            call(SYSTEM_SENDER, "record_checkpoint",
-                 {"round": round_index, "cid": cid, "hash": cid})
+            call(SYSTEM_SENDER, "record_checkpoint", round=round_index, cid=cid, hash=cid)
 
-        call(SYSTEM_SENDER, "close_round", {"round": round_index})
+        call(SYSTEM_SENDER, "close_round", round=round_index)
         ledger.seal_block()
         if round_state.accepted:
             model = model + round_state.aggregate
@@ -356,25 +340,6 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         model_history=model_history,
         true_weights=true_weights,
     )
-
-
-def _attribution_for_round(round_state, cumulative: dict[bytes, Fixed]) -> list[dict]:
-    """Attribution-log records for one scored round; updates running sums.
-    phi and the multipliers are the contract's, recorded while it scored."""
-    phi = round_state.phi or {}
-    records = []
-    for cid in sorted(round_state.scores):
-        score = round_state.scores[cid]
-        cumulative[cid] = cumulative.get(cid, Fixed(0)) + score
-        records.append({
-            "round": round_state.round,
-            "client": "0x" + cid.hex(),
-            "S": score.to_decimal(),
-            "phi": phi[cid].to_decimal() if cid in phi else None,
-            "cumulative": cumulative[cid].to_decimal(),
-            "multiplier": round_state.multipliers[cid].to_decimal(),
-        })
-    return records
 
 
 # --- persistence and reporting -----------------------------------------------------

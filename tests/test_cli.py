@@ -163,6 +163,16 @@ def test_audit_without_run_exits_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_unexpected_failure_exits_1(config_path, tmp_path, capsys, caplog, monkeypatch):
+    def fail(config):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(scenario, "run_scenario", fail)
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 1
+    assert "error: boom" in capsys.readouterr().err.splitlines()
+    assert [r.getMessage() for r in caplog.records] == ["unhandled failure"]
+
+
 def test_audit_detects_tamper_exits_1(config_path, tmp_path, capsys):
     out = tmp_path / "out"
     main(["run", "--config", str(config_path), "--out", str(out)])

@@ -488,6 +488,14 @@ class TestPhaseMachine:
         assert c.clients[C[0]].rounds_participated == 1
         assert c.clients[C[1]].rounds_participated == 0
 
+    def test_participation_is_zero_in_the_registration_round(self):
+        c = registered(clients=[(C[0], 1)])
+        assert c.participation(C[0]) == Fixed(0)
+        c.score_and_reward_round(1)  # nobody submitted
+        c.close_round(1)
+        c.register(C[1], stake=100, n_samples=1)
+        assert c.participation(C[1]) == Fixed(0)
+
     def test_empty_round_can_close_after_scoring(self):
         c = registered(clients=[(C[0], 1)])
         c.score_and_reward_round(1)  # nobody submitted

@@ -77,36 +77,42 @@ class TestLocalTrain:
         with pytest.raises(DimMismatch):
             local_train(GradientVector.zeros(3), data, epochs=1, lr=0.1)
 
+    @pytest.mark.parametrize("epochs, lr, message", [
+        (0, 0.1, "epochs must be >= 1"),
+        (1, 0.0, "learning rate must be positive"),
+    ], ids=["zero_epochs", "zero_lr"])
+    def test_training_parameters_checked(self, epochs, lr, message):
+        data = dataset_from_arrays([[1.0, 2.0]], [1.0])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            local_train(GradientVector.zeros(2), data, epochs, lr)
+
 
 class TestBehaviors:
     honest = GradientVector.from_decimals(["1", "2"])
 
     def test_honest_passthrough(self):
-        assert act(ClientBehavior("honest"), self.honest) is self.honest
+        assert act(ClientBehavior("honest"), self.honest, 9, 0, 1) is self.honest
 
     def test_negator(self):
-        assert act(ClientBehavior("negator"), self.honest).raw.tolist() == [-(10**9), -2 * 10**9]
+        out = act(ClientBehavior("negator"), self.honest, 9, 0, 1)
+        assert out.raw.tolist() == [-(10**9), -2 * 10**9]
 
     def test_freerider_zero_vector(self):
-        out = act(ClientBehavior("freerider"), self.honest)
+        out = act(ClientBehavior("freerider"), self.honest, 9, 0, 1)
         assert out.raw.tolist() == [0, 0]
 
     def test_scaler_scales(self):
-        out = act(ClientBehavior("scaler", c=100), self.honest)
+        out = act(ClientBehavior("scaler", c=100), self.honest, 9, 0, 1)
         assert out.raw.tolist() == [100 * 10**9, 200 * 10**9]
 
     def test_dropout_is_seed_deterministic(self):
         behavior = ClientBehavior("dropout", q=0.5)
-        picks_a = [
-            act(behavior, self.honest, rng_stream(9, STREAM_DROPOUT, 0, r)) is None
-            for r in range(40)
-        ]
-        picks_b = [
-            act(behavior, self.honest, rng_stream(9, STREAM_DROPOUT, 0, r)) is None
-            for r in range(40)
-        ]
+        picks_a = [act(behavior, self.honest, 9, 0, r) is None for r in range(40)]
+        picks_b = [act(behavior, self.honest, 9, 0, r) is None for r in range(40)]
         assert picks_a == picks_b
         assert any(picks_a) and not all(picks_a)
+        # the draw is the client's per-round dropout stream
+        assert picks_a == [rng_stream(9, STREAM_DROPOUT, 0, r).random() >= 0.5 for r in range(40)]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

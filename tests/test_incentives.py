@@ -20,6 +20,7 @@ from fedchain.errors import (
     TooManyClients,
 )
 from fedchain.coordinator import _largest_remainder_split
+from fedchain.flclients import make_client_id
 from fedchain.incentives import (
     alignment_score,
     coalition_value_alignment,
@@ -130,6 +131,8 @@ class TestCumulativeScores:
     def test_missing_rounds(self):
         with pytest.raises(MissingRounds):
             cumulative_scores({1: {}, 3: {}}, 3)
+        with pytest.raises(MissingRounds, match="through_round must be >= 1"):
+            cumulative_scores({1: {}}, 0)
 
     @given(
         st.integers(2, 8),
@@ -271,6 +274,10 @@ class TestShapley:
     def test_too_many_clients(self):
         with pytest.raises(TooManyClients):
             shapley_exact([bytes([i]) * 20 for i in range(13)], lambda s: Fixed(0))
+
+    def test_repeated_client_rejected(self):
+        with pytest.raises(BadWeights, match="client ids must be distinct"):
+            shapley_exact([IDS[0], IDS[1], IDS[0]], lambda s: Fixed(0))
 
     def test_matches_permutation_oracle_on_random_games(self):
         rng = np.random.default_rng(23)
@@ -722,10 +729,16 @@ class TestCoalitionValuePaths:
 
 
 def _counted_run(monkeypatch, reward_basis: str):
-    """A small run with its ``shapley_alignment`` cohorts and its FedAvg calls
-    (through the ``coordinator`` and ``incentives`` bindings) recorded."""
-    shapley_calls, fedavg_calls = [], []
+    """A small run with its ``shapley_alignment`` cohorts, its FedAvg calls
+    (through the ``coordinator`` and ``incentives`` bindings) and each round
+    as ``close_round`` returns it recorded."""
+    shapley_calls, fedavg_calls, closed = [], [], {}
     one_pass = incentives.shapley_alignment
+    close = coordinator.Coordinator.close_round
+
+    def recorded_close(self, round_index):
+        closed[round_index] = state = close(self, round_index)
+        return state
 
     def counted(submissions, n_map, aggregate):
         shapley_calls.append(sorted(submissions))
@@ -740,6 +753,7 @@ def _counted_run(monkeypatch, reward_basis: str):
 
     monkeypatch.setattr(incentives, "shapley_alignment", counted)
     monkeypatch.setattr(incentives, "shapley_exact", forbidden)
+    monkeypatch.setattr(coordinator.Coordinator, "close_round", recorded_close)
     for module in (coordinator, incentives):
         monkeypatch.setattr(module, "sample_weighted_mean", counted_mean)
     doc = {
@@ -751,22 +765,24 @@ def _counted_run(monkeypatch, reward_basis: str):
     }
     config = parse_config(doc)
     try:
-        return config, run_scenario(config), shapley_calls, fedavg_calls
+        return config, run_scenario(config), shapley_calls, fedavg_calls, closed
     finally:
         monkeypatch.undo()
 
 
 def test_scenario_computes_shapley_once_per_round(monkeypatch):
     for reward_basis in ("alignment", "shapley"):
-        config, result, shapley_calls, fedavg_calls = _counted_run(monkeypatch, reward_basis)
-        rounds = result.coordinator.rounds
+        config, result, shapley_calls, fedavg_calls, rounds = _counted_run(
+            monkeypatch, reward_basis)
+        samples = dict(zip(map(make_client_id, range(config.dataset.n_clients)),
+                           config.dataset.samples_per_client))
         scored = [r for r in range(1, config.rounds + 1) if rounds[r].accepted]
         # the contract's FedAvg, once per scored round, is the one Shapley reads
         assert len(shapley_calls) == len(fedavg_calls) == len(scored) == config.rounds
         for r in scored:
             state = rounds[r]
             submissions = {cid: state.submissions[cid] for cid in state.accepted}
-            n_map = {cid: result.coordinator.clients[cid].n_samples for cid in state.accepted}
+            n_map = {cid: samples[cid] for cid in state.accepted}
             assert state.phi == _per_coalition(submissions, n_map)
             logged = {rec["client"]: rec["phi"] for rec in result.attribution if rec["round"] == r}
             assert logged == {"0x" + cid.hex(): phi.to_decimal() for cid, phi in state.phi.items()}

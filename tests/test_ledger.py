@@ -28,6 +28,7 @@ from fedchain.ledger import (
     OP_CLASSES,
     GasModel,
     Ledger,
+    Receipt,
     Transaction,
     gas_csv_text,
     header_preimage,
@@ -154,6 +155,10 @@ class TestExecution:
         receipt = ledger.submit_tx(register_tx(ledger, make_client_id(0)))
         assert receipt.success
         assert receipt.gas_used == 45_373
+
+    def test_a_receipt_charges_gas(self):
+        with pytest.raises(ValueError, match="every executed transaction consumes gas"):
+            Receipt(b"", 1, 0, [], "success")
 
     def test_stale_nonce_rejected(self):
         ledger, _ = make_ledger()

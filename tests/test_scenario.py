@@ -14,11 +14,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from fedchain import flclients as flclients_module
 from fedchain import incentives
-from fedchain.coordinator import ContractConfig, gas_class
+from fedchain.coordinator import ContractConfig, Coordinator, gas_class
 from fedchain import ledger as ledger_module
 from fedchain import scenario as scenario_module
 from fedchain.cli import main as cli_main
-from fedchain.errors import ConfigError, MissingRun
+from fedchain.errors import ConfigError, MissingRun, OutOfOrderBatch, SimulationError
 from fedchain.flclients import ClientBehavior, make_client_id
 from fedchain.keccak import keccak256
 from fedchain.ledger import GasModel
@@ -253,6 +253,7 @@ class TestConfigTypes:
         ("noise", -1, -1, "noise must be >= 0"),
         ("noise", math.nan, math.nan, "noise must be >= 0"),
         ("noise", math.inf, math.inf, "noise must be finite"),
+        ("noise", 10**400, 10**400, "noise must be a number"),
         ("lr", 0, 0, "lr must be positive"),
         ("lr", math.nan, math.nan, "lr must be positive"),
         ("lr", math.inf, math.inf, "lr must be finite"),
@@ -261,8 +262,8 @@ class TestConfigTypes:
         ("behaviors", (ClientBehavior("honest"),) * 3, ["honest"] * 3,
          "behaviors must list one entry per client"),
     ], ids=["zero_clients", "bool_sample_count", "zero_dim", "negative_noise", "nan_noise",
-            "inf_noise", "zero_lr", "nan_lr", "inf_lr", "zero_epochs", "bool_seed",
-            "short_behaviors"])
+            "inf_noise", "int_noise_beyond_float", "zero_lr", "nan_lr", "inf_lr", "zero_epochs",
+            "bool_seed", "short_behaviors"])
     def test_invalid_dataset_field(self, key, direct_value, doc_value, message):
         doc = base_doc()
         doc["dataset"][key] = doc_value
@@ -445,14 +446,15 @@ class TestRun:
         doc["dataset"].update(n_clients=n, samples_per_client=[10] * n, behaviors=["honest"] * n)
         config = parse_config(doc)
         result = run_scenario(config)
-        states = [result.coordinator.rounds[r] for r in range(1, config.rounds + 1)]
-        assert all(len(state.accepted) == n for state in states)
-        assert all(state.phi is None for state in states)
-        assert len(result.attribution) == n * config.rounds
-        assert all(record["phi"] is None for record in result.attribution)
-        paid = [state for state in states if any(s.raw > 0 for s in state.scores.values())]
+        rounds = result.report["rounds"]
+        assert all(len(record["scores"]) == n for record in rounds)  # every update accepted
+        assert len(result.attribution) == n * config.rounds  # every round logs every client
+        assert all(record["phi"] is None for record in result.attribution)  # no round has phi
+        paid = [record for record in rounds
+                if any(Fixed.from_decimal(s).raw > 0 for s in record["scores"].values())]
         assert paid
-        assert all(sum(state.payouts.values()) == config.reward_pool_per_round for state in paid)
+        assert all(sum(record["payouts"].values()) == config.reward_pool_per_round
+                   for record in paid)
 
     def test_multiplier_kicks_in_after_checkpoint(self):
         result = run_scenario(parse_config(base_doc(rounds=6, fairness_interval=3)))
@@ -464,15 +466,16 @@ class TestRun:
     def test_logged_multiplier_is_the_consistency_multiplier_in_the_window(self):
         config = load_config(CONFIGS / "adversary.json")
         result = run_scenario(config)
-        rounds = result.coordinator.rounds
+        rounds = result.report["rounds"]
+        accepted = {record["round"]: record["scores"].keys() for record in rounds}  # scored ids
         window = range(6, 11)  # the checkpoint at round 5 opens rounds 6..10
         in_window = set()
         for record in result.attribution:
-            r, cid = record["round"], bytes.fromhex(record["client"][2:])
+            r, client = record["round"], record["client"]
             expected = Fixed.from_int(1)
             if r in window:
                 # every client registers before round 1 closes
-                joined = sum(cid in rounds[k].accepted for k in range(1, r))
+                joined = sum(client in accepted[k] for k in range(1, r))
                 participation = Fixed(joined * SCALE // (r - 1))
                 expected = incentives.consistency_multiplier(config.alpha, participation)
                 in_window.add(record["multiplier"])
@@ -496,6 +499,20 @@ class TestRun:
                 totals[cid] = totals.get(cid, 0) + amount
         ordered = [totals.get("0x" + make_client_id(i).hex(), 0) for i in range(3)]
         assert ordered[0] <= ordered[1] <= ordered[2]
+
+    def test_a_reverted_runner_call_stops_the_run(self, monkeypatch):
+        submit = Coordinator.submit_update
+
+        def revert_in_round_2(self, client_id, round_index, *args):
+            if round_index == 2:
+                raise OutOfOrderBatch("forced")
+            return submit(self, client_id, round_index, *args)
+
+        monkeypatch.setattr(Coordinator, "submit_update", revert_in_round_2)
+        first = min(make_client_id(i) for i in range(4))  # the first to submit in round 2
+        message = f"submit_update by 0x{first.hex()} reverted: OutOfOrderBatch"
+        with pytest.raises(SimulationError, match=f"^{message}$"):
+            run_scenario(parse_config(base_doc(rounds=3)))
 
 
 def baseline_with(dataset=None, **overrides) -> dict:
@@ -601,10 +618,11 @@ class TestHostileConfigs:
 
     def test_scaler_too_large_for_the_norm_check_is_rejected_norm(self):
         result = run_scenario(parse_config(SCALER_C_10_30))
-        scaler = make_client_id(1)
-        rounds = [result.coordinator.rounds[r] for r in range(1, SCALER_C_10_30["rounds"] + 1)]
-        assert any(state.verdicts.get(scaler) == "rejected_norm" for state in rounds)
-        assert all(scaler not in state.accepted for state in rounds)
+        scaler = "0x" + make_client_id(1).hex()
+        rounds = result.report["rounds"]
+        # submitted whole (one batch) but never scored: the norm check rejected it
+        assert any(scaler in record["submitted"] for record in rounds)
+        assert all(scaler not in record["scores"] for record in rounds)
 
     @settings(max_examples=60, deadline=None)
     @given(scenario_docs())
@@ -915,6 +933,8 @@ class TestAudit:
     def test_missing_run(self, tmp_path):
         with pytest.raises(MissingRun):
             audit(tmp_path)
+        with pytest.raises(MissingRun, match=f"no {LEDGER_FILE} under"):
+            load_run_dir(tmp_path)
 
     def test_tampered_blob_detected(self, run_dir):
         blob_path = sorted((run_dir / BLOBS_DIR).iterdir())[0]
