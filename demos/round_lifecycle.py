@@ -66,7 +66,7 @@ def main():
     block = chain["blocks"][-1]
     print("block", block["height"], "hash:", block["hash"][:16], "...")
     # the chain re-derived under the gas model and dimension it was charged with
-    fault = verify_chain(chain, 1, ledger.gas_model, coordinator.dim)
+    fault = verify_chain(chain, ledger.gas_model, coordinator.dim)
     print("chain verifies." if fault is None else f"chain fault: {fault}")
 
 

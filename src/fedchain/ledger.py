@@ -23,6 +23,9 @@ receipts-root preimages, which hold the tx hashes, then the headers in order
 through ``keccak256``, since each holds its parent's hash, and kept as the
 dicts the chain document holds. ``verify_chain`` re-derives the chain with the
 same ``header_preimage`` and charges each tx with the same ``tx_gas``.
+
+The ledger knows blocks, not rounds: which events a block must hold is the
+layout rule of the run that seals them (``scenario.build_report``).
 """
 from __future__ import annotations
 
@@ -192,11 +195,10 @@ def receipts_preimage(receipt_docs: list[dict]) -> bytes:
 
 class Ledger:
     """Single-writer chain: executes calls against the coordinator in strict
-    submission order, charges gas, and seals a block when asked: genesis,
-    registration, then one block per protocol round. The contract is deployed
-    on construction: genesis holds the lone deploy receipt. The chain is read
-    only as ``chain_document``, which first hashes the blocks sealed since
-    the last read in batches (module docstring)."""
+    submission order, charges gas, and seals a block when asked. The contract
+    is deployed on construction: genesis holds the lone deploy receipt. The
+    chain is read only as ``chain_document``, which first hashes the blocks
+    sealed since the last read in batches (module docstring)."""
 
     def __init__(self, gas_model: GasModel, coordinator):
         self.gas_model = gas_model
@@ -296,11 +298,10 @@ class Ledger:
         }
 
 
-def verify_chain(chain: dict, rounds: int, gas_model: GasModel, dim: int) -> Optional[str]:
+def verify_chain(chain: dict, gas_model: GasModel, dim: int) -> Optional[str]:
     """Re-derive a persisted chain (``Ledger.chain_document``); None when intact.
 
-    The chain must hold genesis, the registration block, then one block per
-    round, each with one tx list and one receipt list. Every height, parent
+    Each block must have one tx list and one receipt list. Every height, parent
     link, header hash, tx hash and receipts root is recomputed, and receipt j
     must record tx j at its block's height, charged ``tx_gas`` under
     ``gas_model`` and ``dim``, under ``Receipt``'s rules; the first fault, in
@@ -309,8 +310,6 @@ def verify_chain(chain: dict, rounds: int, gas_model: GasModel, dim: int) -> Opt
     blocks, txs, receipts = chain["blocks"], chain["txs"], chain["receipts"]
     if not len(blocks) == len(txs) == len(receipts):
         return f"{len(blocks)} blocks, {len(txs)} tx lists, {len(receipts)} receipt lists"
-    if len(blocks) != rounds + 2:
-        return f"{len(blocks)} blocks for {rounds} rounds, expected {rounds + 2}"
     checks, fault = _hash_checks(blocks, txs, receipts, gas_model, dim)
     digests = iter(keccak256_many([m for _, preimages, _ in checks for m in preimages]))
     for message, preimages, expected in checks:

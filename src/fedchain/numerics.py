@@ -99,19 +99,18 @@ def check_int(value, name: str, minimum: Optional[int] = None) -> None:
 
 
 def check_number(value, name: str) -> float:
-    """The config rule for a number: a non-bool int or float that a float can
-    hold, not an infinity; returns it as a float. A NaN passes here and
-    fails the field's own range check."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:
-            pass
-        else:
-            if number in (math.inf, -math.inf):
-                raise ValueError(f"{name} must be finite")
-            return number
-    raise ValueError(f"{name} must be a number")
+    """The config rule for a number: a non-bool int or float that is finite,
+    so neither an infinity nor an int beyond any float; returns it as a
+    float. A NaN passes here and fails the field's own range check."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a number")
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond any float
+        number = math.inf
+    if number in (math.inf, -math.inf):
+        raise ValueError(f"{name} must be finite")
+    return number
 
 
 def _check_raw(raw: int) -> int:

@@ -355,7 +355,8 @@ def ledger_document(config: ScenarioConfig, ledger: Ledger) -> dict:
 
 def scores_from_ledger(ledger_doc: dict) -> dict[int, dict[bytes, Fixed]]:
     """Per-round alignment scores recovered from the persisted event log,
-    keyed by the round each score event names."""
+    keyed by the round each score event names, wherever it sits: an oracle
+    for the running sums ``build_report`` keeps."""
     return {
         payload["round"]: {bytes.fromhex(cid[2:]): Fixed(raw) for cid, raw in payload["scores"]}
         for block_receipts in ledger_doc["receipts"]
@@ -365,94 +366,93 @@ def scores_from_ledger(ledger_doc: dict) -> dict[int, dict[bytes, Fixed]]:
     }
 
 
-def build_report(ledger_doc: dict, store: ContentStore) -> dict:
-    """Pure view of a persisted ledger; byte-identical on rebuild.
+# the events whose payload names a round
+ROUND_EVENTS = ("UpdateSubmitted", "ClientBanned", "AlignmentScoresUpdated",
+                "RewardsDistributed", "FairnessCheckpoint")
 
-    Its rounds are the chain's, not the recorded config's: round r seals in
-    block r + 1, after genesis and registration. One walk of each block's
-    txs and receipts takes the gas and every round event.
+
+def build_report(ledger_doc: dict, store: ContentStore) -> dict:
+    """Pure view of a persisted ledger, byte-identical on rebuild: the chain's one
+    round-by-round reader. One walk of the blocks takes the gas and reads round r only
+    from block r + 1, so the rounds are the chain's, not the recorded config's. It raises
+    ``UnreadableRun``, naming the block, unless every round event names its block's round
+    (genesis and registration hold none) and each round's block holds one
+    ``AlignmentScoresUpdated``, one ``RewardsDistributed``, and one ``FairnessCheckpoint``
+    exactly when the round is a multiple of ``fairness_interval``; events it cannot read
+    are ``malformed events``. It keeps one running sum of each client's scores, and
+    checks each anchor against the sums at its place in the walk.
     """
     config = ledger_doc["config"]
-    rounds_count = len(ledger_doc["blocks"]) - 2
-    dim = config["dataset"]["dim"]
-    gas_model = GasModel(**config["gas"])
-
-    per_round: dict[int, dict] = {
-        r: {"round": r, "submitted": [], "scores": {}, "payouts": {}, "banned": [],
-            "checkpoint": None, "gas_used": 0}
-        for r in range(1, rounds_count + 1)
-    }
-    anchors = []  # every FairnessCheckpoint payload, whatever its round
-    gas_by_class: dict[str, int] = {}
-    for block_txs, block_receipts in zip(ledger_doc["txs"], ledger_doc["receipts"]):
-        block_gas = 0
-        for tx, receipt in zip(block_txs, block_receipts):
+    dim, interval = config["dataset"]["dim"], config["fairness_interval"]
+    rounds, anchors, gas_by_class, sums = [], [], {}, {}
+    for height, block in enumerate(zip(ledger_doc["txs"], ledger_doc["receipts"])):
+        r = height - 1  # round r seals in block r + 1, after genesis and registration
+        record = {"round": r, "submitted": [], "scores": {}, "payouts": {}, "banned": [],
+                  "checkpoint": None, "gas_used": 0}
+        counts = dict.fromkeys(ROUND_EVENTS, 0)
+        for j, (tx, receipt) in enumerate(zip(*block)):
             op_class = gas_class(tx["op"])
             gas_by_class[op_class] = gas_by_class.get(op_class, 0) + receipt["gas_used"]
-            block_gas += receipt["gas_used"]
-            for name, payload in receipt["events"]:
-                if name == "FairnessCheckpoint":
-                    anchors.append(payload)
-                record = per_round.get(payload.get("round"))
-                if record is None:
-                    continue
-                if name == "UpdateSubmitted":
-                    if payload["id"] not in record["submitted"]:
+            record["gas_used"] += receipt["gas_used"]
+            try:
+                for name, payload in receipt["events"]:
+                    if name not in counts:
+                        continue
+                    named = payload["round"]
+                    if not (type(named) is int and named == r >= 1):
+                        raise UnreadableRun(f"block {height}: tx {j}: {name} names round {named!r}")
+                    counts[name] += 1
+                    if name == "UpdateSubmitted" and payload["id"] not in record["submitted"]:
                         record["submitted"].append(payload["id"])
-                elif name == "RewardsDistributed":
-                    record["payouts"] = {cid: amount for cid, amount in payload["payouts"]}
-                elif name == "ClientBanned":
-                    record["banned"].append(payload["id"])
-                elif name == "FairnessCheckpoint":
-                    record["checkpoint"] = {"cid": payload["cid"], "hash": payload["hash"]}
-        height = block_receipts[0]["block_height"] if block_receipts else 0
-        if height - 1 in per_round:  # round r is sealed in block r + 1
-            per_round[height - 1]["gas_used"] = block_gas
+                    elif name == "ClientBanned":
+                        record["banned"].append(payload["id"])
+                    elif name == "AlignmentScoresUpdated":
+                        scores = {bytes.fromhex(c[2:]): Fixed(raw) for c, raw in payload["scores"]}
+                        record["scores"] = {"0x" + c.hex(): s.to_decimal()
+                                            for c, s in scores.items()}
+                        sums.update({c: sums.get(c, Fixed(0)) + s for c, s in scores.items()})
+                    elif name == "RewardsDistributed":
+                        record["payouts"] = dict(payload["payouts"])
+                    elif name == "FairnessCheckpoint":
+                        record["checkpoint"] = {"cid": payload["cid"], "hash": payload["hash"]}
+                        anchors.append((payload, bytes.fromhex(payload["cid"]),
+                                        bytes.fromhex(payload["hash"]), dict(sums)))
+            except (LookupError, TypeError, ValueError, AttributeError, OverflowError):
+                raise UnreadableRun(f"block {height}: tx {j}: malformed events") from None
+        if height < 2:
+            continue
+        due = {"AlignmentScoresUpdated": 1, "RewardsDistributed": 1,
+               "FairnessCheckpoint": int(r % interval == 0)}
+        for name, expected in due.items():
+            if counts[name] != expected:
+                raise UnreadableRun(
+                    f"block {height}: {counts[name]} {name} events, round {r} is due {expected}")
+        rounds.append(record)
 
-    history = scores_from_ledger(ledger_doc)
-    for r, scores in history.items():
-        if r in per_round:
-            per_round[r]["scores"] = {"0x" + cid.hex(): s.to_decimal() for cid, s in scores.items()}
-    cumulative: dict[int, dict[bytes, Fixed]] = {}  # r -> sums over rounds 1..r
-    totals: dict[bytes, Fixed] = {}
-    r = 1
-    while r in history:  # the sums stop at the first missing round
-        for cid, score in history[r].items():
-            totals[cid] = totals.get(cid, Fixed(0)) + score
-        cumulative[r] = dict(totals)
-        r += 1
-    final_cumulative = cumulative.get(rounds_count, {})
-
-    verdicts = verify_checkpoints(store, [  # cumulative None: the history cannot be summed
-        (bytes.fromhex(a["cid"]), bytes.fromhex(a["hash"]), cumulative.get(a["round"]))
-        for a in anchors
-    ])
+    verdicts = verify_checkpoints(store, [anchor[1:] for anchor in anchors])
     checkpoints = [
         {"round": a["round"], "cid": a["cid"], "hash": a["hash"], "verdict": verdict or "ok"}
-        for a, verdict in zip(anchors, verdicts)
+        for (a, *_), verdict in zip(anchors, verdicts)
     ]
-
-    total_payout = sum(sum(rec["payouts"].values()) for rec in per_round.values())
-    banned = sorted({cid for rec in per_round.values() for cid in rec["banned"]})
     return {
         "run_id": ledger_doc["run_id"],
         "config": config,
-        "rounds": [per_round[r] for r in sorted(per_round)],
+        "rounds": rounds,
         "gas": {
             "total": sum(gas_by_class.values()),
             "by_class": dict(sorted(gas_by_class.items())),
-            "table": {str(dim): gas_model.row(dim)},
+            "table": {str(dim): GasModel(**config["gas"]).row(dim)},
         },
         "final_cumulative": {
-            "0x" + cid.hex(): value.to_decimal() for cid, value in sorted(final_cumulative.items())
+            "0x" + cid.hex(): value.to_decimal() for cid, value in sorted(sums.items())
         },
         "checkpoints": checkpoints,
         "summary": {
-            "rounds": rounds_count,
+            "rounds": len(rounds),
             "clients": config["dataset"]["n_clients"],
             "blocks": len(ledger_doc["blocks"]),
-            "total_payout": total_payout,
-            "banned": banned,
+            "total_payout": sum(sum(record["payouts"].values()) for record in rounds),
+            "banned": sorted({cid for record in rounds for cid in record["banned"]}),
             "final_state_root": ledger_doc["blocks"][-1]["state_root"],
         },
     }
@@ -542,7 +542,8 @@ def _refuse_constant(name: str):
 
 def _chain_fault(ledger_doc: dict) -> Optional[str]:
     """Why the recorded chain fails the audit, or None: its config must be the canonical form
-    of a valid config hashing to the run id; its chain must verify and anchor under it."""
+    of a valid config hashing to the run id; its chain must verify under it and hold genesis,
+    registration and one block per round."""
     config = ledger_doc["config"]
     try:
         parsed = parse_config(config)
@@ -553,35 +554,24 @@ def _chain_fault(ledger_doc: dict) -> Optional[str]:
     config_id = config_run_id(config)
     if config_id != ledger_doc.get("run_id"):
         return f"config hashes to run id {config_id}, not {ledger_doc.get('run_id')}"
-    return verify_chain(ledger_doc, parsed.rounds, parsed.gas, parsed.dataset.dim) or \
-        _anchor_fault(ledger_doc["receipts"], parsed.rounds, parsed.fairness_interval)
-
-
-def _anchor_fault(receipts: list, rounds: int, interval: int) -> Optional[str]:
-    """Why a verified chain's ``FairnessCheckpoint`` events are not one anchor of each
-    multiple of ``interval`` through ``rounds``, each in the block that seals it, or None."""
-    due = {r: r + 1 for r in range(interval, rounds + 1, interval)}  # round r seals in r + 1
-    for height, block_receipts in enumerate(receipts):
-        try:
-            anchored = [payload["round"] for receipt in block_receipts
-                        for name, payload in receipt["events"] if name == "FairnessCheckpoint"]
-        except (LookupError, TypeError, ValueError):
-            return f"block {height}: malformed events"
-        for r in anchored:
-            if type(r) is not int or due.pop(r, None) != height:
-                return f"block {height}: anchors round {r!r}, which is not due there"
-    return f"round {min(due)} is never anchored" if due else None
+    fault = verify_chain(ledger_doc, parsed.gas, parsed.dataset.dim)
+    blocks, rounds = len(ledger_doc["blocks"]), parsed.rounds
+    if fault is None and blocks != rounds + 2:
+        fault = f"{blocks} blocks for {rounds} rounds, expected {rounds + 2}"
+    return fault
 
 
 def audit_run(run_dir) -> dict:
     """Re-verify a completed run from its persisted artifacts alone.
 
     An unreadable run fails with the reason as its ``chain`` verdict. The
-    report is rebuilt from the chain and serialized under one guard; each
-    file ``report_files`` gives must hold its bytes, and every blob must be
-    one the chain anchors: ``files`` names each file ``ok``, ``missing``,
-    ``unreadable`` or ``differs``, and each blob that no anchor names
-    ``unexpected`` (empty when no report, or no bytes for one, can be built).
+    report is rebuilt from the chain and serialized under one guard: once
+    the chain verifies, the walk's layout fault, or ``report cannot be
+    written: <error>``, is the ``chain`` verdict. Each file ``report_files``
+    gives must hold its bytes, and every blob must be one the chain anchors:
+    ``files`` names each file ``ok``, ``missing``, ``unreadable`` or
+    ``differs``, and each blob that no anchor names ``unexpected`` (empty
+    when no report, or no bytes for one, can be built).
     """
     run_dir = Path(run_dir)
     try:
@@ -589,13 +579,16 @@ def audit_run(run_dir) -> dict:
     except UnreadableRun as err:
         return {"run_id": None, "ok": False, "chain": str(err), "checkpoints": [], "files": {}}
     chain_error = _chain_fault(ledger_doc)
+    expected = None
     try:  # a report that cannot be written as its files is no report
         report = build_report(ledger_doc, store)
         expected = report_files(report)
-    except (SimulationError, ValueError, LookupError, TypeError, AttributeError, OverflowError):
-        report = None
+    except SimulationError as err:
+        chain_error = chain_error or str(err)
+    except (ValueError, LookupError, TypeError, AttributeError, ArithmeticError) as err:
+        chain_error = chain_error or f"report cannot be written: {err}"
     checkpoints, files = [], {}
-    if report is not None:
+    if expected is not None:
         checkpoints = [{"round": c["round"], "verdict": c["verdict"]}
                        for c in report["checkpoints"]]
         files = {name: _file_verdict(run_dir / name, data) for name, data in expected.items()}
@@ -604,10 +597,9 @@ def audit_run(run_dir) -> dict:
                       for cid in store.cids() if cid.hex() not in anchored})
 
     verdicts = [c["verdict"] for c in checkpoints] + list(files.values())
-    ok = chain_error is None and report is not None and all(v == "ok" for v in verdicts)
     return {
         "run_id": ledger_doc.get("run_id"),
-        "ok": ok,
+        "ok": chain_error is None and all(v == "ok" for v in verdicts),
         "chain": chain_error or "ok",
         "checkpoints": checkpoints,
         "files": files,

@@ -365,9 +365,9 @@ class TestFailedSubmitLeavesLedgerUnchanged:
         assert ledger.submit_tx(tx).revert_reason == "SimulationError"
 
 
-def verify(chain: dict, rounds: int = 1, gas_model: GasModel = GasModel()):
+def verify(chain: dict, gas_model: GasModel = GasModel()):
     """``verify_chain`` at the model dimension ``make_ledger`` builds with."""
-    return verify_chain(chain, rounds, gas_model, 2)
+    return verify_chain(chain, gas_model, 2)
 
 
 class TestChain:
@@ -380,14 +380,14 @@ class TestChain:
         return ledger  # genesis, registration, one (empty) round
 
     def test_intact_chain_verifies(self):
-        assert verify(self.run_small_chain().chain_document(), rounds=1) is None
+        assert verify(self.run_small_chain().chain_document()) is None
 
     def test_parent_links(self):
         chain = self.run_small_chain().chain_document()
         for prev, block in zip(chain["blocks"], chain["blocks"][1:]):
             assert block["parent_hash"] == prev["hash"]
         chain["blocks"][2]["parent_hash"] = "00" * 32
-        assert verify(chain, rounds=1) == "block 2: broken parent link"
+        assert verify(chain) == "block 2: broken parent link"
 
     def test_block_hash_is_the_keccak_of_its_header_fields(self):
         header = self.run_small_chain().chain_document()["blocks"][1]
@@ -413,19 +413,23 @@ class TestChain:
     def test_receipt_tamper_detected(self):
         chain = self.run_small_chain().chain_document()
         chain["receipts"][1][0]["gas_used"] += 1
-        assert verify(chain, rounds=1) == "block 1: receipts root mismatch"
+        assert verify(chain) == "block 1: receipts root mismatch"
 
-    def test_block_count_must_match_rounds(self):
-        chain = self.run_small_chain().chain_document()
-        assert verify(chain, rounds=2) == "3 blocks for 2 rounds, expected 4"
+    def test_chain_of_any_length_verifies(self):
+        """The ledger counts blocks, not rounds: how many a run seals is the
+        audit's check (``test_block_count_must_match_rounds``)."""
+        ledger = self.run_small_chain()
+        ledger.seal_block()
+        chain = ledger.chain_document()
+        assert verify(chain) is None
         for part in ("blocks", "txs", "receipts"):
-            chain[part].pop()
-        assert verify(chain, rounds=1) == "2 blocks for 1 rounds, expected 3"
+            del chain[part][2:]
+        assert verify(chain) is None
 
     def test_height_must_equal_index(self):
         chain = self.run_small_chain().chain_document()
         chain["blocks"][1]["height"] = 2
-        assert verify(chain, rounds=1) == "block 1: bad height 2"
+        assert verify(chain) == "block 1: bad height 2"
 
     @pytest.mark.parametrize("break_later_block", [
         lambda chain: chain["blocks"][2].update(hash="00" * 32),
@@ -435,18 +439,18 @@ class TestChain:
         chain = self.run_small_chain().chain_document()
         chain["receipts"][1][0]["gas_used"] += 1
         break_later_block(chain)
-        assert verify(chain, rounds=1) == "block 1: receipts root mismatch"
+        assert verify(chain) == "block 1: receipts root mismatch"
 
     def test_header_hash_checked_before_malformed_tx(self):
         chain = self.run_small_chain().chain_document()
         chain["blocks"][1]["state_root"] = "00" * 32
         del chain["txs"][1][2]["nonce"]
-        assert verify(chain, rounds=1) == "block 1: header hash mismatch"
+        assert verify(chain) == "block 1: header hash mismatch"
 
     def test_unserializable_receipts_are_malformed(self):
         chain = self.run_small_chain().chain_document()
         chain["receipts"][1][0]["gas_used"] = b"\x01"
-        assert verify(chain, rounds=1) == "block 1: malformed receipts"
+        assert verify(chain) == "block 1: malformed receipts"
 
     def test_replay_is_bit_identical(self):
         chain_a = self.run_small_chain().chain_document()

@@ -4,6 +4,7 @@ import gzip
 import json
 import logging
 import math
+import re
 import tempfile
 from dataclasses import fields
 from functools import cache
@@ -18,7 +19,13 @@ from fedchain.coordinator import ContractConfig, Coordinator, gas_class
 from fedchain import ledger as ledger_module
 from fedchain import scenario as scenario_module
 from fedchain.cli import main as cli_main
-from fedchain.errors import ConfigError, MissingRun, OutOfOrderBatch, SimulationError
+from fedchain.errors import (
+    ConfigError,
+    MissingRun,
+    OutOfOrderBatch,
+    SimulationError,
+    UnreadableRun,
+)
 from fedchain.flclients import ClientBehavior, make_client_id
 from fedchain.keccak import keccak256
 from fedchain.ledger import GasModel
@@ -253,16 +260,18 @@ class TestConfigTypes:
         ("noise", -1, -1, "noise must be >= 0"),
         ("noise", math.nan, math.nan, "noise must be >= 0"),
         ("noise", math.inf, math.inf, "noise must be finite"),
-        ("noise", 10**400, 10**400, "noise must be a number"),
+        ("noise", 10**400, 10**400, "noise must be finite"),
         ("lr", 0, 0, "lr must be positive"),
         ("lr", math.nan, math.nan, "lr must be positive"),
         ("lr", math.inf, math.inf, "lr must be finite"),
+        ("lr", 10**400, 10**400, "lr must be finite"),
         ("epochs", 0, 0, "epochs must be >= 1, got 0"),
         ("seed", True, True, "dataset seed must be an integer"),
         ("behaviors", (ClientBehavior("honest"),) * 3, ["honest"] * 3,
          "behaviors must list one entry per client"),
     ], ids=["zero_clients", "bool_sample_count", "zero_dim", "negative_noise", "nan_noise",
-            "inf_noise", "int_noise_beyond_float", "zero_lr", "nan_lr", "inf_lr", "zero_epochs",
+            "inf_noise", "int_noise_beyond_float", "zero_lr", "nan_lr", "inf_lr",
+            "int_lr_beyond_float", "zero_epochs",
             "bool_seed", "short_behaviors"])
     def test_invalid_dataset_field(self, key, direct_value, doc_value, message):
         doc = base_doc()
@@ -274,7 +283,8 @@ class TestConfigTypes:
         ("scaler", "c", 0, "c must be >= 1, got 0"),
         ("dropout", "q", True, "q must be a number"),
         ("dropout", "q", 1.5, "dropout probability must lie in [0, 1]"),
-    ], ids=["float_c", "zero_c", "bool_q", "q_above_one"])
+        ("dropout", "q", 10**400, "q must be finite"),
+    ], ids=["float_c", "zero_c", "bool_q", "q_above_one", "int_q_beyond_float"])
     def test_invalid_behavior_field(self, kind, key, value, message):
         doc = base_doc()
         doc["dataset"]["behaviors"][1] = {"kind": kind, key: value}
@@ -794,7 +804,7 @@ class TestArtifacts:
 
         monkeypatch.setattr(scenario_module, "scores_from_ledger", counting)
         result = run_scenario(parse_config(base_doc()))
-        assert len(calls) == 1  # the report's one parse, no rescan per checkpoint
+        assert calls == []  # the runner and the report's walk keep running sums: no rescan
         assert [c["verdict"] for c in result.report["checkpoints"]] == ["ok", "ok"]
 
     def test_report_sums_match_the_cumulative_oracle(self):
@@ -956,7 +966,7 @@ class TestAudit:
 
     def test_truncated_event_log_detected(self, run_dir):
         doc = json.loads(gzip.decompress((run_dir / LEDGER_FILE).read_bytes()))
-        # drop one round's score event: recomputed cumulative no longer matches
+        # drop one round's score event: its block no longer holds the round
         for sealed in doc["receipts"]:
             for receipt in sealed:
                 events = [e for e in receipt["events"] if e[0] == "AlignmentScoresUpdated"]
@@ -966,8 +976,12 @@ class TestAudit:
         (run_dir / LEDGER_FILE).write_bytes(gzip.compress(payload, mtime=0))
         verdicts = audit(run_dir)
         assert not verdicts[0]["ok"]
-        assert [c["verdict"] for c in verdicts[0]["checkpoints"]] == ["ContentMismatch"] * 2
-        assert build_report(*load_run_dir(run_dir))["final_cumulative"] == {}
+        assert verdicts[0]["chain"] == "block 2: receipts root mismatch"
+        assert verdicts[0]["checkpoints"] == [] and verdicts[0]["files"] == {}
+        with pytest.raises(
+            UnreadableRun, match="^block 2: 0 AlignmentScoresUpdated events, round 1 is due 1$"
+        ):
+            build_report(*load_run_dir(run_dir))
 
     def test_altered_score_is_content_mismatch(self, run_dir):
         def raise_first_score(doc):
@@ -1031,6 +1045,21 @@ class TestAudit:
         assert verdict["chain"].startswith("config hashes to run id ")
         assert verdict["chain"].endswith(", not 6b3fabba4b9f")
 
+    def test_block_count_must_match_rounds(self, run_dir):
+        """A chain that verifies, one empty block longer than genesis,
+        registration and the recorded 6 rounds, under recomputed hashes."""
+        def append_empty_block(doc):
+            doc["blocks"].append({**doc["blocks"][-1], "height": 8, "tx_hashes": []})
+            doc["txs"].append([])
+            doc["receipts"].append([])
+
+        reseal_ledger(run_dir, append_empty_block)
+        ledger_doc, _ = load_run_dir(run_dir)
+        assert ledger_module.verify_chain(ledger_doc, GasModel(), 4) is None
+        verdict = audit(run_dir)[0]
+        assert not verdict["ok"]
+        assert verdict["chain"] == "9 blocks for 6 rounds, expected 8"
+
     def test_non_hex_header_hash_is_malformed(self, run_dir):
         rewrite_ledger(run_dir, lambda doc: doc["blocks"][3].update(state_root="zz" * 32))
         verdict = audit(run_dir)[0]
@@ -1054,7 +1083,10 @@ class TestAudit:
         verdict = audit(run_dir)[0]
         assert not verdict["ok"]
         assert verdict["chain"] == "block 3: receipts root mismatch"
-        assert verdict["checkpoints"] == []
+        # the report reads a round's block by its place in the chain, not a receipt's height
+        assert verdict["checkpoints"] == [
+            {"round": 3, "verdict": "ok"}, {"round": 6, "verdict": "ok"},
+        ]
 
     @pytest.mark.parametrize("components", [[], {}, ""], ids=["list", "dict", "string"])
     def test_empty_update_components_are_malformed(self, run_dir, components):
@@ -1278,24 +1310,25 @@ class TestAudit:
         return write_run(run_scenario(load_config(CONFIGS / "baseline.json")), tmp_path)
 
     @pytest.mark.parametrize("forge, fault", [
-        (drop_round_5_anchor, "round 5 is never anchored"),
-        (anchor_round_5_again, "block 7: anchors round 5, which is not due there"),
-        (move_round_5_anchor, "block 7: anchors round 5, which is not due there"),
-        (anchor_round_3, "block 4: anchors round 3, which is not due there"),
+        (drop_round_5_anchor, "block 6: 0 FairnessCheckpoint events, round 5 is due 1"),
+        (anchor_round_5_again, "block 7: tx 6: FairnessCheckpoint names round 5"),
+        (move_round_5_anchor, "block 6: 0 FairnessCheckpoint events, round 5 is due 1"),
+        (anchor_round_3, "block 4: 1 FairnessCheckpoint events, round 3 is due 0"),
     ], ids=["dropped", "twice", "moved", "off_the_interval"])
     def test_anchor_set_the_contract_refuses_fails(self, baseline_dir, forge, fault):
         """Anchors (interval 5) dropped, repeated, moved or added under re-numbered
         system nonces, recomputed tx hashes, roots and headers, with the blobs
-        and report files to match: every check but the anchor set passes."""
+        to match: the chain verifies, and the report's walk refuses its layout,
+        so no report, and no report file, can be forged for it."""
         def forge_and_reseal(doc):
             forge(doc, baseline_dir / BLOBS_DIR)
             renumber_and_reseal(doc)
 
         rewrite_ledger(baseline_dir, forge_and_reseal)
-        rewrite_report_files(baseline_dir)
+        with pytest.raises(UnreadableRun, match=f"^{fault}$"):
+            build_report(*load_run_dir(baseline_dir))
         verdict = audit(baseline_dir)[0]
-        assert verdict["files"] == {REPORT_FILE: "ok", GAS_FILE: "ok", REWARDS_FILE: "ok"}
-        assert all(c["verdict"] == "ok" for c in verdict["checkpoints"])
+        assert verdict["files"] == {} and verdict["checkpoints"] == []
         assert not verdict["ok"]
         assert verdict["chain"] == fault
 
@@ -1303,7 +1336,7 @@ class TestAudit:
         reseal_ledger(run_dir, lambda doc: doc["receipts"][3][0].update(events=7))
         verdict = audit(run_dir)[0]
         assert not verdict["ok"]
-        assert verdict["chain"] == "block 3: malformed events"
+        assert verdict["chain"] == "block 3: tx 0: malformed events"
 
     def test_resealed_report_that_cannot_be_serialized_fails(self, run_dir, capsys):
         """A payout keyed by an int beside str keys, under recomputed roots
@@ -1317,7 +1350,9 @@ class TestAudit:
 
         reseal_ledger(run_dir, int_payout_id)
         verdict = audit(run_dir)[0]
-        assert verdict["chain"] == "ok"
+        assert verdict["chain"] == (
+            "report cannot be written: '<' not supported between instances of 'str' and 'int'"
+        )
         assert not verdict["ok"] and verdict["checkpoints"] == [] and verdict["files"] == {}
         assert_audit_cli_fails_quietly(run_dir, capsys)
 
@@ -1374,6 +1409,9 @@ class TestHostileRunDirectories:
     @given(path=LEDGER_PATHS, value=REPLACEMENTS)
     @example(path=("config", "rounds"), value=2**200)
     @example(path=("config", "rounds"), value=300_000)
+    @example(path=("config", "fairness_interval"), value=0)  # the walk must not divide by it
+    @example(path=("config", "fairness_interval"), value="5")
+    @example(path=("config", "fairness_interval"), value=True)
     def test_ledger_value_changed_fails_the_audit(self, run_dir, path, value):
         doc = json.loads(adversary_ledger_bytes())
         if not path:
@@ -1395,6 +1433,47 @@ class TestHostileRunDirectories:
             ledger.write_bytes(gzip.compress(adversary_ledger_bytes(), mtime=0))
         # bytes, not values: True == 1, yet a bool in place of an int is a change
         assert verdict["ok"] == (payload == adversary_ledger_bytes()), verdict
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_round_event_out_of_place_fails_the_audit(self, run_dir, data):
+        """A round event moved to another block, duplicated, or dropped when its
+        round's block must hold it, under recomputed roots and headers and, if
+        a report can still be built, report files to match: the walk names the block."""
+        doc = json.loads(adversary_ledger_bytes())
+        receipts = doc["receipts"]
+        counted_names = ("AlignmentScoresUpdated", "RewardsDistributed", "FairnessCheckpoint")
+        places = [(h, j, k) for h, block in enumerate(receipts) for j, receipt in enumerate(block)
+                  for k, (name, _) in enumerate(receipt["events"])
+                  if name in ("UpdateSubmitted", "ClientBanned", *counted_names)]
+        h, j, k = data.draw(st.sampled_from(places), label="event")
+        events = receipts[h][j]["events"]
+        counted = events[k][0] in counted_names
+        action = data.draw(st.sampled_from(["move", "duplicate"] + ["drop"] * counted),
+                           label="action")
+        event = copy.deepcopy(events[k]) if action == "duplicate" else events.pop(k)
+        if action != "drop":  # to another block, or a second copy in a block counting it
+            heights = [to for to in range(len(receipts))
+                       if to != h or (action == "duplicate" and counted)]
+            to = data.draw(st.sampled_from(heights), label="to block")
+            target = receipts[to][data.draw(st.integers(0, len(receipts[to]) - 1), label="tx")]
+            target["events"].insert(data.draw(st.integers(0, len(target["events"])), label="at"),
+                                    event)
+        reseal(doc)
+        names = [LEDGER_FILE, REPORT_FILE, GAS_FILE, REWARDS_FILE]
+        originals = {name: (run_dir / name).read_bytes() for name in names}
+        try:
+            (run_dir / LEDGER_FILE).write_bytes(gzip.compress(canonical_json_bytes(doc), mtime=0))
+            rewrite_report_files(run_dir)
+            verdict = audit_run(run_dir)
+        finally:
+            for name, content in originals.items():
+                (run_dir / name).write_bytes(content)
+        assert not verdict["ok"], verdict
+        assert re.fullmatch(
+            r"block \d+: (tx \d+: \w+ names round \d+|\d+ \w+ events, round \d+ is due \d)",
+            verdict["chain"],
+        ), verdict
 
     @settings(max_examples=40, deadline=None)
     @given(name=st.sampled_from([REPORT_FILE, GAS_FILE, REWARDS_FILE, BLOBS_DIR]),
@@ -1444,8 +1523,13 @@ def reseal_ledger(run_dir, mutate) -> None:
 
 
 def rewrite_report_files(run_dir) -> None:
-    """Write the report files of the ledger and blobs as found, as a forger would."""
-    for name, data in report_files(build_report(*load_run_dir(run_dir))).items():
+    """Write the report files of the ledger and blobs as found, as a forger
+    would, when a report can be built from them."""
+    try:
+        report = build_report(*load_run_dir(run_dir))
+    except UnreadableRun:  # a chain out of the rounds' layout has no report to forge
+        return
+    for name, data in report_files(report).items():
         (run_dir / name).write_bytes(data)
 
 
