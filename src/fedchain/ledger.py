@@ -12,24 +12,25 @@ charged as, and which senders the chain admits. A call that reverts is
 charged and recorded with its reason; the contract changed nothing and
 emitted nothing, so there is nothing to undo.
 
-The chain has one read, ``Ledger.chain_document``, and one place that hashes
-a sealed tx, state or block: the flush that read runs first. ``submit_tx``
-builds each tx preimage (its args check), decoding a submitted batch once
-for both its commitment and the contract, and ``seal_block`` snapshots the
-state preimage; neither hashes. The flush hashes every sealed block not yet
-hashed: one ``keccak256_many`` pass over the tx preimages, which sets each
-receipt's ``tx_hash``, a second over the state preimages and the
-receipts-root preimages, which hold the tx hashes, then the headers in order
-through ``keccak256``, since each holds its parent's hash, and kept as the
-dicts the chain document holds. ``verify_chain`` re-derives the chain with the
-same ``header_preimage`` and charges each tx with the same ``tx_gas``.
+The chain has one read, ``Ledger.chain_document``, and it is the one place
+that hashes a sealed tx, state or block. ``submit_tx`` builds each tx
+preimage (its args check), decoding a submitted batch once for both its
+commitment and the contract, and ``seal_block`` snapshots the state
+preimage; neither hashes. A receipt is only what its call produced: its tx
+hash and block height are where it sits in the chain, which the read
+derives. The read hashes the whole chain: one ``keccak256_many`` pass over
+the tx preimages, a second over the state preimages and the receipts-root
+preimages, which hold the tx hashes, then the headers in order through
+``keccak256``, since each holds its parent's hash. ``verify_chain``
+re-derives the chain with the same ``header_preimage`` and ``Receipt.to_dict``
+and charges each tx with the same ``tx_gas``.
 
 The ledger knows blocks, not rounds: which events a block must hold is the
 layout rule of the run that seals them (``scenario.build_report``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .coordinator import SYSTEM_SENDER, gas
@@ -140,13 +141,14 @@ class Transaction:
 
 @dataclass
 class Receipt:
-    tx_preimage: bytes = field(repr=False)  # the bytes ``tx_hash`` hashes
-    block_height: int
+    """What one executed call produced: the gas it was charged, its events,
+    and whether it reverted, and why. Its tx hash and block height are the
+    chain's to say, so ``to_dict`` takes both."""
+
     gas_used: int
     events: list[tuple[str, dict]]
     status: str  # "success" | "reverted"
     revert_reason: Optional[str] = None
-    tx_hash: Optional[bytes] = field(default=None, init=False)  # None until the flush
 
     def __post_init__(self) -> None:
         if self.gas_used <= 0:
@@ -162,12 +164,13 @@ class Receipt:
     def success(self) -> bool:
         return self.status == "success"
 
-    def to_dict(self) -> dict:
+    def to_dict(self, tx_hash: str, height: int) -> dict:
+        """The persisted receipt of the tx hashing to ``tx_hash`` (hex) in block ``height``."""
         return {
-            "tx_hash": self.tx_hash.hex(),
-            "block_height": self.block_height,
+            "tx_hash": tx_hash,
+            "block_height": height,
             "gas_used": self.gas_used,
-            "events": [[name, payload] for name, payload in self.events],
+            "events": [list(event) for event in self.events],
             "status": self.status,
             "revert_reason": self.revert_reason,
         }
@@ -196,21 +199,18 @@ def receipts_preimage(receipt_docs: list[dict]) -> bytes:
 class Ledger:
     """Single-writer chain: executes calls against the coordinator in strict
     submission order, charges gas, and seals a block when asked. The contract
-    is deployed on construction: genesis holds the lone deploy receipt. The
-    chain is read only as ``chain_document``, which first hashes the blocks
-    sealed since the last read in batches (module docstring)."""
+    is deployed on construction: genesis holds the lone deploy receipt. Each
+    sealed block is its calls, as (tx, tx preimage, receipt), and its state
+    preimage; the chain is read only as ``chain_document`` (module docstring)."""
 
     def __init__(self, gas_model: GasModel, coordinator):
         self.gas_model = gas_model
         self.coordinator = coordinator
-        self._sealed: list[list[tuple[Transaction, Receipt]]] = []  # hashed or not
-        self._headers: list[dict] = []           # each hashed block's header, with its hash
-        self._state_preimages: list[bytes] = []  # sealed blocks not yet hashed
+        self._blocks: list[tuple[list[tuple[Transaction, bytes, Receipt]], bytes]] = []
         tx = Transaction(sender=SYSTEM_SENDER, op="deploy", args={}, nonce=0)
         gas_used = tx_gas(gas_model, tx, coordinator.dim)  # deploy_cost
-        events = [("ContractDeployed", {"size_bytes": 10_667})]
-        receipt = Receipt(tx.decode()[0], 0, gas_used, events, "success")
-        self._pending: list[tuple[Transaction, Receipt]] = [(tx, receipt)]
+        receipt = Receipt(gas_used, [("ContractDeployed", {"size_bytes": 10_667})], "success")
+        self._pending: list[tuple[Transaction, bytes, Receipt]] = [(tx, tx.decode()[0], receipt)]
         self._nonces: dict[bytes, int] = {SYSTEM_SENDER: 1}
         self.seal_block()
 
@@ -233,13 +233,12 @@ class Ledger:
         preimage, batch = tx.decode()
 
         gas_used = tx_gas(self.gas_model, tx, self.coordinator.dim)
-        height = len(self._sealed)
         try:
             events = self.coordinator.execute(tx.op, tx.sender, tx.args, batch)
-            receipt = Receipt(preimage, height, gas_used, events, "success")
+            receipt = Receipt(gas_used, events, "success")
         except SimulationError as err:
-            receipt = Receipt(preimage, height, gas_used, [], "reverted", err.reason)
-        self._pending.append((tx, receipt))
+            receipt = Receipt(gas_used, [], "reverted", err.reason)
+        self._pending.append((tx, preimage, receipt))
         self._nonces[tx.sender] = expected + 1
         return receipt
 
@@ -247,39 +246,9 @@ class Ledger:
 
     def seal_block(self) -> None:
         """Seal pending receipts into the next block (empty blocks allowed),
-        with a snapshot of the state; hashing waits for the next chain read."""
-        self._sealed.append(self._pending)
-        self._state_preimages.append(canonical_json_bytes(self.coordinator.state_dict()))
+        with a snapshot of the state; hashing waits for the chain read."""
+        self._blocks.append((self._pending, canonical_json_bytes(self.coordinator.state_dict())))
         self._pending = []
-
-    def _hash_sealed(self) -> None:
-        """Hash every sealed block not yet hashed: the tx preimages, then the
-        state and receipts-root preimages, in two batches; then the headers."""
-        start = len(self._headers)
-        sealed = [[r for _, r in calls] for calls in self._sealed[start:]]
-        if not sealed:
-            return
-        unhashed = [r for receipts in sealed for r in receipts]
-        for receipt, digest in zip(unhashed, keccak256_many([r.tx_preimage for r in unhashed])):
-            receipt.tx_hash = digest
-        digests = keccak256_many(self._state_preimages + [
-            receipts_preimage([r.to_dict() for r in receipts]) for receipts in sealed
-        ])
-        state_roots, roots = digests[:len(sealed)], digests[len(sealed):]
-        parent = self._headers[-1]["hash"] if self._headers else GENESIS_PARENT.hex()
-        for height, (receipts, root, state_root) in enumerate(
-            zip(sealed, roots, state_roots), start
-        ):
-            header = {
-                "height": height,
-                "parent_hash": parent,
-                "tx_hashes": [r.tx_hash.hex() for r in receipts],
-                "receipts_root": root.hex(),
-                "state_root": state_root.hex(),
-            }
-            parent = header["hash"] = keccak256(header_preimage(header)).hex()
-            self._headers.append(header)
-        self._state_preimages = []
 
     def state_root(self) -> bytes:
         """Keccak-256 of the canonical coordinator-state serialization."""
@@ -288,24 +257,38 @@ class Ledger:
     # -- the one read ------------------------------------------------------
 
     def chain_document(self) -> dict:
-        """The sealed chain in its persisted form: headers, txs and receipts, as
-        new dicts and lists, though tx args and event payloads are shared."""
-        self._hash_sealed()
-        return {
-            "blocks": [{**h, "tx_hashes": list(h["tx_hashes"])} for h in self._headers],
-            "txs": [[tx.to_dict() for tx, _ in calls] for calls in self._sealed],
-            "receipts": [[r.to_dict() for _, r in calls] for calls in self._sealed],
-        }
+        """The sealed chain in its persisted form, hashed afresh: headers, txs
+        and receipts, as new dicts and lists, though tx args and event
+        payloads are shared. Each receipt dict is built once, for both its
+        block's receipts root and the document."""
+        digests = iter(keccak256_many([m for calls, _ in self._blocks for _, m, _ in calls]))
+        blocks, txs, receipts = [], [], []
+        for height, (calls, _) in enumerate(self._blocks):
+            hashes = [next(digests).hex() for _ in calls]
+            blocks.append({"height": height, "tx_hashes": hashes})
+            txs.append([tx.to_dict() for tx, _, _ in calls])
+            receipts.append([r.to_dict(h, height) for (_, _, r), h in zip(calls, hashes)])
+        n = len(blocks)
+        digests = keccak256_many(
+            [state for _, state in self._blocks] + [receipts_preimage(docs) for docs in receipts]
+        )
+        parent = GENESIS_PARENT.hex()
+        for header, state_root, root in zip(blocks, digests[:n], digests[n:]):
+            header.update(parent_hash=parent, receipts_root=root.hex(), state_root=state_root.hex())
+            parent = header["hash"] = keccak256(header_preimage(header)).hex()
+        return {"blocks": blocks, "txs": txs, "receipts": receipts}
 
 
 def verify_chain(chain: dict, gas_model: GasModel, dim: int) -> Optional[str]:
     """Re-derive a persisted chain (``Ledger.chain_document``); None when intact.
 
     Each block must have one tx list and one receipt list. Every height, parent
-    link, header hash, tx hash and receipts root is recomputed, and receipt j
-    must record tx j at its block's height, charged ``tx_gas`` under
-    ``gas_model`` and ``dim``, under ``Receipt``'s rules; the first fault, in
-    block order, is returned. Parts that cannot be read are ``malformed``.
+    link, header hash, tx hash and receipts root is recomputed. Each header
+    holds ``HEADER_FIELDS`` and its hash, and each tx doc is its
+    ``Transaction``'s dict, nothing more. Receipt j must be charged ``tx_gas``
+    under ``gas_model`` and ``dim``, obey ``Receipt``'s rules, and be that
+    ``Receipt``'s dict at tx j's hash and its block's height. The first fault,
+    in block order, is returned. Parts that cannot be read are ``malformed``.
     """
     blocks, txs, receipts = chain["blocks"], chain["txs"], chain["receipts"]
     if not len(blocks) == len(txs) == len(receipts):
@@ -327,6 +310,8 @@ def _hash_checks(blocks, txs, receipts, gas_model, dim) -> tuple[list, Optional[
     parent = GENESIS_PARENT.hex()
     for i, (header, block_txs, block_receipts) in enumerate(zip(blocks, txs, receipts)):
         try:
+            if header.keys() != {*HEADER_FIELDS, "hash"}:
+                return checks, f"block {i}: malformed header"
             if header["height"] != i:
                 return checks, f"block {i}: bad height {header['height']}"
             if header["parent_hash"] != parent:
@@ -335,7 +320,7 @@ def _hash_checks(blocks, txs, receipts, gas_model, dim) -> tuple[list, Optional[
                 bytes.fromhex(digest)
             preimage = header_preimage(header)
             parent = header["hash"]
-        except (KeyError, TypeError, ValueError):
+        except (AttributeError, TypeError, ValueError):
             return checks, f"block {i}: malformed header"
         checks.append((f"block {i}: header hash mismatch", [preimage], [parent]))
         try:
@@ -346,6 +331,8 @@ def _hash_checks(blocks, txs, receipts, gas_model, dim) -> tuple[list, Optional[
         for j, doc in enumerate(tx_docs):
             try:
                 tx = Transaction.from_dict(doc)
+                if tx.to_dict() != doc:
+                    raise ValueError("not a tx dict")
                 tx_preimages.append(tx.decode()[0])
                 charges.append(tx_gas(gas_model, tx, dim))
             except (KeyError, TypeError, ValueError, SimulationError):
@@ -360,22 +347,22 @@ def _hash_checks(blocks, txs, receipts, gas_model, dim) -> tuple[list, Optional[
         checks.append((
             f"block {i}: receipts root mismatch", [preimage], [header["receipts_root"]],
         ))
-        try:  # one receipt per tx, in tx order, at this height, charged, under Receipt's rules
-            for j, (doc, tx_preimage, charge) in enumerate(
-                zip(block_receipts, tx_preimages, charges)
+        try:  # one receipt per tx, in tx order, charged, under Receipt's rules, at its place
+            for j, (doc, tx_hash, charge) in enumerate(
+                zip(block_receipts, header["tx_hashes"], charges)
             ):
-                if doc["tx_hash"] != header["tx_hashes"][j] or doc["block_height"] != i:
-                    return checks, f"block {i}: receipt {j} does not record tx {j} of block {i}"
                 used = doc["gas_used"]
                 if type(used) is not int or used != charge:
                     return checks, (f"block {i}: receipt {j} charged {used!r} gas, "
                                     f"the gas model charges {charge}")
-                Receipt(tx_preimage, i, used, doc["events"], doc["status"], doc["revert_reason"])
+                receipt = Receipt(used, doc["events"], doc["status"], doc["revert_reason"])
+                if receipt.to_dict(tx_hash, i) != doc:
+                    return checks, f"block {i}: receipt {j} does not record tx {j} of block {i}"
             if len(block_receipts) != len(tx_preimages):
                 return checks, f"block {i}: {len(block_receipts)} receipts, {len(tx_preimages)} txs"
         except ValueError as err:  # a rule that Receipt states
             return checks, f"block {i}: receipt {j}: {err}"
-        except (LookupError, TypeError):  # a tx hash missing is a mismatch queued above
+        except (LookupError, TypeError):
             return checks, f"block {i}: malformed receipts"
     return checks, None
 

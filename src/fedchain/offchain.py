@@ -80,13 +80,12 @@ def publish_checkpoint(store: ContentStore, cumulative: Mapping[bytes, Fixed]) -
 
 
 def verify_checkpoints(
-    store: ContentStore, anchors: Sequence[tuple[bytes, bytes, Optional[Mapping[bytes, Fixed]]]]
+    store: ContentStore, anchors: Sequence[tuple[bytes, bytes, Mapping[bytes, Fixed]]]
 ) -> list[Optional[str]]:
     """Re-verify (cid, integrity hash, cumulative) anchors, every blob found
     hashed in one ``keccak256_many`` batch: the CID resolves, the hashes agree,
-    and the blob holds ``cumulative`` (None: unknown, matches no blob). One
-    verdict per anchor, in order: None when intact, else NotFound, CidMismatch,
-    HashMismatch or ContentMismatch."""
+    and the blob holds ``cumulative``. One verdict per anchor, in order: None
+    when intact, else NotFound, CidMismatch, HashMismatch or ContentMismatch."""
     blobs = [store.get(cid) for cid, _, _ in anchors]
     digests = iter(keccak256_many([blob for blob in blobs if blob is not None]))
     verdicts: list[Optional[str]] = []
@@ -96,7 +95,7 @@ def verify_checkpoints(
             "NotFound" if blob is None
             else "CidMismatch" if digest != cid
             else "HashMismatch" if digest != integrity_hash
-            else "ContentMismatch" if cumulative is None or blob != canonical_serialize(cumulative)
+            else "ContentMismatch" if blob != canonical_serialize(cumulative)
             else None
         )
     return verdicts

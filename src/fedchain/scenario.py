@@ -10,6 +10,7 @@ from __future__ import annotations
 import gzip
 import json
 import logging
+import re
 import zlib
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import cache
@@ -378,9 +379,10 @@ def build_report(ledger_doc: dict, store: ContentStore) -> dict:
     ``UnreadableRun``, naming the block, unless every round event names its block's round
     (genesis and registration hold none) and each round's block holds one
     ``AlignmentScoresUpdated``, one ``RewardsDistributed``, and one ``FairnessCheckpoint``
-    exactly when the round is a multiple of ``fairness_interval``; events it cannot read
-    are ``malformed events``. It keeps one running sum of each client's scores, and
-    checks each anchor against the sums at its place in the walk.
+    exactly when the round is a multiple of ``fairness_interval``; events it cannot read,
+    a score or payout keyed by no client id as the contract writes it among them, are
+    ``malformed events``. It keeps one running sum of each client's scores, and checks
+    each anchor against the sums at its place in the walk.
     """
     config = ledger_doc["config"]
     dim, interval = config["dataset"]["dim"], config["fairness_interval"]
@@ -407,12 +409,13 @@ def build_report(ledger_doc: dict, store: ContentStore) -> dict:
                     elif name == "ClientBanned":
                         record["banned"].append(payload["id"])
                     elif name == "AlignmentScoresUpdated":
-                        scores = {bytes.fromhex(c[2:]): Fixed(raw) for c, raw in payload["scores"]}
+                        scores = {bytes.fromhex(_client_id(c)[2:]): Fixed(raw)
+                                  for c, raw in payload["scores"]}
                         record["scores"] = {"0x" + c.hex(): s.to_decimal()
                                             for c, s in scores.items()}
                         sums.update({c: sums.get(c, Fixed(0)) + s for c, s in scores.items()})
                     elif name == "RewardsDistributed":
-                        record["payouts"] = dict(payload["payouts"])
+                        record["payouts"] = {_client_id(c): paid for c, paid in payload["payouts"]}
                     elif name == "FairnessCheckpoint":
                         record["checkpoint"] = {"cid": payload["cid"], "hash": payload["hash"]}
                         anchors.append((payload, bytes.fromhex(payload["cid"]),
@@ -456,6 +459,13 @@ def build_report(ledger_doc: dict, store: ContentStore) -> dict:
             "final_state_root": ledger_doc["blocks"][-1]["state_root"],
         },
     }
+
+
+def _client_id(text: str) -> str:
+    """``text``, a client id as the contract writes it ("0x", 40 lowercase hex digits)."""
+    if re.fullmatch("0x[0-9a-f]{40}", text) is None:
+        raise ValueError(f"{text!r} is no client id")
+    return text
 
 
 def rewards_csv_text(report: dict) -> str:
@@ -523,6 +533,8 @@ def load_run_dir(run_dir) -> tuple[dict, ContentStore]:
         and all(isinstance(ledger_doc.get(part), list) for part in chain_parts)
     ):
         raise UnreadableRun(f"{LEDGER_FILE} holds no config with blocks, txs and receipts lists")
+    if ledger_doc.keys() != {"config", "run_id", *chain_parts}:
+        raise UnreadableRun(f"{LEDGER_FILE} keys are not config, run_id, blocks, txs and receipts")
     blobs = {}
     blob_dir = run_dir / BLOBS_DIR
     for path in sorted(blob_dir.iterdir()) if blob_dir.is_dir() else []:
@@ -552,8 +564,8 @@ def _chain_fault(ledger_doc: dict) -> Optional[str]:
     if parsed.to_canonical_dict() != config:
         return "recorded config is not in canonical form"
     config_id = config_run_id(config)
-    if config_id != ledger_doc.get("run_id"):
-        return f"config hashes to run id {config_id}, not {ledger_doc.get('run_id')}"
+    if config_id != ledger_doc["run_id"]:
+        return f"config hashes to run id {config_id}, not {ledger_doc['run_id']}"
     fault = verify_chain(ledger_doc, parsed.gas, parsed.dataset.dim)
     blocks, rounds = len(ledger_doc["blocks"]), parsed.rounds
     if fault is None and blocks != rounds + 2:
@@ -598,7 +610,7 @@ def audit_run(run_dir) -> dict:
 
     verdicts = [c["verdict"] for c in checkpoints] + list(files.values())
     return {
-        "run_id": ledger_doc.get("run_id"),
+        "run_id": ledger_doc["run_id"],
         "ok": chain_error is None and all(v == "ok" for v in verdicts),
         "chain": chain_error or "ok",
         "checkpoints": checkpoints,

@@ -158,7 +158,7 @@ class TestExecution:
 
     def test_a_receipt_charges_gas(self):
         with pytest.raises(ValueError, match="every executed transaction consumes gas"):
-            Receipt(b"", 1, 0, [], "success")
+            Receipt(0, [], "success")
 
     def test_stale_nonce_rejected(self):
         ledger, _ = make_ledger()
@@ -277,7 +277,7 @@ class TestFailedSubmitLeavesLedgerUnchanged:
         receipt = ledger.submit_tx(tx)
         assert receipt.revert_reason == "BadArgs"
         assert receipt.events == [] and receipt.gas_used > 0
-        assert ledger._pending[-1] == (tx, receipt)
+        assert ledger._pending[-1] == (tx, tx.decode()[0], receipt)
         assert ledger.next_nonce(tx.sender) == nonce + 1
         assert coordinator.state_dict() == state
         assert coordinator.rounds == {1: RoundState(round=1)}
@@ -514,8 +514,7 @@ class TestContractBoundary:
         def snapshot(sender):
             return (
                 ledger.next_nonce(sender),
-                list(ledger._pending),
-                [receipt.tx_preimage for _, receipt in ledger._pending],
+                list(ledger._pending),  # each call's tx preimage included
                 canonical_json_bytes(ledger.chain_document()),
                 coordinator.state_dict(),
             )
@@ -528,14 +527,15 @@ class TestContractBoundary:
             except (NonceError, UnknownSender, BadComponent):
                 assert snapshot(sender) == before
             else:
-                assert ledger._pending[-1] == (tx, receipt)
+                assert ledger._pending[-1] == (tx, tx.decode()[0], receipt)
                 assert ledger.next_nonce(sender) == before[0] + 1
                 recorded.append((tx, receipt))
             if seal:
                 ledger.seal_block()
         ledger.seal_block()
-        ledger.chain_document()
-        assert [receipt.tx_hash for _, receipt in recorded] == [tx.tx_hash() for tx, _ in recorded]
+        chain = ledger.chain_document()
+        hashes = [doc["tx_hash"] for docs in chain["receipts"][2:] for doc in docs]
+        assert hashes == [tx.tx_hash().hex() for tx, _ in recorded]
 
     def test_registration_beyond_the_sample_bound_reverts(self):
         ledger, coordinator = make_ledger()
@@ -765,7 +765,7 @@ class TestDeferredHashing:
                 assert len(ledger.chain_document()["blocks"]) == i + 2
         return ledger
 
-    def test_flush_timing_does_not_change_bytes(self):
+    def test_when_the_chain_is_read_does_not_change_bytes(self):
         eager = self.small_chain(read_every_seal=True)
         lazy = self.small_chain(read_every_seal=False)
         assert canonical_json_bytes(eager.chain_document()) == \
@@ -791,8 +791,8 @@ class TestDeferredHashing:
         ledger = self.small_chain(read_every_seal=False)
         chain = ledger.chain_document()
         shared = 0
-        for calls, txs, receipts in zip(ledger._sealed, chain["txs"], chain["receipts"]):
-            for (tx, receipt), tx_doc, receipt_doc in zip(calls, txs, receipts, strict=True):
+        for (calls, _), txs, receipts in zip(ledger._blocks, chain["txs"], chain["receipts"]):
+            for (tx, _, receipt), tx_doc, receipt_doc in zip(calls, txs, receipts, strict=True):
                 assert tx_doc["args"] is tx.args
                 for (_, payload), (_, payload_doc) in zip(receipt.events, receipt_doc["events"],
                                                           strict=True):
@@ -805,16 +805,32 @@ class TestDeferredHashing:
         assert again["txs"][1][0]["args"]["stake"] == 7
         assert again["receipts"][1][0]["events"][0][1]["stake"] == 7
 
-    def test_receipt_tx_hash_is_none_until_the_first_read(self):
+    def test_the_read_places_each_receipt_at_its_tx_hash_and_height(self):
         ledger, _ = make_ledger()
         tx = register_tx(ledger, make_client_id(0))
         receipt = ledger.submit_tx(tx)
         ledger.seal_block()
-        assert receipt.tx_hash is None
         chain = ledger.chain_document()
-        assert receipt.tx_hash == tx.tx_hash()
         assert chain["blocks"][-1]["tx_hashes"] == [tx.tx_hash().hex()]
+        assert chain["receipts"][-1] == [receipt.to_dict(tx.tx_hash().hex(), 1)]
         assert chain["receipts"][-1][0]["tx_hash"] == tx.tx_hash().hex()
+
+    def test_a_read_writes_each_receipt_once(self, monkeypatch):
+        """One ``Receipt.to_dict`` call per receipt serves both its block's
+        receipts root and the document."""
+        ledger = self.small_chain(read_every_seal=False)
+        written = []
+        to_dict = Receipt.to_dict
+
+        def counting(receipt, tx_hash, height):
+            written.append((tx_hash, height))
+            return to_dict(receipt, tx_hash, height)
+
+        monkeypatch.setattr(Receipt, "to_dict", counting)
+        chain = ledger.chain_document()
+        assert written == [(doc["tx_hash"], doc["block_height"])
+                           for docs in chain["receipts"] for doc in docs]
+        assert len(written) == 5  # the deploy and four registrations
 
     def test_submit_and_seal_hash_nothing(self, monkeypatch):
         def no_hash(*args):

@@ -114,8 +114,8 @@ class TestCheckpoints:
         anchor = (cid, b"\xff" * 32, self.CUMULATIVE)
         assert verify_checkpoints(store, [anchor])[0] == "HashMismatch"
 
-    @pytest.mark.parametrize("cumulative", [{cid_of(1): Fixed(100)}, None],
-                             ids=["other_scores", "unknown_scores"])
+    @pytest.mark.parametrize("cumulative", [{cid_of(1): Fixed(100)}, {}],
+                             ids=["other_scores", "no_scores"])
     def test_content_mismatch_detected(self, cumulative):
         store, cid = self.make()
         assert verify_checkpoints(store, [(cid, cid, cumulative)])[0] == "ContentMismatch"

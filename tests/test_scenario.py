@@ -711,12 +711,15 @@ class TestArtifacts:
 
         def seal_and_read(ledger):
             seal_block(ledger)
-            reads.append(len(ledger.chain_document()["blocks"]))
+            reads.append(ledger.chain_document())
 
         monkeypatch.setattr(ledger_module.Ledger, "seal_block", seal_and_read)
         every_seal = run_scenario(config).ledger_doc
-        assert reads == list(range(1, config.rounds + 3))
+        assert [len(read["blocks"]) for read in reads] == list(range(1, config.rounds + 3))
         assert canonical_json_bytes(every_seal) == canonical_json_bytes(once)
+        for read in reads:  # each read is the start of the chain the run ends with
+            for part in ("blocks", "txs", "receipts"):
+                assert read[part] == once[part][:len(read[part])]
 
     @pytest.mark.parametrize("rounds", [2, 6])
     def test_run_hashes_txs_and_states_in_a_fixed_number_of_batches(self, rounds, monkeypatch):
@@ -1333,28 +1336,69 @@ class TestAudit:
         assert verdict["chain"] == fault
 
     def test_resealed_malformed_event_list_fails(self, run_dir):
+        """No receipt holds the event list 7, and the report's walk cannot read it."""
         reseal_ledger(run_dir, lambda doc: doc["receipts"][3][0].update(events=7))
         verdict = audit(run_dir)[0]
         assert not verdict["ok"]
-        assert verdict["chain"] == "block 3: tx 0: malformed events"
+        assert verdict["chain"] == "block 3: malformed receipts"
+        with pytest.raises(UnreadableRun, match="^block 3: tx 0: malformed events$"):
+            build_report(*load_run_dir(run_dir))
 
     def test_resealed_report_that_cannot_be_serialized_fails(self, run_dir, capsys):
         """A payout keyed by an int beside str keys, under recomputed roots
-        and header hashes: the chain verifies, and only the report's bytes,
-        which cannot sort those keys, can tell."""
-        def int_payout_id(doc):
-            for receipt in doc["receipts"][2]:
-                for name, payload in receipt["events"]:
-                    if name == "RewardsDistributed":
-                        payload["payouts"][0][0] = 0
-
-        reseal_ledger(run_dir, int_payout_id)
+        and header hashes: the chain verifies, and the report's walk refuses
+        the id before a report whose keys cannot be sorted is built."""
+        j = rekey_first_client(run_dir, "RewardsDistributed", 0)
         verdict = audit(run_dir)[0]
-        assert verdict["chain"] == (
-            "report cannot be written: '<' not supported between instances of 'str' and 'int'"
-        )
+        assert verdict["chain"] == f"block 2: tx {j}: malformed events"
         assert not verdict["ok"] and verdict["checkpoints"] == [] and verdict["files"] == {}
         assert_audit_cli_fails_quietly(run_dir, capsys)
+
+    @pytest.mark.parametrize("client", ["0xabcd", "0x" + "AB" * 20], ids=["short", "upper_case"])
+    @pytest.mark.parametrize("event", ["AlignmentScoresUpdated", "RewardsDistributed"])
+    def test_resealed_event_naming_no_client_id_fails(self, run_dir, capsys, event, client):
+        """A score or payout keyed by an id the contract never writes, under
+        recomputed roots, header hashes and report files: the walk names its
+        block and tx."""
+        j = rekey_first_client(run_dir, event, client)
+        rewrite_report_files(run_dir)
+        verdict = audit(run_dir)[0]
+        assert verdict["chain"] == f"block 2: tx {j}: malformed events"
+        assert not verdict["ok"] and verdict["checkpoints"] == [] and verdict["files"] == {}
+        assert_audit_cli_fails_quietly(run_dir, capsys)
+
+    @pytest.mark.parametrize("place, fault", [
+        (lambda doc: doc, "ledger.bin keys are not config, run_id, blocks, txs and receipts"),
+        (lambda doc: doc["blocks"][3], "block 3: malformed header"),
+        (lambda doc: doc["txs"][3][0], "block 3: malformed tx 0"),
+        (lambda doc: doc["receipts"][3][0], "block 3: receipt 0 does not record tx 0 of block 3"),
+    ], ids=["document", "header", "tx", "receipt"])
+    def test_resealed_extra_key_fails(self, run_dir, place, fault):
+        """One key more than the chain writes, under recomputed roots, header
+        hashes and report files, fails the run where it sits."""
+        reseal_ledger(run_dir, lambda doc: place(doc).update(note="forged"))
+        rewrite_report_files(run_dir)
+        verdict = audit(run_dir)[0]
+        assert not verdict["ok"]
+        assert verdict["chain"] == fault
+
+
+def rekey_first_client(run_dir, event: str, client) -> int:
+    """Key the first score or payout of round 1's ``event`` by ``client``,
+    reseal, and return the index of the tx in block 2 that emitted it."""
+    field = {"AlignmentScoresUpdated": "scores", "RewardsDistributed": "payouts"}[event]
+    emitted = []
+
+    def rekey(doc):
+        for j, receipt in enumerate(doc["receipts"][2]):
+            for name, payload in receipt["events"]:
+                if name == event:
+                    payload[field][0][0] = client
+                    emitted.append(j)
+
+    reseal_ledger(run_dir, rekey)
+    (j,) = emitted
+    return j
 
 
 def assert_audit_cli_fails_quietly(run_dir, capsys) -> None:
