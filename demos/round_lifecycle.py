@@ -1,5 +1,5 @@
 """Walk one protocol round by hand: register, submit, validate, score,
-aggregate, close — printing receipts, events, and phase transitions.
+aggregate, close — printing receipts, events, and the round's outcome.
 
 Run: python demos/round_lifecycle.py
 """
@@ -57,7 +57,8 @@ def main():
 
     state = coordinator.rounds[1]
     print("\n== outcome ==")
-    print("phase:", state.phase.name)
+    print("closed: round", coordinator.current_round, "is now current; round 1 ended",
+          state.phase.name)
     print("scores:", {hex_id(cid): s.to_decimal() for cid, s in sorted(state.scores.items())})
     print("payouts:", {hex_id(cid): p for cid, p in sorted(state.payouts.items())})
     print("aggregate:", [Fixed(c).to_decimal() for c in state.aggregate.raw.tolist()],

@@ -3,10 +3,11 @@ submission, validation, scoring and reward payout, FedAvg aggregation, and
 periodic checkpoint anchoring.
 
 Each protocol round walks the phase machine open -> validated -> scored ->
-aggregated -> closed, and every round call passes one guard (``_round``), so
-no operation succeeds out of order. A round on the fairness interval closes
-only once it is anchored, and no round is anchored twice. All numeric state
-is fixed-point, so two replays of the same transaction sequence produce
+aggregated, and ``close_round`` opens the next. Every round call passes one
+guard (``_round``), which admits only the current round, so no operation
+succeeds out of order. A round on the fairness interval closes only once it
+is anchored, and no round is anchored twice. All numeric state is
+fixed-point, so two replays of the same transaction sequence produce
 identical state roots.
 """
 from __future__ import annotations
@@ -86,7 +87,6 @@ class Phase(enum.IntEnum):
     VALIDATED = 1
     SCORED = 2
     AGGREGATED = 3
-    CLOSED = 4
 
 
 @dataclass
@@ -101,7 +101,6 @@ class ClientRecord:
 
 @dataclass
 class RoundState:
-    round: int
     phase: Phase = Phase.OPEN
     submissions: dict[bytes, GradientVector] = field(default_factory=dict)
     partial: dict[bytes, dict] = field(default_factory=dict)  # id -> {count, parts}
@@ -163,7 +162,7 @@ class Coordinator:
         self.global_model = GradientVector.zeros(dim)
         self.model_version = 0
         self.clients: dict[bytes, ClientRecord] = {}
-        self.rounds: dict[int, RoundState] = {1: RoundState(round=1)}
+        self.rounds: dict[int, RoundState] = {1: RoundState()}
         self.current_round = 1
         self.checkpoints: dict[int, tuple[bytes, bytes]] = {}  # R -> (cid, H)
         self._events: list[tuple[str, dict]] = []
@@ -435,15 +434,15 @@ class Coordinator:
             raise CheckpointDue(f"round {round_index} closes only once it is anchored")
         for cid in state.accepted:
             self.clients[cid].rounds_participated += 1
-        state.phase = Phase.CLOSED
         self.current_round = round_index + 1
-        self.rounds[self.current_round] = RoundState(round=self.current_round)
+        self.rounds[self.current_round] = RoundState()
         return state
 
     # -- canonical state -----------------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """Canonical JSON-ready snapshot; hashed into every block's state root."""
+        """Canonical JSON-ready snapshot; hashed into every block's state root.
+        A client is a copy of its ``ClientRecord``'s fields, each stated once."""
         return {
             "current_round": self.current_round,
             "global_model": {
@@ -451,17 +450,7 @@ class Coordinator:
                 "version": self.model_version,
                 "dim": self.dim,
             },
-            "clients": {
-                "0x" + cid.hex(): {
-                    "stake": rec.stake,
-                    "n_samples": rec.n_samples,
-                    "registered_round": rec.registered_round,
-                    "rounds_participated": rec.rounds_participated,
-                    "consecutive_negative": rec.consecutive_negative,
-                    "banned": rec.banned,
-                }
-                for cid, rec in sorted(self.clients.items())
-            },
+            "clients": {"0x" + cid.hex(): dict(vars(rec)) for cid, rec in self.clients.items()},
             "checkpoints": {
                 str(r): {"cid": cid.hex(), "hash": h.hex()}
                 for r, (cid, h) in sorted(self.checkpoints.items())
@@ -476,13 +465,13 @@ def gas_class(op: str) -> str:
 
 
 def gas(op: str, args, dim: int) -> tuple[str, int]:
-    """A call's gas class and the parameters it touches in a contract of model
-    dimension ``dim``, for its charge. An update whose args are not an object
-    touches none: it is charged, and ``execute`` reverts it with ``BadArgs``."""
+    """A call's gas class and size: a submit's component count, 0 when its args
+    are not an object (it is charged, and ``execute`` reverts it with ``BadArgs``),
+    and the model's ``dim`` for every other call, which a class with no slope ignores."""
     op_class = gas_class(op)
     if op_class == "submit":
         return op_class, len(args.get("components", ())) if isinstance(args, dict) else 0
-    return op_class, dim if op_class in ("validate", "aggregate") else 0
+    return op_class, dim
 
 
 def _check_args(op: str, args: dict) -> None:

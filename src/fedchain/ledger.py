@@ -282,13 +282,13 @@ class Ledger:
 def verify_chain(chain: dict, gas_model: GasModel, dim: int) -> Optional[str]:
     """Re-derive a persisted chain (``Ledger.chain_document``); None when intact.
 
-    Each block must have one tx list and one receipt list. Every height, parent
-    link, header hash, tx hash and receipts root is recomputed. Each header
-    holds ``HEADER_FIELDS`` and its hash, and each tx doc is its
-    ``Transaction``'s dict, nothing more. Receipt j must be charged ``tx_gas``
-    under ``gas_model`` and ``dim``, obey ``Receipt``'s rules, and be that
-    ``Receipt``'s dict at tx j's hash and its block's height. The first fault,
-    in block order, is returned. Parts that cannot be read are ``malformed``.
+    Each block must have one tx list and one receipt list. Every height is an
+    int, and every parent link, header hash, tx hash and receipts root is
+    recomputed. Each header holds ``HEADER_FIELDS`` and its hash, and each tx
+    doc is its ``Transaction``'s dict, nothing more. Receipt j must be charged
+    ``tx_gas`` under ``gas_model`` and ``dim``, obey ``Receipt``'s rules, and be
+    that ``Receipt``'s dict at tx j's hash and its block's height (an int). The
+    first fault, in block order, is returned. Unreadable parts are ``malformed``.
     """
     blocks, txs, receipts = chain["blocks"], chain["txs"], chain["receipts"]
     if not len(blocks) == len(txs) == len(receipts):
@@ -312,7 +312,7 @@ def _hash_checks(blocks, txs, receipts, gas_model, dim) -> tuple[list, Optional[
         try:
             if header.keys() != {*HEADER_FIELDS, "hash"}:
                 return checks, f"block {i}: malformed header"
-            if header["height"] != i:
+            if type(header["height"]) is not int or header["height"] != i:
                 return checks, f"block {i}: bad height {header['height']}"
             if header["parent_hash"] != parent:
                 return checks, f"block {i}: broken parent link"
@@ -356,7 +356,7 @@ def _hash_checks(blocks, txs, receipts, gas_model, dim) -> tuple[list, Optional[
                     return checks, (f"block {i}: receipt {j} charged {used!r} gas, "
                                     f"the gas model charges {charge}")
                 receipt = Receipt(used, doc["events"], doc["status"], doc["revert_reason"])
-                if receipt.to_dict(tx_hash, i) != doc:
+                if receipt.to_dict(tx_hash, i) != doc or type(doc["block_height"]) is not int:
                     return checks, f"block {i}: receipt {j} does not record tx {j} of block {i}"
             if len(block_receipts) != len(tx_preimages):
                 return checks, f"block {i}: {len(block_receipts)} receipts, {len(tx_preimages)} txs"

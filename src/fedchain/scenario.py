@@ -380,9 +380,9 @@ def build_report(ledger_doc: dict, store: ContentStore) -> dict:
     (genesis and registration hold none) and each round's block holds one
     ``AlignmentScoresUpdated``, one ``RewardsDistributed``, and one ``FairnessCheckpoint``
     exactly when the round is a multiple of ``fairness_interval``; events it cannot read,
-    a score or payout keyed by no client id as the contract writes it among them, are
-    ``malformed events``. It keeps one running sum of each client's scores, and checks
-    each anchor against the sums at its place in the walk.
+    a round event's client id not as the contract writes it or a payout that is no int
+    among them, are ``malformed events``. It keeps one running sum of each client's
+    scores, and checks each anchor against the sums at its place in the walk.
     """
     config = ledger_doc["config"]
     dim, interval = config["dataset"]["dim"], config["fairness_interval"]
@@ -404,10 +404,11 @@ def build_report(ledger_doc: dict, store: ContentStore) -> dict:
                     if not (type(named) is int and named == r >= 1):
                         raise UnreadableRun(f"block {height}: tx {j}: {name} names round {named!r}")
                     counts[name] += 1
-                    if name == "UpdateSubmitted" and payload["id"] not in record["submitted"]:
-                        record["submitted"].append(payload["id"])
+                    if name == "UpdateSubmitted":
+                        if _client_id(payload["id"]) not in record["submitted"]:
+                            record["submitted"].append(payload["id"])
                     elif name == "ClientBanned":
-                        record["banned"].append(payload["id"])
+                        record["banned"].append(_client_id(payload["id"]))
                     elif name == "AlignmentScoresUpdated":
                         scores = {bytes.fromhex(_client_id(c)[2:]): Fixed(raw)
                                   for c, raw in payload["scores"]}
@@ -416,6 +417,8 @@ def build_report(ledger_doc: dict, store: ContentStore) -> dict:
                         sums.update({c: sums.get(c, Fixed(0)) + s for c, s in scores.items()})
                     elif name == "RewardsDistributed":
                         record["payouts"] = {_client_id(c): paid for c, paid in payload["payouts"]}
+                        if any(type(paid) is not int for _, paid in payload["payouts"]):
+                            raise TypeError("a payout is no int")
                     elif name == "FairnessCheckpoint":
                         record["checkpoint"] = {"cid": payload["cid"], "hash": payload["hash"]}
                         anchors.append((payload, bytes.fromhex(payload["cid"]),

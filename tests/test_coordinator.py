@@ -1,5 +1,7 @@
 """Contract state machine: registration, submission, validation, scoring,
 aggregation, and the phase machine."""
+from dataclasses import asdict, fields
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from fedchain.coordinator import (
     CALLS,
     SYSTEM_SENDER,
+    ClientRecord,
     ContractConfig,
     Coordinator,
     Phase,
@@ -14,6 +17,7 @@ from fedchain.coordinator import (
     VERDICT_REJECTED_NORM,
     _largest_remainder_split,
     gas,
+    gas_class,
 )
 from fedchain.errors import (
     AlreadyRegistered,
@@ -36,7 +40,7 @@ from fedchain.errors import (
 )
 from fedchain.flclients import make_client_id
 from fedchain.incentives import SHAPLEY_MAX_CLIENTS
-from fedchain.ledger import OP_CLASSES
+from fedchain.ledger import OP_CLASSES, GasModel
 from fedchain.numerics import RAW_LIMIT, Fixed, GradientVector, SCALE
 
 C = [make_client_id(i) for i in range(10)]
@@ -92,18 +96,45 @@ class TestCallTable:
         ("submit_update", ["components"], ("submit", 0)),
         ("validate_round", {"round": 1}, ("validate", 4)),
         ("aggregate_round", {}, ("aggregate", 4)),
-        ("register", {"stake": 100}, ("register", 0)),
-        ("close_round", {"round": 1}, ("system", 0)),
-        ("deploy", {}, ("deploy", 0)),
+        ("register", {"stake": 100}, ("register", 4)),
+        ("close_round", {"round": 1}, ("system", 4)),
+        ("deploy", {}, ("deploy", 4)),
     ])
     def test_gas_is_the_class_and_the_parameters_touched(self, op, args, expected):
         assert gas(op, args, 4) == expected
+
+    @pytest.mark.parametrize("op", ["register", "score_and_reward_round", "record_checkpoint",
+                                    "close_round", "deploy"])
+    def test_a_flat_class_is_charged_its_intercept_at_any_size(self, op):
+        """A call of a class with no slope is sized by the model's dimension,
+        which the gas table ignores."""
+        model = GasModel()
+        base, slope = model.coefficients(gas_class(op))
+        assert slope == 0
+        for dim in (1, 10_000):
+            assert gas(op, {}, dim) == (gas_class(op), dim)
+            assert model.charge(*gas(op, {}, dim)) == base
 
     def test_admits_the_system_any_registration_and_registered_clients(self):
         c = registered(clients=[(C[0], 10)])
         assert c.admits(SYSTEM_SENDER, "close_round")
         assert c.admits(C[1], "register") and c.admits(C[0], "close_round")
         assert not c.admits(C[1], "submit_update")
+
+
+class TestStateDict:
+    def test_a_client_is_a_copy_of_its_record(self):
+        """Each client's entry holds exactly its ``ClientRecord``'s fields, and
+        editing a returned document changes neither the record nor the next one."""
+        c = registered(clients=[(C[0], 10)])
+        record, key = c.clients[C[0]], "0x" + C[0].hex()
+        before = asdict(record)
+        entry = c.state_dict()["clients"][key]
+        assert entry == before and list(entry) == [f.name for f in fields(ClientRecord)]
+        entry["stake"] += 1
+        entry["note"] = "edited"
+        assert asdict(record) == before
+        assert c.state_dict()["clients"][key] == before
 
 
 class TestRegistration:

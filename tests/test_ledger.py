@@ -280,7 +280,7 @@ class TestFailedSubmitLeavesLedgerUnchanged:
         assert ledger._pending[-1] == (tx, tx.decode()[0], receipt)
         assert ledger.next_nonce(tx.sender) == nonce + 1
         assert coordinator.state_dict() == state
-        assert coordinator.rounds == {1: RoundState(round=1)}
+        assert coordinator.rounds == {1: RoundState()}
         return receipt
 
     @pytest.mark.parametrize("components", [[], [10**40, 1], ["x", 1], [1.5, 1], [True, 1]],

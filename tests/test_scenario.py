@@ -1205,6 +1205,8 @@ class TestAudit:
          "receipt 2 does not record tx 2 of block 3"),
         (lambda receipts: [r.update(block_height=7) for r in receipts],
          "receipt 0 does not record tx 0 of block 3"),
+        (lambda receipts: receipts[0].update(block_height=3.0),
+         "receipt 0 does not record tx 0 of block 3"),
         (swap_first_two, "receipt 0 does not record tx 0 of block 3"),
         (revert_keeping_events, "receipt 5: reverted transactions emit no events"),
         (lambda receipts: receipts[3].update(gas_used=0),
@@ -1217,8 +1219,8 @@ class TestAudit:
          "receipt 1: status 'maybe' is neither success nor reverted"),
         (lambda receipts: receipts[1].update(revert_reason="WrongPhase"),
          "receipt 1: a revert reason is given exactly when reverted"),
-    ], ids=["dropped", "foreign_tx_hash", "wrong_height", "swapped", "reverted_with_events",
-            "zero_gas", "extra_gas", "float_gas", "unknown_status",
+    ], ids=["dropped", "foreign_tx_hash", "wrong_height", "float_height", "swapped",
+            "reverted_with_events", "zero_gas", "extra_gas", "float_gas", "unknown_status",
             "success_with_revert_reason"])
     def test_resealed_receipt_forgery_fails(self, run_dir, forge, fault):
         """Receipts edited in block 3 under recomputed roots, header hashes
@@ -1229,6 +1231,28 @@ class TestAudit:
         assert verdict["files"] == {REPORT_FILE: "ok", GAS_FILE: "ok", REWARDS_FILE: "ok"}
         assert not verdict["ok"]
         assert verdict["chain"] == f"block 3: {fault}"
+
+    @pytest.mark.parametrize("height, part, value, fault", [
+        (3, "blocks", 3.0, "block 3: bad height 3.0"),
+        (1, "blocks", True, "block 1: bad height True"),
+        (1, "receipts", True, "block 1: receipt 0 does not record tx 0 of block 1"),
+    ], ids=["header_float", "header_bool", "receipt_bool"])
+    def test_resealed_height_that_is_no_int_fails(self, run_dir, height, part, value, fault):
+        """A header or receipt height equal to its block's height as a value,
+        ``3.0 == 3`` and ``True == 1``, under recomputed roots, header hashes
+        and report files: a height is an int."""
+        def retype(doc):
+            if part == "blocks":
+                doc["blocks"][height]["height"] = value
+            else:
+                doc["receipts"][height][0]["block_height"] = value
+
+        reseal_ledger(run_dir, retype)
+        rewrite_report_files(run_dir)
+        verdict = audit(run_dir)[0]
+        assert verdict["files"] == {REPORT_FILE: "ok", GAS_FILE: "ok", REWARDS_FILE: "ok"}
+        assert not verdict["ok"]
+        assert verdict["chain"] == fault
 
     def test_charge_fault_is_found_in_block_order(self, run_dir):
         """An over-charged receipt in block 3 is named before a wrong header
@@ -1348,22 +1372,38 @@ class TestAudit:
         """A payout keyed by an int beside str keys, under recomputed roots
         and header hashes: the chain verifies, and the report's walk refuses
         the id before a report whose keys cannot be sorted is built."""
-        j = rekey_first_client(run_dir, "RewardsDistributed", 0)
+        height, j = rekey_first_client(run_dir, "RewardsDistributed", 0)
         verdict = audit(run_dir)[0]
-        assert verdict["chain"] == f"block 2: tx {j}: malformed events"
+        assert verdict["chain"] == f"block {height}: tx {j}: malformed events"
         assert not verdict["ok"] and verdict["checkpoints"] == [] and verdict["files"] == {}
         assert_audit_cli_fails_quietly(run_dir, capsys)
 
-    @pytest.mark.parametrize("client", ["0xabcd", "0x" + "AB" * 20], ids=["short", "upper_case"])
-    @pytest.mark.parametrize("event", ["AlignmentScoresUpdated", "RewardsDistributed"])
+    @pytest.mark.parametrize("client", ["0xabcd", "0x" + "AB" * 20, 7],
+                             ids=["short", "upper_case", "int"])
+    @pytest.mark.parametrize("event", ["AlignmentScoresUpdated", "RewardsDistributed",
+                                       "UpdateSubmitted", "ClientBanned"])
     def test_resealed_event_naming_no_client_id_fails(self, run_dir, capsys, event, client):
-        """A score or payout keyed by an id the contract never writes, under
-        recomputed roots, header hashes and report files: the walk names its
-        block and tx."""
-        j = rekey_first_client(run_dir, event, client)
+        """A submitter, banned client, score or payout named by an id the
+        contract never writes, under recomputed roots, header hashes and
+        report files: the walk names its block and tx."""
+        height, j = rekey_first_client(run_dir, event, client)
         rewrite_report_files(run_dir)
         verdict = audit(run_dir)[0]
-        assert verdict["chain"] == f"block 2: tx {j}: malformed events"
+        assert verdict["chain"] == f"block {height}: tx {j}: malformed events"
+        assert not verdict["ok"] and verdict["checkpoints"] == [] and verdict["files"] == {}
+        assert_audit_cli_fails_quietly(run_dir, capsys)
+
+    @pytest.mark.parametrize("retype", [float, bool], ids=["float", "bool"])
+    def test_resealed_payout_that_is_no_int_fails(self, run_dir, capsys, retype):
+        """A payout amount the contract never writes, under recomputed roots,
+        header hashes and report files: the walk names its block and tx."""
+        def retype_first_payout(payload):
+            payload["payouts"][0][1] = retype(payload["payouts"][0][1])
+
+        height, j = edit_first_event(run_dir, "RewardsDistributed", retype_first_payout)
+        rewrite_report_files(run_dir)
+        verdict = audit(run_dir)[0]
+        assert verdict["chain"] == f"block {height}: tx {j}: malformed events"
         assert not verdict["ok"] and verdict["checkpoints"] == [] and verdict["files"] == {}
         assert_audit_cli_fails_quietly(run_dir, capsys)
 
@@ -1383,22 +1423,34 @@ class TestAudit:
         assert verdict["chain"] == fault
 
 
-def rekey_first_client(run_dir, event: str, client) -> int:
-    """Key the first score or payout of round 1's ``event`` by ``client``,
-    reseal, and return the index of the tx in block 2 that emitted it."""
-    field = {"AlignmentScoresUpdated": "scores", "RewardsDistributed": "payouts"}[event]
-    emitted = []
+def edit_first_event(run_dir, event: str, edit) -> tuple[int, int]:
+    """Apply ``edit`` to the payload of the chain's first ``event``, reseal,
+    and return the block height and tx index that emitted it."""
+    places = []
 
-    def rekey(doc):
-        for j, receipt in enumerate(doc["receipts"][2]):
-            for name, payload in receipt["events"]:
-                if name == event:
-                    payload[field][0][0] = client
-                    emitted.append(j)
+    def forge(doc):
+        height, j, payload = next(
+            (h, j, payload) for h, block in enumerate(doc["receipts"])
+            for j, receipt in enumerate(block)
+            for name, payload in receipt["events"] if name == event
+        )
+        edit(payload)
+        places.append((height, j))
 
-    reseal_ledger(run_dir, rekey)
-    (j,) = emitted
-    return j
+    reseal_ledger(run_dir, forge)
+    return places[0]
+
+
+def rekey_first_client(run_dir, event: str, client) -> tuple[int, int]:
+    """``edit_first_event``, naming ``client`` as the event's id, or as the id
+    of its first score or payout."""
+    def rekey(payload):
+        if "id" in payload:
+            payload["id"] = client
+        else:
+            payload["scores" if "scores" in payload else "payouts"][0][0] = client
+
+    return edit_first_event(run_dir, event, rekey)
 
 
 def assert_audit_cli_fails_quietly(run_dir, capsys) -> None:
