@@ -19,7 +19,7 @@ from .ledger import gas_csv_text
 
 def _setup_logging() -> None:
     level_name = os.environ.get("FEDCHAIN_LOG", "WARNING").upper()
-    level = getattr(logging, level_name, logging.WARNING)
+    level = logging.getLevelNamesMapping().get(level_name, logging.WARNING)
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 

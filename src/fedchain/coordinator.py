@@ -186,20 +186,15 @@ class Coordinator:
     def _emit(self, name: str, payload: dict) -> None:
         self._events.append((name, payload))
 
-    def admits(self, sender: bytes, op: str) -> bool:
-        """Whether the chain executes a call from ``sender`` at all: the
-        system, any registration, or a registered client."""
-        return sender == SYSTEM_SENDER or op == "register" or sender in self.clients
-
     # -- dispatch (ledger entry point) ----------------------------------------
 
     def execute(
         self, op: str, sender: bytes, args: dict, batch: Optional[GradientVector]
     ) -> list[tuple[str, dict]]:
-        """Run one call and return the events it emitted. ``batch`` is the
-        ``components`` arg as the ledger decoded it for the tx preimage
-        (``Transaction.decode``), None when the args carry none; a
-        ``submit_update`` that passes its args check always has one."""
+        """Run one call and return its events; its reverts alone say who may
+        call what. ``batch`` is the ``components`` arg as the ledger decoded it
+        for the tx preimage (``Transaction.decode``), None when the args carry
+        none; a ``submit_update`` that passes its args check always has one."""
         call = CALLS.get(op)
         if sender != SYSTEM_SENDER and not (call and call.client):
             raise NotAuthorized(f"{op} is a coordinator-initiated call")
@@ -230,7 +225,7 @@ class Coordinator:
     def register(self, client_id: bytes, stake: int, n_samples: int) -> None:
         if client_id in self.clients:
             raise AlreadyRegistered(f"0x{client_id.hex()}")
-        if client_id == SYSTEM_SENDER or len(client_id) != 20:
+        if client_id == SYSTEM_SENDER:
             raise NotAuthorized("invalid client id")
         if stake < self.config.min_stake:
             raise InsufficientStake(f"stake {stake} < minimum {self.config.min_stake}")
@@ -401,7 +396,6 @@ class Coordinator:
         if not state.accepted:
             raise NoAcceptedUpdates(f"round {round_index} accepted no updates")
         # committed value is the same FedAvg the scores were computed against
-        assert state.aggregate is not None
         self.global_model = state.aggregate
         self.model_version = round_index
         state.phase = Phase.AGGREGATED
@@ -464,20 +458,20 @@ def gas_class(op: str) -> str:
     return CALLS[op].gas_class if op in CALLS else "deploy" if op == "deploy" else "system"
 
 
-def gas(op: str, args, dim: int) -> tuple[str, int]:
-    """A call's gas class and size: a submit's component count, 0 when its args
-    are not an object (it is charged, and ``execute`` reverts it with ``BadArgs``),
-    and the model's ``dim`` for every other call, which a class with no slope ignores."""
+def gas(op: str, args: dict, dim: int) -> tuple[str, int]:
+    """A call's gas class and size: a submit's component count (0 when its args
+    carry none: it is charged, and ``execute`` reverts it with ``BadArgs``), and
+    the model's ``dim`` for every other call, which a class with no slope ignores."""
     op_class = gas_class(op)
     if op_class == "submit":
-        return op_class, len(args.get("components", ())) if isinstance(args, dict) else 0
+        return op_class, len(args.get("components", ()))
     return op_class, dim
 
 
 def _check_args(op: str, args: dict) -> None:
     """``BadArgs`` unless ``args`` holds exactly the call's args, each of its type."""
     types = CALLS[op].args
-    if not isinstance(args, dict) or args.keys() != types.keys():
+    if args.keys() != types.keys():
         raise BadArgs(f"{op} takes exactly {', '.join(types)}")
     for name, kind in types.items():
         value = args[name]

@@ -3,8 +3,8 @@
 Any ``SimulationError`` raised while a contract call executes is turned into
 a reverted receipt by the ledger. The contract raises before it writes or
 emits, so a revert changes no contract state and the receipt holds no events.
-Errors raised before execution starts (nonce, unknown sender, unhashable
-args, config problems) propagate to the caller.
+Errors raised before execution starts (a malformed tx, a wrong nonce,
+unhashable args, config problems) propagate to the caller.
 """
 
 
@@ -34,8 +34,8 @@ class NonceError(SimulationError):
     """Transaction nonce is not the sender's next-in-sequence."""
 
 
-class UnknownSender(SimulationError):
-    """Non-registration call from an address the contract has never seen."""
+class MalformedTx(SimulationError):
+    """A transaction field of the wrong type or shape (``ledger.Transaction``)."""
 
 
 class BadComponent(SimulationError):
@@ -116,10 +116,6 @@ class TooManyClients(SimulationError):
 
 
 class BadWeights(SimulationError):
-    pass
-
-
-class BadParticipation(SimulationError):
     pass
 
 

@@ -19,7 +19,6 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimMismatch
 from .keccak import keccak256
 from .numerics import GradientVector, check_int, check_number
 
@@ -91,12 +90,6 @@ def local_train(
     at the end. The loss is mean_i 0.5 * (y_i - x_i . w)^2, so one step
     moves w by -lr * X^T (X w - y) / n.
     """
-    if model.dim != dataset.dim:
-        raise DimMismatch(f"model dim {model.dim} != data dim {dataset.dim}")
-    if epochs < 1:
-        raise ValueError("epochs must be >= 1")
-    if lr <= 0:
-        raise ValueError("learning rate must be positive")
     start = model.to_floats()
     w = start.copy()
     X, y = dataset.features, dataset.targets
@@ -147,7 +140,5 @@ def act(
         return honest_update.scale_int(behavior.c)
     if behavior.kind == "freerider":
         return GradientVector.zeros(honest_update.dim)
-    if behavior.kind == "dropout":
-        rng = rng_stream(seed, STREAM_DROPOUT, client_index, round_index)
-        return honest_update if rng.random() < behavior.q else None
-    raise AssertionError(behavior.kind)
+    rng = rng_stream(seed, STREAM_DROPOUT, client_index, round_index)  # dropout
+    return honest_update if rng.random() < behavior.q else None

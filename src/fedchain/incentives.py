@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import BadParticipation, BadWeights, MissingRounds, TooManyClients
+from .errors import BadWeights, MissingRounds, TooManyClients
 from .numerics import (
     ONE,
     SCALE,
@@ -36,10 +36,9 @@ def alignment_score(
     """Client alignment score: (g_i . g_global) * n_i / n_total.
 
     The sample-count ratio is applied multiply-before-divide so the only
-    rounding beyond the dot product is one terminal truncation.
+    rounding beyond the dot product is one terminal truncation. The contract
+    passes registered counts, so 0 < n_i <= n_total.
     """
-    if not 0 < n_i <= n_total:
-        raise BadWeights(f"need 0 < n_i <= n_total, got {n_i}/{n_total}")
     return dot(g_i, g_global).mul_div(n_i, n_total)
 
 
@@ -63,11 +62,7 @@ def cumulative_scores(
 
 
 def consistency_multiplier(alpha: Fixed, participation: Fixed) -> Fixed:
-    """(1 + alpha * participation); >= 1 for valid inputs."""
-    if participation.raw < 0 or participation > ONE:
-        raise BadParticipation(f"participation must lie in [0, 1], got {participation}")
-    if alpha.raw < 0:
-        raise BadParticipation(f"alpha must be >= 0, got {alpha}")
+    """1 + alpha * participation: at least 1, as both are >= 0 in the contract."""
     return ONE + alpha * participation
 
 
@@ -79,7 +74,6 @@ def consistency_adjusted_reward(score: Fixed, alpha: Fixed, participation: Fixed
     scores. Negative inputs stay negative (the multiplier amplifies
     magnitude); payouts clamp at zero downstream.
     """
-    consistency_multiplier(alpha, participation)  # validates the inputs
     scale_sq = SCALE * SCALE
     return score.mul_div(scale_sq + alpha.raw * participation.raw, scale_sq)
 

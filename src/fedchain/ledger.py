@@ -8,7 +8,8 @@ measurements of a reference contract deployment; registration and reward
 distribution are parameter-independent, so their slopes are structurally
 zero. This module owns the gas model and the class order ``OP_CLASSES``;
 the contract's ``coordinator.CALLS`` table owns which class each call is
-charged as, and which senders the chain admits. A call that reverts is
+charged as, and its reverts alone decide who may call what; the ledger
+checks only a tx's types, nonce and decodable args. A call that reverts is
 charged and recorded with its reason; the contract changed nothing and
 emitted nothing, so there is nothing to undo.
 
@@ -33,8 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .coordinator import SYSTEM_SENDER, gas
-from .errors import BadComponent, NonceError, SimulationError, UnknownSender
+from .coordinator import CALLS, SYSTEM_SENDER, gas
+from .errors import BadComponent, MalformedTx, NonceError, SimulationError
 from .keccak import keccak256, keccak256_many
 from .numerics import INT_LIMIT, GradientVector
 from .offchain import canonical_json_bytes, vector_commit
@@ -82,15 +83,11 @@ class GasModel:
                 raise ValueError(f"bad gas model: {message}")
 
     def coefficients(self, op_class: str) -> tuple[int, int]:
-        if op_class not in _COEFFICIENT_FIELDS:
-            raise ValueError(f"unknown op class {op_class!r}")
         base, per_param = _COEFFICIENT_FIELDS[op_class]
         return getattr(self, base), getattr(self, per_param) if per_param else 0
 
     def charge(self, op_class: str, param_count: int) -> int:
         """Gas for one call of the given class touching param_count parameters."""
-        if param_count < 0:
-            raise ValueError("param_count must be >= 0")
         base, per_param = self.coefficients(op_class)
         return base + per_param * param_count
 
@@ -101,10 +98,23 @@ class GasModel:
 
 @dataclass(frozen=True)
 class Transaction:
+    """One contract call, well-typed on construction, else ``MalformedTx``
+    before any gas is charged; ``from_dict`` inherits the checks."""
+
     sender: bytes
     op: str
     args: dict
     nonce: int
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.sender, bytes) or len(self.sender) != 20:
+            raise MalformedTx(f"sender {self.sender!r} is not 20 bytes")
+        if not isinstance(self.op, str) or not (self.op in CALLS or self.op == "deploy"):
+            raise MalformedTx(f"unknown contract call {self.op!r}")
+        if type(self.nonce) is not int or self.nonce < 0:  # a bool is no nonce
+            raise MalformedTx(f"nonce {self.nonce!r} is not an int >= 0")
+        if not isinstance(self.args, dict) or not all(isinstance(k, str) for k in self.args):
+            raise MalformedTx(f"{self.op} args are not an object")
 
     def to_dict(self) -> dict:
         return {
@@ -125,7 +135,7 @@ class Transaction:
         serves that commitment and the contract's ``submit_update``."""
         try:
             args, batch = self.args, None
-            if isinstance(args, dict) and "components" in args:
+            if "components" in args:
                 batch = GradientVector.from_raw(args["components"])
                 args = dict(args)
                 del args["components"]
@@ -222,11 +232,10 @@ class Ledger:
     def submit_tx(self, tx: Transaction) -> Receipt:
         """Execute one contract call; order of execution is submission order.
 
-        A call that fails before execution (unknown sender, wrong nonce, args
-        that cannot be hashed) raises and leaves the ledger unchanged; the
-        sender's nonce advances only when a receipt is recorded."""
-        if not self.coordinator.admits(tx.sender, tx.op):
-            raise UnknownSender(f"0x{tx.sender.hex()} has never registered")
+        A call that fails before execution (wrong nonce, args that cannot be
+        hashed) raises and leaves the ledger unchanged; the sender's nonce
+        advances only when a receipt is recorded. Any sender's call executes:
+        the contract reverts what that sender may not do."""
         expected = self.next_nonce(tx.sender)
         if tx.nonce != expected:
             raise NonceError(f"nonce {tx.nonce} != expected {expected}")

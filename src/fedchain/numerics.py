@@ -79,8 +79,6 @@ _DECIMAL_RE = re.compile(r"^[+-]?(?:\d+(?:\.\d+)?|\.\d+)$")
 
 def div_toward_zero(numerator: int, denominator: int) -> int:
     """Integer division that truncates toward zero (like Solidity / C)."""
-    if denominator == 0:
-        raise ZeroDivisionError("division by zero")
     quotient = abs(numerator) // abs(denominator)
     if (numerator < 0) != (denominator < 0):
         quotient = -quotient
@@ -456,14 +454,8 @@ def sample_weighted_mean(vectors: Sequence[GradientVector], counts: Sequence[int
     weights. This is the aggregation path used for the global model. It runs
     in int64 when ``weighted_sum_lanes`` admits the vectors, else on checked
     Python-int partial sums; the means are range-checked as the vector is
-    built.
+    built. Every caller passes a non-empty cohort and its positive counts.
     """
-    if len(vectors) == 0:
-        raise EmptyInput("sample_weighted_mean needs at least one vector")
-    if len(counts) != len(vectors):
-        raise DimMismatch(f"{len(vectors)} vectors but {len(counts)} counts")
-    if any(n <= 0 for n in counts):
-        raise EmptyInput("sample counts must be positive")
     dim = vectors[0].dim
     for v in vectors[1:]:
         if v.dim != dim:

@@ -41,8 +41,6 @@ def canonical_serialize(cumulative: Mapping[bytes, Fixed]) -> bytes:
     """
     parts = []
     for client_id, value in sorted(cumulative.items()):
-        if len(client_id) != 20:
-            raise ValueError(f"client id must be 20 bytes, got {len(client_id)}")
         parts.append(client_id + value.raw.to_bytes(16, "big", signed=True))
     return b"".join(parts)
 

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, outputs."""
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -72,6 +73,24 @@ def test_gas_sweep_prints_csv(config_path, tmp_path, capsys):
     printed = capsys.readouterr().out
     assert printed.splitlines()[0] == "param_size,register,submit,aggregate,validate,distribute"
     assert csv_out.read_text() == printed
+
+
+@pytest.mark.parametrize("name, level", [
+    ("basic_format", logging.WARNING), ("nonsense", logging.WARNING), ("debug", logging.DEBUG),
+])
+def test_fedchain_log_names_a_level_else_warning(config_path, capsys, monkeypatch, name, level):
+    """FEDCHAIN_LOG is read as a level name; any other name, a ``logging``
+    attribute that is no level included, falls back to WARNING."""
+    monkeypatch.setenv("FEDCHAIN_LOG", name)
+    root = logging.getLogger()
+    monkeypatch.setattr(root, "handlers", [])  # as at start-up, so basicConfig configures
+    old_level = root.level
+    try:
+        assert main(["gas-sweep", "--config", str(config_path), "--sizes", "10"]) == 0
+        assert root.level == level
+    finally:
+        root.setLevel(old_level)
+    assert capsys.readouterr().out.startswith("param_size,")
 
 
 def assert_one_line_config_error(capsys, caplog):

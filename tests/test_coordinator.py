@@ -93,7 +93,7 @@ class TestCallTable:
 
     @pytest.mark.parametrize("op, args, expected", [
         ("submit_update", {"components": [1, 2, 3]}, ("submit", 3)),
-        ("submit_update", ["components"], ("submit", 0)),
+        ("submit_update", {"round": 1}, ("submit", 0)),
         ("validate_round", {"round": 1}, ("validate", 4)),
         ("aggregate_round", {}, ("aggregate", 4)),
         ("register", {"stake": 100}, ("register", 4)),
@@ -114,12 +114,6 @@ class TestCallTable:
         for dim in (1, 10_000):
             assert gas(op, {}, dim) == (gas_class(op), dim)
             assert model.charge(*gas(op, {}, dim)) == base
-
-    def test_admits_the_system_any_registration_and_registered_clients(self):
-        c = registered(clients=[(C[0], 10)])
-        assert c.admits(SYSTEM_SENDER, "close_round")
-        assert c.admits(C[1], "register") and c.admits(C[0], "close_round")
-        assert not c.admits(C[1], "submit_update")
 
 
 class TestStateDict:

@@ -13,12 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fedchain import coordinator, incentives, numerics
 
-from fedchain.errors import (
-    BadParticipation,
-    BadWeights,
-    MissingRounds,
-    TooManyClients,
-)
+from fedchain.errors import BadWeights, MissingRounds, TooManyClients
 from fedchain.coordinator import _largest_remainder_split
 from fedchain.flclients import make_client_id
 from fedchain.incentives import (
@@ -89,12 +84,6 @@ class TestAlignmentScore:
     def test_negated_gradient_scores_negative(self):
         g = vec("0.5", "-1.5")
         assert alignment_score(g.negate(), g, 3, 7).is_negative()
-
-    def test_bad_weights(self):
-        with pytest.raises(BadWeights):
-            alignment_score(vec("1"), vec("1"), 0, 4)
-        with pytest.raises(BadWeights):
-            alignment_score(vec("1"), vec("1"), 5, 4)
 
     @given(
         st.lists(st.integers(-(2 * SCALE), 2 * SCALE), min_size=1, max_size=8),
@@ -167,14 +156,6 @@ class TestConsistencyMultiplier:
 
     def test_negative_score_amplified(self):
         assert consistency_adjusted_reward(fx("-4"), fx("1"), fx("1")).to_decimal() == "-8"
-
-    def test_participation_range_checked(self):
-        with pytest.raises(BadParticipation):
-            consistency_adjusted_reward(fx("1"), fx("0.5"), fx("1.1"))
-        with pytest.raises(BadParticipation):
-            consistency_adjusted_reward(fx("1"), fx("0.5"), fx("-0.1"))
-        with pytest.raises(BadParticipation):
-            consistency_adjusted_reward(fx("1"), fx("-0.5"), fx("0.5"))
 
     def test_multiplier_at_least_one(self):
         assert consistency_multiplier(fx("0"), fx("0")) == fx("1")

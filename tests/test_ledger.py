@@ -19,7 +19,7 @@ from fedchain.coordinator import (
     gas_class,
 )
 from fedchain import ledger as ledger_module
-from fedchain.errors import BadComponent, NonceError, SimulationError, UnknownSender
+from fedchain.errors import BadComponent, MalformedTx, NonceError, SimulationError
 from fedchain.flclients import make_client_id
 from fedchain.incentives import SHAPLEY_MAX_CLIENTS, coalition_value_alignment, shapley_exact
 from fedchain.keccak import keccak256
@@ -93,14 +93,6 @@ class TestGasModel:
         with pytest.raises(ValueError):
             GasModel(system_cost=True)
 
-    def test_param_count_must_be_nonnegative(self):
-        with pytest.raises(ValueError):
-            GasModel().charge("submit", -1)
-
-    def test_unknown_class_rejected(self):
-        with pytest.raises(ValueError, match="unknown op class"):
-            GasModel().coefficients("transfer")
-
     def test_row_in_class_order(self):
         model = GasModel()
         row = model.row(10)
@@ -169,12 +161,31 @@ class TestExecution:
                 "round": 1, "batch_index": 0, "batch_count": 1, "components": [0, 0],
             }, nonce=0))
 
-    def test_unknown_sender_rejected(self):
-        ledger, _ = make_ledger()
-        with pytest.raises(UnknownSender):
-            ledger.submit_tx(Transaction(make_client_id(9), "submit_update", {
-                "round": 1, "batch_index": 0, "batch_count": 1, "components": [0, 0],
-            }, nonce=0))
+    @pytest.mark.parametrize("sender, op, args, reason", [
+        (9, "submit_update", {"round": 1, "batch_index": 0, "batch_count": 1,
+                              "components": [0, 0]}, "NotRegistered"),
+        (9, "close_round", {"round": 1}, "NotAuthorized"),
+        (0, "close_round", {"round": 1}, "NotAuthorized"),
+    ], ids=["stranger_submit", "stranger_close", "client_close"])
+    def test_the_contract_alone_turns_a_sender_away(self, sender, op, args, reason):
+        """The ledger executes any sender's well-formed call; the contract's
+        revert is charged and recorded, the nonce advances, the state stays."""
+        ledger, coordinator = make_ledger()
+        ledger.submit_tx(register_tx(ledger, make_client_id(0)))
+        who, state = make_client_id(sender), coordinator.state_dict()
+        tx = Transaction(who, op, args, ledger.next_nonce(who))
+        receipt = ledger.submit_tx(tx)
+        assert (receipt.status, receipt.revert_reason) == ("reverted", reason)
+        assert receipt.gas_used == ledger_module.tx_gas(GasModel(), tx, coordinator.dim)
+        assert ledger._pending[-1] == (tx, tx.decode()[0], receipt)
+        assert ledger.next_nonce(who) == tx.nonce + 1
+        assert coordinator.state_dict() == state
+
+    def test_a_stranger_may_register(self):
+        ledger, coordinator = make_ledger()
+        stranger = make_client_id(9)
+        assert ledger.submit_tx(register_tx(ledger, stranger)).success
+        assert stranger in coordinator.clients
 
     def test_reverted_call_emits_no_events(self):
         ledger, _ = make_ledger()
@@ -343,26 +354,36 @@ class TestFailedSubmitLeavesLedgerUnchanged:
 
         assert self.submit_bad_args(make_tx).gas_used == GasModel().charge("submit", 0)
 
-    @pytest.mark.parametrize("args", [["round"], "xyz", "components", 7],
-                             ids=["list", "string", "string_components", "int"])
-    @pytest.mark.parametrize("sender, op", [(0, "submit_update"), (1, "register")])
-    def test_args_that_are_not_an_object_revert_charged_as_empty(self, sender, op, args):
-        def make_tx(ledger, _):
-            who = make_client_id(sender)
-            return Transaction(who, op, args, ledger.next_nonce(who))
-
-        receipt = self.submit_bad_args(make_tx)
-        assert receipt.gas_used == GasModel().charge(gas_class(op), 0)
-
     def test_not_authorized_comes_before_bad_args(self):
         ledger, _ = make_ledger()
         client = make_client_id(0)
         ledger.submit_tx(register_tx(ledger, client))
-        for op in ("close_round", "mint"):
+        for op in ("close_round", "deploy"):
             tx = Transaction(client, op, {}, ledger.next_nonce(client))
             assert ledger.submit_tx(tx).revert_reason == "NotAuthorized"
-        tx = Transaction(SYSTEM_SENDER, "mint", {}, ledger.next_nonce(SYSTEM_SENDER))
+        tx = Transaction(SYSTEM_SENDER, "deploy", {}, ledger.next_nonce(SYSTEM_SENDER))
         assert ledger.submit_tx(tx).revert_reason == "SimulationError"
+
+
+class TestMalformedTx:
+    """A tx field of the wrong type is refused on construction, so it never
+    reaches the ledger, and a recorded doc of that shape never parses
+    (``TestAudit.test_resealed_mistyped_tx_fails``)."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("sender", b"\xab\xcd"), ("sender", "0x" + "00" * 20), ("sender", bytearray(20)),
+        ("op", 7), ("op", ["close_round"]), ("op", "mint"), ("op", None),
+        ("nonce", 1.0), ("nonce", True), ("nonce", -1), ("nonce", "0"),
+        ("args", ["round"]), ("args", "xyz"), ("args", 7), ("args", {1: "round"}),
+    ], ids=["short_sender", "hex_sender", "bytearray_sender",
+            "int_op", "list_op", "unknown_op", "none_op",
+            "float_nonce", "bool_nonce", "negative_nonce", "string_nonce",
+            "list_args", "string_args", "int_args", "int_key_args"])
+    def test_a_mistyped_field_is_malformed(self, field, value):
+        fields = {"sender": make_client_id(0), "op": "close_round", "args": {"round": 1},
+                  "nonce": 0, field: value}
+        with pytest.raises(MalformedTx):
+            Transaction(**fields)
 
 
 def verify(chain: dict, gas_model: GasModel = GasModel()):
@@ -520,11 +541,11 @@ class TestContractBoundary:
             )
 
         for sender, op, args, nonce_offset, seal in calls:
-            tx = Transaction(sender, op, args, ledger.next_nonce(sender) + nonce_offset)
             before = snapshot(sender)
             try:
+                tx = Transaction(sender, op, args, ledger.next_nonce(sender) + nonce_offset)
                 receipt = ledger.submit_tx(tx)
-            except (NonceError, UnknownSender, BadComponent):
+            except (NonceError, MalformedTx, BadComponent):
                 assert snapshot(sender) == before
             else:
                 assert ledger._pending[-1] == (tx, tx.decode()[0], receipt)
@@ -679,7 +700,7 @@ class ContractMachine(RuleBasedStateMachine):
         state, memory = self.coordinator.state_dict(), contract_memory(self.coordinator)
         try:
             receipt = self.ledger.submit_tx(Transaction(sender, op, args, nonces[sender]))
-        except (UnknownSender, BadComponent):  # refused before execution: no receipt
+        except BadComponent:  # refused before execution: no receipt
             receipt = None
         else:
             nonces[sender] += 1

@@ -153,14 +153,6 @@ class TestWeightedSum:
         out = sample_weighted_mean([vec("2", "-1"), vec("-2", "3")], [3, 1])
         assert out == vec("1", "0")
 
-    def test_empty_input(self):
-        with pytest.raises(EmptyInput):
-            sample_weighted_mean([], [])
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimMismatch):
-            sample_weighted_mean([vec("1")], [1, 2])
-
     def test_mixed_dims(self):
         with pytest.raises(DimMismatch):
             sample_weighted_mean([vec("1", "2"), vec("1")], [1, 1])
@@ -188,10 +180,6 @@ class TestSampleWeightedMean:
         v = vec("3", "-1")
         out = sample_weighted_mean([v, v.negate()], [5, 5])
         assert out.raw.tolist() == [0, 0]
-
-    def test_rejects_nonpositive_counts(self):
-        with pytest.raises(EmptyInput):
-            sample_weighted_mean([vec("1")], [0])
 
     @settings(max_examples=60)
     @given(

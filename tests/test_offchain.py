@@ -33,10 +33,6 @@ class TestCanonicalSerialize:
         entries = [(cid_of(3), Fixed(5)), (cid_of(1), Fixed(-7)), (cid_of(2), Fixed(0))]
         assert canonical_serialize(dict(entries)) == canonical_serialize(dict(reversed(entries)))
 
-    def test_client_id_must_be_20_bytes(self):
-        with pytest.raises(ValueError, match="client id must be 20 bytes, got 19"):
-            canonical_serialize({cid_of(1): Fixed(1), b"\x02" * 19: Fixed(2)})
-
     def test_negative_values_round_trip(self):
         entries = {cid_of(9): Fixed(-123456789), cid_of(4): Fixed(42)}
         assert canonical_serialize(entries) == (

@@ -30,7 +30,7 @@ from fedchain.flclients import ClientBehavior, make_client_id
 from fedchain.keccak import keccak256
 from fedchain.ledger import GasModel
 from fedchain.numerics import RAW_LIMIT, SCALE, Fixed, GradientVector
-from fedchain.offchain import ContentStore, canonical_json_bytes, publish_checkpoint
+from fedchain.offchain import ContentStore, canonical_json_bytes, publish_checkpoint, vector_commit
 from fedchain.scenario import (
     audit,
     audit_run,
@@ -1296,13 +1296,35 @@ class TestAudit:
         def listify_op(doc):
             tx, receipt = doc["txs"][3][0], doc["receipts"][3][0]
             tx["op"] = [tx["op"]]
-            digest = keccak256(ledger_module.Transaction.from_dict(tx).decode()[0]).hex()
+            digest = keccak256(tx_preimage(tx)).hex()
             doc["blocks"][3]["tx_hashes"][0] = receipt["tx_hash"] = digest
 
         reseal_ledger(run_dir, listify_op)
         verdict = audit(run_dir)[0]
         assert not verdict["ok"]
         assert verdict["chain"] == "block 3: malformed tx 0"
+
+    @pytest.mark.parametrize("j, field, value", [
+        (9, "op", 7), (9, "nonce", 4.0), (0, "sender", "0xabcd"),
+    ], ids=["int_op", "float_nonce", "short_sender"])
+    def test_resealed_mistyped_tx_fails(self, tmp_path, j, field, value):
+        """A tx field of a type no ``Transaction`` holds, under a recomputed
+        tx hash, roots, header hashes and report files: block 2's
+        ``close_round`` with an int op or a float nonce, or its first
+        ``submit_update`` from a 2-byte sender."""
+        run_dir = write_run(adversary_run(), tmp_path)
+
+        def retype(doc):
+            tx, receipt = doc["txs"][2][j], doc["receipts"][2][j]
+            tx[field] = value
+            digest = keccak256(tx_preimage(tx)).hex()
+            doc["blocks"][2]["tx_hashes"][j] = receipt["tx_hash"] = digest
+
+        reseal_ledger(run_dir, retype)
+        rewrite_report_files(run_dir)
+        verdict = audit(run_dir)[0]
+        assert not verdict["ok"]
+        assert verdict["chain"] == f"block 2: malformed tx {j}"
 
     def test_resealed_receipt_without_revert_reason_is_malformed(self, run_dir):
         reseal_ledger(run_dir, lambda doc: doc["receipts"][3][1].pop("revert_reason"))
@@ -1597,6 +1619,17 @@ def rewrite_ledger(run_dir, mutate) -> None:
     doc = json.loads(gzip.decompress((run_dir / LEDGER_FILE).read_bytes()))
     mutate(doc)
     (run_dir / LEDGER_FILE).write_bytes(gzip.compress(canonical_json_bytes(doc), mtime=0))
+
+
+def tx_preimage(tx_doc: dict) -> bytes:
+    """A tx doc's hash preimage, built by hand as a forger would, since
+    ``Transaction`` refuses a mistyped doc: the ``components`` arg replaced
+    by its commitment and length."""
+    args = dict(tx_doc["args"])
+    if "components" in args:
+        batch = GradientVector.from_raw(args.pop("components"))
+        args.update(components_commit=vector_commit(batch), components_len=batch.dim)
+    return canonical_json_bytes({**tx_doc, "args": args})
 
 
 def reseal(doc: dict) -> None:
