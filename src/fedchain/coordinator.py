@@ -17,6 +17,8 @@ import re
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
+import numpy as np
+
 from . import incentives
 from .errors import (
     AlreadyRegistered,
@@ -34,7 +36,6 @@ from .errors import (
     NotRegistered,
     OutOfOrderBatch,
     RoundClosed,
-    SimulationError,
     WrongPhase,
     WrongRound,
 )
@@ -64,14 +65,15 @@ SAMPLES_LIMIT = 2**64
 class Call(NamedTuple):
     gas_class: str  # one of ledger.OP_CLASSES, or the flat `system` class
     client: bool  # whether a client may send it; only the system sends the others
-    args: dict  # each arg and its type; a str arg is a hex digest
+    args: dict  # each arg and its type, or a tuple of its types; a str arg is a hex digest
 
 
 # the contract's interface: every call the chain executes and charges for
 CALLS = {
     "register": Call("register", True, {"stake": int, "n_samples": int}),
     "submit_update": Call("submit", True, {
-        "round": int, "batch_index": int, "batch_count": int, "components": list,
+        # a recorded doc's list, or a slice of the array the runner quantized
+        "round": int, "batch_index": int, "batch_count": int, "components": (list, np.ndarray),
     }),
     "validate_round": Call("validate", False, {"round": int}),
     "score_and_reward_round": Call("distribute", False, {"round": int}),
@@ -195,11 +197,9 @@ class Coordinator:
         call what. ``batch`` is the ``components`` arg as the ledger decoded it
         for the tx preimage (``Transaction.decode``), None when the args carry
         none; a ``submit_update`` that passes its args check always has one."""
-        call = CALLS.get(op)
-        if sender != SYSTEM_SENDER and not (call and call.client):
-            raise NotAuthorized(f"{op} is a coordinator-initiated call")
-        if call is None:
-            raise SimulationError(f"unknown contract call {op!r}")
+        call = CALLS.get(op)  # None for deploy: the ledger deploys once, at genesis
+        if call is None or (sender != SYSTEM_SENDER and not call.client):
+            raise NotAuthorized(f"0x{sender.hex()} may not call {op}")
         _check_args(op, args)
         self._events = events = []
         if op == "register":
@@ -454,8 +454,8 @@ class Coordinator:
 
 
 def gas_class(op: str) -> str:
-    """Gas class of an op: its ``CALLS`` class, ``deploy``, or else ``system``."""
-    return CALLS[op].gas_class if op in CALLS else "deploy" if op == "deploy" else "system"
+    """Gas class of an op: ``deploy``, or its ``CALLS`` class; KeyError for any other op."""
+    return "deploy" if op == "deploy" else CALLS[op].gas_class
 
 
 def gas(op: str, args: dict, dim: int) -> tuple[str, int]:
@@ -475,7 +475,8 @@ def _check_args(op: str, args: dict) -> None:
         raise BadArgs(f"{op} takes exactly {', '.join(types)}")
     for name, kind in types.items():
         value = args[name]
-        if type(value) is not kind or (kind is str and not _DIGEST_HEX.fullmatch(value)):
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        if type(value) not in kinds or (kind is str and not _DIGEST_HEX.fullmatch(value)):
             raise BadArgs(f"{op}: bad {name} {value!r}")
 
 

@@ -17,7 +17,10 @@ The chain has one read, ``Ledger.chain_document``, and it is the one place
 that hashes a sealed tx, state or block. ``submit_tx`` builds each tx
 preimage (its args check), decoding a submitted batch once for both its
 commitment and the contract, and ``seal_block`` snapshots the state
-preimage; neither hashes. A receipt is only what its call produced: its tx
+preimage; neither hashes. A batch arrives from the runner as a slice of
+the array its update was quantized to, and from a recorded doc as a list;
+the chain read writes the array as that list, once, in
+``Transaction.to_dict``. A receipt is only what its call produced: its tx
 hash and block height are where it sits in the chain, which the read
 derives. The read hashes the whole chain: one ``keccak256_many`` pass over
 the tx preimages, a second over the state preimages and the receipts-root
@@ -33,6 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .coordinator import CALLS, SYSTEM_SENDER, gas
 from .errors import BadComponent, MalformedTx, NonceError, SimulationError
@@ -116,13 +121,22 @@ class Transaction:
         if not isinstance(self.args, dict) or not all(isinstance(k, str) for k in self.args):
             raise MalformedTx(f"{self.op} args are not an object")
 
-    def to_dict(self) -> dict:
+    def _doc(self, args: dict) -> dict:
         return {
             "sender": "0x" + self.sender.hex(),
             "op": self.op,
-            "args": self.args,
+            "args": args,
             "nonce": self.nonce,
         }
+
+    def to_dict(self) -> dict:
+        """The tx as the chain records it. An array ``components`` arg, as the
+        runner submits it, is written here as the list a recorded doc holds;
+        args that hold no array are the tx's own dict."""
+        args = self.args
+        if isinstance(args.get("components"), np.ndarray):
+            args = {**args, "components": args["components"].tolist()}
+        return self._doc(args)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Transaction":
@@ -132,7 +146,12 @@ class Transaction:
         """The bytes ``tx_hash`` hashes, and the ``components`` arg decoded, or
         None when the args carry none. The preimage holds the args with the
         bulk components replaced by their commitment digest; the one decode
-        serves that commitment and the contract's ``submit_update``."""
+        serves that commitment and the contract's ``submit_update``. The
+        runner's ``components`` is a slice of its quantized update's array,
+        which ``from_raw`` takes without a Python loop when it is int64; a
+        recorded doc's is a list. Both meet the same component checks, and
+        the preimage is built from the tx's fields, so no list is written
+        for it."""
         try:
             args, batch = self.args, None
             if "components" in args:
@@ -141,7 +160,7 @@ class Transaction:
                 del args["components"]
                 args["components_commit"] = vector_commit(batch)
                 args["components_len"] = batch.dim
-            return canonical_json_bytes({**self.to_dict(), "args": args}), batch
+            return canonical_json_bytes(self._doc(args)), batch
         except (SimulationError, TypeError, ValueError, OverflowError) as err:
             raise BadComponent(f"{self.op} args cannot be hashed: {err}") from err
 
@@ -267,9 +286,11 @@ class Ledger:
 
     def chain_document(self) -> dict:
         """The sealed chain in its persisted form, hashed afresh: headers, txs
-        and receipts, as new dicts and lists, though tx args and event
-        payloads are shared. Each receipt dict is built once, for both its
-        block's receipts root and the document."""
+        and receipts, as new dicts and lists, though event payloads and tx
+        args are shared, but for args holding an array batch, which
+        ``Transaction.to_dict`` writes as new args with a list. Each receipt
+        dict is built once, for both its block's receipts root and the
+        document."""
         digests = iter(keccak256_many([m for calls, _ in self._blocks for _, m, _ in calls]))
         blocks, txs, receipts = [], [], []
         for height, (calls, _) in enumerate(self._blocks):

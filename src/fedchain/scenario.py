@@ -294,7 +294,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
             for batch_index, start in enumerate(starts):
                 call(cid, "submit_update", round=round_index, batch_index=batch_index,
                      batch_count=len(starts),
-                     components=update.raw[start : start + config.batch_size].tolist())
+                     components=update.raw[start : start + config.batch_size])
 
         round_state = coordinator.rounds[round_index]
         if round_state.submissions:

@@ -1,7 +1,9 @@
 """Gas model calibration, transaction execution, and chain integrity."""
 import copy
+import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.stateful import (
@@ -103,7 +105,8 @@ class TestGasModel:
         model = GasModel()
         assert gas_class("deploy") == "deploy"
         assert gas_class("close_round") == gas_class("record_checkpoint") == "system"
-        assert gas_class("mint") == "system"
+        with pytest.raises(KeyError):
+            gas_class("mint")
         assert model.charge("deploy", 7) == model.deploy_cost
         assert model.charge("system", 7) == model.system_cost
 
@@ -294,9 +297,15 @@ class TestFailedSubmitLeavesLedgerUnchanged:
         assert coordinator.rounds == {1: RoundState()}
         return receipt
 
-    @pytest.mark.parametrize("components", [[], [10**40, 1], ["x", 1], [1.5, 1], [True, 1]],
-                             ids=["empty", "beyond_raw_limit", "string", "float", "bool"])
+    @pytest.mark.parametrize("components", [
+        [], [10**40, 1], ["x", 1], [1.5, 1], [True, 1], [[1, 2]],
+        np.array([], dtype=np.int64), np.array([1.5, 1.0]), np.array([True, True]),
+        np.array([[1, 2]], dtype=np.int64), np.array([10**40, 1], dtype=object),
+    ], ids=["empty", "beyond_raw_limit", "string", "float", "bool", "2d",
+            "empty_array", "float_array", "bool_array", "2d_array", "beyond_raw_limit_array"])
     def test_unhashable_update_is_bad_component(self, components):
+        """Refused before any gas is charged, whether the components are the
+        list a recorded doc holds or an array, as the runner submits them."""
         def make_tx(ledger, client):
             args = update_args(components=components)
             return Transaction(client, "submit_update", args, ledger.next_nonce(client))
@@ -362,7 +371,37 @@ class TestFailedSubmitLeavesLedgerUnchanged:
             tx = Transaction(client, op, {}, ledger.next_nonce(client))
             assert ledger.submit_tx(tx).revert_reason == "NotAuthorized"
         tx = Transaction(SYSTEM_SENDER, "deploy", {}, ledger.next_nonce(SYSTEM_SENDER))
-        assert ledger.submit_tx(tx).revert_reason == "SimulationError"
+        assert ledger.submit_tx(tx).revert_reason == "NotAuthorized"
+
+
+class TestComponentForms:
+    """The runner submits ``components`` as a slice of its quantized update's
+    array; the chain records that slice as a list. The two are one tx."""
+
+    @pytest.mark.parametrize("raw", [
+        np.arange(-3, 5, dtype=np.int64),
+        np.array([2**70, -(2**70), 5, 0, 1], dtype=object),
+    ], ids=["int64", "object_beyond_int64"])
+    def test_an_array_and_its_recorded_list_are_one_tx(self, raw):
+        raw.setflags(write=False)
+        client = make_client_id(0)
+        tx = Transaction(client, "submit_update", update_args(components=raw[1:4]), nonce=1)
+        twin = Transaction.from_dict(json.loads(canonical_json_bytes(tx.to_dict())))
+        assert type(twin.args["components"]) is list
+        assert twin.args["components"] == raw[1:4].tolist()
+        (preimage, batch), (twin_preimage, twin_batch) = tx.decode(), twin.decode()
+        assert preimage == twin_preimage and batch == twin_batch
+        assert tx.tx_hash() == twin.tx_hash()
+        outcomes = []
+        for submitted in (tx, twin):
+            ledger, coordinator = make_ledger(dim=3)
+            ledger.submit_tx(register_tx(ledger, client))
+            receipt = ledger.submit_tx(submitted)
+            ledger.seal_block()
+            outcomes.append((receipt, coordinator.rounds[1].submissions[client],
+                             canonical_json_bytes(ledger.chain_document())))
+        assert outcomes[0][0].success and outcomes[0][1] == batch
+        assert outcomes[0] == outcomes[1]
 
 
 class TestMalformedTx:

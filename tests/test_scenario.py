@@ -10,6 +10,7 @@ from dataclasses import fields
 from functools import cache
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -760,6 +761,31 @@ class TestArtifacts:
         assert len(submitted) > 2 * 6  # two batches per dim-4 update
         assert decoded == submitted
 
+    def test_run_submits_each_batch_as_an_array_and_records_a_list(self, monkeypatch):
+        """The runner hands the ledger each batch as the int64 slice it was
+        quantized to, never a list; the chain read writes the list, so the
+        document holds only JSON types."""
+        batches = []
+        submit_tx = ledger_module.Ledger.submit_tx
+
+        def spying(ledger, tx):
+            if tx.op == "submit_update":
+                batches.append(tx.args["components"])
+            return submit_tx(ledger, tx)
+
+        monkeypatch.setattr(ledger_module.Ledger, "submit_tx", spying)
+        result = run_scenario(parse_config(base_doc(batch_size=3)))
+        monkeypatch.undo()
+        assert len(batches) > 2 * 6  # two batches per dim-4 update
+        assert {type(batch) for batch in batches} == {np.ndarray}
+        assert {batch.dtype for batch in batches} == {np.dtype(np.int64)}
+        recorded = [
+            tx["args"]["components"]
+            for block in result.ledger_doc["txs"] for tx in block if tx["op"] == "submit_update"
+        ]
+        assert recorded == [batch.tolist() for batch in batches]
+        json.dumps(result.ledger_doc)  # no default=: every value is a JSON type
+
     def test_run_builds_the_dropout_stream_once_per_round_the_client_is_active(
         self, monkeypatch
     ):
@@ -1305,13 +1331,13 @@ class TestAudit:
         assert verdict["chain"] == "block 3: malformed tx 0"
 
     @pytest.mark.parametrize("j, field, value", [
-        (9, "op", 7), (9, "nonce", 4.0), (0, "sender", "0xabcd"),
-    ], ids=["int_op", "float_nonce", "short_sender"])
+        (9, "op", 7), (9, "op", "mint"), (9, "nonce", 4.0), (0, "sender", "0xabcd"),
+    ], ids=["int_op", "unknown_op", "float_nonce", "short_sender"])
     def test_resealed_mistyped_tx_fails(self, tmp_path, j, field, value):
-        """A tx field of a type no ``Transaction`` holds, under a recomputed
-        tx hash, roots, header hashes and report files: block 2's
-        ``close_round`` with an int op or a float nonce, or its first
-        ``submit_update`` from a 2-byte sender."""
+        """A tx field no ``Transaction`` holds, under a recomputed tx hash,
+        roots, header hashes and report files: block 2's ``close_round`` with
+        an int op, an op the contract does not take or a float nonce, or its
+        first ``submit_update`` from a 2-byte sender."""
         run_dir = write_run(adversary_run(), tmp_path)
 
         def retype(doc):
@@ -1656,8 +1682,8 @@ def rewrite_report_files(run_dir) -> None:
     would, when a report can be built from them."""
     try:
         report = build_report(*load_run_dir(run_dir))
-    except UnreadableRun:  # a chain out of the rounds' layout has no report to forge
-        return
+    except (UnreadableRun, KeyError):  # a chain out of the rounds' layout, or holding
+        return  # an op that has no gas class, has no report to forge
     for name, data in report_files(report).items():
         (run_dir / name).write_bytes(data)
 
